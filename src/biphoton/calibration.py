@@ -9,7 +9,6 @@ idler wavelength through the fibre dispersion.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .units import GAUSSIAN_FWHM_OVER_SIGMA, SINC_SQ_HALF_POWER_ARG, sinc
 
@@ -166,6 +165,8 @@ def fit_peak(data, model="gaussian", weighting="none", window="auto"):
 
     Degenerate data never raises: the result comes back converged=False.
     """
+    from scipy.optimize import least_squares
+
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
     x, y = data

@@ -120,6 +120,18 @@ def cmd_simulate_jsa(config_path, out_dir):
                f"idler {summary['idler_marginal_fwhm_nm']:.2f} nm")
 
 
+class _HashingWriter:
+    """Binary sink that hashes everything written through it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data):
+        self.sha256.update(data)
+        return self.fh.write(data)
+
+
 @cli.command("gen-tags")
 @click.argument("jsa_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
@@ -132,11 +144,11 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
     jsa = spdc.read_jsa_file(jsa_path)
     result = simgen.generate(jsa, cfg.acquisition)
     with open(out_path, "wb") as fh:
-        n_bytes = tagstream.write_stream(result.header, result.tags, fh)
+        sink = _HashingWriter(fh)
+        n_bytes = tagstream.write_stream(result.header, result.tags, sink)
+    digest = sink.sha256.hexdigest()
     if truth_path:
         result.truth.write_jsonl(truth_path)
-    with open(out_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
     with open(out_path + ".manifest.json", "w") as fh:
         json.dump({"command": "gen-tags", "config_sha256": config_sha256(config_path),
                    "seed": cfg.seed, "sha256": digest, "bytes": n_bytes,
@@ -207,7 +219,7 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
         x_wavelength_edges=x_lam, y_wavelength_edges=y_lam)
     _write_axis_files(out, event_cfg, cfg, tick)
 
-    t = tags["timestamp"]
+    t = tags.timestamp
     duration_s = float((int(t[-1]) - int(t[0]) + 1) * tick * 1e-12) if len(t) else 0.0
     diagnostics = dict(result.diagnostics)
     if duration_s > 0:

@@ -5,16 +5,17 @@ time-resolved joint-spectrum slices.
 Every anode event is a pure function of the tags inside its lookahead window
 and the latest preceding sync tag, so the stream can be processed as one
 array, as bounded-memory blocks, or as per-thread partitions with bitwise
-identical results.
+identical results. All three run the same step (`_build_step`).
 """
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .histograms import BinSpec, Histogram1D, Histogram2D
-from .tagstream import ChannelMap, as_tag_array
+from .tagstream import ChannelMap, TagColumns
 
 _ROLES = ("mcp", "dld_x1", "dld_x2", "dld_y1", "dld_y2", "snspd", "sync")
 
@@ -86,20 +87,6 @@ class DldEvents:
     def __len__(self):
         return len(self.t_mcp)
 
-    @staticmethod
-    def empty():
-        z = np.zeros(0, dtype=np.int64)
-        return DldEvents(z, z.copy(), z.copy(), np.zeros(0, bool), z.copy(), np.zeros(0, bool))
-
-    @staticmethod
-    def concatenate(parts):
-        parts = list(parts)
-        if not parts:
-            return DldEvents.empty()
-        return DldEvents(*(np.concatenate([getattr(p, name) for p in parts])
-                           for name in ("t_mcp", "dt_x", "dt_y", "has_dt_y",
-                                        "sync_offset", "has_sync")))
-
 
 @dataclass
 class Coincidences:
@@ -113,20 +100,6 @@ class Coincidences:
 
     def __len__(self):
         return len(self.t_mcp)
-
-    @staticmethod
-    def empty():
-        z = np.zeros(0, dtype=np.int64)
-        return Coincidences(z, z.copy(), z.copy(), np.zeros(0, bool), z.copy())
-
-    @staticmethod
-    def concatenate(parts):
-        parts = list(parts)
-        if not parts:
-            return Coincidences.empty()
-        return Coincidences(*(np.concatenate([getattr(p, name) for p in parts])
-                              for name in ("t_mcp", "dt_x", "sync_offset",
-                                           "has_sync", "tau")))
 
 
 @dataclass
@@ -146,12 +119,18 @@ class BuildResult:
     diagnostics: dict
 
 
-def split_channels(tags, channel_map: ChannelMap):
-    """Per-role sorted int64 timestamp arrays."""
-    tags = as_tag_array(tags)
-    t = tags["timestamp"].astype(np.int64)
-    ch = tags["channel"]
-    return {role: t[ch == getattr(channel_map, role)] for role in _ROLES}
+def split_channels(tags: TagColumns, channel_map: ChannelMap):
+    """Per-role sorted int64 timestamp arrays. Sync markers are most of a
+    typical stream, so they are split off first and only the rest is
+    demuxed by role."""
+    t, ch = tags.timestamp, tags.channel
+    is_sync = ch == channel_map.sync
+    times = {"sync": t[is_sync]}
+    rest = ~is_sync
+    t_rest, ch_rest = t[rest], ch[rest]
+    for role in _ROLES[:-1]:
+        times[role] = t_rest[ch_rest == getattr(channel_map, role)]
+    return times
 
 
 def _fresh_diag():
@@ -174,12 +153,6 @@ def _merge_diag(a, b):
     return out
 
 
-def _count_tags(diag, tags, channel_map):
-    ch = as_tag_array(tags)["channel"]
-    for role in _ROLES:
-        diag["tag_counts"][role] += int((ch == getattr(channel_map, role)).sum())
-
-
 def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, prev_sync=None):
     """Assemble events for the MCP triggers in [mcp_lo, mcp_hi).
 
@@ -191,9 +164,6 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, prev_sync=None):
     diag = _fresh_diag()
     mcp = times["mcp"][mcp_lo:mcp_hi]
     diag["mcp_triggers"] = len(mcp)
-    if len(mcp) == 0:
-        return DldEvents.empty(), diag
-
     window_end = mcp + cfg.dld_window_ticks
 
     def exactly_one(arr):
@@ -357,60 +327,59 @@ def rates_report(diagnostics, duration_s):
     }
 
 
-def build_dld_events(tags, channel_map: ChannelMap, cfg: EventBuildConfig):
-    """Whole-stream event assembly; returns (DldEvents, diagnostics)."""
+def _concat_columns(parts):
+    """Concatenate column dataclasses (DldEvents or Coincidences) field by field."""
+    if len(parts) == 1:
+        return parts[0]
+    return type(parts[0])(*(np.concatenate([getattr(p, f.name) for p in parts])
+                            for f in fields(parts[0])))
+
+
+def _build_step(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig,
+                threads=1, cutoff=None, prev_sync=None):
+    """Demux `tags`, then match the events of the MCP triggers at or before
+    `cutoff` (all when None) and their coincidences, in `threads`
+    contiguous trigger ranges run concurrently against the same demuxed
+    arrays. `tag_counts` counts the tags at or before the cutoff. Returns
+    (per-role times, events, coincidences, diagnostics)."""
     times = split_channels(tags, channel_map)
-    events, diag = _match_events(times, cfg, 0, len(times["mcp"]))
-    _count_tags(diag, tags, channel_map)
-    return events, diag
+    if cutoff is None:
+        counts = {role: len(times[role]) for role in _ROLES}
+    else:
+        counts = {role: int(np.searchsorted(times[role], cutoff, side="right"))
+                  for role in _ROLES}
+    n_mcp = counts["mcp"]
+    ranges = threads if n_mcp >= 2 * threads else 1
+    bounds = np.linspace(0, n_mcp, ranges + 1).astype(int)
+
+    def match(k):
+        events, diag = _match_events(times, cfg, bounds[k], bounds[k + 1], prev_sync)
+        coinc, cdiag = _match_coincidences(times, events, cfg)
+        return events, coinc, _merge_diag(diag, cdiag)
+
+    with ThreadPoolExecutor(max_workers=ranges) as pool:
+        parts = list(pool.map(match, range(ranges)))
+    diag = functools.reduce(_merge_diag, (p[2] for p in parts))
+    diag["tag_counts"] = counts
+    return (times, _concat_columns([p[0] for p in parts]),
+            _concat_columns([p[1] for p in parts]), diag)
 
 
-def build_coincidences(events, tags, channel_map: ChannelMap, cfg: EventBuildConfig):
-    times = split_channels(tags, channel_map)
-    return _match_coincidences(times, events, cfg)
-
-
-def build(tags, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
+def build(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
     """One-shot build of events, coincidences, histograms and diagnostics.
 
     With threads > 1 the MCP triggers are partitioned into contiguous ranges
     processed concurrently; results are identical to the single-threaded
     pass by construction.
     """
-    tags = as_tag_array(tags)
-    times = split_channels(tags, channel_map)
-    n_mcp = len(times["mcp"])
-
-    if threads <= 1 or n_mcp < 2 * threads:
-        events, diag = _match_events(times, cfg, 0, n_mcp)
-        coinc, cdiag = _match_coincidences(times, events, cfg)
-    else:
-        bounds = np.linspace(0, n_mcp, threads + 1).astype(int)
-
-        def work(k):
-            ev, d = _match_events(times, cfg, bounds[k], bounds[k + 1])
-            co, cd = _match_coincidences(times, ev, cfg)
-            return ev, co, d, cd
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, range(threads)))
-        events = DldEvents.concatenate(p[0] for p in parts)
-        coinc = Coincidences.concatenate(p[1] for p in parts)
-        diag = parts[0][2]
-        cdiag = parts[0][3]
-        for p in parts[1:]:
-            diag = _merge_diag(diag, p[2])
-            cdiag = _merge_diag(cdiag, p[3])
-
-    diag = _merge_diag(diag, cdiag)
-    _count_tags(diag, tags, channel_map)
+    _, events, coinc, diag = _build_step(tags, channel_map, cfg, threads=max(1, threads))
     hists = accumulate_histograms(coinc, events, cfg)
     diag["jsi_out_of_range"] = hists["jsi"].out_of_range
     return BuildResult(events, coinc, hists, diag)
 
 
 def fold_stream_blocks(blocks, channel_map: ChannelMap, cfg: EventBuildConfig):
-    """Bounded-memory build over an iterator of tag-array blocks.
+    """Bounded-memory build over an iterator of TagColumns blocks.
 
     Keeps only a lookahead-sized tail between blocks; histogram and
     diagnostic output is identical to a whole-stream build for any block
@@ -419,46 +388,35 @@ def fold_stream_blocks(blocks, channel_map: ChannelMap, cfg: EventBuildConfig):
     lookahead = cfg.lookahead_ticks()
     hists = new_histograms(cfg)
     diag = _fresh_diag()
-    carry = None
+    carry = TagColumns.empty()
     prev_sync = None
 
-    def process(tags, cutoff):
+    def fold(tags, cutoff):
         nonlocal diag, prev_sync
-        times = split_channels(tags, channel_map)
-        if cutoff is None:
-            mcp_hi = len(times["mcp"])
-        else:
-            mcp_hi = int(np.searchsorted(times["mcp"], cutoff, side="right"))
-        events, d = _match_events(times, cfg, 0, mcp_hi, prev_sync=prev_sync)
-        coinc, cd = _match_coincidences(times, events, cfg)
+        times, events, coinc, d = _build_step(tags, channel_map, cfg, cutoff=cutoff,
+                                              prev_sync=prev_sync)
         accumulate_histograms(coinc, events, cfg, into=hists)
-        diag = _merge_diag(diag, _merge_diag(d, cd))
-        syncs = times["sync"]
-        if cutoff is None:
-            if len(syncs):
-                prev_sync = int(syncs[-1])
-            return None
+        diag = _merge_diag(diag, d)
         # MCP triggers <= cutoff are done; future triggers only need tags
         # strictly after the cutoff plus the scalar last-sync memory.
-        older_syncs = syncs[syncs <= cutoff]
-        if len(older_syncs):
-            prev_sync = int(older_syncs[-1])
-        return tags[tags["timestamp"].astype(np.int64) > cutoff]
+        n_sync = d["tag_counts"]["sync"]
+        if n_sync:
+            prev_sync = int(times["sync"][n_sync - 1])
+        rest = tags[int(np.searchsorted(tags.timestamp, cutoff, side="right")):]
+        # copied, so that the carry does not keep the whole block alive
+        return TagColumns(rest.channel.copy(), rest.timestamp.copy())
 
     for block in blocks:
-        block = as_tag_array(block)
         if len(block) == 0:
             continue
-        _count_tags(diag, block, channel_map)
-        current = block if carry is None or len(carry) == 0 else np.concatenate([carry, block])
-        tmax = int(current["timestamp"][-1])
-        cutoff = tmax - lookahead
-        if cutoff <= int(current["timestamp"][0]):
+        current = block if len(carry) == 0 else TagColumns.concatenate([carry, block])
+        cutoff = int(current.timestamp[-1]) - lookahead
+        if cutoff <= int(current.timestamp[0]):
             carry = current
             continue
-        carry = process(current, cutoff)
+        carry = fold(current, cutoff)
 
-    if carry is not None and len(carry):
-        process(carry, None)
+    if len(carry):
+        fold(carry, int(carry.timestamp[-1]))
     diag["jsi_out_of_range"] = hists["jsi"].out_of_range
     return BuildResult(None, None, hists, diag)

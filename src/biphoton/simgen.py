@@ -21,16 +21,14 @@ reference delay and decoded wavelengths are consistent with the embedded
 calibration blocks.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .calibration import DldCalibration, FibreCalibration, dld_dt, idler_delay_ps, signal_position
 from .histograms import BinSpec, Histogram1D
 from .spdc import JsaGrid, sample_pairs
-from .tagstream import TAG_DTYPE, ChannelMap, StreamHeader
+from .tagstream import ChannelMap, StreamHeader, TagColumns
 from .units import sigma_from_fwhm
 
 _ANODE_BASE_DELAY_PS = 100.0   # keeps wire-end pulses strictly after the MCP
@@ -122,26 +120,25 @@ class GroundTruth:
         return len(self.pulse_index)
 
     def write_jsonl(self, path):
+        """One JSON object per pair, byte-identical to `json.dumps` of the
+        row dict (floats through repr, so wavelengths must be finite)."""
+        flag = ("false", "true")
+        rows = zip(*(column.tolist() for column in (
+            self.pulse_index, self.lambda_s, self.lambda_i, self.signal_detected,
+            self.idler_detected, self.mcp_index, self.x1_index, self.x2_index,
+            self.snspd_index)))
         with open(path, "w") as fh:
-            for k in range(len(self)):
-                fh.write(json.dumps({
-                    "pulse": int(self.pulse_index[k]),
-                    "lambda_s_nm": float(self.lambda_s[k]),
-                    "lambda_i_nm": float(self.lambda_i[k]),
-                    "signal_detected": bool(self.signal_detected[k]),
-                    "idler_detected": bool(self.idler_detected[k]),
-                    "mcp": int(self.mcp_index[k]),
-                    "x1": int(self.x1_index[k]),
-                    "x2": int(self.x2_index[k]),
-                    "snspd": int(self.snspd_index[k]),
-                }))
-                fh.write("\n")
+            fh.writelines(
+                f'{{"pulse": {pulse}, "lambda_s_nm": {lam_s!r}, "lambda_i_nm": {lam_i!r}, '
+                f'"signal_detected": {flag[det_s]}, "idler_detected": {flag[det_i]}, '
+                f'"mcp": {mcp}, "x1": {x1}, "x2": {x2}, "snspd": {snspd}}}\n'
+                for pulse, lam_s, lam_i, det_s, det_i, mcp, x1, x2, snspd in rows)
 
 
 @dataclass
 class SimResult:
     header: StreamHeader
-    tags: np.ndarray
+    tags: TagColumns
     truth: GroundTruth
 
 
@@ -291,10 +288,6 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
         alive = _dead_time_mask(ticks, channel, cfg)
         ticks, channel, role, row = ticks[alive], channel[alive], role[alive], row[alive]
 
-    tags = np.zeros(len(ticks), dtype=TAG_DTYPE)
-    tags["channel"] = channel
-    tags["timestamp"] = ticks.astype(np.uint64)
-
     n_pairs_total = int(offsets[-1] + len(pair_parts[-1]["pulse_index"])) if pair_parts else 0
     truth = GroundTruth(
         pulse_index=np.concatenate([p["pulse_index"] for p in pair_parts]),
@@ -312,7 +305,7 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
         sel = (role == code) & (row >= 0)
         column[row[sel]] = np.flatnonzero(sel)
 
-    return SimResult(cfg.header(), tags, truth)
+    return SimResult(cfg.header(), TagColumns(channel, ticks), truth)
 
 
 def irf_reference(cfg: AcquisitionConfig, total=1_000_000):
@@ -329,6 +322,8 @@ def irf_reference(cfg: AcquisitionConfig, total=1_000_000):
         mass = np.zeros(n_bins)
         mass[int(center // cfg.tick_ps)] = 1.0
     else:
+        from scipy.special import ndtr
+
         cdf = ndtr((edges - center) / sigma)
         mass = np.diff(cdf)
     hist = Histogram1D(spec)

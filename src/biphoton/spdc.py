@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .units import (omega_from_wavelength, omega_width_from_wavelength_width,
                     sinc, wavelength_from_omega)
@@ -280,6 +279,7 @@ def pump_envelope(omega_s, omega_i, pump: PumpSpec):
 def solve_phase_matching_angle(signal_nm=515.0, idler_nm=1550.0):
     """XY-plane angle (degrees) at which the collinear process
     pump(in-plane) -> signal(z) + idler(z) is exactly phase matched."""
+    from scipy.optimize import brentq
 
     def mismatch(phi_deg):
         return _sellmeier_delta_k(np.array(signal_nm), np.array(idler_nm), phi_deg)

@@ -15,13 +15,14 @@ File layout (all little-endian):
         timestamp      u64      tick count
 
 Records are sorted by (timestamp, channel). Identical input produces a
-byte-identical file.
+byte-identical file. In memory a tag sequence is a `TagColumns`: one u16
+channel column and one i64 timestamp column.
 """
 
-import heapq
+import io
 import struct
 from dataclasses import dataclass, fields
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -32,15 +33,21 @@ RECORD_SIZE = 12
 
 _HEADER_STRUCT = struct.Struct("<4sHIH7HQ")
 
-#: in-memory representation of a tag sequence
-TAG_DTYPE = np.dtype([("channel", "<u2"), ("timestamp", "<u8")])
-
 #: on-disk record layout
 RECORD_DTYPE = np.dtype([("channel", "<u2"), ("reserved", "<u2"), ("timestamp", "<u8")])
 
+_BLOCK_RECORDS = 1 << 20
+
 
 class StreamFormatError(Exception):
-    """Base class for malformed `.ttag` data."""
+    """Base class for malformed `.ttag` data; `byte_offset` locates the
+    fault in the file when it is known."""
+
+    def __init__(self, message, byte_offset=None):
+        if byte_offset is not None:
+            message = f"{message} (at byte offset {byte_offset})"
+        super().__init__(message)
+        self.byte_offset = byte_offset
 
 
 class BadMagicError(StreamFormatError):
@@ -52,9 +59,15 @@ class UnsupportedVersionError(StreamFormatError):
 
 
 class TruncatedStreamError(StreamFormatError):
-    def __init__(self, message, byte_offset):
-        super().__init__(f"{message} (at byte offset {byte_offset})")
-        self.byte_offset = byte_offset
+    pass
+
+
+class RecordCountError(StreamFormatError):
+    """The header's non-zero record_count differs from the records present."""
+
+
+class RecordOrderError(StreamFormatError):
+    """A record breaks the (timestamp, channel) order of the stream."""
 
 
 class UnsortedTagsError(ValueError):
@@ -70,9 +83,38 @@ class UnknownChannelError(ValueError):
         self.channel = channel
 
 
-class TimeTag(NamedTuple):
-    channel: int
-    timestamp: int
+@dataclass(eq=False)
+class TagColumns:
+    """A tag sequence as two equal-length columns: `channel` (u16) and
+    `timestamp` (i64 ticks). Indexing with a slice, mask or index array
+    selects tags and returns TagColumns (a view for slices)."""
+
+    channel: np.ndarray
+    timestamp: np.ndarray
+
+    def __post_init__(self):
+        self.channel = np.asarray(self.channel, dtype=np.uint16)
+        self.timestamp = np.asarray(self.timestamp, dtype=np.int64)
+        if len(self.channel) != len(self.timestamp):
+            raise ValueError("channel and timestamp columns differ in length")
+
+    def __len__(self):
+        return len(self.timestamp)
+
+    def __getitem__(self, index):
+        return TagColumns(self.channel[index], self.timestamp[index])
+
+    @classmethod
+    def empty(cls):
+        return cls(np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.int64))
+
+    @classmethod
+    def concatenate(cls, parts):
+        parts = list(parts)
+        if not parts:
+            return cls.empty()
+        return cls(np.concatenate([p.channel for p in parts]),
+                   np.concatenate([p.timestamp for p in parts]))
 
 
 @dataclass(frozen=True)
@@ -133,131 +175,112 @@ class StreamHeader:
         return header
 
 
-def as_tag_array(tags):
-    """Coerce an iterable of (channel, timestamp) pairs or a structured array
-    to the packed TAG_DTYPE array used internally."""
-    if isinstance(tags, np.ndarray) and tags.dtype == TAG_DTYPE:
-        return tags
-    if isinstance(tags, np.ndarray) and tags.dtype.names == ("channel", "timestamp"):
-        return tags.astype(TAG_DTYPE)
-    rows = [(int(c), int(t)) for c, t in tags]
-    return np.array(rows, dtype=TAG_DTYPE)
-
-
-def empty_tags(n=0):
-    return np.zeros(n, dtype=TAG_DTYPE)
-
-
-def first_order_violation(tags):
+def first_order_violation(tags: TagColumns, after=None):
     """Index of the first tag breaking the (timestamp, channel) sort order,
-    or None when sorted."""
-    tags = as_tag_array(tags)
-    if len(tags) < 2:
-        return None
-    t, c = tags["timestamp"], tags["channel"]
-    earlier = t[1:] < t[:-1]
-    tie_break = (t[1:] == t[:-1]) & (c[1:] < c[:-1])
-    bad = np.flatnonzero(earlier | tie_break)
-    if bad.size == 0:
-        return None
-    return int(bad[0]) + 1
+    or None when sorted. `after`, a (timestamp, channel) pair, is the tag
+    that precedes the sequence."""
+    t, c = tags.timestamp, tags.channel
+    if after is not None and len(t) and (int(t[0]), int(c[0])) < tuple(after):
+        return 0
+    # one full pass: only equal or decreasing timestamps can break the order
+    suspect = np.flatnonzero(t[1:] <= t[:-1])
+    bad = suspect[(t[suspect + 1] < t[suspect]) | (c[suspect + 1] < c[suspect])]
+    return int(bad[0]) + 1 if bad.size else None
 
 
-def write_stream(header, tags, sink: BinaryIO):
+def write_stream(header, tags: TagColumns, sink: BinaryIO):
     """Write header + records to a binary sink. Returns the byte count.
 
-    Tags must be sorted by (timestamp, channel) and use only mapped channels.
+    Tags must be sorted by (timestamp, channel), have non-negative
+    timestamps and use only mapped channels.
     """
-    tags = as_tag_array(tags)
     violation = first_order_violation(tags)
     if violation is not None:
         raise UnsortedTagsError(violation)
+    if len(tags) and tags.timestamp[0] < 0:
+        raise ValueError(f"negative timestamp {int(tags.timestamp[0])} at tag 0")
     allowed = np.array(header.channel_map.ids(), dtype=np.uint16)
-    if len(tags):
-        ok = np.isin(tags["channel"], allowed)
-        if not ok.all():
-            idx = int(np.flatnonzero(~ok)[0])
-            raise UnknownChannelError(idx, int(tags["channel"][idx]))
+    ok = np.isin(tags.channel, allowed)
+    if not ok.all():
+        idx = int(np.flatnonzero(~ok)[0])
+        raise UnknownChannelError(idx, int(tags.channel[idx]))
 
     header = StreamHeader(tick_ps=header.tick_ps, channel_count=header.channel_count,
                           channel_map=header.channel_map, record_count=len(tags),
                           version=header.version)
     sink.write(header.to_bytes())
-    records = np.zeros(len(tags), dtype=RECORD_DTYPE)
-    records["channel"] = tags["channel"]
-    records["timestamp"] = tags["timestamp"]
-    sink.write(records.tobytes())
+    records = np.zeros(min(len(tags), _BLOCK_RECORDS), dtype=RECORD_DTYPE)
+    for lo in range(0, len(tags), _BLOCK_RECORDS):
+        block = tags[lo:lo + _BLOCK_RECORDS]
+        out = records[:len(block)]
+        out["channel"] = block.channel
+        out["timestamp"] = block.timestamp
+        sink.write(out)
     return HEADER_SIZE + RECORD_SIZE * len(tags)
 
 
-def _read_header(source: BinaryIO):
-    raw = source.read(HEADER_SIZE)
-    return StreamHeader.from_bytes(raw)
-
-
-def iter_stream_blocks(source: BinaryIO, block_records=1 << 20):
-    """Read the header eagerly, then yield TAG_DTYPE arrays in bounded blocks.
+def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
+    """Read the header eagerly, then yield TagColumns in bounded blocks.
 
     Returns (header, block_iterator). Single pass; memory bounded by
-    block_records.
+    block_records. When the block holding the fault is reached, raises a
+    StreamFormatError naming its byte offset for a partial record, a record
+    out of (timestamp, channel) order, within a block or across a block
+    boundary, and a non-zero header record_count that differs from the
+    records present.
     """
-    header = _read_header(source)
+    header = StreamHeader.from_bytes(source.read(HEADER_SIZE))
 
     def blocks():
+        # one record buffer for the whole pass: every block is decoded into
+        # fresh columns, so the buffer can be refilled
+        buffer = np.empty(block_records, dtype=RECORD_DTYPE)
         offset = HEADER_SIZE
         seen = 0
-        while True:
-            raw = source.read(RECORD_SIZE * block_records)
-            if not raw:
-                break
-            whole, leftover = divmod(len(raw), RECORD_SIZE)
+        last = None
+        while size := source.readinto(buffer):
+            whole, leftover = divmod(size, RECORD_SIZE)
             if leftover:
                 raise TruncatedStreamError("stream truncated mid-record",
                                            offset + whole * RECORD_SIZE)
-            records = np.frombuffer(raw, dtype=RECORD_DTYPE)
-            out = np.zeros(len(records), dtype=TAG_DTYPE)
-            out["channel"] = records["channel"]
-            out["timestamp"] = records["timestamp"]
-            offset += len(raw)
-            seen += len(records)
-            yield out
-        if header.record_count and seen < header.record_count:
-            raise TruncatedStreamError(
+            records = buffer[:whole]
+            block = TagColumns(records["channel"].copy(), records["timestamp"])
+            bad = first_order_violation(block, after=last)
+            if bad is not None:
+                raise RecordOrderError("record out of (timestamp, channel) order",
+                                       offset + bad * RECORD_SIZE)
+            last = (int(block.timestamp[-1]), int(block.channel[-1]))
+            offset += size
+            seen += whole
+            yield block
+        if header.record_count and seen != header.record_count:
+            raise RecordCountError(
                 f"header declares {header.record_count} records, found {seen}", offset)
 
     return header, blocks()
 
 
-def read_stream(source: BinaryIO, block_records=1 << 16):
-    """Lazy reader: returns (header, iterator of TimeTag)."""
-    header, blocks = iter_stream_blocks(source, block_records=block_records)
-
-    def tags() -> Iterator[TimeTag]:
-        for block in blocks:
-            for c, t in zip(block["channel"], block["timestamp"]):
-                yield TimeTag(int(c), int(t))
-
-    return header, tags()
-
-
 def read_stream_arrays(source: BinaryIO):
-    """Eager reader: returns (header, TAG_DTYPE array with all records)."""
+    """Eager reader for a seekable source: returns (header, TagColumns with
+    all records), filled block by block into preallocated columns."""
+    start = source.tell()
+    size = source.seek(0, io.SEEK_END) - start
+    source.seek(start)
+    n = max(size - HEADER_SIZE, 0) // RECORD_SIZE
+    # np.empty, unlike np.zeros, gets huge pages, which halves the cost of
+    # first touching the columns
+    tags = TagColumns(np.empty(n, dtype=np.uint16), np.empty(n, dtype=np.int64))
     header, blocks = iter_stream_blocks(source)
-    parts = list(blocks)
-    if not parts:
-        return header, empty_tags()
-    return header, np.concatenate(parts)
+    filled = 0
+    for block in blocks:
+        tags.channel[filled:filled + len(block)] = block.channel
+        tags.timestamp[filled:filled + len(block)] = block.timestamp
+        filled += len(block)
+    return header, tags[:filled]
 
 
-def merge_sorted(streams: Iterable):
-    """K-way merge of (timestamp, channel)-sorted tag sequences.
-
-    Accepts TAG_DTYPE arrays or TimeTag iterables; returns a TAG_DTYPE array.
-    The tag multiset is preserved.
-    """
-    iters = []
-    for s in streams:
-        arr = as_tag_array(s)
-        iters.append((TimeTag(int(c), int(t)) for c, t in zip(arr["channel"], arr["timestamp"])))
-    merged = heapq.merge(*iters, key=lambda tag: (tag.timestamp, tag.channel))
-    return as_tag_array(list(merged)) if iters else empty_tags()
+def merge_sorted(streams: Iterable[TagColumns]):
+    """Merge (timestamp, channel)-sorted TagColumns into one sorted
+    TagColumns. The tag multiset is preserved; equal tags keep input order."""
+    merged = TagColumns.concatenate(streams)
+    return merged[np.lexsort((merged.channel, merged.timestamp))]

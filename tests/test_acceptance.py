@@ -238,7 +238,7 @@ def test_c09_determinism_and_thread_independence(big_stream_cli):
 
 def test_c10_event_builder_throughput(big_stream_cli):
     with criterion(10, "single-threaded event building sustains >= 1e7 tags/s "
-                       "(see benchmarks/bench_event_builder.py)"):
+                       "(see python3 pipebench/run.py)"):
         from biphoton import tagstream
         from biphoton.config import load_run_config
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -111,7 +113,7 @@ class TestGenTags:
         with open(tmp_path / "z.ttag", "rb") as fh:
             header, tags = tagstream.read_stream_arrays(fh)
         assert len(tags) == 1
-        assert tags["channel"][0] == header.channel_map.sync
+        assert tags.channel[0] == header.channel_map.sync
 
     def test_truth_sidecar(self, monkeypatch, tmp_path, pipeline):
         src, cfg = pipeline
@@ -128,7 +130,7 @@ class TestGenTags:
         with open(tmp_path / "r.ttag", "rb") as fh:
             header, tags = tagstream.read_stream_arrays(fh)
         acq = load_run_config(cfg).acquisition
-        n_mcp = int((tags["channel"] == header.channel_map.mcp).sum())
+        n_mcp = int((tags.channel == header.channel_map.mcp).sum())
         expected = (acq.rep_rate_hz * acq.pair_prob_per_pulse * acq.eta_signal
                     + acq.dld_dark_rate_hz) * acq.duration_s
         assert abs(n_mcp - expected) <= 3 * np.sqrt(expected) + 1
@@ -169,6 +171,22 @@ class TestBuild:
         bad = tmp_path / "junk.ttag"
         bad.write_bytes(b"XTAG" + bytes(40))
         run_cli(monkeypatch, ["build", bad, cfg, tmp_path / "out"], expect=1)
+
+    def test_stream_with_swapped_halves_exits_1(self, monkeypatch, capsys, tmp_path, pipeline):
+        from biphoton import tagstream
+        tmp, cfg = pipeline
+        raw = (tmp / "tags.ttag").read_bytes()
+        header, body = raw[:tagstream.HEADER_SIZE], raw[tagstream.HEADER_SIZE:]
+        n = len(body) // tagstream.RECORD_SIZE
+        half = (n // 2) * tagstream.RECORD_SIZE
+        swapped = tmp_path / "swapped.ttag"
+        swapped.write_bytes(header + body[half:] + body[:half])
+        capsys.readouterr()
+        run_cli(monkeypatch, ["build", swapped, cfg, tmp_path / "out"], expect=1)
+        err = capsys.readouterr().err
+        # the first record of the old first half now follows the last record
+        assert f"byte offset {tagstream.HEADER_SIZE + len(body) - half}" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSlice:
@@ -233,6 +251,16 @@ class TestAnalyze:
         path = tmp_path / "noaxis.csv"
         path.write_text("1,2\n3,4\n")
         run_cli(monkeypatch, ["analyze", path], expect=1)
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy(self):
+        code = ("import sys, biphoton.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
 
 class TestGolden:

@@ -3,17 +3,21 @@ import pytest
 
 from biphoton import engine
 from biphoton.histograms import BinSpec, Histogram1D, Histogram2D, merge_histograms
-from biphoton.tagstream import TAG_DTYPE, ChannelMap
+from biphoton.tagstream import ChannelMap, TagColumns
 
 CMAP = ChannelMap()
 
 
 def tags_from(rows):
     """rows: iterable of (channel_role_or_id, timestamp)."""
-    out = np.zeros(len(rows), dtype=TAG_DTYPE)
-    for k, (ch, t) in enumerate(rows):
-        out[k] = (getattr(CMAP, ch) if isinstance(ch, str) else ch, t)
-    return out[np.lexsort((out["channel"], out["timestamp"]))]
+    out = TagColumns([getattr(CMAP, ch) if isinstance(ch, str) else ch for ch, _ in rows],
+                     [t for _, t in rows])
+    return out[np.lexsort((out.channel, out.timestamp))]
+
+
+def build_events(tags, cfg):
+    result = engine.build(tags, CMAP, cfg)
+    return result.events, result.diagnostics
 
 
 def small_cfg(**kw):
@@ -27,7 +31,7 @@ def small_cfg(**kw):
 
 def brute_force_events(tags, cfg):
     """O(n^2) oracle: per-MCP window scan with the same acceptance rules."""
-    pairs = [(int(c), int(t)) for c, t in zip(tags["channel"], tags["timestamp"])]
+    pairs = [(int(c), int(t)) for c, t in zip(tags.channel, tags.timestamp)]
     by = lambda role: sorted(t for c, t in pairs if c == getattr(CMAP, role))
     events = []
     for t0 in by("mcp"):
@@ -49,7 +53,7 @@ class TestBuildDldEvents:
         cfg = small_cfg()
         tags = tags_from([("mcp", 1000), ("dld_x1", 1010), ("dld_x2", 1030),
                           ("sync", 900)])
-        events, diag = engine.build_dld_events(tags, CMAP, cfg)
+        events, diag = build_events(tags, cfg)
         assert len(events) == 1
         assert events.dt_x[0] == -20
         assert events.sync_offset[0] == 100
@@ -59,7 +63,7 @@ class TestBuildDldEvents:
         cfg = small_cfg()
         tags = tags_from([("mcp", 1000), ("dld_x1", 1010), ("dld_x1", 1020),
                           ("dld_x2", 1030)])
-        events, diag = engine.build_dld_events(tags, CMAP, cfg)
+        events, diag = build_events(tags, cfg)
         assert len(events) == 0
         assert diag["multi_x1"] == 1
 
@@ -67,7 +71,7 @@ class TestBuildDldEvents:
         cfg = small_cfg()
         # dt = +46 > t_a + guard = 44
         tags = tags_from([("mcp", 1000), ("dld_x1", 1096), ("dld_x2", 1050)])
-        events, diag = engine.build_dld_events(tags, CMAP, cfg)
+        events, diag = build_events(tags, cfg)
         assert len(events) == 0
         assert diag["out_of_guard"] == 1
 
@@ -76,18 +80,18 @@ class TestBuildDldEvents:
         w = cfg.dld_window_ticks
         # X1 exactly at t_mcp is outside (window is left-open)
         tags = tags_from([("mcp", 1000), ("dld_x1", 1000), ("dld_x2", 1010)])
-        events, _ = engine.build_dld_events(tags, CMAP, cfg)
+        events, _ = build_events(tags, cfg)
         assert len(events) == 0
         # X1 exactly at t_mcp + w is inside
         tags = tags_from([("mcp", 1000), ("dld_x1", 1000 + w), ("dld_x2", 1000 + w - 20)])
-        events, _ = engine.build_dld_events(tags, CMAP, cfg)
+        events, _ = build_events(tags, cfg)
         assert len(events) == 1
 
     def test_y_channels_optional(self):
         cfg = small_cfg()
         tags = tags_from([("mcp", 1000), ("dld_x1", 1010), ("dld_x2", 1030),
                           ("dld_y1", 1012), ("dld_y2", 1024)])
-        events, _ = engine.build_dld_events(tags, CMAP, cfg)
+        events, _ = build_events(tags, cfg)
         assert len(events) == 1
         assert events.has_dt_y[0]
         assert events.dt_y[0] == -12
@@ -110,7 +114,7 @@ class TestBuildDldEvents:
             else:
                 rows.append(("sync", t))
         tags = tags_from(rows)
-        events, _ = engine.build_dld_events(tags, CMAP, cfg)
+        events, _ = build_events(tags, cfg)
         oracle = brute_force_events(tags, cfg)
         assert len(events) == len(oracle)
         for k, (t0, dt, sync) in enumerate(oracle):
@@ -131,10 +135,10 @@ class TestBuildDldEvents:
             t += int(rng.integers(100, 900))
             rows += [("mcp", t), ("dld_x1", t + 9), ("dld_x2", t + 21)]
         tags = tags_from(rows)
-        base_events, _ = engine.build_dld_events(tags, CMAP, cfg)
+        base_events, _ = build_events(tags, cfg)
         extra = tags_from([("mcp", t + cfg.dld_window_ticks + 10),
                            ("dld_x1", t + cfg.dld_window_ticks + 15)])
-        grown, _ = engine.build_dld_events(np.concatenate([tags, extra]), CMAP, cfg)
+        grown, _ = build_events(TagColumns.concatenate([tags, extra]), cfg)
         n = len(base_events)
         assert np.array_equal(grown.t_mcp[:n], base_events.t_mcp)
         assert np.array_equal(grown.dt_x[:n], base_events.dt_x)
@@ -145,8 +149,8 @@ class TestBuildCoincidences:
         cfg = small_cfg()
         tags = tags_from([("mcp", 100), ("dld_x1", 110), ("dld_x2", 130),
                           ("snspd", 1100)])
-        events, _ = engine.build_dld_events(tags, CMAP, cfg)
-        coinc, diag = engine.build_coincidences(events, tags, CMAP, cfg)
+        result = engine.build(tags, CMAP, cfg)
+        coinc, diag = result.coincidences, result.diagnostics
         assert len(coinc) == 1
         assert coinc.tau[0] == cfg.gate_center_ticks
         assert diag["coincidences"] == 1
@@ -158,16 +162,15 @@ class TestBuildCoincidences:
         for tau, expected in ((lo - 1, 0), (lo, 1), (hi, 1), (hi + 1, 0)):
             tags = tags_from([("mcp", 100), ("dld_x1", 110), ("dld_x2", 130),
                               ("snspd", 100 + tau)])
-            events, _ = engine.build_dld_events(tags, CMAP, cfg)
-            coinc, _ = engine.build_coincidences(events, tags, CMAP, cfg)
+            coinc = engine.build(tags, CMAP, cfg).coincidences
             assert len(coinc) == expected, f"tau {tau}"
 
     def test_multi_hit_gate_counts_accidentals(self):
         cfg = small_cfg()
         tags = tags_from([("mcp", 100), ("dld_x1", 110), ("dld_x2", 130),
                           ("snspd", 1090), ("snspd", 1105)])
-        events, _ = engine.build_dld_events(tags, CMAP, cfg)
-        coinc, diag = engine.build_coincidences(events, tags, CMAP, cfg)
+        result = engine.build(tags, CMAP, cfg)
+        coinc, diag = result.coincidences, result.diagnostics
         assert len(coinc) == 2
         assert diag["multi_hit_gates"] == 1
         assert diag["extra_gate_hits"] == 1
@@ -262,6 +265,8 @@ class TestChunkingAndThreads:
         cfg = small_cfg()
         tags = synthetic_stream(n_triples=4000, seed=41)
         whole = engine.build(tags, CMAP, cfg)
+        assert whole.diagnostics["tag_counts"] == {
+            role: int((tags.channel == getattr(CMAP, role)).sum()) for role in engine._ROLES}
         for block_size in (len(tags), 4096, 997, 64):
             blocks = [tags[i:i + block_size] for i in range(0, len(tags), block_size)]
             folded = engine.fold_stream_blocks(blocks, CMAP, cfg)

@@ -33,7 +33,7 @@ class TestGenerateBasics:
         cfg = clean_acquisition(pair_prob_per_pulse=0.0, eta_signal=0.0,
                                 eta_idler=0.0, duration_s=0.001)
         result = simgen.generate(model_jsa, cfg)
-        assert np.all(result.tags["channel"] == CMAP.sync)
+        assert np.all(result.tags.channel == CMAP.sync)
         expected = int(np.floor(cfg.duration_s * cfg.rep_rate_hz / cfg.sync_divider)) + 1
         assert len(result.tags) == expected
 
@@ -44,7 +44,8 @@ class TestGenerateBasics:
                                 dld_dark_rate_hz=2000.0, snspd_dark_rate_hz=200.0)
         a = simgen.generate(model_jsa, cfg)
         b = simgen.generate(model_jsa, cfg)
-        assert np.array_equal(a.tags, b.tags)
+        assert np.array_equal(a.tags.channel, b.tags.channel)
+        assert np.array_equal(a.tags.timestamp, b.tags.timestamp)
         buf_a, buf_b = io.BytesIO(), io.BytesIO()
         tagstream.write_stream(a.header, a.tags, buf_a)
         tagstream.write_stream(b.header, b.tags, buf_b)
@@ -54,7 +55,7 @@ class TestGenerateBasics:
         cfg = clean_acquisition(duration_s=0.005, dld_dark_rate_hz=5000.0)
         result = simgen.generate(model_jsa, cfg)
         assert tagstream.first_order_violation(result.tags) is None
-        assert set(np.unique(result.tags["channel"])) <= set(CMAP.ids())
+        assert set(np.unique(result.tags.channel)) <= set(CMAP.ids())
 
     def test_point_source_zero_jitter_is_exact(self):
         cfg = clean_acquisition(pair_prob_per_pulse=0.01, duration_s=0.005)
@@ -92,7 +93,7 @@ class TestGroundTruth:
             col[col >= 0] for col in (truth.mcp_index, truth.x1_index,
                                       truth.x2_index, truth.snspd_index)])
         detection_channels = (CMAP.mcp, CMAP.dld_x1, CMAP.dld_x2, CMAP.snspd)
-        detection_tags = np.flatnonzero(np.isin(result.tags["channel"], detection_channels))
+        detection_tags = np.flatnonzero(np.isin(result.tags.channel, detection_channels))
         assert np.array_equal(np.sort(referenced), detection_tags)
 
     def test_dark_tags_unreferenced(self, model_jsa):
@@ -104,14 +105,14 @@ class TestGroundTruth:
                          (truth.mcp_index, truth.x1_index, truth.x2_index,
                           truth.snspd_index))
         detection_channels = (CMAP.mcp, CMAP.dld_x1, CMAP.dld_x2, CMAP.snspd)
-        n_detection = int(np.isin(result.tags["channel"], detection_channels).sum())
+        n_detection = int(np.isin(result.tags.channel, detection_channels).sum())
         assert referenced < n_detection  # darks exist and are unlabeled
 
     def test_labels_point_at_consistent_channels(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.005)
         result = simgen.generate(model_jsa, cfg)
         truth = result.truth
-        ch = result.tags["channel"]
+        ch = result.tags.channel
         for col, chan in ((truth.mcp_index, CMAP.mcp), (truth.x1_index, CMAP.dld_x1),
                           (truth.x2_index, CMAP.dld_x2), (truth.snspd_index, CMAP.snspd)):
             idx = col[col >= 0]
@@ -130,12 +131,34 @@ class TestGroundTruth:
                                      "signal_detected", "idler_detected",
                                      "mcp", "x1", "x2", "snspd"}
 
+    def test_jsonl_bytes_match_json_dumps_oracle(self, tmp_path, model_jsa):
+        import json
+        cfg = clean_acquisition(duration_s=0.002, eta_signal=0.5, eta_idler=0.5)
+        truth = simgen.generate(model_jsa, cfg).truth
+        assert truth.signal_detected.any() and not truth.signal_detected.all()
+        assert truth.idler_detected.any() and not truth.idler_detected.all()
+        assert (truth.mcp_index == -1).any() and (truth.snspd_index == -1).any()
+        oracle = "".join(json.dumps({
+            "pulse": int(truth.pulse_index[k]),
+            "lambda_s_nm": float(truth.lambda_s[k]),
+            "lambda_i_nm": float(truth.lambda_i[k]),
+            "signal_detected": bool(truth.signal_detected[k]),
+            "idler_detected": bool(truth.idler_detected[k]),
+            "mcp": int(truth.mcp_index[k]),
+            "x1": int(truth.x1_index[k]),
+            "x2": int(truth.x2_index[k]),
+            "snspd": int(truth.snspd_index[k]),
+        }) + "\n" for k in range(len(truth)))
+        path = tmp_path / "truth.jsonl"
+        truth.write_jsonl(path)
+        assert path.read_bytes() == oracle.encode()
+
 
 class TestRateAlgebra:
     def test_mcp_singles_within_poisson(self, model_jsa):
         cfg = simgen.AcquisitionConfig(duration_s=1.0)
         result = simgen.generate(model_jsa, cfg)
-        n_mcp = int((result.tags["channel"] == CMAP.mcp).sum())
+        n_mcp = int((result.tags.channel == CMAP.mcp).sum())
         expected = (cfg.rep_rate_hz * cfg.pair_prob_per_pulse * cfg.eta_signal
                     + cfg.dld_dark_rate_hz) * cfg.duration_s
         assert abs(n_mcp - expected) < 3 * np.sqrt(expected)
@@ -144,7 +167,7 @@ class TestRateAlgebra:
         cfg = clean_acquisition(duration_s=0.005, pair_prob_per_pulse=0.05,
                                 dead_time_ps={"mcp": 100000.0})
         result = simgen.generate(model_jsa, cfg)
-        mcp_t = result.tags["timestamp"][result.tags["channel"] == CMAP.mcp]
+        mcp_t = result.tags.timestamp[result.tags.channel == CMAP.mcp]
         gaps = np.diff(mcp_t.astype(np.int64)) * cfg.tick_ps
         assert np.all(gaps >= 100000.0 - cfg.tick_ps)
 
