@@ -158,9 +158,15 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
     click.echo(f"wrote {len(result.tags)} tags ({n_bytes} bytes), sha256 {digest[:16]}...")
 
 
-def _load_tags(ttag_path):
+def _load_tags(ttag_path, cfg):
+    """Read a whole stream. Its tick must be the config's, because the
+    event-build gates and bins are derived in config ticks."""
     with open(ttag_path, "rb") as fh:
-        return tagstream.read_stream_arrays(fh)
+        header, tags = tagstream.read_stream_arrays(fh)
+    if header.tick_ps != cfg.acquisition.tick_ps:
+        raise ValueError(f"{ttag_path} has {header.tick_ps} ps ticks but the config's "
+                         f"acquisition.tick_ps is {cfg.acquisition.tick_ps} ps")
+    return header, tags
 
 
 def _write_axis_files(out, event_cfg, cfg, tick):
@@ -189,12 +195,11 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
     """Build events, coincidences, spectra and the static joint spectrum."""
     cfg = load_run_config(config_path)
     event_cfg = cfg.event_config()
-    header, tags = _load_tags(ttag_path)
+    header, tags = _load_tags(ttag_path, cfg)
     result = engine.build(tags, header.channel_map, event_cfg, threads=threads)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    acq = cfg.acquisition
     tick = header.tick_ps
     meta = {"config_sha256": config_sha256(config_path)}
 
@@ -246,7 +251,7 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
     """Time-resolved joint spectra: one frame per sync-offset window."""
     cfg = load_run_config(config_path)
     event_cfg = cfg.event_config()
-    header, tags = _load_tags(ttag_path)
+    header, tags = _load_tags(ttag_path, cfg)
     tick = header.tick_ps
     width_ticks = int(round(window_ps / tick))
     if width_ticks < 1:

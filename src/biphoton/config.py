@@ -8,16 +8,19 @@ dataclasses themselves; validation problems surface as ConfigError.
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
-from .calibration import DldCalibration, FibreCalibration
 from .engine import EventBuildConfig
 from .histograms import BinSpec
 from .simgen import AcquisitionConfig
 from .spdc import CrystalSpec, FrequencyGrid, PumpSpec
-from .tagstream import ChannelMap
 
 SEED_ENV_VAR = "BIPHOTON_SEED"
+
+#: Field left out of the template and rejected by the parser: the top-level
+#: `seed` is the one seed of a run and is copied into the acquisition.
+_SEED_COPY = ("acquisition", "seed")
 
 
 class ConfigError(ValueError):
@@ -49,26 +52,34 @@ class RunConfig:
     acquisition: AcquisitionConfig = field(default_factory=AcquisitionConfig)
     event_build: EventBuildOverrides = field(default_factory=EventBuildOverrides)
 
+    def __post_init__(self):
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+
     def event_config(self):
+        """The event build this instrument implies: the anode propagation
+        time, the coincidence gate at the fibre reference delay, the sync
+        period (folded modulo the laser period unless `fold_sync` is off),
+        and joint-spectrum bins centred on the calibration references."""
         acq = self.acquisition
         ov = self.event_build
+        period_ps = acq.pulse_period_ps
         gate_center = int(round(acq.fibre_cal.reference_delay_ps / acq.tick_ps))
         dt_center = int(round(2.0 * acq.dld_cal.x_center_mm / acq.dld_cal.v_mm_per_tick
                               - acq.dld_cal.t_a_ticks))
-        jsi_x = _centered_spec(dt_center, ov.jsi_signal_width_ticks, ov.jsi_signal_count)
-        jsi_y = _centered_spec(gate_center, ov.jsi_idler_width_ticks, ov.jsi_idler_count)
-        return EventBuildConfig.for_instrument(
+        return EventBuildConfig(
             t_a_ticks=acq.dld_cal.t_a_ticks,
-            gate_center_ticks=gate_center,
-            rep_rate_hz=acq.rep_rate_hz,
-            sync_divider=acq.sync_divider,
-            tick_ps=acq.tick_ps,
-            fold_sync=ov.fold_sync,
-            dld_window_ticks=ov.dld_window_ticks,
             dt_guard_ticks=ov.dt_guard_ticks,
+            gate_center_ticks=gate_center,
             gate_half_width_ticks=ov.gate_half_width_ticks,
-            jsi_x_spec=jsi_x,
-            jsi_y_spec=jsi_y,
+            fold_period_ps=period_ps if ov.fold_sync else None,
+            sync_period_ticks=int(round(acq.sync_divider * period_ps / acq.tick_ps)),
+            tick_ps=acq.tick_ps,
+            jsi_x_spec=_centered_spec(dt_center, ov.jsi_signal_width_ticks,
+                                      ov.jsi_signal_count),
+            jsi_y_spec=_centered_spec(gate_center, ov.jsi_idler_width_ticks,
+                                      ov.jsi_idler_count),
+            dld_window_ticks=ov.dld_window_ticks,
         )
 
 
@@ -76,59 +87,37 @@ def _centered_spec(center, width, count):
     return BinSpec(center - width * count // 2, width, count)
 
 
-def _strict(cls, data, where):
+def _build(cls, data, where=None):
+    """Instantiate dataclass `cls` from a JSON object (`where` is its dotted
+    section name, None at the top level), recursing into the fields whose
+    type is itself a dataclass. JSON arrays become tuples for tuple-typed
+    fields."""
     if not isinstance(data, dict):
-        raise ConfigError(f"section {where!r} must be an object")
+        raise ConfigError(f"section {where!r} must be an object" if where
+                          else "top-level config must be a JSON object")
     known = {f.name for f in fields(cls)}
+    if where == _SEED_COPY[0]:
+        known.discard(_SEED_COPY[1])
     unknown = sorted(set(data) - known)
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where!r}")
-    return data
-
-
-def _build(cls, data, where, nested=()):
-    data = dict(_strict(cls, data, where))
-    for key, sub_cls in nested:
-        if key in data:
-            if not isinstance(data[key], dict):
-                raise ConfigError(f"{where}.{key} must be an object")
-            data[key] = _build(sub_cls, data[key], f"{where}.{key}")
+        raise ConfigError(f"unknown key(s) {unknown} in {where!r}" if where
+                          else f"unknown top-level key(s) {unknown}")
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        if is_dataclass(types[key]):
+            value = _build(types[key], value, f"{where}.{key}" if where else key)
+        elif typing.get_origin(types[key]) is tuple and isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value in {where!r}: {exc}") from exc
+        raise ConfigError(f"invalid value in {where or 'top-level'!r}: {exc}") from exc
 
 
 def run_config_from_dict(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError("top-level config must be a JSON object")
-    known = {"seed", "pump", "crystal", "grid", "acquisition", "event_build"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s) {unknown}")
-
-    seed = doc.get("seed", 12345)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-
-    crystal_data = dict(doc.get("crystal", {}))
-    if isinstance(crystal_data.get("linearized_coeffs"), list):
-        crystal_data["linearized_coeffs"] = tuple(crystal_data["linearized_coeffs"])
-    if isinstance(crystal_data.get("linearized_center_nm"), list):
-        crystal_data["linearized_center_nm"] = tuple(crystal_data["linearized_center_nm"])
-
-    cfg = RunConfig(
-        seed=seed,
-        pump=_build(PumpSpec, doc.get("pump", {}), "pump"),
-        crystal=_build(CrystalSpec, crystal_data, "crystal"),
-        grid=_build(FrequencyGrid, doc.get("grid", {}), "grid"),
-        acquisition=_build(AcquisitionConfig, doc.get("acquisition", {}), "acquisition",
-                           nested=(("dld_cal", DldCalibration),
-                                   ("fibre_cal", FibreCalibration),
-                                   ("channel_map", ChannelMap))),
-        event_build=_build(EventBuildOverrides, doc.get("event_build", {}), "event_build"),
-    )
-
+    cfg = _build(RunConfig, doc)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -158,49 +147,8 @@ def config_sha256(path):
 
 
 def default_config_dict():
-    """Template document mirroring the built-in defaults."""
-    return {
-        "seed": 12345,
-        "pump": {"center_wavelength_nm": 386.6, "fwhm_bandwidth_nm": 0.167},
-        "crystal": {
-            "length_mm": 5.0,
-            "phase_matching_angle_deg": 25.0,
-            "material": "LBO",
-            "pm_model": "sellmeier",
-        },
-        "grid": {
-            "signal_center_nm": 515.0, "idler_center_nm": 1550.0,
-            "signal_span_nm": 8.0, "idler_span_nm": 70.0,
-            "n_signal": 512, "n_idler": 512,
-        },
-        "acquisition": {
-            "rep_rate_hz": 76e6,
-            "sync_divider": 63,
-            "pair_prob_per_pulse": 2.23e-3,
-            "eta_signal": 0.36,
-            "eta_idler": 0.36,
-            "mcp_jitter_fwhm_ps": 263.0,
-            "dtx_jitter_fwhm_ps": 263.0,
-            "snspd_mcp_conv_jitter_fwhm_ps": 310.0,
-            "dld_dark_rate_hz": 2000.0,
-            "snspd_dark_rate_hz": 200.0,
-            "duration_s": 1.0,
-            "tick_ps": 25,
-            "mcp_delay_ps": 5000.0,
-            "dld_cal": {
-                "t_a_ticks": 800,
-                "v_mm_per_tick": 0.05,
-                "grating_dispersion_nm_per_mm": 1.60 / 1.86,
-                "x_center_mm": 20.0,
-            },
-            "fibre_cal": {
-                "dispersion_ps_per_nm": -255.0,
-                "reference_delay_ps": 7.7e6,
-            },
-        },
-        "event_build": {
-            "dt_guard_ticks": 40,
-            "gate_half_width_ticks": 400,
-            "fold_sync": True,
-        },
-    }
+    """Template document: every key the parser accepts, at its default."""
+    doc = asdict(RunConfig())
+    section, key = _SEED_COPY
+    del doc[section][key]
+    return doc

@@ -10,7 +10,7 @@ identical results. All three run the same step (`_build_step`).
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,49 +22,35 @@ _ROLES = ("mcp", "dld_x1", "dld_x2", "dld_y1", "dld_y2", "snspd", "sync")
 
 @dataclass
 class EventBuildConfig:
-    t_a_ticks: int = 800
+    """Event-build parameters in stream ticks. `RunConfig.event_config()`
+    derives them from the instrument description."""
+
+    t_a_ticks: int
+    dt_guard_ticks: int
+    gate_center_ticks: int                   # coincidence-peak delay
+    gate_half_width_ticks: int
+    fold_period_ps: float | None             # None = raw sync offsets
+    sync_period_ticks: int                   # displaced-gate offset for accidentals
+    tick_ps: int
+    jsi_x_spec: BinSpec
+    jsi_y_spec: BinSpec
     dld_window_ticks: int | None = None      # default 4 * t_a
-    dt_guard_ticks: int = 40
-    gate_center_ticks: int = 308000          # coincidence-peak delay
-    gate_half_width_ticks: int = 400
-    fold_period_ps: float | None = 1e12 / 76e6   # None = raw sync offsets
-    sync_period_ticks: int = 33158           # displaced-gate offset for accidentals
-    tick_ps: int = 25
-    signal_spec: BinSpec | None = None
-    idler_spec: BinSpec | None = None
-    irf_spec: BinSpec | None = None
-    jsi_x_spec: BinSpec | None = None
-    jsi_y_spec: BinSpec | None = None
+    signal_spec: BinSpec = field(init=False)
+    idler_spec: BinSpec = field(init=False)
+    irf_spec: BinSpec = field(init=False)
 
     def __post_init__(self):
         if self.dld_window_ticks is None:
             self.dld_window_ticks = 4 * self.t_a_ticks
         guard = self.t_a_ticks + self.dt_guard_ticks
-        if self.signal_spec is None:
-            self.signal_spec = BinSpec(-guard - 1, 1, 2 * guard + 2)
-        if self.idler_spec is None:
-            self.idler_spec = BinSpec(self.gate_center_ticks - self.gate_half_width_ticks,
-                                      1, 2 * self.gate_half_width_ticks + 1)
-        if self.irf_spec is None:
-            if self.fold_period_ps is not None:
-                n = int(np.ceil(self.fold_period_ps / self.tick_ps))
-            else:
-                n = self.sync_period_ticks + 1
-            self.irf_spec = BinSpec(0, 1, n)
-        if self.jsi_x_spec is None:
-            self.jsi_x_spec = BinSpec(-192, 3, 128)
-        if self.jsi_y_spec is None:
-            half = 64 * 6
-            self.jsi_y_spec = BinSpec(self.gate_center_ticks - half, 6, 128)
-
-    @classmethod
-    def for_instrument(cls, t_a_ticks, gate_center_ticks, rep_rate_hz,
-                       sync_divider, tick_ps=25, fold_sync=True, **overrides):
-        period_ps = 1e12 / rep_rate_hz
-        sync_ticks = int(round(sync_divider * period_ps / tick_ps))
-        return cls(t_a_ticks=t_a_ticks, gate_center_ticks=gate_center_ticks,
-                   fold_period_ps=period_ps if fold_sync else None,
-                   sync_period_ticks=sync_ticks, tick_ps=tick_ps, **overrides)
+        self.signal_spec = BinSpec(-guard - 1, 1, 2 * guard + 2)
+        self.idler_spec = BinSpec(self.gate_center_ticks - self.gate_half_width_ticks,
+                                  1, 2 * self.gate_half_width_ticks + 1)
+        if self.fold_period_ps is not None:
+            n = int(np.ceil(self.fold_period_ps / self.tick_ps))
+        else:
+            n = self.sync_period_ticks + 1
+        self.irf_spec = BinSpec(0, 1, n)
 
     def lookahead_ticks(self):
         return max(self.dld_window_ticks,

@@ -126,9 +126,8 @@ def _write_header(fh, meta):
         fh.write(f"# {key}: {json.dumps(value)}\n")
 
 
-def write_histogram1d_csv(path, hist: Histogram1D, axis_name, tick_ps, meta=None,
-                          axis_values=None):
-    """One row per bin: tick center, physical axis value (optional), count."""
+def write_histogram1d_csv(path, hist: Histogram1D, axis_name, tick_ps, meta=None):
+    """One row per bin: tick center, count."""
     header = {
         "format": "biphoton histogram1d v1",
         "axis": axis_name,
@@ -142,15 +141,9 @@ def write_histogram1d_csv(path, hist: Histogram1D, axis_name, tick_ps, meta=None
     header.update(meta or {})
     with open(path, "w", newline="") as fh:
         _write_header(fh, header)
-        centers = hist.spec.centers()
-        if axis_values is None:
-            fh.write(f"{axis_name}_ticks,count\n")
-            for c, n in zip(centers, hist.counts):
-                fh.write(f"{float(c)!r},{int(n)}\n")
-        else:
-            fh.write(f"{axis_name}_ticks,{axis_name},count\n")
-            for c, v, n in zip(centers, axis_values, hist.counts):
-                fh.write(f"{float(c)!r},{float(v)!r},{int(n)}\n")
+        fh.write(f"{axis_name}_ticks,count\n")
+        for c, n in zip(hist.spec.centers(), hist.counts):
+            fh.write(f"{float(c)!r},{int(n)}\n")
 
 
 def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, meta=None,

@@ -6,7 +6,6 @@ normalized to sum(c_j^2) = 1, the mode count K = 1 / sum(c_j^4) and the
 heralded purity P = sum(c_j^4); K * P = 1 by construction.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,6 @@ class SchmidtReport:
             "purity": self.purity,
             "residual": self.residual,
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def schmidt_decompose(jsa: JsaGrid, mode_count=None):

@@ -21,7 +21,7 @@ reference delay and decoded wavelengths are consistent with the embedded
 calibration blocks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,6 +77,12 @@ class AcquisitionConfig:
             raise ValueError("rep_rate must be positive")
         if self.snspd_mcp_conv_jitter_fwhm_ps < self.mcp_jitter_fwhm_ps:
             raise ValueError("convolved SNSPD-MCP jitter cannot be below the MCP jitter")
+        if not isinstance(self.dead_time_ps, dict):
+            raise TypeError("dead_time_ps must map channel roles to dead times")
+        roles = [f.name for f in fields(ChannelMap)]
+        unknown = sorted(set(self.dead_time_ps) - set(roles))
+        if unknown:
+            raise ValueError(f"dead_time_ps has unknown role(s) {unknown}; roles are {roles}")
         if any(v < 0 for v in self.dead_time_ps.values()):
             raise ValueError("dead times must be >= 0")
         if self.seed < 0:

@@ -13,13 +13,7 @@ import numpy as np
 #: speed of light in nm/ps (equivalently mm/ns * 1e3 / 1e3; c = 0.299792458 mm/ps)
 C_NM_PER_PS = 299792.458
 
-#: speed of light in mm/ps
-C_MM_PER_PS = 0.299792458
-
 TWO_PI_C = 2.0 * np.pi * C_NM_PER_PS
-
-#: default TDC resolution (ps per tick)
-DEFAULT_TICK_PS = 25
 
 #: FWHM = GAUSSIAN_FWHM_OVER_SIGMA * sigma for a Gaussian
 GAUSSIAN_FWHM_OVER_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
@@ -44,17 +38,8 @@ def omega_width_from_wavelength_width(dlambda_nm, lambda_nm):
     return TWO_PI_C * dlambda_nm / lambda_nm**2
 
 
-def wavelength_width_from_omega_width(domega_rad_ps, lambda_nm):
-    """First-order |d(lambda)| for an angular-frequency interval at lambda."""
-    return domega_rad_ps * lambda_nm**2 / TWO_PI_C
-
-
 def sigma_from_fwhm(fwhm):
     return fwhm / GAUSSIAN_FWHM_OVER_SIGMA
-
-
-def fwhm_from_sigma(sigma):
-    return sigma * GAUSSIAN_FWHM_OVER_SIGMA
 
 
 def sinc(u):

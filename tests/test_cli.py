@@ -188,6 +188,17 @@ class TestBuild:
         assert f"byte offset {tagstream.HEADER_SIZE + len(body) - half}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["build", "slice"])
+    def test_config_tick_must_match_stream(self, monkeypatch, capsys, tmp_path, pipeline,
+                                           command):
+        tmp, _ = pipeline
+        cfg = small_config(tmp_path, **{"acquisition.tick_ps": 50})
+        capsys.readouterr()
+        run_cli(monkeypatch, [command, tmp / "tags.ttag", cfg, tmp_path / "out"], expect=1)
+        err = capsys.readouterr().err
+        assert "25 ps" in err and "50 ps" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSlice:
     def test_single_wide_frame_reproduces_static(self, monkeypatch, tmp_path, pipeline):
@@ -264,6 +275,11 @@ class TestImport:
 
 
 class TestGolden:
+    def test_checked_in_golden_hashes(self, monkeypatch, capsys):
+        capsys.readouterr()
+        run_cli(monkeypatch, ["--golden"], expect=0)
+        assert capsys.readouterr().out.count("golden PASS") == len(cli_mod._GOLDEN_FILES)
+
     def test_golden_update_then_check(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli_mod, "_GOLDEN_FILES", ("tags.ttag", "built/jsi.csv"))
         target = tmp_path / "golden_hashes.json"

@@ -23,7 +23,7 @@ def build_events(tags, cfg):
 def small_cfg(**kw):
     defaults = dict(t_a_ticks=40, dt_guard_ticks=4, gate_center_ticks=1000,
                     gate_half_width_ticks=50, fold_period_ps=None,
-                    sync_period_ticks=5000,
+                    sync_period_ticks=5000, tick_ps=25,
                     jsi_x_spec=BinSpec(-48, 2, 48), jsi_y_spec=BinSpec(952, 2, 48))
     defaults.update(kw)
     return engine.EventBuildConfig(**defaults)

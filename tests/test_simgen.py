@@ -5,6 +5,7 @@ import pytest
 
 from biphoton import engine, simgen, spdc, tagstream
 from biphoton.calibration import fit_peak
+from biphoton.config import RunConfig
 from conftest import clean_acquisition, expected_jsi_probabilities, normalized_cross_correlation
 
 CMAP = tagstream.ChannelMap()
@@ -20,12 +21,8 @@ def single_point_jsa(lam_s=515.0, lam_i=1550.0):
     return spdc.JsaGrid(grid.signal_omega, grid.idler_omega, amp).normalize()
 
 
-def event_cfg_for(acq, **kw):
-    return engine.EventBuildConfig.for_instrument(
-        t_a_ticks=acq.dld_cal.t_a_ticks,
-        gate_center_ticks=int(round(acq.fibre_cal.reference_delay_ps / acq.tick_ps)),
-        rep_rate_hz=acq.rep_rate_hz, sync_divider=acq.sync_divider,
-        tick_ps=acq.tick_ps, **kw)
+def event_cfg_for(acq):
+    return RunConfig(acquisition=acq).event_config()
 
 
 class TestGenerateBasics:
