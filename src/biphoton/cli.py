@@ -36,23 +36,6 @@ def _write_manifest(out_dir, command, cfg_path, seed, extra=None):
         fh.write("\n")
 
 
-def _jsi_wavelength_axes(cfg, event_cfg):
-    """Wavelength edges and centers for the joint-spectrum tick binning."""
-    acq = cfg.acquisition
-    guard = event_cfg.dt_guard_ticks
-    x_lam_edges = calibration.signal_wavelength(
-        calibration.dld_position(event_cfg.jsi_x_spec.edges().astype(float),
-                                 acq.dld_cal, guard_ticks=guard), acq.dld_cal)
-    y_lam_edges = calibration.idler_wavelength(
-        event_cfg.jsi_y_spec.edges().astype(float), acq.fibre_cal, acq.tick_ps)
-    x_centers = calibration.signal_wavelength(
-        calibration.dld_position(event_cfg.jsi_x_spec.centers(), acq.dld_cal,
-                                 guard_ticks=guard), acq.dld_cal)
-    y_centers = calibration.idler_wavelength(
-        event_cfg.jsi_y_spec.centers(), acq.fibre_cal, acq.tick_ps)
-    return x_lam_edges, y_lam_edges, x_centers, y_centers
-
-
 @click.group(invoke_without_command=True)
 @click.option("--golden", "golden_", is_flag=True,
               help="Re-run the bundled default pipeline and compare output "
@@ -169,13 +152,26 @@ def _load_tags(ttag_path, cfg):
     return header, tags
 
 
-def _write_axis_files(out, event_cfg, cfg, tick):
-    """Companion axis files for the joint-spectrum matrix: one row per bin
-    with the tick center and the calibrated wavelength center."""
-    x_lam, y_lam, x_centers, y_centers = _jsi_wavelength_axes(cfg, event_cfg)
-    for name, spec, centers, lam_edges in (
-            ("signal_axis.csv", event_cfg.jsi_x_spec, x_centers, x_lam),
-            ("idler_axis.csv", event_cfg.jsi_y_spec, y_centers, y_lam)):
+def _jsi_writer(out, cfg, event_cfg, tick):
+    """Write the companion axis files of the joint-spectrum binning into
+    `out` (one row per bin: tick center, calibrated wavelength center) and
+    return `write(name, hist, meta)`, which writes a joint-spectrum matrix
+    there with the wavelength axes in its header, as `analyze` needs. The
+    axes are computed once."""
+    acq = cfg.acquisition
+    guard = event_cfg.dt_guard_ticks
+    x_spec, y_spec = event_cfg.jsi_x_spec, event_cfg.jsi_y_spec
+    x_lam = calibration.signal_wavelength(
+        calibration.dld_position(x_spec.edges().astype(float), acq.dld_cal,
+                                 guard_ticks=guard), acq.dld_cal)
+    y_lam = calibration.idler_wavelength(y_spec.edges().astype(float), acq.fibre_cal,
+                                         acq.tick_ps)
+    x_centers = calibration.signal_wavelength(
+        calibration.dld_position(x_spec.centers(), acq.dld_cal, guard_ticks=guard),
+        acq.dld_cal)
+    y_centers = calibration.idler_wavelength(y_spec.centers(), acq.fibre_cal, acq.tick_ps)
+    for name, spec, centers, lam_edges in (("signal_axis.csv", x_spec, x_centers, x_lam),
+                                           ("idler_axis.csv", y_spec, y_centers, y_lam)):
         with open(out / name, "w", newline="") as fh:
             fh.write("# format: biphoton jsi axis v1\n")
             fh.write(f"# tick_ps: {tick}\n")
@@ -183,6 +179,13 @@ def _write_axis_files(out, event_cfg, cfg, tick):
             fh.write("bin,center_ticks,wavelength_nm\n")
             for k, (t, lam) in enumerate(zip(spec.centers(), centers)):
                 fh.write(f"{k},{float(t)!r},{float(lam)!r}\n")
+    axes = {"x_wavelength_centers_nm": [float(v) for v in x_centers],
+            "y_wavelength_centers_nm": [float(v) for v in y_centers]}
+
+    def write(name, hist, meta):
+        histograms.write_histogram2d_csv(out / name, hist, tick, meta={**meta, **axes},
+                                         x_wavelength_edges=x_lam, y_wavelength_edges=y_lam)
+    return write
 
 
 @cli.command("build")
@@ -214,15 +217,7 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
     histograms.write_histogram1d_csv(
         out / "idler_spectrum.csv", result.histograms["idler_spectrum"], "tau",
         tick, meta=meta)
-    x_lam, y_lam, x_centers, y_centers = _jsi_wavelength_axes(cfg, event_cfg)
-    histograms.write_histogram2d_csv(
-        out / "jsi.csv", result.histograms["jsi"], tick, meta={
-            **meta,
-            "x_wavelength_centers_nm": [float(v) for v in x_centers],
-            "y_wavelength_centers_nm": [float(v) for v in y_centers],
-        },
-        x_wavelength_edges=x_lam, y_wavelength_edges=y_lam)
-    _write_axis_files(out, event_cfg, cfg, tick)
+    _jsi_writer(out, cfg, event_cfg, tick)("jsi.csv", result.histograms["jsi"], meta)
 
     t = tags.timestamp
     duration_s = float((int(t[-1]) - int(t[0]) + 1) * tick * 1e-12) if len(t) else 0.0
@@ -273,16 +268,13 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
             "window_width_ticks": width_ticks,
             "window_origin_ticks": origin_ticks,
             "folded": slices.folded}
+    write_jsi = _jsi_writer(out, cfg, event_cfg, tick)
     totals = []
     for k, frame in enumerate(slices.frames):
-        histograms.write_histogram2d_csv(out / f"frame_{k:02d}.csv", frame, tick,
-                                         meta={**meta, "frame": k})
+        write_jsi(f"frame_{k:02d}.csv", frame, {**meta, "frame": k})
         totals.append(frame.total_in_range)
-    histograms.write_histogram2d_csv(out / "out_of_window.csv", slices.out_of_window,
-                                     tick, meta=meta)
-    histograms.write_histogram2d_csv(out / "jsi.csv", result.histograms["jsi"], tick,
-                                     meta=meta)
-    _write_axis_files(out, event_cfg, cfg, tick)
+    write_jsi("out_of_window.csv", slices.out_of_window, meta)
+    write_jsi("jsi.csv", result.histograms["jsi"], meta)
     with open(out / "slices.json", "w") as fh:
         json.dump({"frame_totals": totals,
                    "out_of_window_total": slices.out_of_window.total_in_range,

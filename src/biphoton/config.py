@@ -42,6 +42,17 @@ class EventBuildOverrides:
     jsi_idler_width_ticks: int = 6
     jsi_idler_count: int = 128
 
+    def __post_init__(self):
+        least = {"dt_guard_ticks": 0, "gate_half_width_ticks": 0,
+                 "jsi_signal_width_ticks": 1, "jsi_signal_count": 1,
+                 "jsi_idler_width_ticks": 1, "jsi_idler_count": 1}
+        if self.dld_window_ticks is not None:
+            least["dld_window_ticks"] = 1
+        for name, low in least.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
 
 @dataclass
 class RunConfig:

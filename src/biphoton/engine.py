@@ -3,17 +3,20 @@ signal-idler coincidences, 1-D spectra, the static joint spectrum, and
 time-resolved joint-spectrum slices.
 
 Every anode event is a pure function of the tags inside its lookahead window
-and the latest preceding sync tag, so the stream can be processed as one
-array, as bounded-memory blocks, or as per-thread partitions with bitwise
-identical results. All three run the same step (`_build_step`).
+and the latest preceding sync tag. One build driver (`_drive`) runs a block
+stream as self-contained steps in stream order, on the calling thread or a
+thread pool, with bitwise identical results for any block partition and
+thread count.
 """
 
 import functools
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import tagstream
 from .histograms import BinSpec, Histogram1D, Histogram2D
 from .tagstream import ChannelMap, TagColumns
 
@@ -40,6 +43,9 @@ class EventBuildConfig:
     irf_spec: BinSpec = field(init=False)
 
     def __post_init__(self):
+        # a build step holds no tags before its triggers but one sync tag
+        if self.gate_center_ticks < self.gate_half_width_ticks:
+            raise ValueError("idler gate opens before the MCP trigger (center < half width)")
         if self.dld_window_ticks is None:
             self.dld_window_ticks = 4 * self.t_a_ticks
         guard = self.t_a_ticks + self.dt_guard_ticks
@@ -139,7 +145,7 @@ def _merge_diag(a, b):
     return out
 
 
-def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, prev_sync=None):
+def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi):
     """Assemble events for the MCP triggers in [mcp_lo, mcp_hi).
 
     For each trigger, X1/X2 tags are searched in (t_mcp, t_mcp + window];
@@ -186,10 +192,6 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, prev_sync=None):
     has_sync = si >= 0
     sync_offset = np.zeros(len(t_mcp), dtype=np.int64)
     sync_offset[has_sync] = t_mcp[has_sync] - sync[si[has_sync]]
-    if prev_sync is not None and (~has_sync).any():
-        miss = ~has_sync
-        sync_offset[miss] = t_mcp[miss] - prev_sync
-        has_sync = np.ones_like(has_sync)
     diag["syncless_events"] = int((~has_sync).sum())
     diag["events"] = len(t_mcp)
     return DldEvents(t_mcp, dt_x, dt_y, has_y, sync_offset, has_sync), diag
@@ -315,94 +317,91 @@ def rates_report(diagnostics, duration_s):
 
 def _concat_columns(parts):
     """Concatenate column dataclasses (DldEvents or Coincidences) field by field."""
-    if len(parts) == 1:
-        return parts[0]
     return type(parts[0])(*(np.concatenate([getattr(p, f.name) for p in parts])
                             for f in fields(parts[0])))
 
 
-def _build_step(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig,
-                threads=1, cutoff=None, prev_sync=None):
-    """Demux `tags`, then match the events of the MCP triggers at or before
-    `cutoff` (all when None) and their coincidences, in `threads`
-    contiguous trigger ranges run concurrently against the same demuxed
-    arrays. `tag_counts` counts the tags at or before the cutoff. Returns
-    (per-role times, events, coincidences, diagnostics)."""
+def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns, lo, hi):
+    """Demux one step's tags, then match the events of the MCP triggers in
+    (lo, hi] and their coincidences. `tags` must hold every tag in
+    (lo, hi + lookahead) and the last sync tag at or before `lo`.
+    `tag_counts` counts the tags in (lo, hi]. Returns (events,
+    coincidences, diagnostics)."""
     times = split_channels(tags, channel_map)
-    if cutoff is None:
-        counts = {role: len(times[role]) for role in _ROLES}
-    else:
-        counts = {role: int(np.searchsorted(times[role], cutoff, side="right"))
-                  for role in _ROLES}
-    n_mcp = counts["mcp"]
-    ranges = threads if n_mcp >= 2 * threads else 1
-    bounds = np.linspace(0, n_mcp, ranges + 1).astype(int)
+    bounds = {role: np.searchsorted(times[role], (lo, hi), side="right") for role in _ROLES}
+    events, diag = _match_events(times, cfg, *bounds["mcp"])
+    coinc, cdiag = _match_coincidences(times, events, cfg)
+    diag = _merge_diag(diag, cdiag)
+    diag["tag_counts"] = {role: int(b - a) for role, (a, b) in bounds.items()}
+    return events, coinc, diag
 
-    def match(k):
-        events, diag = _match_events(times, cfg, bounds[k], bounds[k + 1], prev_sync)
-        coinc, cdiag = _match_coincidences(times, events, cfg)
-        return events, coinc, _merge_diag(diag, cdiag)
 
-    with ThreadPoolExecutor(max_workers=ranges) as pool:
-        parts = list(pool.map(match, range(ranges)))
-    diag = functools.reduce(_merge_diag, (p[2] for p in parts))
-    diag["tag_counts"] = counts
-    return (times, _concat_columns([p[0] for p in parts]),
-            _concat_columns([p[1] for p in parts]), diag)
+def _steps(blocks, sync_channel, lookahead):
+    """Cut an iterator of TagColumns blocks into self-contained steps
+    (tags, lo, hi). A step holds the last sync tag at or before the previous
+    cutoff `lo`, then every tag after `lo` read so far; its cutoff `hi`
+    trails the last of them by the lookahead, and the last step's cutoff is
+    the last tag. An empty stream is one empty step."""
+    lo = np.iinfo(np.int64).min
+    pending = TagColumns.empty()
+    for block in blocks:
+        if len(block) == 0:
+            continue
+        pending = TagColumns.concatenate([pending, block])
+        hi = int(pending.timestamp[-1]) - lookahead
+        if hi <= lo:
+            continue
+        yield pending, lo, hi
+        cut = int(np.searchsorted(pending.timestamp, hi, side="right"))
+        is_sync = pending.channel[:cut] == sync_channel
+        keep = [cut - 1 - int(np.argmax(is_sync[::-1]))] if is_sync.any() else []
+        pending, lo = TagColumns.concatenate([pending[keep], pending[cut:]]), hi
+    yield pending, lo, int(pending.timestamp[-1]) if len(pending) else lo
+
+
+def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
+    """The one build driver: (events, coincidences, diagnostics) of each
+    step of the block stream, in stream order. With threads > 1 the steps
+    run on a pool with at most threads + 1 in flight; with 1 they run on the
+    calling thread."""
+    steps = _steps(blocks, channel_map.sync, cfg.lookahead_ticks())
+    run = functools.partial(_build_step, channel_map, cfg)
+    if threads <= 1:
+        yield from (run(*step) for step in steps)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        in_flight = deque()
+        for step in steps:
+            in_flight.append(pool.submit(run, *step))
+            if len(in_flight) > threads:
+                yield in_flight.popleft().result()
+        yield from (future.result() for future in in_flight)
 
 
 def build(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
-    """One-shot build of events, coincidences, histograms and diagnostics.
-
-    With threads > 1 the MCP triggers are partitioned into contiguous ranges
-    processed concurrently; results are identical to the single-threaded
-    pass by construction.
-    """
-    _, events, coinc, diag = _build_step(tags, channel_map, cfg, threads=max(1, threads))
+    """One-shot build of events, coincidences, histograms and diagnostics:
+    the build driver over block-sized views of `tags`, keeping the event and
+    coincidence columns. Any thread count gives identical results."""
+    size = tagstream._BLOCK_RECORDS
+    blocks = (tags[i:i + size] for i in range(0, len(tags), size))
+    events, coinc, diags = zip(*_drive(blocks, channel_map, cfg, threads))
+    events, coinc = _concat_columns(events), _concat_columns(coinc)
     hists = accumulate_histograms(coinc, events, cfg)
+    diag = functools.reduce(_merge_diag, diags)
     diag["jsi_out_of_range"] = hists["jsi"].out_of_range
     return BuildResult(events, coinc, hists, diag)
 
 
 def fold_stream_blocks(blocks, channel_map: ChannelMap, cfg: EventBuildConfig):
-    """Bounded-memory build over an iterator of TagColumns blocks.
-
-    Keeps only a lookahead-sized tail between blocks; histogram and
-    diagnostic output is identical to a whole-stream build for any block
-    partition. Event and coincidence columns are not retained.
-    """
-    lookahead = cfg.lookahead_ticks()
+    """Bounded-memory build over an iterator of TagColumns blocks: the
+    build driver on the calling thread, each step folded into the histograms.
+    Histograms and diagnostics are identical to `build` for any block
+    partition; event and coincidence columns are not retained."""
     hists = new_histograms(cfg)
     diag = _fresh_diag()
-    carry = TagColumns.empty()
-    prev_sync = None
-
-    def fold(tags, cutoff):
-        nonlocal diag, prev_sync
-        times, events, coinc, d = _build_step(tags, channel_map, cfg, cutoff=cutoff,
-                                              prev_sync=prev_sync)
+    for events, coinc, d in _drive(blocks, channel_map, cfg):
         accumulate_histograms(coinc, events, cfg, into=hists)
         diag = _merge_diag(diag, d)
-        # MCP triggers <= cutoff are done; future triggers only need tags
-        # strictly after the cutoff plus the scalar last-sync memory.
-        n_sync = d["tag_counts"]["sync"]
-        if n_sync:
-            prev_sync = int(times["sync"][n_sync - 1])
-        rest = tags[int(np.searchsorted(tags.timestamp, cutoff, side="right")):]
-        # copied, so that the carry does not keep the whole block alive
-        return TagColumns(rest.channel.copy(), rest.timestamp.copy())
-
-    for block in blocks:
-        if len(block) == 0:
-            continue
-        current = block if len(carry) == 0 else TagColumns.concatenate([carry, block])
-        cutoff = int(current.timestamp[-1]) - lookahead
-        if cutoff <= int(current.timestamp[0]):
-            carry = current
-            continue
-        carry = fold(current, cutoff)
-
-    if len(carry):
-        fold(carry, int(carry.timestamp[-1]))
+        del events, coinc   # not alive while the next step runs
     diag["jsi_out_of_range"] = hists["jsi"].out_of_range
     return BuildResult(None, None, hists, diag)

@@ -87,6 +87,8 @@ class AcquisitionConfig:
             raise ValueError("dead times must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not isinstance(self.tick_ps, int) or self.tick_ps < 1:
+            raise ValueError(f"tick_ps must be an integer >= 1, got {self.tick_ps!r}")
 
     @property
     def pulse_period_ps(self):

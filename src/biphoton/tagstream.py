@@ -14,9 +14,10 @@ File layout (all little-endian):
         reserved       u16      zero
         timestamp      u64      tick count
 
-Records are sorted by (timestamp, channel). Identical input produces a
-byte-identical file. In memory a tag sequence is a `TagColumns`: one u16
-channel column and one i64 timestamp column.
+Records are sorted by (timestamp, channel) and use only the channels of
+the header's channel map. Identical input produces a byte-identical file.
+In memory a tag sequence is a `TagColumns`: one u16 channel column and one
+i64 timestamp column.
 """
 
 import io
@@ -68,6 +69,10 @@ class RecordCountError(StreamFormatError):
 
 class RecordOrderError(StreamFormatError):
     """A record breaks the (timestamp, channel) order of the stream."""
+
+
+class UnmappedChannelError(StreamFormatError):
+    """A record's channel is not in the header's channel map."""
 
 
 class UnsortedTagsError(ValueError):
@@ -225,11 +230,14 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
     Returns (header, block_iterator). Single pass; memory bounded by
     block_records. When the block holding the fault is reached, raises a
     StreamFormatError naming its byte offset for a partial record, a record
-    out of (timestamp, channel) order, within a block or across a block
-    boundary, and a non-zero header record_count that differs from the
-    records present.
+    on a channel outside the header's channel map, a record out of
+    (timestamp, channel) order, within a block or across a block boundary,
+    and a non-zero header record_count that differs from the records
+    present.
     """
     header = StreamHeader.from_bytes(source.read(HEADER_SIZE))
+    mapped = np.zeros(1 << 16, dtype=bool)
+    mapped[list(header.channel_map.ids())] = True
 
     def blocks():
         # one record buffer for the whole pass: every block is decoded into
@@ -245,6 +253,15 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
                                            offset + whole * RECORD_SIZE)
             records = buffer[:whole]
             block = TagColumns(records["channel"].copy(), records["timestamp"])
+            # min and max are cheap; the per-record lookup runs only when
+            # the block's channel range holds an unmapped id
+            if not mapped[block.channel.min():int(block.channel.max()) + 1].all():
+                known = np.take(mapped, block.channel)
+                if not known.all():
+                    bad = int(np.argmin(known))
+                    raise UnmappedChannelError(
+                        f"record on channel {block.channel[bad]}, which is not in the "
+                        "header's channel map", offset + bad * RECORD_SIZE)
             bad = first_order_violation(block, after=last)
             if bad is not None:
                 raise RecordOrderError("record out of (timestamp, channel) order",

@@ -199,6 +199,33 @@ class TestBuild:
         assert "25 ps" in err and "50 ps" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, section", [("acquisition.tick_ps", "acquisition"),
+                                              ("event_build.jsi_signal_count", "event_build")])
+    def test_invalid_config_value_exits_2(self, monkeypatch, capsys, tmp_path, pipeline,
+                                          key, section):
+        tmp, _ = pipeline
+        cfg = small_config(tmp_path, **{key: 0})
+        capsys.readouterr()
+        run_cli(monkeypatch, ["build", tmp / "tags.ttag", cfg, tmp_path / "out"], expect=2)
+        err = capsys.readouterr().err
+        assert section in err and key.split(".")[1] in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unmapped_channel_exits_1(self, monkeypatch, capsys, tmp_path, pipeline):
+        from biphoton import tagstream
+        tmp, cfg = pipeline
+        raw = bytearray((tmp / "tags.ttag").read_bytes())
+        record = 1000
+        offset = tagstream.HEADER_SIZE + record * tagstream.RECORD_SIZE
+        raw[offset:offset + 2] = (9).to_bytes(2, "little")
+        bad = tmp_path / "unmapped.ttag"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        run_cli(monkeypatch, ["build", bad, cfg, tmp_path / "out"], expect=1)
+        err = capsys.readouterr().err
+        assert "channel 9" in err and f"byte offset {offset}" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSlice:
     def test_single_wide_frame_reproduces_static(self, monkeypatch, tmp_path, pipeline):
@@ -257,6 +284,23 @@ class TestAnalyze:
         run_cli(monkeypatch, ["analyze", path])
         out = json.loads(capsys.readouterr().out)
         assert out["schmidt_number"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_slice_outputs_analyzable(self, monkeypatch, capsys, tmp_path, pipeline):
+        tmp, cfg = pipeline
+        out = tmp_path / "sliced"
+        run_cli(monkeypatch, ["slice", tmp / "tags.ttag", cfg, out,
+                              "--window", 150, "--frames", 5])
+        for name in ("frame_02.csv", "jsi.csv"):
+            capsys.readouterr()
+            run_cli(monkeypatch, ["analyze", out / name])
+            report = json.loads(capsys.readouterr().out)
+            assert np.isfinite(report["schmidt_number"]) and report["schmidt_number"] >= 1
+            assert 0 < report["purity"] <= 1
+        _, frame_meta = read_matrix_csv(out / "frame_02.csv")
+        _, built_meta = read_matrix_csv(tmp / "built/jsi.csv")
+        for key in ("x_wavelength_centers_nm", "y_wavelength_centers_nm",
+                    "x_wavelength_edges_nm", "y_wavelength_edges_nm"):
+            assert frame_meta[key] == built_meta[key]
 
     def test_missing_axis_metadata_exits_1(self, monkeypatch, tmp_path):
         path = tmp_path / "noaxis.csv"

@@ -93,6 +93,25 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="acquisition.*dead_time_ps"):
             run_config_from_dict({"acquisition": {"dead_time_ps": ["mcp"]}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("jsi_signal_count", 0), ("jsi_idler_count", 0), ("jsi_signal_width_ticks", 0),
+        ("jsi_idler_width_ticks", -2), ("gate_half_width_ticks", -5), ("dt_guard_ticks", -1),
+        ("dld_window_ticks", 0), ("jsi_signal_count", 12.5)])
+    def test_invalid_event_build_rejected_at_load(self, key, value):
+        with pytest.raises(ConfigError, match=f"event_build.*{key}"):
+            run_config_from_dict({"event_build": {key: value}})
+
+    def test_event_build_bounds_inclusive(self):
+        cfg = run_config_from_dict({"event_build": {
+            "gate_half_width_ticks": 0, "dt_guard_ticks": 0, "dld_window_ticks": 1,
+            "jsi_signal_count": 1, "jsi_signal_width_ticks": 1}})
+        assert cfg.event_config().dld_window_ticks == 1
+
+    @pytest.mark.parametrize("tick_ps", [0, -25, 12.5])
+    def test_tick_must_be_positive_integer(self, tick_ps):
+        with pytest.raises(ConfigError, match="acquisition.*tick_ps"):
+            run_config_from_dict({"acquisition": {"tick_ps": tick_ps}})
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown top-level"):
             run_config_from_dict({"pumpp": {}})

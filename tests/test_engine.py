@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from biphoton import engine
+from biphoton import engine, tagstream
 from biphoton.histograms import BinSpec, Histogram1D, Histogram2D, merge_histograms
 from biphoton.tagstream import ChannelMap, TagColumns
 
@@ -290,6 +292,85 @@ class TestChunkingAndThreads:
                 assert np.array_equal(single.histograms[name].counts,
                                       multi.histograms[name].counts)
             assert single.diagnostics == multi.diagnostics
+
+
+def tiny_cfg(fold_period_ps):
+    """Lookahead of 56 ticks, so that streams of a few hundred ticks span
+    many steps."""
+    return small_cfg(t_a_ticks=4, dt_guard_ticks=2, gate_center_ticks=20,
+                     gate_half_width_ticks=5, sync_period_ticks=30,
+                     fold_period_ps=fold_period_ps,
+                     jsi_x_spec=BinSpec(-8, 1, 16), jsi_y_spec=BinSpec(14, 2, 7))
+
+
+@st.composite
+def random_streams(draw):
+    """Sorted streams of planted MCP/X1/X2/SNSPD groups plus noise on every
+    channel (sync included), some of them empty."""
+    noise = draw(st.lists(st.tuples(st.sampled_from(engine._ROLES), st.integers(0, 700)),
+                          max_size=80))
+    planted = draw(st.lists(st.tuples(st.integers(0, 700), st.integers(1, 12),
+                                      st.integers(1, 12), st.integers(12, 30)), max_size=30))
+    rows = list(noise)
+    for t, x1, x2, tau in planted:
+        rows += [("mcp", t), ("dld_x1", t + x1), ("dld_x2", t + x2), ("snspd", t + tau)]
+    return tags_from(rows)
+
+
+def brute_force_coincidences(tags, cfg, events):
+    snspd = tags.timestamp[tags.channel == CMAP.snspd]
+    lo, hi = (cfg.gate_center_ticks - cfg.gate_half_width_ticks,
+              cfg.gate_center_ticks + cfg.gate_half_width_ticks)
+    return [(t0, int(s) - t0) for t0, _, _ in events for s in snspd
+            if lo <= s - t0 <= hi]
+
+
+class TestDriverProperties:
+    def test_gate_before_trigger_rejected(self):
+        # a build step holds no tags before its first trigger, so a gate
+        # reaching back past the trigger would depend on the block partition
+        with pytest.raises(ValueError, match="before the MCP trigger"):
+            small_cfg(gate_center_ticks=40, gate_half_width_ticks=41)
+        assert small_cfg(gate_center_ticks=40, gate_half_width_ticks=40).idler_spec.start == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(tags=random_streams(), block=st.integers(1, 64),
+           cuts=st.lists(st.integers(0, 300), max_size=12),
+           threads=st.sampled_from([1, 2, 4]),
+           fold_period_ps=st.sampled_from([None, 250.0]),
+           window=st.tuples(st.integers(1, 12), st.integers(-5, 40), st.integers(1, 5)))
+    def test_build_equals_fold_equals_oracle(self, tags, block, cuts, threads,
+                                             fold_period_ps, window):
+        cfg = tiny_cfg(fold_period_ps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tagstream, "_BLOCK_RECORDS", block)
+            whole = engine.build(tags, CMAP, cfg, threads=threads)
+
+        edges = [0, *sorted(c for c in cuts if c < len(tags)), len(tags)]
+        folded = engine.fold_stream_blocks((tags[a:b] for a, b in zip(edges, edges[1:])),
+                                           CMAP, cfg)
+        assert folded.diagnostics == whole.diagnostics
+        for name, hist in whole.histograms.items():
+            assert np.array_equal(folded.histograms[name].counts, hist.counts), name
+        assert whole.diagnostics["tag_counts"] == {
+            role: int((tags.channel == getattr(CMAP, role)).sum()) for role in engine._ROLES}
+
+        oracle = brute_force_events(tags, cfg)
+        events = whole.events
+        assert events.t_mcp.tolist() == [t0 for t0, _, _ in oracle]
+        assert events.dt_x.tolist() == [dt for _, dt, _ in oracle]
+        assert events.has_sync.tolist() == [sync is not None for _, _, sync in oracle]
+        assert events.sync_offset[events.has_sync].tolist() == [
+            t0 - sync for t0, _, sync in oracle if sync is not None]
+        coinc = whole.coincidences
+        assert list(zip(coinc.t_mcp.tolist(), coinc.tau.tolist())) == \
+            brute_force_coincidences(tags, cfg, oracle)
+
+        slices = engine.slice_time_resolved(coinc, cfg, *window)
+        total = slices.out_of_window.counts.copy()
+        for frame in slices.frames:
+            total += frame.counts
+        assert np.array_equal(total, whole.histograms["jsi"].counts)
 
 
 class TestRatesReport:

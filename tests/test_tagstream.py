@@ -166,6 +166,35 @@ class TestReadStream:
         header, tags = ts.read_stream_arrays(io.BytesIO(unknown))
         assert len(tags) == 3
 
+    def test_unmapped_channel_names_offset(self):
+        # channel 9 is not in the default map (0..6); record 5 of 8
+        pairs = [(0, 1), (6, 1), (1, 2), (2, 3), (6, 4), (9, 5), (0, 6), (6, 7)]
+        raw = unchecked_stream(pairs)
+        offset = ts.HEADER_SIZE + 5 * ts.RECORD_SIZE
+        with pytest.raises(ts.UnmappedChannelError) as err:
+            ts.read_stream_arrays(io.BytesIO(raw))
+        assert err.value.byte_offset == offset
+        assert isinstance(err.value, ts.StreamFormatError)
+        for block_records in (1, 2, 3, 5, 6, 100):
+            _, blocks = ts.iter_stream_blocks(io.BytesIO(raw), block_records=block_records)
+            with pytest.raises(ts.UnmappedChannelError) as err:
+                list(blocks)
+            assert err.value.byte_offset == offset, block_records
+            assert "channel 9" in str(err.value)
+
+    def test_remapped_channels_accepted(self):
+        # ids 16..19 lie inside the map's range but are not in it
+        cmap = ts.ChannelMap(mcp=10, dld_x1=11, dld_x2=12, dld_y1=13, dld_y2=14,
+                             snspd=15, sync=20)
+        tags = tags_of([(10, 1), (20, 1), (11, 2)])
+        header, out = roundtrip(make_header(channel_map=cmap), tags)
+        assert_same_tags(out, tags)
+        for channel in (0, 17):
+            bad = (ts.StreamHeader(channel_map=cmap).to_bytes()
+                   + unchecked_stream([(channel, 1)])[ts.HEADER_SIZE:])
+            with pytest.raises(ts.UnmappedChannelError):
+                ts.read_stream_arrays(io.BytesIO(bad))
+
     def test_bad_magic(self):
         buf = io.BytesIO()
         ts.write_stream(make_header(), ts.TagColumns.empty(), buf)
