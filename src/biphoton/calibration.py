@@ -154,14 +154,13 @@ def _initial_guess(x, y, model):
     return float(x[peak]), float(width), amplitude, baseline
 
 
-def fit_peak(data, model="gaussian", weighting="none", window="auto"):
+def fit_peak(data, model="gaussian"):
     """Least-squares peak fit against bin centers and counts.
 
-    data is (bin_centers, counts). weighting "poisson" scales residuals by
-    1/sqrt(max(count, 1)). For the sinc_squared model, window "auto" restricts
-    the fit to 1.5 central-lobe half-widths around the initial peak estimate
-    (side lobes otherwise dominate the loss when the model is imperfect);
-    window=None fits all points and an explicit (lo, hi) fits that x range.
+    data is (bin_centers, counts). The gaussian model fits every point; the
+    sinc_squared model fits the points within 1.5 central-lobe half-widths
+    of the initial peak estimate (side lobes otherwise dominate the loss
+    when the model is imperfect).
 
     Degenerate data never raises: the result comes back converged=False.
     """
@@ -180,27 +179,16 @@ def fit_peak(data, model="gaussian", weighting="none", window="auto"):
 
     center0, width0, amp0, base0 = _initial_guess(x, y, model)
 
-    if model == "sinc_squared" and window == "auto":
-        half_span = 1.5 * np.pi * width0
-        keep = np.abs(x - center0) <= half_span
-    elif isinstance(window, tuple):
-        keep = (x >= window[0]) & (x <= window[1])
-    else:
-        keep = np.ones(len(x), dtype=bool)
-    xf, yf = x[keep], y[keep]
+    xf, yf = x, y
+    if model == "sinc_squared":
+        keep = np.abs(x - center0) <= 1.5 * np.pi * width0
+        xf, yf = x[keep], y[keep]
     if np.count_nonzero(yf) < 5:
         return PeakFitResult(model, np.nan, np.nan, np.nan, np.nan, np.nan,
                              np.nan, converged=False, n_points=len(xf))
 
-    if weighting == "poisson":
-        w = 1.0 / np.sqrt(np.maximum(yf, 1.0))
-    elif weighting == "none":
-        w = np.ones_like(yf)
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
-
     def residuals(p):
-        return (func(xf, *p) - yf) * w
+        return func(xf, *p) - yf
 
     try:
         res = least_squares(residuals, [center0, width0, amp0, base0],

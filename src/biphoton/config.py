@@ -78,20 +78,27 @@ class RunConfig:
         gate_center = int(round(acq.fibre_cal.reference_delay_ps / acq.tick_ps))
         dt_center = int(round(2.0 * acq.dld_cal.x_center_mm / acq.dld_cal.v_mm_per_tick
                               - acq.dld_cal.t_a_ticks))
-        return EventBuildConfig(
-            t_a_ticks=acq.dld_cal.t_a_ticks,
-            dt_guard_ticks=ov.dt_guard_ticks,
-            gate_center_ticks=gate_center,
-            gate_half_width_ticks=ov.gate_half_width_ticks,
-            fold_period_ps=period_ps if ov.fold_sync else None,
-            sync_period_ticks=int(round(acq.sync_divider * period_ps / acq.tick_ps)),
-            tick_ps=acq.tick_ps,
-            jsi_x_spec=_centered_spec(dt_center, ov.jsi_signal_width_ticks,
-                                      ov.jsi_signal_count),
-            jsi_y_spec=_centered_spec(gate_center, ov.jsi_idler_width_ticks,
-                                      ov.jsi_idler_count),
-            dld_window_ticks=ov.dld_window_ticks,
-        )
+        try:
+            return EventBuildConfig(
+                t_a_ticks=acq.dld_cal.t_a_ticks,
+                dt_guard_ticks=ov.dt_guard_ticks,
+                gate_center_ticks=gate_center,
+                gate_half_width_ticks=ov.gate_half_width_ticks,
+                fold_period_ps=period_ps if ov.fold_sync else None,
+                sync_period_ticks=int(round(acq.sync_divider * period_ps / acq.tick_ps)),
+                tick_ps=acq.tick_ps,
+                jsi_x_spec=_centered_spec(dt_center, ov.jsi_signal_width_ticks,
+                                          ov.jsi_signal_count),
+                jsi_y_spec=_centered_spec(gate_center, ov.jsi_idler_width_ticks,
+                                          ov.jsi_idler_count),
+                dld_window_ticks=ov.dld_window_ticks,
+            )
+        except ValueError as exc:
+            # the coincidence gate is the one value the two sections share
+            raise ConfigError(
+                f"acquisition.fibre_cal.reference_delay_ps ({gate_center} ticks) and "
+                f"event_build.gate_half_width_ticks ({ov.gate_half_width_ticks}) "
+                f"give an invalid event build: {exc}") from exc
 
 
 def _centered_spec(center, width, count):

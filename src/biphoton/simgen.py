@@ -34,9 +34,6 @@ from .units import sigma_from_fwhm
 _ANODE_BASE_DELAY_PS = 100.0   # keeps wire-end pulses strictly after the MCP
 _BLOCK_PULSES = 1 << 23
 
-# role codes used while assembling blocks
-_MCP, _X1, _X2, _SNSPD, _SYNC, _DARK = 0, 1, 2, 3, 4, 5
-
 
 @dataclass
 class AcquisitionConfig:
@@ -156,9 +153,11 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _emit_block(jsa, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi):
-    """One pulse block: returns (t_ps, channel, role, pair_row) columns and
-    the block's pair bookkeeping."""
+def _emit_block(jsa, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi, first_row):
+    """One pulse block, its pairs numbered from `first_row`. Returns the
+    tag columns `t_ps`, `channel` and `label` (4 * pair row + arm, the arm
+    0 MCP, 1 X1, 2 X2, 3 SNSPD; -1 for sync and dark tags) and the pair
+    columns."""
     rng = _block_rng(cfg.seed, block)
     slots = pulse_hi - pulse_lo
     period = cfg.pulse_period_ps
@@ -186,25 +185,23 @@ def _emit_block(jsa, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi):
     t_sn = t_pulse + cfg.mcp_delay_ps + idler_delay_ps(lam_i, cfg.fibre_cal) + j_sn
 
     cmap = cfg.channel_map
-    cols_t, cols_ch, cols_role, cols_row = [], [], [], []
+    cols_t, cols_ch, cols_label = [], [], []
 
-    def emit(times, channel, role, rows):
+    def emit(times, channel, label=None):
         cols_t.append(times)
         cols_ch.append(np.full(len(times), channel, dtype=np.uint16))
-        cols_role.append(np.full(len(times), role, dtype=np.uint8))
-        cols_row.append(rows)
+        cols_label.append(np.full(len(times), -1, dtype=np.int64) if label is None else label)
 
-    rows = np.arange(n_pairs, dtype=np.int64)
-    emit(t_electron[det_s], cmap.mcp, _MCP, rows[det_s])
-    emit(t_x1[det_s], cmap.dld_x1, _X1, rows[det_s])
-    emit(t_x2[det_s], cmap.dld_x2, _X2, rows[det_s])
-    emit(t_sn[det_i], cmap.snspd, _SNSPD, rows[det_i])
+    row_label = 4 * (first_row + np.arange(n_pairs, dtype=np.int64))
+    for arm, (times, channel, detected) in enumerate((
+            (t_electron, cmap.mcp, det_s), (t_x1, cmap.dld_x1, det_s),
+            (t_x2, cmap.dld_x2, det_s), (t_sn, cmap.snspd, det_i))):
+        emit(times[detected], channel, row_label[detected] + arm)
 
     # sync markers for every divided pulse in this block
     first = ((pulse_lo + cfg.sync_divider - 1) // cfg.sync_divider) * cfg.sync_divider
     sync_pulses = np.arange(first, pulse_hi, cfg.sync_divider, dtype=np.int64)
-    emit(sync_pulses.astype(np.float64) * period, cmap.sync, _SYNC,
-         np.full(len(sync_pulses), -1, dtype=np.int64))
+    emit(sync_pulses.astype(np.float64) * period, cmap.sync)
 
     # dark counts: anode darks are full uncorrelated triples at uniform
     # positions, SNSPD darks are lone tags
@@ -216,35 +213,28 @@ def _emit_block(jsa, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi):
     jd1 = rng.normal(0.0, sig_anode, n_dark)
     jd2 = rng.normal(0.0, sig_anode, n_dark)
     dtd_ps = dld_dt(x_dark, cfg.dld_cal) * cfg.tick_ps
-    none_rows = np.full(n_dark, -1, dtype=np.int64)
-    emit(t_dark, cmap.mcp, _DARK, none_rows)
-    emit(t_dark + _ANODE_BASE_DELAY_PS + (ta_ps + dtd_ps) / 2.0 + jd1, cmap.dld_x1, _DARK, none_rows)
-    emit(t_dark + _ANODE_BASE_DELAY_PS + (ta_ps - dtd_ps) / 2.0 + jd2, cmap.dld_x2, _DARK, none_rows)
+    emit(t_dark, cmap.mcp)
+    emit(t_dark + _ANODE_BASE_DELAY_PS + (ta_ps + dtd_ps) / 2.0 + jd1, cmap.dld_x1)
+    emit(t_dark + _ANODE_BASE_DELAY_PS + (ta_ps - dtd_ps) / 2.0 + jd2, cmap.dld_x2)
 
     n_sn_dark = int(rng.poisson(cfg.snspd_dark_rate_hz * block_span_ps * 1e-12))
-    emit(block_t0_ps + rng.random(n_sn_dark) * block_span_ps, cmap.snspd, _DARK,
-         np.full(n_sn_dark, -1, dtype=np.int64))
+    emit(block_t0_ps + rng.random(n_sn_dark) * block_span_ps, cmap.snspd)
 
-    pairs = {
-        "pulse_index": pulse, "lambda_s": lam_s, "lambda_i": lam_i,
-        "signal_detected": det_s, "idler_detected": det_i,
-    }
-    return (np.concatenate(cols_t), np.concatenate(cols_ch),
-            np.concatenate(cols_role), np.concatenate(cols_row), pairs)
+    tags = {"t_ps": np.concatenate(cols_t), "channel": np.concatenate(cols_ch),
+            "label": np.concatenate(cols_label)}
+    pairs = {"pulse_index": pulse, "lambda_s": lam_s, "lambda_i": lam_i,
+             "signal_detected": det_s, "idler_detected": det_i}
+    return tags, pairs
 
 
 def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig):
     """Greedy per-channel suppression of tags closer than the dead time."""
     mask = np.ones(len(ticks), dtype=bool)
-    role_by_channel = {getattr(cfg.channel_map, role): role
-                       for role in ("mcp", "dld_x1", "dld_x2", "dld_y1",
-                                    "dld_y2", "snspd", "sync")}
-    for channel in np.unique(channels):
-        dead_ps = cfg.dead_time_ps.get(role_by_channel.get(int(channel), ""), 0.0)
+    for role, dead_ps in cfg.dead_time_ps.items():
         if dead_ps <= 0:
             continue
         dead_ticks = dead_ps / cfg.tick_ps
-        idx = np.flatnonzero(channels == channel)
+        idx = np.flatnonzero(channels == getattr(cfg.channel_map, role))
         last = None
         for i in idx:
             if last is not None and ticks[i] - last < dead_ticks:
@@ -262,57 +252,36 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
         raise ValueError("pair sampling requires a normalized amplitude grid")
 
     n_pulses = cfg.n_pulses
-    parts = []
-    pair_parts = []
+    tag_parts, pair_parts = [], []
+    n_pairs = 0
     for block, lo in enumerate(range(0, n_pulses, _BLOCK_PULSES)):
-        hi = min(lo + _BLOCK_PULSES, n_pulses)
-        parts.append(_emit_block(jsa, cfg, block, lo, hi))
-        pair_parts.append(parts[-1][4])
+        block_tags, block_pairs = _emit_block(jsa, cfg, block, lo,
+                                              min(lo + _BLOCK_PULSES, n_pulses), n_pairs)
+        tag_parts.append(block_tags)
+        pair_parts.append(block_pairs)
+        n_pairs += len(block_pairs["pulse_index"])
+    tags, pairs = ({key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+                   for parts in (tag_parts, pair_parts))
+    del tag_parts, pair_parts  # else the sort below holds every column twice
 
-    t_ps = np.concatenate([p[0] for p in parts])
-    channel = np.concatenate([p[1] for p in parts])
-    role = np.concatenate([p[2] for p in parts])
-    row_local = np.concatenate([p[3] for p in parts])
-
-    # pair rows concatenated across blocks get global ids
-    offsets = np.cumsum([0] + [len(p["pulse_index"]) for p in pair_parts])[:-1]
-    row = row_local.copy()
-    pos = 0
-    for part, off in zip(parts, offsets):
-        n = len(part[0])
-        local = row_local[pos:pos + n]
-        adj = local >= 0
-        row[pos:pos + n][adj] = local[adj] + off
-        pos += n
-
-    ticks = np.rint(t_ps / cfg.tick_ps).astype(np.int64)
+    ticks = np.rint(tags["t_ps"] / cfg.tick_ps).astype(np.int64)
     keep = ticks >= 0
-    ticks, channel, role, row = ticks[keep], channel[keep], role[keep], row[keep]
+    ticks, channel, label = ticks[keep], tags["channel"][keep], tags["label"][keep]
 
     order = np.lexsort((channel, ticks))
-    ticks, channel, role, row = ticks[order], channel[order], role[order], row[order]
+    ticks, channel, label = ticks[order], channel[order], label[order]
 
     if any(v > 0 for v in cfg.dead_time_ps.values()):
         alive = _dead_time_mask(ticks, channel, cfg)
-        ticks, channel, role, row = ticks[alive], channel[alive], role[alive], row[alive]
+        ticks, channel, label = ticks[alive], channel[alive], label[alive]
 
-    n_pairs_total = int(offsets[-1] + len(pair_parts[-1]["pulse_index"])) if pair_parts else 0
-    truth = GroundTruth(
-        pulse_index=np.concatenate([p["pulse_index"] for p in pair_parts]),
-        lambda_s=np.concatenate([p["lambda_s"] for p in pair_parts]),
-        lambda_i=np.concatenate([p["lambda_i"] for p in pair_parts]),
-        signal_detected=np.concatenate([p["signal_detected"] for p in pair_parts]),
-        idler_detected=np.concatenate([p["idler_detected"] for p in pair_parts]),
-        mcp_index=np.full(n_pairs_total, -1, dtype=np.int64),
-        x1_index=np.full(n_pairs_total, -1, dtype=np.int64),
-        x2_index=np.full(n_pairs_total, -1, dtype=np.int64),
-        snspd_index=np.full(n_pairs_total, -1, dtype=np.int64),
-    )
-    for code, column in ((_MCP, truth.mcp_index), (_X1, truth.x1_index),
-                         (_X2, truth.x2_index), (_SNSPD, truth.snspd_index)):
-        sel = (role == code) & (row >= 0)
-        column[row[sel]] = np.flatnonzero(sel)
-
+    # one row per pair, one column per arm; the labels are flat positions
+    index = np.full((n_pairs, 4), -1, dtype=np.int64)
+    labelled = np.flatnonzero(label >= 0)
+    index.reshape(-1)[label[labelled]] = labelled
+    mcp_index, x1_index, x2_index, snspd_index = index.T
+    truth = GroundTruth(**pairs, mcp_index=mcp_index, x1_index=x1_index,
+                        x2_index=x2_index, snspd_index=snspd_index)
     return SimResult(cfg.header(), TagColumns(channel, ticks), truth)
 
 

@@ -75,6 +75,10 @@ class UnmappedChannelError(StreamFormatError):
     """A record's channel is not in the header's channel map."""
 
 
+class TimestampRangeError(StreamFormatError):
+    """A record's u64 timestamp does not fit in the i64 timestamp column."""
+
+
 class UnsortedTagsError(ValueError):
     def __init__(self, index):
         super().__init__(f"tags not sorted by (timestamp, channel): first violation at index {index}")
@@ -193,6 +197,22 @@ def first_order_violation(tags: TagColumns, after=None):
     return int(bad[0]) + 1 if bad.size else None
 
 
+def _unmapped_finder(channel_map):
+    """Returns `first(channel)`: the index of the first entry of a channel
+    column that is not an id of `channel_map`, or None."""
+    mapped = np.zeros(1 << 16, dtype=bool)
+    mapped[list(channel_map.ids())] = True
+
+    def first(channel):
+        # min and max are cheap; the per-tag lookup runs only when the
+        # channel range holds an unmapped id
+        if not len(channel) or mapped[channel.min():int(channel.max()) + 1].all():
+            return None
+        known = np.take(mapped, channel)
+        return None if known.all() else int(np.argmin(known))
+    return first
+
+
 def write_stream(header, tags: TagColumns, sink: BinaryIO):
     """Write header + records to a binary sink. Returns the byte count.
 
@@ -204,11 +224,9 @@ def write_stream(header, tags: TagColumns, sink: BinaryIO):
         raise UnsortedTagsError(violation)
     if len(tags) and tags.timestamp[0] < 0:
         raise ValueError(f"negative timestamp {int(tags.timestamp[0])} at tag 0")
-    allowed = np.array(header.channel_map.ids(), dtype=np.uint16)
-    ok = np.isin(tags.channel, allowed)
-    if not ok.all():
-        idx = int(np.flatnonzero(~ok)[0])
-        raise UnknownChannelError(idx, int(tags.channel[idx]))
+    unmapped = _unmapped_finder(header.channel_map)(tags.channel)
+    if unmapped is not None:
+        raise UnknownChannelError(unmapped, int(tags.channel[unmapped]))
 
     header = StreamHeader(tick_ps=header.tick_ps, channel_count=header.channel_count,
                           channel_map=header.channel_map, record_count=len(tags),
@@ -230,14 +248,13 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
     Returns (header, block_iterator). Single pass; memory bounded by
     block_records. When the block holding the fault is reached, raises a
     StreamFormatError naming its byte offset for a partial record, a record
-    on a channel outside the header's channel map, a record out of
-    (timestamp, channel) order, within a block or across a block boundary,
-    and a non-zero header record_count that differs from the records
-    present.
+    on a channel outside the header's channel map, a timestamp of 2**63
+    ticks or more, a record out of (timestamp, channel) order, within a
+    block or across a block boundary, and a non-zero header record_count
+    that differs from the records present.
     """
     header = StreamHeader.from_bytes(source.read(HEADER_SIZE))
-    mapped = np.zeros(1 << 16, dtype=bool)
-    mapped[list(header.channel_map.ids())] = True
+    first_unmapped = _unmapped_finder(header.channel_map)
 
     def blocks():
         # one record buffer for the whole pass: every block is decoded into
@@ -253,17 +270,21 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
                                            offset + whole * RECORD_SIZE)
             records = buffer[:whole]
             block = TagColumns(records["channel"].copy(), records["timestamp"])
-            # min and max are cheap; the per-record lookup runs only when
-            # the block's channel range holds an unmapped id
-            if not mapped[block.channel.min():int(block.channel.max()) + 1].all():
-                known = np.take(mapped, block.channel)
-                if not known.all():
-                    bad = int(np.argmin(known))
-                    raise UnmappedChannelError(
-                        f"record on channel {block.channel[bad]}, which is not in the "
-                        "header's channel map", offset + bad * RECORD_SIZE)
-            bad = first_order_violation(block, after=last)
+            bad = first_unmapped(block.channel)
             if bad is not None:
+                raise UnmappedChannelError(
+                    f"record on channel {block.channel[bad]}, which is not in the "
+                    "header's channel map", offset + bad * RECORD_SIZE)
+            # a u64 timestamp of 2**63 or more is negative in the i64 column:
+            # out of order after a valid one, or first in a sorted block
+            bad = first_order_violation(block, after=last)
+            if bad is None and block.timestamp[0] < 0:
+                bad = 0
+            if bad is not None:
+                if block.timestamp[bad] < 0:
+                    raise TimestampRangeError(
+                        f"record timestamp {records['timestamp'][bad]} does not fit in int64",
+                        offset + bad * RECORD_SIZE)
                 raise RecordOrderError("record out of (timestamp, channel) order",
                                        offset + bad * RECORD_SIZE)
             last = (int(block.timestamp[-1]), int(block.channel[-1]))

@@ -132,3 +132,14 @@ class TestFitPeak:
         spike[7] = 100.0
         assert not cal.fit_peak((x, spike), model="gaussian").converged
         assert not cal.fit_peak((x, np.full(20, 4.0)), model="gaussian").converged
+
+    def test_fit_window_per_model(self):
+        # the sinc-squared fit keeps the central lobe (1.5 half-widths of the
+        # initial estimate); the gaussian fit uses every point
+        x = np.linspace(-30, 30, 601)
+        y = 120.0 * sinc((x - 0.6) / 2.4) ** 2 + 1.0
+        center0, width0, _, _ = cal._initial_guess(x, y, "sinc_squared")
+        lobe = np.count_nonzero(np.abs(x - center0) <= 1.5 * np.pi * width0)
+        assert 5 <= lobe < len(x)
+        assert cal.fit_peak((x, y), model="sinc_squared").n_points == lobe
+        assert cal.fit_peak((x, y), model="gaussian").n_points == len(x)

@@ -211,6 +211,32 @@ class TestBuild:
         assert section in err and key.split(".")[1] in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["build", "slice"])
+    def test_gate_before_trigger_exits_2(self, monkeypatch, capsys, tmp_path, pipeline,
+                                         command):
+        # a 5000 ps reference delay is 200 ticks, inside the 400-tick half width
+        tmp, _ = pipeline
+        cfg = small_config(tmp_path, **{"acquisition.fibre_cal.reference_delay_ps": 5000.0})
+        capsys.readouterr()
+        run_cli(monkeypatch, [command, tmp / "tags.ttag", cfg, tmp_path / "out"], expect=2)
+        err = capsys.readouterr().err
+        assert "acquisition.fibre_cal.reference_delay_ps" in err
+        assert "event_build.gate_half_width_ticks" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_timestamp_beyond_int64_exits_1(self, monkeypatch, capsys, tmp_path, pipeline):
+        from biphoton import tagstream
+        _, cfg = pipeline
+        records = np.zeros(3, dtype=tagstream.RECORD_DTYPE)
+        records["timestamp"] = [2**63 + 5, 2**63 + 9, 2**63 + 100]
+        bad = tmp_path / "huge.ttag"
+        bad.write_bytes(tagstream.StreamHeader(record_count=3).to_bytes() + records.tobytes())
+        capsys.readouterr()
+        run_cli(monkeypatch, ["build", bad, cfg, tmp_path / "out"], expect=1)
+        err = capsys.readouterr().err
+        assert "int64" in err and f"byte offset {tagstream.HEADER_SIZE}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unmapped_channel_exits_1(self, monkeypatch, capsys, tmp_path, pipeline):
         from biphoton import tagstream
         tmp, cfg = pipeline

@@ -1,10 +1,11 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 from biphoton import engine, simgen, spdc, tagstream
-from biphoton.calibration import fit_peak
+from biphoton.calibration import fit_peak, idler_delay_ps
 from biphoton.config import RunConfig
 from conftest import clean_acquisition, expected_jsi_probabilities, normalized_cross_correlation
 
@@ -149,6 +150,61 @@ class TestGroundTruth:
         path = tmp_path / "truth.jsonl"
         truth.write_jsonl(path)
         assert path.read_bytes() == oracle.encode()
+
+
+class TestGroundTruthAcrossBlocks:
+    """Generation runs in pulse blocks; shrunken blocks put a short run's
+    pairs into many of them, so truth indices must hold across blocks."""
+
+    BLOCK = 20_000
+
+    def test_indices_exact_over_many_blocks(self, monkeypatch, model_jsa):
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", self.BLOCK)
+        cfg = clean_acquisition(duration_s=0.002, pair_prob_per_pulse=0.01,
+                                eta_signal=0.7, eta_idler=0.6)
+        result = simgen.generate(model_jsa, cfg)
+        truth, tags = result.truth, result.tags
+        assert len(np.unique(truth.pulse_index // self.BLOCK)) >= 5
+
+        # zero jitter: every detection lands exactly on its pulse's timing
+        t_mcp_ps = truth.pulse_index.astype(np.float64) * cfg.pulse_period_ps + cfg.mcp_delay_ps
+        t_sn_ps = t_mcp_ps + idler_delay_ps(truth.lambda_i, cfg.fibre_cal)
+        for col, detected, chan, t_ps in (
+                (truth.mcp_index, truth.signal_detected, CMAP.mcp, t_mcp_ps),
+                (truth.x1_index, truth.signal_detected, CMAP.dld_x1, None),
+                (truth.x2_index, truth.signal_detected, CMAP.dld_x2, None),
+                (truth.snspd_index, truth.idler_detected, CMAP.snspd, t_sn_ps)):
+            assert np.array_equal(col >= 0, detected)
+            idx = col[detected]
+            assert np.all(tags.channel[idx] == chan)
+            if t_ps is not None:
+                expected = np.rint(t_ps[detected] / cfg.tick_ps).astype(np.int64)
+                assert np.array_equal(tags.timestamp[idx], expected)
+
+        referenced = np.concatenate([col[col >= 0] for col in (
+            truth.mcp_index, truth.x1_index, truth.x2_index, truth.snspd_index)])
+        detection = np.flatnonzero(tags.channel != CMAP.sync)
+        assert np.array_equal(np.sort(referenced), detection)
+
+    def test_multi_block_bytes_pinned(self, monkeypatch, tmp_path, model_jsa):
+        # seven blocks with jitter, darks on both detectors and dead time on
+        # three channels: the stream and truth bytes must not move
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 25_000)
+        cfg = simgen.AcquisitionConfig(
+            duration_s=0.002, seed=5, pair_prob_per_pulse=0.02,
+            dld_dark_rate_hz=2e5, snspd_dark_rate_hz=5e4,
+            dead_time_ps={"mcp": 40000.0, "dld_x1": 10000.0, "snspd": 20000.0})
+        result = simgen.generate(model_jsa, cfg)
+        truth = result.truth
+        assert ((truth.mcp_index < 0) & truth.signal_detected).any()  # dead time acted
+        stream = io.BytesIO()
+        tagstream.write_stream(result.header, result.tags, stream)
+        truth.write_jsonl(tmp_path / "truth.jsonl")
+        assert (len(result.tags), len(truth)) == (8150, 3126)
+        assert hashlib.sha256(stream.getvalue()).hexdigest() == \
+            "e27f1c042c29442c38c88f479a9e63f81ae777d912195dce939859b4d7eae2a0"
+        assert hashlib.sha256((tmp_path / "truth.jsonl").read_bytes()).hexdigest() == \
+            "15136545815a63b343c15cc60d638c288d12337ae6c206444ef9cca0958abdbd"
 
 
 class TestRateAlgebra:

@@ -82,6 +82,15 @@ class TestWriteStream:
         with pytest.raises(ts.UnknownChannelError):
             ts.write_stream(make_header(), tags_of([(9, 0)]), io.BytesIO())
 
+    def test_unmapped_channel_index(self):
+        # channel 17 lies inside the map's id range but is not in the map
+        cmap = ts.ChannelMap(mcp=10, dld_x1=11, dld_x2=12, dld_y1=13, dld_y2=14,
+                             snspd=15, sync=20)
+        tags = tags_of([(10, 1), (20, 1), (11, 2), (17, 2), (0, 3)])
+        with pytest.raises(ts.UnknownChannelError) as err:
+            ts.write_stream(make_header(channel_map=cmap), tags, io.BytesIO())
+        assert (err.value.index, err.value.channel) == (3, 17)
+
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):
             ts.write_stream(make_header(), tags_of([(0, -1), (0, 3)]), io.BytesIO())
@@ -194,6 +203,24 @@ class TestReadStream:
                    + unchecked_stream([(channel, 1)])[ts.HEADER_SIZE:])
             with pytest.raises(ts.UnmappedChannelError):
                 ts.read_stream_arrays(io.BytesIO(bad))
+
+    def test_timestamp_beyond_int64_names_offset(self):
+        # u64 timestamps of 2**63 and more wrap to negative i64 values: first
+        # in a sorted block they pass the order check, after a valid one
+        # they look out of order
+        huge = [(0, 2**63 + 5), (0, 2**63 + 9), (0, 2**63 + 100)]
+        for pairs, record in ((huge, 0), ([(0, 1), (6, 1)] + huge, 2)):
+            raw = unchecked_stream(pairs)
+            for block_records in (1, 2, 100):
+                _, blocks = ts.iter_stream_blocks(io.BytesIO(raw), block_records=block_records)
+                with pytest.raises(ts.TimestampRangeError) as err:
+                    list(blocks)
+                assert err.value.byte_offset == ts.HEADER_SIZE + record * ts.RECORD_SIZE
+                assert isinstance(err.value, ts.StreamFormatError)
+                assert str(2**63 + 5) in str(err.value)
+        # the largest i64 tick is still a valid timestamp
+        header, tags = ts.read_stream_arrays(io.BytesIO(unchecked_stream([(0, 2**63 - 1)])))
+        assert int(tags.timestamp[0]) == 2**63 - 1
 
     def test_bad_magic(self):
         buf = io.BytesIO()
