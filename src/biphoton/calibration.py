@@ -119,11 +119,23 @@ class PeakFitResult:
 
 
 def _gaussian(x, center, width, amplitude, baseline):
-    return amplitude * np.exp(-((x - center) ** 2) / (2.0 * width**2)) + baseline
+    """Model values and the Jacobian columns d/d(center, width, amplitude,
+    baseline), with u = (x - center) / width."""
+    u = (x - center) / width
+    g = np.exp(-0.5 * u**2)
+    d_center = amplitude * g * u / width
+    return amplitude * g + baseline, np.column_stack((d_center, d_center * u, g, np.ones_like(x)))
 
 
 def _sinc_squared(x, center, width, amplitude, baseline):
-    return amplitude * sinc((x - center) / width) ** 2 + baseline
+    """As _gaussian, for amplitude * sinc(u)^2 + baseline."""
+    u = (x - center) / width
+    s = sinc(u)
+    # d sinc/du = (cos u - sinc u) / u, 0 at u = 0
+    ds = np.divide(np.cos(u) - s, u, out=np.zeros_like(u), where=u != 0)
+    d_center = -2.0 * amplitude * s * ds / width
+    return amplitude * s**2 + baseline, np.column_stack((d_center, d_center * u, s**2,
+                                                         np.ones_like(x)))
 
 
 _MODELS = {"gaussian": _gaussian, "sinc_squared": _sinc_squared}
@@ -162,10 +174,9 @@ def fit_peak(data, model="gaussian"):
     of the initial peak estimate (side lobes otherwise dominate the loss
     when the model is imperfect).
 
-    Degenerate data never raises: the result comes back converged=False.
+    The fit is Levenberg-Marquardt with analytic Jacobians. Degenerate data
+    never raises: the result comes back converged=False.
     """
-    from scipy.optimize import least_squares
-
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
     x, y = data
@@ -187,23 +198,56 @@ def fit_peak(data, model="gaussian"):
         return PeakFitResult(model, np.nan, np.nan, np.nan, np.nan, np.nan,
                              np.nan, converged=False, n_points=len(xf))
 
-    def residuals(p):
-        return func(xf, *p) - yf
-
     try:
-        res = least_squares(residuals, [center0, width0, amp0, base0],
-                            method="lm", xtol=1e-8, ftol=1e-12, gtol=1e-12,
-                            max_nfev=1000)
-    except Exception:
+        p, residuals, converged = _levenberg_marquardt(
+            func, xf, yf, np.array([center0, width0, amp0, base0]))
+    except np.linalg.LinAlgError:
         return PeakFitResult(model, center0, abs(width0), amp0, base0,
                              abs(width0) * _fwhm_factor(model),
                              np.nan, converged=False, n_points=len(xf))
 
-    center, width, amplitude, baseline = res.x
+    center, width, amplitude, baseline = p
     width = abs(float(width))
-    converged = bool(res.success and width > 0 and np.isfinite(res.x).all())
+    converged = bool(converged and width > 0 and np.isfinite(p).all())
     return PeakFitResult(model=model, center=float(center), width=width,
                          amplitude=float(amplitude), baseline=float(baseline),
                          fwhm=width * _fwhm_factor(model),
-                         residual_norm=float(np.linalg.norm(res.fun)),
+                         residual_norm=float(np.linalg.norm(residuals)),
                          converged=converged, n_points=len(xf))
+
+
+def _levenberg_marquardt(model, x, y, p, xtol=1e-8, ftol=1e-12, max_iter=200):
+    """Minimize |model(x, *p)[0] - y|^2 from p by Marquardt's damped
+    Gauss-Newton iteration, damping with diag(J^T J) (More, LNM 630, 1978).
+
+    Converged when an accepted step lowers the sum of squares by at most
+    ftol relative, or a rejected step moves the diag(J^T J)-scaled
+    parameters by at most xtol relative; not converged after max_iter
+    steps. As in MINPACK, a small step that still lowers the sum does not
+    stop the fit: along a shallow valley it can leave the width 1e-6 off.
+    Returns (p, residuals, converged). Raises LinAlgError on a singular
+    normal matrix.
+    """
+    values, jac = model(x, *p)
+    r = values - y
+    cost = r @ r
+    damping = 1e-3
+    for _ in range(max_iter):
+        jtj = jac.T @ jac
+        scale = np.sqrt(np.diag(jtj))
+        step = np.linalg.solve(jtj + damping * np.diag(scale**2), -(jac.T @ r))
+        trial = p + step
+        values, trial_jac = model(x, *trial)
+        trial_r = values - y
+        trial_cost = trial_r @ trial_r
+        if trial_cost < cost:
+            small_drop = cost - trial_cost <= ftol * cost
+            p, r, jac, cost = trial, trial_r, trial_jac, trial_cost
+            damping *= 0.1
+            if small_drop:
+                return p, r, True
+        else:
+            damping *= 10.0
+            if np.linalg.norm(scale * step) <= xtol * np.linalg.norm(scale * p):
+                return p, r, True
+    return p, r, False

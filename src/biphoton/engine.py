@@ -20,7 +20,7 @@ from . import tagstream
 from .histograms import BinSpec, Histogram1D, Histogram2D
 from .tagstream import ChannelMap, TagColumns
 
-_ROLES = ("mcp", "dld_x1", "dld_x2", "dld_y1", "dld_y2", "snspd", "sync")
+_ROLES = tuple(f.name for f in fields(ChannelMap))
 
 
 @dataclass
@@ -120,8 +120,9 @@ def split_channels(tags: TagColumns, channel_map: ChannelMap):
     times = {"sync": t[is_sync]}
     rest = ~is_sync
     t_rest, ch_rest = t[rest], ch[rest]
-    for role in _ROLES[:-1]:
-        times[role] = t_rest[ch_rest == getattr(channel_map, role)]
+    for role in _ROLES:
+        if role != "sync":
+            times[role] = t_rest[ch_rest == getattr(channel_map, role)]
     return times
 
 

@@ -21,6 +21,7 @@ reference delay and decoded wavelengths are consistent with the embedded
 calibration blocks.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -228,19 +229,28 @@ def _emit_block(jsa, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi, first_ro
 
 
 def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig):
-    """Greedy per-channel suppression of tags closer than the dead time."""
+    """Greedy per-channel suppression: a tag is dropped when it comes less
+    than the dead time after the last kept tag on its channel. A tag at
+    least the dead time after its predecessor is always kept, so the greedy
+    scan only visits the runs of close gaps."""
     mask = np.ones(len(ticks), dtype=bool)
     for role, dead_ps in cfg.dead_time_ps.items():
         if dead_ps <= 0:
             continue
         dead_ticks = dead_ps / cfg.tick_ps
         idx = np.flatnonzero(channels == getattr(cfg.channel_map, role))
-        last = None
-        for i in idx:
-            if last is not None and ticks[i] - last < dead_ticks:
-                mask[i] = False
+        t = ticks[idx]
+        close = np.flatnonzero(np.diff(t) < dead_ticks) + 1
+        dropped, prev, last = [], -1, 0
+        for k, t_k, t_before in zip(close.tolist(), t[close].tolist(), t[close - 1].tolist()):
+            if k != prev + 1:
+                last = t_before  # a run's first tag follows a kept tag
+            if t_k - last < dead_ticks:
+                dropped.append(k)
             else:
-                last = ticks[i]
+                last = t_k
+            prev = k
+        mask[idx[dropped]] = False
     return mask
 
 
@@ -260,20 +270,31 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
         tag_parts.append(block_tags)
         pair_parts.append(block_pairs)
         n_pairs += len(block_pairs["pulse_index"])
-    tags, pairs = ({key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-                   for parts in (tag_parts, pair_parts))
-    del tag_parts, pair_parts  # else the sort below holds every column twice
-
-    ticks = np.rint(tags["t_ps"] / cfg.tick_ps).astype(np.int64)
-    keep = ticks >= 0
-    ticks, channel, label = ticks[keep], tags["channel"][keep], tags["label"][keep]
+    pairs = {key: np.concatenate([part[key] for part in pair_parts]) for key in pair_parts[0]}
+    # every step below releases each column it replaces before the next, so
+    # no more than one tag column is ever held twice
+    t_ps, channel, label = (np.concatenate([part.pop(key) for part in tag_parts])
+                            for key in ("t_ps", "channel", "label"))
+    del tag_parts, pair_parts
+    ticks = np.rint(np.divide(t_ps, cfg.tick_ps, out=t_ps), out=t_ps).astype(np.int64)
+    del t_ps
+    if (ticks < 0).any():
+        keep = ticks >= 0
+        ticks = ticks[keep]
+        channel = channel[keep]
+        label = label[keep]
 
     order = np.lexsort((channel, ticks))
-    ticks, channel, label = ticks[order], channel[order], label[order]
+    ticks = ticks[order]
+    channel = channel[order]
+    label = label[order]
+    del order
 
     if any(v > 0 for v in cfg.dead_time_ps.values()):
         alive = _dead_time_mask(ticks, channel, cfg)
-        ticks, channel, label = ticks[alive], channel[alive], label[alive]
+        ticks = ticks[alive]
+        channel = channel[alive]
+        label = label[alive]
 
     # one row per pair, one column per arm; the labels are flat positions
     index = np.full((n_pairs, 4), -1, dtype=np.int64)
@@ -299,9 +320,7 @@ def irf_reference(cfg: AcquisitionConfig, total=1_000_000):
         mass = np.zeros(n_bins)
         mass[int(center // cfg.tick_ps)] = 1.0
     else:
-        from scipy.special import ndtr
-
-        cdf = ndtr((edges - center) / sigma)
+        cdf = [0.5 * math.erfc(-z / math.sqrt(2.0)) for z in ((edges - center) / sigma).tolist()]
         mass = np.diff(cdf)
     hist = Histogram1D(spec)
     hist.counts = np.rint(total * mass).astype(np.uint64)

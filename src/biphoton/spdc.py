@@ -278,13 +278,23 @@ def pump_envelope(omega_s, omega_i, pump: PumpSpec):
 
 def solve_phase_matching_angle(signal_nm=515.0, idler_nm=1550.0):
     """XY-plane angle (degrees) at which the collinear process
-    pump(in-plane) -> signal(z) + idler(z) is exactly phase matched."""
-    from scipy.optimize import brentq
+    pump(in-plane) -> signal(z) + idler(z) is exactly phase matched,
+    found by bisection on [5, 85] degrees down to the float resolution."""
 
     def mismatch(phi_deg):
-        return _sellmeier_delta_k(np.array(signal_nm), np.array(idler_nm), phi_deg)
+        return float(_sellmeier_delta_k(np.array(signal_nm), np.array(idler_nm), phi_deg))
 
-    return float(brentq(mismatch, 5.0, 85.0, xtol=1e-10))
+    lo, hi = 5.0, 85.0
+    lo_positive = mismatch(lo) > 0
+    if lo_positive == (mismatch(hi) > 0):
+        raise ValueError(f"no phase-matching angle in [{lo}, {hi}] degrees "
+                         f"for {signal_nm} + {idler_nm} nm")
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (mismatch(mid) > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
 
 def _sellmeier_delta_k(lam_s_nm, lam_i_nm, phi_deg):

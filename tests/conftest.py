@@ -87,3 +87,24 @@ def normalized_cross_correlation(a, b):
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     return float(np.dot(a, b) / np.sqrt(np.dot(a, a) * np.dot(b, b)))
+
+
+def assert_fit_matches_scipy(x, y, model):
+    """calibration.fit_peak against scipy's MINPACK Levenberg-Marquardt, the
+    fit it replaced, from the same initial guess and window: centre and
+    width agree to 1e-6 relative."""
+    from scipy.optimize import least_squares
+
+    center0, width0, amp0, base0 = calibration._initial_guess(x, y, model)
+    xf, yf = x, y
+    if model == "sinc_squared":
+        keep = np.abs(x - center0) <= 1.5 * np.pi * width0
+        xf, yf = x[keep], y[keep]
+    func = calibration._MODELS[model]
+    ref = least_squares(lambda p: func(xf, *p)[0] - yf, [center0, width0, amp0, base0],
+                        method="lm", xtol=1e-8, ftol=1e-12, gtol=1e-12, max_nfev=1000)
+    assert ref.success
+    fit = calibration.fit_peak((x, y), model=model)
+    assert fit.converged
+    assert fit.center == pytest.approx(ref.x[0], rel=1e-6)
+    assert fit.width == pytest.approx(abs(ref.x[1]), rel=1e-6)

@@ -3,6 +3,7 @@ import pytest
 
 from biphoton import calibration as cal
 from biphoton.units import GAUSSIAN_FWHM_OVER_SIGMA, SINC_SQ_HALF_POWER_ARG, sinc
+from conftest import assert_fit_matches_scipy
 
 
 class TestDldPosition:
@@ -143,3 +144,52 @@ class TestFitPeak:
         assert 5 <= lobe < len(x)
         assert cal.fit_peak((x, y), model="sinc_squared").n_points == lobe
         assert cal.fit_peak((x, y), model="gaussian").n_points == len(x)
+
+    def test_singular_start_flagged_not_raised(self):
+        # a step edge: the median is the maximum, so the initial amplitude is
+        # 0, the centre and width columns of the Jacobian vanish and the
+        # damped normal matrix is singular
+        x = np.arange(20.0)
+        fit = cal.fit_peak((x, np.where(x >= 5, 5.0, 0.0)), model="gaussian")
+        assert not fit.converged
+        assert np.isnan(fit.residual_norm)
+
+    @pytest.mark.parametrize("model", ["gaussian", "sinc_squared"])
+    def test_jacobian_matches_central_differences(self, model):
+        func = cal._MODELS[model]
+        p = np.array([0.6, 2.4, 120.0, 1.0])
+        x = np.concatenate([np.linspace(-12, 12, 97), [0.6]])  # 0.6: u = 0 exactly
+        _, jac = func(x, *p)
+        for k in range(4):
+            h = 1e-6 * max(abs(p[k]), 1.0)
+            dp = np.zeros(4)
+            dp[k] = h
+            numeric = (func(x, *(p + dp))[0] - func(x, *(p - dp))[0]) / (2 * h)
+            np.testing.assert_allclose(jac[:, k], numeric, rtol=1e-6, atol=1e-6 * p[2])
+
+
+class TestFitPeakAgainstScipy:
+    """The numpy Levenberg-Marquardt fit against the scipy fit it replaced."""
+
+    @pytest.fixture(autouse=True)
+    def _scipy(self):
+        pytest.importorskip("scipy")
+
+    def test_model_marginals(self, model_jsa):
+        for lam, profile, model in (
+                (model_jsa.signal_wavelength_nm, model_jsa.signal_marginal(), "gaussian"),
+                (model_jsa.idler_wavelength_nm, model_jsa.idler_marginal(), "sinc_squared")):
+            order = np.argsort(lam)
+            assert_fit_matches_scipy(lam[order], profile[order], model)
+
+    def test_seeded_noisy_peaks(self):
+        rng = np.random.Generator(np.random.Philox(key=2024))
+        x_s = np.linspace(505.0, 525.0, 121)
+        x_i = np.linspace(1500.0, 1600.0, 161)
+        for _ in range(10):
+            center, scale, amp, base = (rng.uniform(-3, 3), rng.uniform(0.5, 3),
+                                        rng.uniform(50, 5000), rng.uniform(0, 30))
+            y = amp * np.exp(-((x_s - 515.0 - center) ** 2) / (2 * scale**2)) + base
+            assert_fit_matches_scipy(x_s, rng.poisson(y).astype(float), "gaussian")
+            y = amp * sinc((x_i - 1550.0 - 5 * center) / (3 * scale)) ** 2 + base
+            assert_fit_matches_scipy(x_i, rng.poisson(y).astype(float), "sinc_squared")

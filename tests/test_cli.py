@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from biphoton import cli as cli_mod
+from biphoton import schmidt
 from biphoton.config import default_config_dict
 from biphoton.histograms import read_matrix_csv
+from conftest import assert_fit_matches_scipy
 
 
 def run_cli(monkeypatch, args, expect=0):
@@ -328,6 +330,19 @@ class TestAnalyze:
                     "x_wavelength_edges_nm", "y_wavelength_edges_nm"):
             assert frame_meta[key] == built_meta[key]
 
+    @pytest.mark.parametrize("name", ["jsa/jsi_model.csv", "built/jsi.csv"])
+    def test_marginal_fits_match_scipy(self, pipeline, name):
+        pytest.importorskip("scipy")
+        tmp, _ = pipeline
+        counts, meta = read_matrix_csv(tmp / name)
+        jsa = schmidt.jsa_from_jsi(counts, np.asarray(meta["x_wavelength_centers_nm"]),
+                                   np.asarray(meta["y_wavelength_centers_nm"]))
+        for lam, profile, model in (
+                (jsa.signal_wavelength_nm, jsa.signal_marginal(), "gaussian"),
+                (jsa.idler_wavelength_nm, jsa.idler_marginal(), "sinc_squared")):
+            order = np.argsort(lam)
+            assert_fit_matches_scipy(lam[order], profile[order], model)
+
     def test_missing_axis_metadata_exits_1(self, monkeypatch, tmp_path):
         path = tmp_path / "noaxis.csv"
         path.write_text("1,2\n3,4\n")
@@ -342,6 +357,24 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env)
         assert out.stdout.strip() == "[]"
+
+    def test_commands_do_not_load_scipy(self, tmp_path):
+        # the solved phase-matching angle, the peak fits of analyze and the
+        # analytic response histogram all run without scipy
+        cfg = small_config(tmp_path, **{"crystal.phase_matching_angle_deg": None})
+        steps = [["simulate-jsa", cfg, tmp_path / "jsa"],
+                 ["gen-tags", tmp_path / "jsa/jsa.jsag", cfg, tmp_path / "tags.ttag"],
+                 ["analyze", tmp_path / "jsa/jsi_model.csv"]]
+        code = ("import sys; from biphoton import cli, simgen\n"
+                f"for args in {[[str(a) for a in step] for step in steps]!r}:\n"
+                "    cli.cli(args, standalone_mode=False)\n"
+                "simgen.irf_reference(simgen.AcquisitionConfig())\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert '"signal_fit"' in out.stdout
+        assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestGolden:

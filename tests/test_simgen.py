@@ -3,10 +3,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biphoton import engine, simgen, spdc, tagstream
 from biphoton.calibration import fit_peak, idler_delay_ps
 from biphoton.config import RunConfig
+from biphoton.units import sigma_from_fwhm
 from conftest import clean_acquisition, expected_jsi_probabilities, normalized_cross_correlation
 
 CMAP = tagstream.ChannelMap()
@@ -225,6 +228,43 @@ class TestRateAlgebra:
         assert np.all(gaps >= 100000.0 - cfg.tick_ps)
 
 
+def greedy_dead_time_mask(ticks, channels, cfg):
+    """Reference for simgen._dead_time_mask: the per-tag greedy loop."""
+    mask = np.ones(len(ticks), dtype=bool)
+    for role, dead_ps in cfg.dead_time_ps.items():
+        if dead_ps <= 0:
+            continue
+        dead_ticks = dead_ps / cfg.tick_ps
+        last = None
+        for i in np.flatnonzero(channels == getattr(cfg.channel_map, role)):
+            if last is not None and ticks[i] - last < dead_ticks:
+                mask[i] = False
+            else:
+                last = ticks[i]
+    return mask
+
+
+_DEAD_PS = st.one_of(st.integers(0, 8).map(lambda k: 25.0 * k), st.floats(0.0, 250.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tags=st.lists(st.tuples(st.integers(0, 6),
+                               st.sampled_from([CMAP.mcp, CMAP.snspd, CMAP.sync])), max_size=80),
+       dead=st.fixed_dictionaries({"mcp": _DEAD_PS, "snspd": _DEAD_PS, "sync": _DEAD_PS}))
+@example(tags=[(0, CMAP.mcp), (5, CMAP.mcp), (5, CMAP.mcp)],  # the third tag ties the first
+         dead={"mcp": 250.0, "snspd": 0.0, "sync": 0.0})
+def test_dead_time_mask_matches_greedy_loop(tags, dead):
+    # (gap to the previous tag in ticks, channel): gaps of 0..6 ticks give
+    # runs of close tags and equal ticks; dead times of whole ticks (25 ps
+    # each) give ties at exactly the dead time
+    gaps, channels = zip(*tags) if tags else ((), ())
+    ticks = np.cumsum(np.asarray(gaps, dtype=np.int64))
+    channels = np.asarray(channels, dtype=np.uint16)
+    cfg = simgen.AcquisitionConfig(dead_time_ps=dead)
+    np.testing.assert_array_equal(simgen._dead_time_mask(ticks, channels, cfg),
+                                  greedy_dead_time_mask(ticks, channels, cfg))
+
+
 class TestIrfReference:
     def test_half_max_crossings_within_tick(self):
         cfg = simgen.AcquisitionConfig()
@@ -234,6 +274,17 @@ class TestIrfReference:
         above = np.flatnonzero(counts >= peak / 2)
         width_ps = (above[-1] - above[0] + 1) * cfg.tick_ps
         assert abs(width_ps - 263.0) <= cfg.tick_ps
+
+    @pytest.mark.parametrize("jitter_ps", [263.0, 50.0, 1000.0])
+    def test_counts_match_scipy_ndtr(self, jitter_ps):
+        special = pytest.importorskip("scipy.special")
+        cfg = simgen.AcquisitionConfig(mcp_jitter_fwhm_ps=jitter_ps,
+                                       snspd_mcp_conv_jitter_fwhm_ps=max(310.0, jitter_ps))
+        hist = simgen.irf_reference(cfg)
+        z = ((hist.spec.edges().astype(float) * cfg.tick_ps
+              - np.mod(cfg.mcp_delay_ps, cfg.pulse_period_ps)) / sigma_from_fwhm(jitter_ps))
+        expected = np.rint(1_000_000 * np.diff(special.ndtr(z))).astype(np.uint64)
+        np.testing.assert_array_equal(hist.counts, expected)
 
     def test_zero_jitter_single_bin(self):
         cfg = clean_acquisition()

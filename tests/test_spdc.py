@@ -69,6 +69,20 @@ class TestPhaseMismatch:
                                  omega_from_wavelength(1550.0), crystal)
         assert abs(dk) < 1e-8
 
+    def test_solved_angle_matches_brentq(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for signal_nm, idler_nm in ((515.0, 1550.0), (510.0, 1560.0), (530.0, 1400.0)):
+            ref = optimize.brentq(
+                lambda phi: spdc._sellmeier_delta_k(np.array(signal_nm), np.array(idler_nm), phi),
+                5.0, 85.0, xtol=1e-10)
+            phi = spdc.solve_phase_matching_angle(signal_nm, idler_nm)
+            assert phi == pytest.approx(ref, abs=1e-10)
+
+    def test_no_angle_in_bracket_rejected(self):
+        # degenerate 1300 + 1300 nm stays mismatched from 5 to 85 degrees
+        with pytest.raises(ValueError, match="no phase-matching angle"):
+            spdc.solve_phase_matching_angle(1300.0, 1300.0)
+
     def test_sellmeier_range_enforced(self):
         crystal = spdc.CrystalSpec()
         with pytest.raises(ValueError, match="validity range"):
