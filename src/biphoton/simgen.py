@@ -21,6 +21,7 @@ reference delay and decoded wavelengths are consistent with the embedded
 calibration blocks.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .calibration import DldCalibration, FibreCalibration, dld_dt, idler_delay_ps, signal_position
 from .histograms import BinSpec, Histogram1D
-from .spdc import JsaGrid, sample_pairs
+from .spdc import JsaGrid, pair_sampler
 from .tagstream import ChannelMap, StreamHeader, TagColumns
 from .units import sigma_from_fwhm
 
@@ -127,18 +128,212 @@ class GroundTruth:
 
     def write_jsonl(self, path):
         """One JSON object per pair, byte-identical to `json.dumps` of the
-        row dict (floats through repr, so wavelengths must be finite)."""
-        flag = ("false", "true")
-        rows = zip(*(column.tolist() for column in (
-            self.pulse_index, self.lambda_s, self.lambda_i, self.signal_detected,
-            self.idler_detected, self.mcp_index, self.x1_index, self.x2_index,
-            self.snspd_index)))
-        with open(path, "w") as fh:
-            fh.writelines(
-                f'{{"pulse": {pulse}, "lambda_s_nm": {lam_s!r}, "lambda_i_nm": {lam_i!r}, '
-                f'"signal_detected": {flag[det_s]}, "idler_detected": {flag[det_i]}, '
-                f'"mcp": {mcp}, "x1": {x1}, "x2": {x2}, "snspd": {snspd}}}\n'
-                for pulse, lam_s, lam_i, det_s, det_i, mcp, x1, x2, snspd in rows)
+        row dict: floats are `repr` (shortest round-trip), so every
+        wavelength must be finite. Rows are formatted `_TRUTH_CHUNK_ROWS` at
+        a time by `_truth_chunks`."""
+        finite = np.isfinite(self.lambda_s) & np.isfinite(self.lambda_i)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"ground truth pair row {row} has a non-finite wavelength "
+                             f"(lambda_s {self.lambda_s[row]!r}, lambda_i {self.lambda_i[row]!r})")
+        with open(path, "wb") as fh:
+            for lines in _truth_chunks(self):
+                fh.write(lines)
+
+
+# Ground-truth JSON lines are built as a matrix of uint32 words, one row per
+# pair: each key takes whole words and each value the words the widest in
+# its chunk needs, all padded with 0 bytes, which no JSON line holds, so
+# dropping every 0 byte leaves exactly the lines.
+_TRUTH_CHUNK_ROWS = 1 << 14
+_POW10 = 10.0 ** np.arange(23)            # exact doubles
+_IPOW10 = 10 ** np.arange(19, dtype=np.int64)
+_VELTKAMP = 134217729.0                   # 2**27 + 1 splits a double into 26-bit halves
+
+
+def _words(text):
+    """Bytes as uint32 words, padded on the right with 0 bytes."""
+    return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, b"\0"), np.uint32)
+
+
+@functools.cache
+def _quad_words():
+    """0..9999 as words of four ASCII digits, in four tables of 10000: with
+    every zero; with leading zeros as 0 bytes; the same but "0" for 0; the
+    same as the second but with a leading 1 as ".". Built on first use, so
+    commands that write no ground truth do not pay for it."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    lead = np.logical_and.accumulate(digits == 0, axis=1)
+    last = lead.copy()
+    last[:, -1] = False
+    tables = [np.where(blank, 0, digits + ord("0")).astype(np.uint8)
+              for blank in (np.zeros_like(lead), lead, last, lead)]
+    first = np.minimum(lead.sum(axis=1), 3)
+    ones = np.flatnonzero(digits[np.arange(10000), first] == 1)
+    tables[3][ones, first[ones]] = ord(".")
+    quads = np.concatenate(tables).view(np.uint32).ravel()
+    quads.flags.writeable = False
+    return quads
+
+
+_LEAD, _LAST, _DOT = 10000, 20000, 30000
+_FLAGS = np.frombuffer(b"\0\0\0false\0\0\0\0true", np.uint32).reshape(2, 2)
+
+
+def _lead_words(dest, v, last=_LAST, lead=_LEAD):
+    """Write non-negative int64 values into the uint32 word columns of
+    `dest` as ASCII digits, right-aligned, leading zeros as 0 bytes: the
+    leading word from table `lead`, or from `last` when it is the lowest."""
+    quads, table = _quad_words(), last
+    for col in range(dest.shape[1] - 1, -1, -1):
+        v, r = np.divmod(v, 10000)
+        dest[:, col] = quads[r + (v == 0) * table]
+        table = lead
+
+
+def _int_field(v):
+    """`str` of each int64 above the int64 minimum: the number of words the
+    widest needs and a function that writes them into word columns."""
+    magnitude = np.abs(v)
+    negative = np.flatnonzero(v < 0)
+    signed_width = np.maximum(np.searchsorted(_IPOW10, magnitude[negative], side="right"), 1) + 1
+    k = -(-max(len(str(int(magnitude.max(initial=0)))), signed_width.max(initial=0)) // 4)
+
+    def fill(dest):
+        _lead_words(dest, magnitude)
+        dest.view(np.uint8)[negative, 4 * k - signed_width] = ord("-")
+    return k, fill
+
+
+def _bool_field(v):
+    """`false` or `true` in two words, as `_int_field` does."""
+    flag = v.astype(np.intp)
+
+    def fill(dest):
+        for col in range(2):
+            dest[:, col] = _FLAGS[flag, col]
+    return 2, fill
+
+
+def _veltkamp(a):
+    t = a * _VELTKAMP
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _scaled_rint(x, s):
+    """x * 10**s rounded half-even to int64 n, the rest d = x * 10**s - n
+    with its exact sign, and whether |d| is exactly 1/2. The product is
+    split error-free as hi + lo (Dekker), since numpy has no fma."""
+    c = _POW10[s]
+    hi = x * c
+    xh, xl = _veltkamp(x)
+    ch, cl = _veltkamp(c)
+    lo = ((xh * ch - hi) + xh * cl + xl * ch) + xl * cl
+    r = np.rint(hi)
+    q = np.rint(lo)  # |lo| > 1/2 only when hi is an integer
+    lo -= q
+    f = hi - r
+    up, down = lo > 0.5 - f, lo < -0.5 - f
+    n = r.astype(np.int64) + q.astype(np.int64) + up - down
+    return n, (f + lo) - up + down, (lo == 0.5 - f) | (lo == -0.5 - f)
+
+
+def _shortest_digits(x):
+    """For floats in (1, 1e15) that are not integers: `n` and `s` with
+    repr(x) the digits of n with a point before the last s, and whether
+    they are exact. Each value takes the fewest digits whose nearest
+    decimal reads back as x; 17 always do. Fewer digits round the exact
+    17-digit scaling, n17 + d, in integers; the read-back divides two exact
+    doubles, which rounds correctly (Clinger's fast path). Ties and
+    candidates at or above 2**53 are left inexact."""
+    e = np.clip(np.floor(np.log10(x)), 0, 14).astype(np.int64)
+    e -= x < _POW10[e]
+    e += x >= _POW10[e + 1]
+    s17 = 16 - e
+    n17, d, inexact = _scaled_rint(x, s17)
+    n, s = n17.copy(), s17.copy()
+    live = np.arange(len(x))
+    for drop in range(1, 16):
+        half = 5 * _IPOW10[drop - 1]
+        q, rem = np.divmod(n17[live], 2 * half)
+        on_half, d_live = rem == half, d[live]
+        m = q + ((rem > half) | on_half & (d_live > 0))
+        t = s17[live] - drop
+        trip = m / _POW10[t] == x[live]  # never at t = 0: x is no integer
+        bad = on_half & (d_live == 0) | (m >= 1 << 53)
+        if bad.any():
+            inexact[live[bad]] = True
+            trip &= ~bad
+        live = live[trip]
+        if not len(live):
+            break
+        n[live], s[live] = m[trip], t[trip]
+    return n, s, ~inexact
+
+
+def _float_field(x):
+    """`repr` of each finite float, as `_int_field` does: integer-part
+    words, then the fraction after a leading 1 that becomes the "." (so its
+    zeros stay), from `_shortest_digits`; values it does not take exactly
+    go through `repr` one by one."""
+    fast = (x > 1) & (x < 1e15) & (x != np.floor(x))
+    digits, frac, exact = _shortest_digits(x[fast])
+    fast[fast] = exact
+    n, s = np.zeros(len(x), np.int64), np.ones(len(x), np.int64)
+    n[fast], s[fast] = digits[exact], frac[exact]
+    int_part, fraction = np.divmod(n, _IPOW10[s])
+    k_int = -(-len(str(int(int_part.max(initial=0)))) // 4)
+    k_frac = -(-(int(s.max(initial=1)) + 1) // 4)
+    slow = np.flatnonzero(~fast)
+    text = [repr(v).encode() for v in x[slow].tolist()]
+    k = max([k_int + k_frac, *(-(-len(t) // 4) for t in text)])
+
+    def fill(dest):
+        _lead_words(dest[:, :k - k_frac], int_part)
+        _lead_words(dest[:, k - k_frac:], _IPOW10[s] + fraction, _DOT, _DOT)
+        for row, t in zip(slow, text):
+            dest[row] = np.frombuffer(t.rjust(4 * k, b"\0"), np.uint32)
+    return k, fill
+
+
+_TRUTH_ROW = ((_words(b'{"pulse": '), "pulse_index", _int_field),
+              (_words(b', "lambda_s_nm": '), "lambda_s", _float_field),
+              (_words(b', "lambda_i_nm": '), "lambda_i", _float_field),
+              (_words(b', "signal_detected": '), "signal_detected", _bool_field),
+              (_words(b', "idler_detected": '), "idler_detected", _bool_field),
+              (_words(b', "mcp": '), "mcp_index", _int_field),
+              (_words(b', "x1": '), "x1_index", _int_field),
+              (_words(b', "x2": '), "x2_index", _int_field),
+              (_words(b', "snspd": '), "snspd_index", _int_field))
+_ROW_END = _words(b"}\n")
+
+
+def _truth_chunks(truth):
+    """The JSON lines of `truth`, `_TRUTH_CHUNK_ROWS` rows at a time, as
+    uint8 arrays. The key words are written again only when a chunk's
+    value widths differ from the last chunk's."""
+    m, layout = None, None
+    for lo in range(0, len(truth), _TRUTH_CHUNK_ROWS):
+        rows = slice(lo, lo + _TRUTH_CHUNK_ROWS)
+        fields = [field(getattr(truth, name)[rows]) for _, name, field in _TRUTH_ROW]
+        n, widths = len(truth.pulse_index[rows]), [k for k, _ in fields]
+        if (n, widths) != layout:
+            layout = (n, widths)
+            m = np.empty((n, sum(len(key) for key, _, _ in _TRUTH_ROW) + sum(widths)
+                          + len(_ROW_END)), np.uint32)
+            at = 0
+            for (key, _, _), k in zip(_TRUTH_ROW, widths):
+                m[:, at:at + len(key)] = key
+                at += len(key) + k
+            m[:, at:] = _ROW_END
+        at = 0
+        for (key, _, _), (k, fill) in zip(_TRUTH_ROW, fields):
+            at += len(key)
+            fill(m[:, at:at + k])
+            at += k
+        text = m.view(np.uint8)
+        yield text[text != 0]
 
 
 @dataclass
@@ -154,18 +349,18 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _emit_block(jsa, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi, first_row):
-    """One pulse block, its pairs numbered from `first_row`. Returns the
-    tag columns `t_ps`, `channel` and `label` (4 * pair row + arm, the arm
-    0 MCP, 1 X1, 2 X2, 3 SNSPD; -1 for sync and dark tags) and the pair
-    columns."""
+def _emit_block(draw_pairs, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi, first_row):
+    """One pulse block, its pairs numbered from `first_row` and drawn by
+    `draw_pairs` (a `spdc.pair_sampler`). Returns the tag columns `t_ps`,
+    `channel` and `label` (4 * pair row + arm, the arm 0 MCP, 1 X1, 2 X2,
+    3 SNSPD; -1 for sync and dark tags) and the pair columns."""
     rng = _block_rng(cfg.seed, block)
     slots = pulse_hi - pulse_lo
     period = cfg.pulse_period_ps
 
     n_pairs = int(rng.poisson(cfg.pair_prob_per_pulse * slots))
     pulse = pulse_lo + np.sort(rng.integers(0, slots, n_pairs))
-    lam_s, lam_i = (np.zeros(0), np.zeros(0)) if n_pairs == 0 else sample_pairs(jsa, n_pairs, rng)
+    lam_s, lam_i = (np.zeros(0), np.zeros(0)) if n_pairs == 0 else draw_pairs(n_pairs, rng)
     det_s = rng.random(n_pairs) < cfg.eta_signal
     det_i = rng.random(n_pairs) < cfg.eta_idler
 
@@ -261,11 +456,12 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
     if cfg.pair_prob_per_pulse > 0 and not jsa.normalized:
         raise ValueError("pair sampling requires a normalized amplitude grid")
 
+    draw_pairs = pair_sampler(jsa) if cfg.pair_prob_per_pulse > 0 else None
     n_pulses = cfg.n_pulses
     tag_parts, pair_parts = [], []
     n_pairs = 0
     for block, lo in enumerate(range(0, n_pulses, _BLOCK_PULSES)):
-        block_tags, block_pairs = _emit_block(jsa, cfg, block, lo,
+        block_tags, block_pairs = _emit_block(draw_pairs, cfg, block, lo,
                                               min(lo + _BLOCK_PULSES, n_pulses), n_pairs)
         tag_parts.append(block_tags)
         pair_parts.append(block_pairs)

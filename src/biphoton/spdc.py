@@ -334,25 +334,35 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, grid: FrequencyGrid):
     return JsaGrid(ws, wi, amp.astype(complex)).normalize()
 
 
-def sample_pairs(jsa: JsaGrid, n, rng):
-    """Draw n (lambda_s, lambda_i) pairs with cell probability proportional
-    to |f|^2, uniformly jittered within each cell. rng is a seed or a
-    numpy Generator; a given seed always produces the same sequence."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.Generator(np.random.Philox(key=int(rng)))
-    jsi = jsa.jsi()
+def pair_sampler(jsa: JsaGrid):
+    """Return `draw(n, rng)`, which draws n (lambda_s, lambda_i) pairs from
+    a numpy Generator with cell probability proportional to |f|^2,
+    uniformly jittered within each cell. The cell CDF is built once here
+    and shared by every draw."""
     dws, dwi = jsa.cell_measures()
-    weights = (jsi * dws[:, None] * dwi[None, :]).ravel()
+    weights = (jsa.jsi() * dws[:, None] * dwi[None, :]).ravel()
     total = weights.sum()
     if total <= 0:
         raise ValueError("cannot sample from an all-zero amplitude")
     cdf = np.cumsum(weights / total)
     cdf[-1] = 1.0
-    cells = np.searchsorted(cdf, rng.random(n), side="right")
-    js, ks = np.unravel_index(cells, jsi.shape)
-    w_s = jsa.signal_omega[js] + (rng.random(n) - 0.5) * dws[js]
-    w_i = jsa.idler_omega[ks] + (rng.random(n) - 0.5) * dwi[ks]
-    return wavelength_from_omega(w_s), wavelength_from_omega(w_i)
+
+    def draw(n, rng):
+        cells = np.searchsorted(cdf, rng.random(n), side="right")
+        js, ks = np.unravel_index(cells, jsa.amplitude.shape)
+        w_s = jsa.signal_omega[js] + (rng.random(n) - 0.5) * dws[js]
+        w_i = jsa.idler_omega[ks] + (rng.random(n) - 0.5) * dwi[ks]
+        return wavelength_from_omega(w_s), wavelength_from_omega(w_i)
+
+    return draw
+
+
+def sample_pairs(jsa: JsaGrid, n, rng):
+    """Draw n pairs as `pair_sampler(jsa)` does. rng is a seed or a numpy
+    Generator; a given seed always produces the same sequence."""
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.Generator(np.random.Philox(key=int(rng)))
+    return pair_sampler(jsa)(n, rng)
 
 
 # ---------------------------------------------------------------------------

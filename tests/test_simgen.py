@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -208,6 +209,107 @@ class TestGroundTruthAcrossBlocks:
             "e27f1c042c29442c38c88f479a9e63f81ae777d912195dce939859b4d7eae2a0"
         assert hashlib.sha256((tmp_path / "truth.jsonl").read_bytes()).hexdigest() == \
             "15136545815a63b343c15cc60d638c288d12337ae6c206444ef9cca0958abdbd"
+
+
+def json_lines_oracle(truth):
+    import json
+    return "".join(json.dumps({
+        "pulse": int(truth.pulse_index[k]),
+        "lambda_s_nm": float(truth.lambda_s[k]),
+        "lambda_i_nm": float(truth.lambda_i[k]),
+        "signal_detected": bool(truth.signal_detected[k]),
+        "idler_detected": bool(truth.idler_detected[k]),
+        "mcp": int(truth.mcp_index[k]),
+        "x1": int(truth.x1_index[k]),
+        "x2": int(truth.x2_index[k]),
+        "snspd": int(truth.snspd_index[k]),
+    }) + "\n" for k in range(len(truth))).encode()
+
+
+def field_text(field, values):
+    """Each value as the truth writer formats it, through one chunk's
+    words; words the field leaves unwritten would show as "AAAA"."""
+    k, fill = field(values)
+    words = np.full((len(values), k), 0x41414141, dtype=np.uint32)
+    fill(words)
+    return [bytes(row[row != 0]).decode() for row in words.view(np.uint8)]
+
+
+def float_edges():
+    # values whose scaled form x * 10**s is an exact half: 6e14 + 0.75 is
+    # one tenth-ulp-spaced tie that half-even rounding (repr) takes up
+    halves = [6e14 + 0.25, 6e14 + 0.75, 7e14 + 0.75, 1e14 + 0.125, 1e14 + 0.375,
+              30000000000000.0625, 2.5, 1.25, 0.5, 1.5]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 2.0**53 - 1, 2.0**53,
+             2.0**53 + 2, 1e15, 1e16, 1e-4, 1.0, 2.0, 3.0, 515.0, 1550.0, -515.25, 0.1, 0.3]
+    edges += [2.0**k for k in range(-30, 64)] + [10.0**k for k in range(-8, 24)]
+    edges += [math.nextafter(v, toward) for v in edges[:] + halves
+              for toward in (-math.inf, math.inf) if math.isfinite(math.nextafter(v, toward))]
+    return halves + edges
+
+
+class TestTruthFormatting:
+    """The ground-truth writer formats its columns in numpy; each field
+    must read exactly as `repr` (floats) and `str` (integers) do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(1.0, 1e15)), min_size=1, max_size=40))
+    def test_float_matches_repr(self, values):
+        assert field_text(simgen._float_field, np.array(values)) == [repr(v) for v in values]
+
+    def test_float_edges_match_repr(self):
+        values = float_edges()
+        assert field_text(simgen._float_field, np.array(values)) == [repr(v) for v in values]
+        for v in values:  # alone, so each chunk width comes from the one value
+            assert field_text(simgen._float_field, np.array([v])) == [repr(v)]
+
+    def test_wavelength_digits_found_without_repr(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([515.0 + rng.normal(size=2000), 1550.0 + 5 * rng.normal(size=2000)])
+        _, _, exact = simgen._shortest_digits(values)
+        assert exact.all()
+        assert field_text(simgen._float_field, values) == [repr(v) for v in values.tolist()]
+
+    def test_int_matches_str(self):
+        values = [-1, 0, 9, 10, 2**63 - 1, 9999, 10000, 123456789, -10000, -(2**63 - 1)]
+        assert field_text(simgen._int_field, np.array(values, dtype=np.int64)) == \
+            [str(v) for v in values]
+        for v in values:
+            assert field_text(simgen._int_field, np.array([v], dtype=np.int64)) == [str(v)]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, None])
+    def test_jsonl_matches_oracle_at_chunk_sizes(self, monkeypatch, tmp_path, model_jsa,
+                                                 chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(simgen, "_TRUTH_CHUNK_ROWS", chunk_rows)
+        cfg = clean_acquisition(duration_s=0.002, eta_signal=0.5, eta_idler=0.5)
+        truth = simgen.generate(model_jsa, cfg).truth
+        assert len(truth) > 7 and (truth.snspd_index == -1).any()
+        truth.write_jsonl(tmp_path / "truth.jsonl")
+        assert (tmp_path / "truth.jsonl").read_bytes() == json_lines_oracle(truth)
+
+    def test_no_pairs_writes_empty_file(self, tmp_path, model_jsa):
+        truth = simgen.generate(model_jsa, clean_acquisition(pair_prob_per_pulse=0.0,
+                                                             duration_s=0.001)).truth
+        assert len(truth) == 0
+        truth.write_jsonl(tmp_path / "truth.jsonl")
+        assert (tmp_path / "truth.jsonl").read_bytes() == b""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_wavelength_rejected(self, tmp_path, bad):
+        n = 5
+        index = np.full(n, -1, dtype=np.int64)
+        lam_s, lam_i = np.full(n, 515.0), np.full(n, 1550.0)
+        lam_i[3] = bad
+        lam_s[4] = np.nan
+        truth = simgen.GroundTruth(np.arange(n), lam_s, lam_i, np.zeros(n, bool),
+                                   np.zeros(n, bool), index, index, index, index)
+        path = tmp_path / "truth.jsonl"
+        with pytest.raises(ValueError, match="pair row 3"):
+            truth.write_jsonl(path)
+        assert not path.exists()
 
 
 class TestRateAlgebra:
