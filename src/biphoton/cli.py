@@ -192,7 +192,7 @@ def _jsi_writer(out, cfg, event_cfg, tick):
 @click.argument("ttag_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
-@click.option("--threads", default=1, show_default=True,
+@click.option("--threads", default=1, show_default=True, type=click.IntRange(min=1),
               help="Worker threads; output is identical for any value.")
 def cmd_build(ttag_path, config_path, out_dir, threads):
     """Build events, coincidences, spectra and the static joint spectrum."""
@@ -241,7 +241,7 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
 @click.option("--origin", "origin_ps", default=None, type=float,
               help="First window edge as a sync offset in ps "
                    "(default: centered on the response-function peak).")
-@click.option("--frames", default=5, show_default=True)
+@click.option("--frames", default=5, show_default=True, type=click.IntRange(min=1))
 def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
     """Time-resolved joint spectra: one frame per sync-offset window."""
     cfg = load_run_config(config_path)

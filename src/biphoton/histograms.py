@@ -142,8 +142,8 @@ def write_histogram1d_csv(path, hist: Histogram1D, axis_name, tick_ps, meta=None
     with open(path, "w", newline="") as fh:
         _write_header(fh, header)
         fh.write(f"{axis_name}_ticks,count\n")
-        for c, n in zip(hist.spec.centers(), hist.counts):
-            fh.write(f"{float(c)!r},{int(n)}\n")
+        fh.writelines(f"{c!r},{n}\n"
+                      for c, n in zip(hist.spec.centers().tolist(), hist.counts.tolist()))
 
 
 def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, meta=None,
@@ -168,9 +168,7 @@ def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, meta=None,
     header.update(meta or {})
     with open(path, "w", newline="") as fh:
         _write_header(fh, header)
-        for row in hist.counts:
-            fh.write(",".join(str(int(v)) for v in row))
-            fh.write("\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in hist.counts.tolist())
 
 
 def read_matrix_csv(path):
@@ -202,6 +200,5 @@ def write_matrix_csv(path, matrix, meta):
     """Float matrix with the same header convention (model intensities)."""
     with open(path, "w", newline="") as fh:
         _write_header(fh, meta)
-        for row in np.asarray(matrix):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        fh.writelines(",".join(map(repr, row)) + "\n"
+                      for row in np.asarray(matrix, dtype=np.float64).tolist())

@@ -118,6 +118,11 @@ class TagColumns:
         return cls(np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.int64))
 
     @classmethod
+    def empty_of(cls, n):
+        """Uninitialised columns for n tags."""
+        return cls(np.empty(n, dtype=np.uint16), np.empty(n, dtype=np.int64))
+
+    @classmethod
     def concatenate(cls, parts):
         parts = list(parts)
         if not parts:
@@ -242,11 +247,13 @@ def write_stream(header, tags: TagColumns, sink: BinaryIO):
     return HEADER_SIZE + RECORD_SIZE * len(tags)
 
 
-def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
+def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS, into=None):
     """Read the header eagerly, then yield TagColumns in bounded blocks.
 
     Returns (header, block_iterator). Single pass; memory bounded by
-    block_records. When the block holding the fault is reached, raises a
+    block_records. Each block is decoded into fresh columns or, when `into`
+    (TagColumns with room for every record) is given, straight into its
+    slice of `into`. When the block holding the fault is reached, raises a
     StreamFormatError naming its byte offset for a partial record, a record
     on a channel outside the header's channel map, a timestamp of 2**63
     ticks or more, a record out of (timestamp, channel) order, within a
@@ -257,8 +264,8 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
     first_unmapped = _unmapped_finder(header.channel_map)
 
     def blocks():
-        # one record buffer for the whole pass: every block is decoded into
-        # fresh columns, so the buffer can be refilled
+        # one record buffer for the whole pass: every block is decoded out
+        # of it, so the buffer can be refilled
         buffer = np.empty(block_records, dtype=RECORD_DTYPE)
         offset = HEADER_SIZE
         seen = 0
@@ -269,7 +276,10 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
                 raise TruncatedStreamError("stream truncated mid-record",
                                            offset + whole * RECORD_SIZE)
             records = buffer[:whole]
-            block = TagColumns(records["channel"].copy(), records["timestamp"])
+            block = (TagColumns.empty_of(whole) if into is None
+                     else into[seen:seen + whole])
+            block.channel[:] = records["channel"]
+            block.timestamp[:] = records["timestamp"]
             bad = first_unmapped(block.channel)
             if bad is not None:
                 raise UnmappedChannelError(
@@ -300,20 +310,16 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
 
 def read_stream_arrays(source: BinaryIO):
     """Eager reader for a seekable source: returns (header, TagColumns with
-    all records), filled block by block into preallocated columns."""
+    all records), each block decoded straight into preallocated columns."""
     start = source.tell()
     size = source.seek(0, io.SEEK_END) - start
     source.seek(start)
     n = max(size - HEADER_SIZE, 0) // RECORD_SIZE
     # np.empty, unlike np.zeros, gets huge pages, which halves the cost of
     # first touching the columns
-    tags = TagColumns(np.empty(n, dtype=np.uint16), np.empty(n, dtype=np.int64))
-    header, blocks = iter_stream_blocks(source)
-    filled = 0
-    for block in blocks:
-        tags.channel[filled:filled + len(block)] = block.channel
-        tags.timestamp[filled:filled + len(block)] = block.timestamp
-        filled += len(block)
+    tags = TagColumns.empty_of(n)
+    header, blocks = iter_stream_blocks(source, into=tags)
+    filled = sum(len(block) for block in blocks)
     return header, tags[:filled]
 
 

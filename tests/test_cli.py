@@ -255,6 +255,29 @@ class TestBuild:
         assert not (tmp_path / "out").exists()
 
 
+class TestCountOptions:
+    @pytest.mark.parametrize("command,option,value", [("build", "--threads", 0),
+                                                      ("build", "--threads", -3),
+                                                      ("slice", "--frames", 0)])
+    def test_bad_count_exits_2_before_reading(self, monkeypatch, capsys, tmp_path, pipeline,
+                                              command, option, value):
+        _, cfg = pipeline
+        # reading this stream would fail with exit 1
+        junk = tmp_path / "junk.ttag"
+        junk.write_bytes(b"XTAG" + bytes(40))
+        capsys.readouterr()
+        run_cli(monkeypatch, [command, junk, cfg, tmp_path / "out", option, value], expect=2)
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_least_counts_accepted(self, monkeypatch, tmp_path, pipeline):
+        tmp, cfg = pipeline
+        run_cli(monkeypatch, ["build", tmp / "tags.ttag", cfg, tmp_path / "b", "--threads", 1])
+        run_cli(monkeypatch, ["slice", tmp / "tags.ttag", cfg, tmp_path / "s", "--frames", 1])
+        assert json.loads((tmp_path / "b/manifest.json").read_text())["threads"] == 1
+        assert (tmp_path / "s/frame_00.csv").exists()
+
+
 class TestSlice:
     def test_single_wide_frame_reproduces_static(self, monkeypatch, tmp_path, pipeline):
         tmp, cfg = pipeline

@@ -409,3 +409,147 @@ class TestRatesReport:
                                     duration_s=duration_ticks * 25e-12)
         assert result.diagnostics["coincidences"] > 1000
         assert rates["coincidence_to_accidental"] == pytest.approx(1.0, abs=0.15)
+
+
+sorted_ticks = st.lists(st.integers(-5, 25), max_size=40).map(sorted)
+
+
+def split_by_masks(tags, channel_map):
+    """The boolean-indexing demux that split_channels applies with
+    np.compress, kept as its oracle."""
+    t, ch = tags.timestamp, tags.channel
+    is_sync = ch == channel_map.sync
+    times = {"sync": t[is_sync]}
+    rest = ~is_sync
+    t_rest, ch_rest = t[rest], ch[rest]
+    for role in engine._ROLES:
+        if role != "sync":
+            times[role] = t_rest[ch_rest == getattr(channel_map, role)]
+    return times
+
+
+@st.composite
+def channel_maps(draw):
+    """Distinct ids up to the u16 limit, the sync id the lowest or highest."""
+    ids = sorted(draw(st.sets(st.sampled_from([0, 1, 2, 5, 9, 300, 0xFFFE, 0xFFFF])
+                              | st.integers(0, 0xFFFF), min_size=7, max_size=7)))
+    sync = ids.pop(0) if draw(st.booleans()) else ids.pop()
+    others = draw(st.permutations(ids))
+    return ChannelMap(*others, sync=sync)
+
+
+class TestMatchKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(arr=sorted_ticks, keys=sorted_ticks, side=st.sampled_from(["left", "right"]))
+    def test_rank_equals_searchsorted(self, arr, keys, side):
+        # a narrow tick range puts duplicates in both runs and ties between them
+        arr, keys = np.array(arr, dtype=np.int64), np.array(keys, dtype=np.int64)
+        got = engine._rank(arr, keys, side)
+        assert got.tolist() == np.searchsorted(arr, keys, side=side).tolist()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_rank_empty_and_tied(self, side):
+        empty = np.zeros(0, dtype=np.int64)
+        tied = np.array([3, 3, 3], dtype=np.int64)
+        assert engine._rank(empty, tied, side).tolist() == [0, 0, 0]
+        assert engine._rank(tied, empty, side).tolist() == []
+        assert engine._rank(tied, tied, side).tolist() == ([0, 0, 0] if side == "left"
+                                                          else [3, 3, 3])
+
+    @settings(max_examples=300, deadline=None)
+    @given(arr=st.lists(st.integers(0, 12), max_size=60).map(sorted), keys=sorted_ticks,
+           width=st.integers(0, 8), side=st.sampled_from(["left", "right"]))
+    def test_count_hits_equals_two_searches(self, arr, keys, width, side):
+        # up to 60 tags on 13 ticks: many tags per tick and gates far past
+        # the forward step limit
+        arr, keys = np.array(arr, dtype=np.int64), np.array(keys, dtype=np.int64)
+        lo = np.searchsorted(arr, keys, side=side)
+        end = keys + width
+        expected = np.searchsorted(arr, end, side="right") - lo
+        assert engine._count_hits(arr, lo, end, exact=True).tolist() == expected.tolist()
+        assert engine._count_hits(arr, lo, end, exact=False).tolist() == \
+            np.minimum(expected, 2).tolist()
+
+    def test_count_hits_past_step_limit(self):
+        n = 3 * engine._SCAN_STEPS
+        arr = np.repeat(np.arange(4, dtype=np.int64), n)   # n tags on each tick
+        keys = np.array([0, 1, 2, 3, 3], dtype=np.int64)
+        lo = np.searchsorted(arr, keys, side="left")
+        end = keys + np.array([0, 1, 5, 0, -1])
+        assert engine._count_hits(arr, lo, end, exact=True).tolist() == [n, 2 * n, 2 * n, n, 0]
+        assert engine._count_hits(arr, lo, end, exact=False).tolist() == [2, 2, 2, 2, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(cmap=channel_maps(),
+           rows=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 50)), max_size=80))
+    def test_split_channels_matches_mask_oracle(self, cmap, rows):
+        # role index 7 is a channel outside the map, which both must ignore
+        ids = [*cmap.ids(), next(c for c in range(9) if c not in cmap.ids())]
+        tags = TagColumns([ids[r] for r, _ in rows], [t for _, t in rows])
+        tags = tags[np.lexsort((tags.channel, tags.timestamp))]
+        got, want = engine.split_channels(tags, cmap), split_by_masks(tags, cmap)
+        assert list(got) == list(want)
+        for role in engine._ROLES:
+            assert got[role].dtype == np.int64
+            assert got[role].tolist() == want[role].tolist(), role
+
+
+class TestWindowEdges:
+    def test_wire_tag_on_trigger_tick_not_counted(self):
+        cfg = small_cfg()
+        # the X1 tag on the trigger's tick sorts before the trigger's window
+        tags = tags_from([("mcp", 1000), ("dld_x1", 1000), ("dld_x1", 1010),
+                          ("dld_x2", 1030)])
+        events, diag = build_events(tags, cfg)
+        assert events.dt_x.tolist() == [-20]
+        assert diag["multi_x1"] == 0
+
+    def test_wire_tag_on_window_end_counted(self):
+        cfg = small_cfg()
+        w = cfg.dld_window_ticks
+        tags = tags_from([("mcp", 1000), ("dld_x1", 1000 + w), ("dld_x1", 1001 + w),
+                          ("dld_x2", 1000 + w - 20)])
+        events, diag = build_events(tags, cfg)
+        assert events.dt_x.tolist() == [20]
+        # a second tag on the end tick makes two candidates
+        tags = tags_from([("mcp", 1000), ("dld_x1", 1000 + w), ("dld_x1", 1000 + w),
+                          ("dld_x2", 1000 + w - 20)])
+        events, diag = build_events(tags, cfg)
+        assert len(events) == 0 and diag["multi_x1"] == 1
+
+    def test_snspd_tags_on_both_gate_edges_counted(self):
+        cfg = small_cfg()
+        lo = cfg.gate_center_ticks - cfg.gate_half_width_ticks
+        hi = cfg.gate_center_ticks + cfg.gate_half_width_ticks
+        disp = cfg.sync_period_ticks
+        tags = tags_from([("mcp", 100), ("dld_x1", 110), ("dld_x2", 130),
+                          ("snspd", 99 + lo), ("snspd", 100 + lo), ("snspd", 100 + hi),
+                          ("snspd", 101 + hi),
+                          ("snspd", 100 + lo + disp), ("snspd", 100 + hi + disp)])
+        result = engine.build(tags, CMAP, cfg)
+        assert result.coincidences.tau.tolist() == [lo, hi]
+        assert result.diagnostics["multi_hit_gates"] == 1
+        assert result.diagnostics["displaced_gate_hits"] == 2
+
+    def test_many_snspd_tags_on_one_tick(self):
+        cfg = small_cfg()
+        n = 5 * engine._SCAN_STEPS
+        tags = tags_from([("mcp", 100), ("dld_x1", 110), ("dld_x2", 130)]
+                         + [("snspd", 100 + cfg.gate_center_ticks)] * n
+                         + [("snspd", 100 + cfg.gate_center_ticks + cfg.sync_period_ticks)] * n)
+        result = engine.build(tags, CMAP, cfg)
+        assert result.coincidences.tau.tolist() == [cfg.gate_center_ticks] * n
+        assert result.diagnostics["extra_gate_hits"] == n - 1
+        assert result.diagnostics["displaced_gate_hits"] == n
+
+    @pytest.mark.parametrize("cmap", [CMAP, ChannelMap(mcp=6, dld_x1=1, dld_x2=2, dld_y1=3,
+                                                       dld_y2=4, snspd=5, sync=0)])
+    def test_sync_on_trigger_tick_gives_offset_zero(self, cmap):
+        cfg = small_cfg()
+        tags = TagColumns([cmap.sync, cmap.mcp, cmap.dld_x1, cmap.dld_x2],
+                          [900, 1000, 1010, 1030])
+        tags = TagColumns.concatenate([tags, TagColumns([cmap.sync], [1000])])
+        tags = tags[np.lexsort((tags.channel, tags.timestamp))]
+        events = engine.build(tags, cmap, cfg).events
+        assert events.has_sync.tolist() == [True]
+        assert events.sync_offset.tolist() == [0]

@@ -275,3 +275,35 @@ class TestMergeSorted:
                         for c, t in zip(s.channel, s.timestamp))
         assert list(zip(merged.timestamp.tolist(), merged.channel.tolist())) == oracle
         assert ts.first_order_violation(merged) is None
+
+
+class TestWholeStreamReader:
+    """read_stream_arrays decodes every block straight into its slice of
+    the whole-stream columns, so blocks after the first must land after
+    it and keep the cross-block checks."""
+
+    def multi_block_stream(self):
+        rng = np.random.Generator(np.random.Philox(key=13))
+        tags = random_sorted_tags(rng, 2 * ts._BLOCK_RECORDS + 5, 10**12)
+        return tags, stream_bytes(tags)
+
+    def test_matches_block_reader_over_many_blocks(self):
+        tags, raw = self.multi_block_stream()
+        header, out = ts.read_stream_arrays(io.BytesIO(raw))
+        assert header.record_count == len(tags)
+        assert out.channel.dtype == np.uint16 and out.timestamp.dtype == np.int64
+        assert_same_tags(out, tags)
+
+    def test_fault_in_later_block_names_offset(self):
+        tags, raw = self.multi_block_stream()
+        k = ts._BLOCK_RECORDS + 3
+        records = np.frombuffer(bytearray(raw[ts.HEADER_SIZE:]), dtype=ts.RECORD_DTYPE).copy()
+        records["timestamp"][k] = 0
+        bad = raw[:ts.HEADER_SIZE] + records.tobytes()
+        with pytest.raises(ts.RecordOrderError) as err:
+            ts.read_stream_arrays(io.BytesIO(bad))
+        assert err.value.byte_offset == ts.HEADER_SIZE + k * ts.RECORD_SIZE
+        records["timestamp"][k] = 2**63
+        with pytest.raises(ts.TimestampRangeError) as err:
+            ts.read_stream_arrays(io.BytesIO(raw[:ts.HEADER_SIZE] + records.tobytes()))
+        assert err.value.byte_offset == ts.HEADER_SIZE + k * ts.RECORD_SIZE
