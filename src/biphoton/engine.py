@@ -22,10 +22,6 @@ from .tagstream import ChannelMap, TagColumns
 
 _ROLES = tuple(f.name for f in fields(ChannelMap))
 
-#: forward steps of a gate's hit count before the windows still open fall
-#: back to a binary search
-_SCAN_STEPS = 4
-
 
 @dataclass
 class EventBuildConfig:
@@ -151,31 +147,12 @@ def _merge_diag(a, b):
     return out
 
 
-def _rank(arr, keys, side):
-    """`np.searchsorted(arr, keys, side)` for sorted `keys`. When `arr` is
-    at most twice as long as `keys` it is one linear merge: a stable sort of
-    the two sorted runs, in which each key sorts after its equal entries of
-    `arr` for side="right" and before them for side="left". An empty or
-    longer `arr`, such as the sync markers or a gate crowded with tags, is
-    searched, which then measures faster than merging all of it."""
-    if not len(arr) or len(arr) > 2 * len(keys):
-        return np.searchsorted(arr, keys, side=side)
-    if side == "right":
-        order = np.argsort(np.concatenate((arr, keys)), kind="stable")
-        at = np.flatnonzero(order >= len(arr))
-    else:
-        order = np.argsort(np.concatenate((keys, arr)), kind="stable")
-        at = np.flatnonzero(order < len(keys))
-    return at - np.arange(len(keys))
-
-
 def _count_hits(arr, lo, end, exact):
     """Per window, how many entries of sorted `arr` from index `lo` on are
-    at most `end`, found by testing arr[lo + k] <= end for k = 0, 1, ...
+    at most `end`, found by testing arr[lo] and arr[lo + 1] against `end`.
     With exact=False the count stops at 2, which tells the wire windows
-    apart: no tag, one tag, more than one. With exact=True the windows still
-    open after _SCAN_STEPS steps are closed by one binary search, so a gate
-    with many tags costs no more than a search."""
+    apart: no tag, one tag, more than one. With exact=True the windows that
+    hold both are closed by one binary search over those windows only."""
     if not len(arr):
         return np.zeros(len(lo), dtype=np.int64)
     last = len(arr) - 1
@@ -183,18 +160,11 @@ def _count_hits(arr, lo, end, exact):
     def hit(at, end):
         return (at <= last) & (arr.take(at, mode="clip") <= end)
 
-    # the first two steps test every window: most close within them
     second = hit(lo + 1, end)
     n = hit(lo, end) + second.astype(np.int64)
-    if not exact:
-        return n
-    open_ = np.flatnonzero(second)
-    for k in range(2, _SCAN_STEPS):
-        open_ = open_[hit(lo[open_] + k, end[open_])]
-        if not len(open_):
-            return n
-        n[open_] += 1
-    n[open_] = np.searchsorted(arr, end[open_], side="right") - lo[open_]
+    if exact:
+        open_ = np.flatnonzero(second)
+        n[open_] = np.searchsorted(arr, end[open_], side="right") - lo[open_]
     return n
 
 
@@ -214,7 +184,7 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi):
     def first_and_count(role, keep=slice(None)):
         # 0, 1 or 2 (more than one) wire tags in each trigger's window
         arr = times[role]
-        lo = _rank(arr, mcp[keep], side="right")
+        lo = np.searchsorted(arr, mcp[keep], side="right")
         return lo, _count_hits(arr, lo, window_end[keep], exact=False)
 
     lo1, n1 = first_and_count("dld_x1")
@@ -241,7 +211,7 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi):
         dt_y[has_y] = times["dld_y1"][loy1[has_y]] - times["dld_y2"][loy2[has_y]]
 
     sync = times["sync"]
-    si = _rank(sync, t_mcp, side="right") - 1
+    si = np.searchsorted(sync, t_mcp, side="right") - 1
     has_sync = si >= 0
     sync_offset = np.zeros(len(t_mcp), dtype=np.int64)
     sync_offset[has_sync] = t_mcp[has_sync] - sync[si[has_sync]]
@@ -267,7 +237,7 @@ def _match_coincidences(times, events: DldEvents, cfg: EventBuildConfig):
     snspd = times["snspd"]
     gate_lo = events.t_mcp + cfg.gate_center_ticks - cfg.gate_half_width_ticks
     gate_hi = events.t_mcp + cfg.gate_center_ticks + cfg.gate_half_width_ticks
-    lo = _rank(snspd, gate_lo, side="left")
+    lo = np.searchsorted(snspd, gate_lo, side="left")
     counts = _count_hits(snspd, lo, gate_hi, exact=True)
     owner, sn_t = _expand_gate(snspd, lo, counts)
     tau = sn_t - events.t_mcp[owner]
@@ -278,7 +248,7 @@ def _match_coincidences(times, events: DldEvents, cfg: EventBuildConfig):
     diag["extra_gate_hits"] = int(np.clip(counts - 1, 0, None).sum())
 
     disp = cfg.sync_period_ticks
-    dlo = _rank(snspd, gate_lo + disp, side="left")
+    dlo = np.searchsorted(snspd, gate_lo + disp, side="left")
     diag["displaced_gate_hits"] = int(_count_hits(snspd, dlo, gate_hi + disp, exact=True).sum())
     return coinc, diag
 

@@ -440,28 +440,11 @@ def channel_maps(draw):
 
 class TestMatchKernels:
     @settings(max_examples=300, deadline=None)
-    @given(arr=sorted_ticks, keys=sorted_ticks, side=st.sampled_from(["left", "right"]))
-    def test_rank_equals_searchsorted(self, arr, keys, side):
-        # a narrow tick range puts duplicates in both runs and ties between them
-        arr, keys = np.array(arr, dtype=np.int64), np.array(keys, dtype=np.int64)
-        got = engine._rank(arr, keys, side)
-        assert got.tolist() == np.searchsorted(arr, keys, side=side).tolist()
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_rank_empty_and_tied(self, side):
-        empty = np.zeros(0, dtype=np.int64)
-        tied = np.array([3, 3, 3], dtype=np.int64)
-        assert engine._rank(empty, tied, side).tolist() == [0, 0, 0]
-        assert engine._rank(tied, empty, side).tolist() == []
-        assert engine._rank(tied, tied, side).tolist() == ([0, 0, 0] if side == "left"
-                                                          else [3, 3, 3])
-
-    @settings(max_examples=300, deadline=None)
     @given(arr=st.lists(st.integers(0, 12), max_size=60).map(sorted), keys=sorted_ticks,
            width=st.integers(0, 8), side=st.sampled_from(["left", "right"]))
     def test_count_hits_equals_two_searches(self, arr, keys, width, side):
         # up to 60 tags on 13 ticks: many tags per tick and gates far past
-        # the forward step limit
+        # the two forward tests
         arr, keys = np.array(arr, dtype=np.int64), np.array(keys, dtype=np.int64)
         lo = np.searchsorted(arr, keys, side=side)
         end = keys + width
@@ -470,8 +453,8 @@ class TestMatchKernels:
         assert engine._count_hits(arr, lo, end, exact=False).tolist() == \
             np.minimum(expected, 2).tolist()
 
-    def test_count_hits_past_step_limit(self):
-        n = 3 * engine._SCAN_STEPS
+    def test_count_hits_many_tags_per_tick(self):
+        n = 12
         arr = np.repeat(np.arange(4, dtype=np.int64), n)   # n tags on each tick
         keys = np.array([0, 1, 2, 3, 3], dtype=np.int64)
         lo = np.searchsorted(arr, keys, side="left")
@@ -533,7 +516,7 @@ class TestWindowEdges:
 
     def test_many_snspd_tags_on_one_tick(self):
         cfg = small_cfg()
-        n = 5 * engine._SCAN_STEPS
+        n = 20
         tags = tags_from([("mcp", 100), ("dld_x1", 110), ("dld_x2", 130)]
                          + [("snspd", 100 + cfg.gate_center_ticks)] * n
                          + [("snspd", 100 + cfg.gate_center_ticks + cfg.sync_period_ticks)] * n)
