@@ -10,6 +10,7 @@ thread count.
 """
 
 import functools
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -21,6 +22,14 @@ from .histograms import BinSpec, Histogram1D, Histogram2D
 from .tagstream import ChannelMap, TagColumns
 
 _ROLES = tuple(f.name for f in fields(ChannelMap))
+
+#: tags in (lo, hi] of one build step. Measured on a sync-heavy and a
+#: dense stream: as fast as the fastest count of non-sync tags on both,
+#: and small enough that a pool's steps in flight stay small
+_STEP_BUDGET = 1 << 18
+
+#: most entries of an EventBuildConfig's fold table (8 MB)
+_FOLD_TABLE_MAX = 1 << 20
 
 
 @dataclass
@@ -57,6 +66,16 @@ class EventBuildConfig:
         else:
             n = self.sync_period_ticks + 1
         self.irf_spec = BinSpec(0, 1, n)
+
+    @functools.cached_property
+    def fold_table(self):
+        """Folded sync offsets 0 .. sync_period_ticks (at most
+        `_FOLD_TABLE_MAX` of them) for `fold_offset_values`, or None
+        without folding."""
+        if self.fold_period_ps is None:
+            return None
+        size = min(self.sync_period_ticks, _FOLD_TABLE_MAX - 1) + 1
+        return _fold_by_formula(np.arange(size), self)
 
     def lookahead_ticks(self):
         return max(self.dld_window_ticks,
@@ -253,14 +272,26 @@ def _match_coincidences(times, events: DldEvents, cfg: EventBuildConfig):
     return coinc, diag
 
 
+def _fold_by_formula(offsets, cfg: EventBuildConfig):
+    phase_ps = np.mod(offsets.astype(np.float64) * cfg.tick_ps, cfg.fold_period_ps)
+    return np.floor(phase_ps / cfg.tick_ps).astype(np.int64)
+
+
 def fold_offset_values(sync_offset_ticks, cfg: EventBuildConfig):
     """Sync offsets mapped to histogram tick indices, folding the offset
-    into one laser period when folding is enabled."""
+    into one laser period when folding is enabled. Offsets within one sync
+    period are looked up in `cfg.fold_table`; the rest are folded by the
+    same float expression that made the table."""
     offsets = np.asarray(sync_offset_ticks, dtype=np.int64)
     if cfg.fold_period_ps is None:
         return offsets
-    phase_ps = np.mod(offsets.astype(np.float64) * cfg.tick_ps, cfg.fold_period_ps)
-    return np.floor(phase_ps / cfg.tick_ps).astype(np.int64)
+    table = cfg.fold_table
+    values = table.take(offsets, mode="clip")
+    # a negative offset is a huge unsigned one, so one test finds both ends
+    beyond = np.flatnonzero(offsets.view(np.uint64) >= len(table))
+    if len(beyond):
+        values[beyond] = _fold_by_formula(offsets[beyond], cfg)
+    return values
 
 
 def new_histograms(cfg: EventBuildConfig):
@@ -357,34 +388,87 @@ def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns
     return events, coinc, diag
 
 
+def _last_sync(channel, start, stop, sync_channel, chunk):
+    """Index of the last sync tag in channel[start:stop], or -1. Scans back
+    from `stop` a chunk at a time, so a sync-heavy stream reads one chunk."""
+    while stop > start:
+        a = max(start, stop - chunk)
+        is_sync = channel[a:stop] == sync_channel
+        if is_sync.any():
+            return stop - 1 - int(is_sync[::-1].argmax())
+        stop = a
+    return -1
+
+
 def _steps(blocks, sync_channel, lookahead):
     """Cut an iterator of TagColumns blocks into self-contained steps
-    (tags, lo, hi). A step holds the last sync tag at or before the previous
-    cutoff `lo`, then every tag after `lo` read so far; its cutoff `hi`
-    trails the last of them by the lookahead, and the last step's cutoff is
-    the last tag. An empty stream is one empty step."""
+    (tags, lo, hi) of at most `_STEP_BUDGET` tags in (lo, hi], unless one
+    tick holds more. A step is a view of its block from the last sync tag
+    at or before `lo` up to `hi + lookahead`; only when that sync tag lies
+    a budget or more back is the step a copy of it and the tags after
+    `lo`. Across a block boundary only the carry is copied: the lookahead
+    tail, joined to the head of the next block up to its first sync tag
+    (or to the whole block, if it ends within the lookahead), after the
+    last sync tag. The last step's cutoff is the last tag. An empty stream
+    is one empty step."""
+    budget = _STEP_BUDGET
     lo = np.iinfo(np.int64).min
-    pending = TagColumns.empty()
+    sync = TagColumns.empty()           # the last sync tag at or before lo
+
+    def cut(tags, limit):
+        # steps of `tags`, which holds every tag after lo before
+        # limit + lookahead, with cutoffs up to `limit`
+        nonlocal lo, sync
+        ts, ch = tags.timestamp, tags.channel
+        at = -1                         # index of `sync` in `tags`, if there
+        seen = 0                        # tags before it were searched for sync tags
+        while True:
+            pos = int(np.searchsorted(ts, lo, side="right"))
+            found = _last_sync(ch, seen, pos, sync_channel, budget)
+            if found >= 0:
+                at, sync = found, TagColumns.concatenate([tags[found:found + 1]])
+            seen = pos
+            if lo >= limit:
+                return
+            hi = min(int(ts[min(pos + budget, len(ts)) - 1]), limit)
+            end = int(np.searchsorted(ts, hi + lookahead, side="left"))
+            if at >= 0 and pos - at < budget:
+                step = tags[at:end]
+            elif len(sync):
+                step = TagColumns.concatenate([sync, tags[pos:end]])
+            else:
+                step = tags[pos:end]
+            yield step, lo, hi
+            lo = hi
+
+    carry = TagColumns.empty()          # the tags after lo
     for block in blocks:
         if len(block) == 0:
             continue
-        pending = TagColumns.concatenate([pending, block])
-        hi = int(pending.timestamp[-1]) - lookahead
-        if hi <= lo:
-            continue
-        yield pending, lo, hi
-        cut = int(np.searchsorted(pending.timestamp, hi, side="right"))
-        is_sync = pending.channel[:cut] == sync_channel
-        keep = [cut - 1 - int(np.argmax(is_sync[::-1]))] if is_sync.any() else []
-        pending, lo = TagColumns.concatenate([pending[keep], pending[cut:]]), hi
-    yield pending, lo, int(pending.timestamp[-1]) if len(pending) else lo
+        ts = block.timestamp
+        if len(carry):
+            is_sync = block.channel[:budget] == sync_channel
+            hi = int(ts[is_sync.argmax()] if is_sync.any() else carry.timestamp[-1])
+            if ts[-1] < hi + lookahead:
+                carry = TagColumns.concatenate([carry, block])
+                continue
+            head = block[:np.searchsorted(ts, hi + lookahead, side="left")]
+            yield from cut(TagColumns.concatenate([carry, head]), hi)
+        yield from cut(block, int(ts[-1]) - lookahead)
+        carry = TagColumns.concatenate([block[np.searchsorted(ts, lo, side="right"):]])
+    if len(carry):
+        yield from cut(carry, int(carry.timestamp[-1]))
+    else:
+        yield carry, lo, lo
 
 
 def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
     """The one build driver: (events, coincidences, diagnostics) of each
-    step of the block stream, in stream order. With threads > 1 the steps
-    run on a pool with at most threads + 1 in flight; with 1 they run on the
-    calling thread."""
+    step of the block stream, in stream order. Steps are taken from the
+    stream in order; with threads > 1 they run on a pool with at most
+    threads + 1 in flight, so memory grows with the thread count and the
+    step budget, not with the stream. With 1 they run on the calling
+    thread."""
     steps = _steps(blocks, channel_map.sync, cfg.lookahead_ticks())
     run = functools.partial(_build_step, channel_map, cfg)
     if threads <= 1:
@@ -413,14 +497,19 @@ def build(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig, thre
     return BuildResult(events, coinc, hists, diag)
 
 
-def fold_stream_blocks(blocks, channel_map: ChannelMap, cfg: EventBuildConfig):
+def fold_stream_blocks(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads=None):
     """Bounded-memory build over an iterator of TagColumns blocks: the
-    build driver on the calling thread, each step folded into the histograms.
+    build driver on `threads` workers (None: every CPU this process may
+    use), each step folded into the histograms on the calling thread.
     Histograms and diagnostics are identical to `build` for any block
-    partition; event and coincidence columns are not retained."""
+    partition and thread count; event and coincidence columns are not
+    retained."""
+    if threads is None:
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     hists = new_histograms(cfg)
     diag = _fresh_diag()
-    for events, coinc, d in _drive(blocks, channel_map, cfg):
+    for events, coinc, d in _drive(blocks, channel_map, cfg, threads):
         accumulate_histograms(coinc, events, cfg, into=hists)
         diag = _merge_diag(diag, d)
         del events, coinc   # not alive while the next step runs

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -536,3 +538,197 @@ class TestWindowEdges:
         events = engine.build(tags, cmap, cfg).events
         assert events.has_sync.tolist() == [True]
         assert events.sync_offset.tolist() == [0]
+
+
+def record_steps(mp):
+    """Wrap engine._build_step so that each step's (tags, lo, hi) is kept."""
+    steps = []
+    build_step = engine._build_step
+
+    def wrapped(channel_map, cfg, tags, lo, hi):
+        steps.append((tags, lo, hi))
+        return build_step(channel_map, cfg, tags, lo, hi)
+
+    mp.setattr(engine, "_build_step", wrapped)
+    return steps
+
+
+def assert_same_result(got, want):
+    assert got.diagnostics == want.diagnostics
+    for name, hist in want.histograms.items():
+        assert np.array_equal(got.histograms[name].counts, hist.counts), name
+
+
+def assert_steps_tile(steps, tags):
+    """The steps' (lo, hi] intervals follow each other from the start of
+    the stream, and the last one ends at the last tag."""
+    cuts = sorted((lo, hi) for _, lo, hi in steps)
+    assert cuts[0][0] == np.iinfo(np.int64).min
+    assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
+    assert cuts[-1][1] == (tags.timestamp[-1] if len(tags) else cuts[0][0])
+
+
+class TestStepCutter:
+    @settings(max_examples=100, deadline=None)
+    @given(tags=random_streams(), budget=st.integers(1, 8), block=st.integers(1, 64),
+           cuts=st.lists(st.integers(0, 300), max_size=12),
+           threads=st.sampled_from([1, 2, 4]),
+           fold_period_ps=st.sampled_from([None, 250.0]))
+    def test_any_budget_equals_oracle(self, tags, budget, block, cuts, threads,
+                                      fold_period_ps):
+        cfg = tiny_cfg(fold_period_ps)
+        edges = [0, *sorted(c for c in cuts if c < len(tags)), len(tags)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_STEP_BUDGET", budget)
+            mp.setattr(tagstream, "_BLOCK_RECORDS", block)
+            steps = record_steps(mp)
+            whole = engine.build(tags, CMAP, cfg, threads=threads)
+            assert_steps_tile(steps, tags)
+            steps.clear()
+            folded = engine.fold_stream_blocks(
+                (tags[a:b] for a, b in zip(edges, edges[1:])), CMAP, cfg, threads=threads)
+            assert_steps_tile(steps, tags)
+        assert_same_result(folded, whole)
+
+        oracle = brute_force_events(tags, cfg)
+        events = whole.events
+        assert events.t_mcp.tolist() == [t0 for t0, _, _ in oracle]
+        assert events.dt_x.tolist() == [dt for _, dt, _ in oracle]
+        assert events.sync_offset[events.has_sync].tolist() == [
+            t0 - sync for t0, _, sync in oracle if sync is not None]
+        coinc = whole.coincidences
+        assert list(zip(coinc.t_mcp.tolist(), coinc.tau.tolist())) == \
+            brute_force_coincidences(tags, cfg, oracle)
+
+    def test_tick_with_more_tags_than_budget(self):
+        cfg = tiny_cfg(250.0)
+        # 40 wire tags on one tick, inside the windows of the triggers before it
+        rows = [("sync", 0), ("mcp", 10), ("dld_x1", 12), ("dld_x2", 14),
+                ("snspd", 30), ("mcp", 95)]
+        rows += [(role, 100) for role in ("dld_x1", "dld_x2") for _ in range(20)]
+        rows += [("mcp", 300), ("dld_x1", 302), ("dld_x2", 303), ("snspd", 320),
+                 ("sync", 400), ("mcp", 500), ("dld_x1", 501), ("dld_x2", 504)]
+        tags = tags_from(rows)
+        want = engine.build(tags, CMAP, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_STEP_BUDGET", 3)
+            steps = record_steps(mp)
+            got = engine.build(tags, CMAP, cfg)
+            assert (95, 100) in [(lo, hi) for _, lo, hi in steps]
+            assert_steps_tile(steps, tags)
+            folded = engine.fold_stream_blocks([tags[:20], tags[20:]], CMAP, cfg, threads=2)
+        assert_same_result(got, want)
+        assert_same_result(folded, want)
+        assert want.diagnostics["multi_x1"] == 1 and want.diagnostics["events"] == 3
+
+    @pytest.mark.parametrize("block", [7, 50, 10**6])
+    def test_steps_after_one_early_sync_stay_within_budget(self, block):
+        # a sync tag, then 400 triggers: a step that reached back to the
+        # sync tag would hold every tag before it
+        cfg = tiny_cfg(None)
+        rows = [("sync", 0)]
+        for k in range(400):
+            rows += [("mcp", 100 * k + 10), ("dld_x1", 100 * k + 12),
+                     ("dld_x2", 100 * k + 14), ("snspd", 100 * k + 30)]
+        tags = tags_from(rows)
+        want = engine.build(tags, CMAP, cfg)
+        budget = 16
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_STEP_BUDGET", budget)
+            steps = record_steps(mp)
+            got = engine.fold_stream_blocks(
+                (tags[i:i + block] for i in range(0, len(tags), block)), CMAP, cfg,
+                threads=1)
+        assert_same_result(got, want)
+        assert want.diagnostics["events"] == 400
+        assert len(steps) >= 1600 // budget
+        for step, lo, hi in steps:
+            tail = int((step.timestamp > hi).sum())
+            assert len(step) <= budget + tail + 1, (lo, hi)
+
+    def test_empty_blocks_and_last_step(self):
+        cfg = small_cfg()
+        tags = synthetic_stream(n_triples=60, seed=5)
+        want = engine.build(tags, CMAP, cfg)
+        empty = TagColumns.empty()
+        blocks = [empty, tags[:50], empty, empty, tags[50:51], empty, tags[51:], empty]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_STEP_BUDGET", 4)
+            steps = record_steps(mp)
+            got = engine.fold_stream_blocks(iter(blocks), CMAP, cfg, threads=2)
+            assert_steps_tile(steps, tags)
+            steps.clear()
+            none = engine.fold_stream_blocks([empty, empty], CMAP, cfg)
+            assert [(len(t), lo, hi) for t, lo, hi in steps] == [
+                (0, np.iinfo(np.int64).min, np.iinfo(np.int64).min)]
+        assert_same_result(got, want)
+        assert none.diagnostics == {**engine._fresh_diag(), "jsi_out_of_range": 0}
+
+
+def pulse_blocks(n_blocks, groups=(1 << 20) // 5):
+    """Blocks of about 1M tags: per 64-tick pulse a sync tag, an MCP
+    trigger, its two wire tags and an SNSPD tag in the idler gate of
+    tiny_cfg, made one block at a time."""
+    roles = ("sync", "mcp", "dld_x1", "dld_x2", "snspd")
+    channel = np.tile(np.array([getattr(CMAP, r) for r in roles], dtype=np.uint16), groups)
+    offsets = np.array([0, 2, 4, 6, 22])
+    for k in range(n_blocks):
+        start = (k * groups + np.arange(groups, dtype=np.int64)) * 64
+        yield TagColumns(channel, (start[:, None] + offsets).ravel())
+
+
+class TestFoldMemory:
+    def test_pool_peak_is_bounded_and_flat(self):
+        cfg = tiny_cfg(250.0)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n_blocks in (3, 6):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                result = engine.fold_stream_blocks(pulse_blocks(n_blocks), CMAP, cfg,
+                                                   threads=4)
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2**20)
+                assert result.diagnostics["coincidences"] == n_blocks * ((1 << 20) // 5)
+        finally:
+            tracemalloc.stop()
+        # two 1M-tag blocks (20 MB) and five steps in flight
+        assert peaks[0] < 64, peaks
+        assert peaks[1] < peaks[0] * 1.1 + 1, peaks
+
+
+class TestFoldTable:
+    @staticmethod
+    def formula(offsets, cfg):
+        # the fold as computed for every offset before the table
+        phase_ps = np.mod(offsets.astype(np.float64) * cfg.tick_ps, cfg.fold_period_ps)
+        return np.floor(phase_ps / cfg.tick_ps).astype(np.int64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tick_ps=st.sampled_from([1, 3, 25, 100]),
+           period=st.floats(1.0, 5000.0, allow_nan=False),
+           sync_period=st.integers(0, 400), data=st.data())
+    def test_lookup_equals_formula(self, tick_ps, period, sync_period, data):
+        cfg = small_cfg(tick_ps=tick_ps, fold_period_ps=period,
+                        sync_period_ticks=sync_period)
+        n = len(cfg.fold_table)
+        assert n == sync_period + 1
+        # negative offsets do not occur in a build, but must not hit the table
+        offsets = np.array(data.draw(st.lists(st.integers(-n, 3 * n), max_size=50)),
+                           dtype=np.int64)
+        got = engine.fold_offset_values(offsets, cfg)
+        assert got.dtype == np.int64
+        assert got.tolist() == self.formula(offsets, cfg).tolist()
+        assert engine.fold_offset_values(np.arange(n), cfg).tolist() == \
+            self.formula(np.arange(n), cfg).tolist()
+
+    def test_default_config_table_and_unfolded(self):
+        from biphoton.config import RunConfig
+
+        cfg = RunConfig().event_config()
+        offsets = np.arange(3 * (cfg.sync_period_ticks + 1), dtype=np.int64)
+        assert np.array_equal(engine.fold_offset_values(offsets, cfg),
+                              self.formula(offsets, cfg))
+        raw = small_cfg()
+        assert raw.fold_table is None
+        assert engine.fold_offset_values(offsets, raw).tolist() == offsets.tolist()
