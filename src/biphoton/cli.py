@@ -246,11 +246,12 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
     """Time-resolved joint spectra: one frame per sync-offset window."""
     cfg = load_run_config(config_path)
     event_cfg = cfg.event_config()
-    header, tags = _load_tags(ttag_path, cfg)
-    tick = header.tick_ps
+    # _load_tags requires the stream's tick to be the config's
+    tick = cfg.acquisition.tick_ps
     width_ticks = int(round(window_ps / tick))
     if width_ticks < 1:
         raise ValueError(f"window must be at least one tick ({tick} ps)")
+    header, tags = _load_tags(ttag_path, cfg)
 
     result = engine.build(tags, header.channel_map, event_cfg)
     if origin_ps is None:

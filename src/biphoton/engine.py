@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import tagstream
 from .histograms import BinSpec, Histogram1D, Histogram2D
 from .tagstream import ChannelMap, TagColumns
 
@@ -52,9 +51,11 @@ class EventBuildConfig:
     irf_spec: BinSpec = field(init=False)
 
     def __post_init__(self):
-        # a build step holds no tags before its triggers but one sync tag
+        # a build step holds no tags before its triggers
         if self.gate_center_ticks < self.gate_half_width_ticks:
             raise ValueError("idler gate opens before the MCP trigger (center < half width)")
+        if self.sync_period_ticks < 0:
+            raise ValueError("sync_period_ticks must not be negative")
         if self.dld_window_ticks is None:
             self.dld_window_ticks = 4 * self.t_a_ticks
         guard = self.t_a_ticks + self.dt_guard_ticks
@@ -187,7 +188,7 @@ def _count_hits(arr, lo, end, exact):
     return n
 
 
-def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi):
+def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before):
     """Assemble events for the MCP triggers in [mcp_lo, mcp_hi).
 
     For each trigger, X1/X2 tags are searched in (t_mcp, t_mcp + window];
@@ -234,6 +235,9 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi):
     has_sync = si >= 0
     sync_offset = np.zeros(len(t_mcp), dtype=np.int64)
     sync_offset[has_sync] = t_mcp[has_sync] - sync[si[has_sync]]
+    if sync_before is not None:     # for the triggers before the first sync tag
+        sync_offset[~has_sync] = t_mcp[~has_sync] - sync_before
+        has_sync[:] = True
     diag["syncless_events"] = int((~has_sync).sum())
     diag["events"] = len(t_mcp)
     return DldEvents(t_mcp, dt_x, dt_y, has_y, sync_offset, has_sync), diag
@@ -373,73 +377,50 @@ def _concat_columns(parts):
                             for f in fields(parts[0])))
 
 
-def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns, lo, hi):
+def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns, lo, hi,
+                sync_before):
     """Demux one step's tags, then match the events of the MCP triggers in
     (lo, hi] and their coincidences. `tags` must hold every tag in
-    (lo, hi + lookahead) and the last sync tag at or before `lo`.
-    `tag_counts` counts the tags in (lo, hi]. Returns (events,
-    coincidences, diagnostics)."""
+    (lo, hi + lookahead); `sync_before` is the time of the last sync tag at
+    or before `lo`, or None. `tag_counts` counts the tags in (lo, hi].
+    Returns (events, coincidences, diagnostics)."""
     times = split_channels(tags, channel_map)
     bounds = {role: np.searchsorted(times[role], (lo, hi), side="right") for role in _ROLES}
-    events, diag = _match_events(times, cfg, *bounds["mcp"])
+    events, diag = _match_events(times, cfg, *bounds["mcp"], sync_before)
     coinc, cdiag = _match_coincidences(times, events, cfg)
     diag = _merge_diag(diag, cdiag)
     diag["tag_counts"] = {role: int(b - a) for role, (a, b) in bounds.items()}
     return events, coinc, diag
 
 
-def _last_sync(channel, start, stop, sync_channel, chunk):
-    """Index of the last sync tag in channel[start:stop], or -1. Scans back
-    from `stop` a chunk at a time, so a sync-heavy stream reads one chunk."""
-    while stop > start:
-        a = max(start, stop - chunk)
-        is_sync = channel[a:stop] == sync_channel
-        if is_sync.any():
-            return stop - 1 - int(is_sync[::-1].argmax())
-        stop = a
-    return -1
-
-
 def _steps(blocks, sync_channel, lookahead):
     """Cut an iterator of TagColumns blocks into self-contained steps
-    (tags, lo, hi) of at most `_STEP_BUDGET` tags in (lo, hi], unless one
-    tick holds more. A step is a view of its block from the last sync tag
-    at or before `lo` up to `hi + lookahead`; only when that sync tag lies
-    a budget or more back is the step a copy of it and the tags after
-    `lo`. Across a block boundary only the carry is copied: the lookahead
-    tail, joined to the head of the next block up to its first sync tag
-    (or to the whole block, if it ends within the lookahead), after the
-    last sync tag. The last step's cutoff is the last tag. An empty stream
+    (tags, lo, hi, sync_before): a view of every tag in (lo, hi + lookahead),
+    at most `_STEP_BUDGET` of them in (lo, hi] unless one tick holds more,
+    and the time of the last sync tag at or before `lo` (or None), taken
+    from each step's tags in (lo, hi] once the step is handed out. The tags
+    after a block's last cutoff are joined to the next block's head up to
+    their last tag plus the lookahead; only the steps cut from that copy
+    span a block boundary. The last cutoff is the last tag; an empty stream
     is one empty step."""
-    budget = _STEP_BUDGET
     lo = np.iinfo(np.int64).min
-    sync = TagColumns.empty()           # the last sync tag at or before lo
+    sync_before = None
 
     def cut(tags, limit):
         # steps of `tags`, which holds every tag after lo before
         # limit + lookahead, with cutoffs up to `limit`
-        nonlocal lo, sync
-        ts, ch = tags.timestamp, tags.channel
-        at = -1                         # index of `sync` in `tags`, if there
-        seen = 0                        # tags before it were searched for sync tags
-        while True:
-            pos = int(np.searchsorted(ts, lo, side="right"))
-            found = _last_sync(ch, seen, pos, sync_channel, budget)
-            if found >= 0:
-                at, sync = found, TagColumns.concatenate([tags[found:found + 1]])
-            seen = pos
-            if lo >= limit:
-                return
-            hi = min(int(ts[min(pos + budget, len(ts)) - 1]), limit)
+        nonlocal lo, sync_before
+        ts = tags.timestamp
+        pos = int(np.searchsorted(ts, lo, side="right"))
+        while lo < limit:
+            hi = min(int(ts[min(pos + _STEP_BUDGET, len(ts)) - 1]), limit)
             end = int(np.searchsorted(ts, hi + lookahead, side="left"))
-            if at >= 0 and pos - at < budget:
-                step = tags[at:end]
-            elif len(sync):
-                step = TagColumns.concatenate([sync, tags[pos:end]])
-            else:
-                step = tags[pos:end]
-            yield step, lo, hi
-            lo = hi
+            yield tags[pos:end], lo, hi, sync_before
+            stop = int(np.searchsorted(ts, hi, side="right"))
+            is_sync = tags.channel[pos:stop] == sync_channel
+            if is_sync.any():
+                sync_before = int(ts[stop - 1 - is_sync[::-1].argmax()])
+            lo, pos = hi, stop
 
     carry = TagColumns.empty()          # the tags after lo
     for block in blocks:
@@ -447,19 +428,20 @@ def _steps(blocks, sync_channel, lookahead):
             continue
         ts = block.timestamp
         if len(carry):
-            is_sync = block.channel[:budget] == sync_channel
-            hi = int(ts[is_sync.argmax()] if is_sync.any() else carry.timestamp[-1])
+            hi = int(carry.timestamp[-1])
             if ts[-1] < hi + lookahead:
                 carry = TagColumns.concatenate([carry, block])
                 continue
+            # the join replaces the carry, which frees the previous block
             head = block[:np.searchsorted(ts, hi + lookahead, side="left")]
-            yield from cut(TagColumns.concatenate([carry, head]), hi)
+            carry = TagColumns.concatenate([carry, head])
+            yield from cut(carry, hi)
         yield from cut(block, int(ts[-1]) - lookahead)
-        carry = TagColumns.concatenate([block[np.searchsorted(ts, lo, side="right"):]])
+        carry = block[np.searchsorted(ts, lo, side="right"):]
     if len(carry):
         yield from cut(carry, int(carry.timestamp[-1]))
     else:
-        yield carry, lo, lo
+        yield carry, lo, lo, sync_before
 
 
 def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
@@ -485,11 +467,9 @@ def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
 
 def build(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
     """One-shot build of events, coincidences, histograms and diagnostics:
-    the build driver over block-sized views of `tags`, keeping the event and
+    the build driver over `tags` as one block, keeping the event and
     coincidence columns. Any thread count gives identical results."""
-    size = tagstream._BLOCK_RECORDS
-    blocks = (tags[i:i + size] for i in range(0, len(tags), size))
-    events, coinc, diags = zip(*_drive(blocks, channel_map, cfg, threads))
+    events, coinc, diags = zip(*_drive([tags], channel_map, cfg, threads))
     events, coinc = _concat_columns(events), _concat_columns(coinc)
     hists = accumulate_histograms(coinc, events, cfg)
     diag = functools.reduce(_merge_diag, diags)

@@ -270,6 +270,18 @@ class TestCountOptions:
         assert option in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_sub_tick_window_exits_1_before_reading(self, monkeypatch, capsys, tmp_path,
+                                                   pipeline):
+        _, cfg = pipeline
+        junk = tmp_path / "junk.ttag"
+        junk.write_bytes(b"XTAG" + bytes(40))
+        capsys.readouterr()
+        run_cli(monkeypatch, ["slice", junk, cfg, tmp_path / "out", "--window", 10], expect=1)
+        err = capsys.readouterr().err
+        assert "window must be at least one tick" in err
+        assert "magic" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_least_counts_accepted(self, monkeypatch, tmp_path, pipeline):
         tmp, cfg = pipeline
         run_cli(monkeypatch, ["build", tmp / "tags.ttag", cfg, tmp_path / "b", "--threads", 1])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import engine, tagstream
+from biphoton import engine
 from biphoton.histograms import BinSpec, Histogram1D, Histogram2D, merge_histograms
 from biphoton.tagstream import ChannelMap, TagColumns
 
@@ -336,17 +336,14 @@ class TestDriverProperties:
         assert small_cfg(gate_center_ticks=40, gate_half_width_ticks=40).idler_spec.start == 0
 
     @settings(max_examples=150, deadline=None)
-    @given(tags=random_streams(), block=st.integers(1, 64),
-           cuts=st.lists(st.integers(0, 300), max_size=12),
+    @given(tags=random_streams(), cuts=st.lists(st.integers(0, 300), max_size=12),
            threads=st.sampled_from([1, 2, 4]),
            fold_period_ps=st.sampled_from([None, 250.0]),
            window=st.tuples(st.integers(1, 12), st.integers(-5, 40), st.integers(1, 5)))
-    def test_build_equals_fold_equals_oracle(self, tags, block, cuts, threads,
-                                             fold_period_ps, window):
+    def test_build_equals_fold_equals_oracle(self, tags, cuts, threads, fold_period_ps,
+                                             window):
         cfg = tiny_cfg(fold_period_ps)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tagstream, "_BLOCK_RECORDS", block)
-            whole = engine.build(tags, CMAP, cfg, threads=threads)
+        whole = engine.build(tags, CMAP, cfg, threads=threads)
 
         edges = [0, *sorted(c for c in cuts if c < len(tags)), len(tags)]
         folded = engine.fold_stream_blocks((tags[a:b] for a, b in zip(edges, edges[1:])),
@@ -541,13 +538,14 @@ class TestWindowEdges:
 
 
 def record_steps(mp):
-    """Wrap engine._build_step so that each step's (tags, lo, hi) is kept."""
+    """Wrap engine._build_step so that each step's (tags, lo, hi,
+    sync_before) is kept."""
     steps = []
     build_step = engine._build_step
 
-    def wrapped(channel_map, cfg, tags, lo, hi):
-        steps.append((tags, lo, hi))
-        return build_step(channel_map, cfg, tags, lo, hi)
+    def wrapped(channel_map, cfg, tags, lo, hi, sync_before):
+        steps.append((tags, lo, hi, sync_before))
+        return build_step(channel_map, cfg, tags, lo, hi, sync_before)
 
     mp.setattr(engine, "_build_step", wrapped)
     return steps
@@ -562,7 +560,7 @@ def assert_same_result(got, want):
 def assert_steps_tile(steps, tags):
     """The steps' (lo, hi] intervals follow each other from the start of
     the stream, and the last one ends at the last tag."""
-    cuts = sorted((lo, hi) for _, lo, hi in steps)
+    cuts = sorted((lo, hi) for _, lo, hi, _ in steps)
     assert cuts[0][0] == np.iinfo(np.int64).min
     assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
     assert cuts[-1][1] == (tags.timestamp[-1] if len(tags) else cuts[0][0])
@@ -570,17 +568,15 @@ def assert_steps_tile(steps, tags):
 
 class TestStepCutter:
     @settings(max_examples=100, deadline=None)
-    @given(tags=random_streams(), budget=st.integers(1, 8), block=st.integers(1, 64),
+    @given(tags=random_streams(), budget=st.integers(1, 8),
            cuts=st.lists(st.integers(0, 300), max_size=12),
            threads=st.sampled_from([1, 2, 4]),
            fold_period_ps=st.sampled_from([None, 250.0]))
-    def test_any_budget_equals_oracle(self, tags, budget, block, cuts, threads,
-                                      fold_period_ps):
+    def test_any_budget_equals_oracle(self, tags, budget, cuts, threads, fold_period_ps):
         cfg = tiny_cfg(fold_period_ps)
         edges = [0, *sorted(c for c in cuts if c < len(tags)), len(tags)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_STEP_BUDGET", budget)
-            mp.setattr(tagstream, "_BLOCK_RECORDS", block)
             steps = record_steps(mp)
             whole = engine.build(tags, CMAP, cfg, threads=threads)
             assert_steps_tile(steps, tags)
@@ -600,6 +596,40 @@ class TestStepCutter:
         assert list(zip(coinc.t_mcp.tolist(), coinc.tau.tolist())) == \
             brute_force_coincidences(tags, cfg, oracle)
 
+    @settings(max_examples=150, deadline=None)
+    @given(tags=random_streams(), budget=st.integers(1, 8),
+           cuts=st.lists(st.integers(0, 300), max_size=12))
+    def test_steps_are_windows_with_the_last_sync_before(self, tags, budget, cuts):
+        cfg = tiny_cfg(None)
+        lookahead = cfg.lookahead_ticks()
+        ts = tags.timestamp
+        syncs = ts[tags.channel == CMAP.sync]
+        edges = [0, *sorted(c for c in cuts if c < len(tags)), len(tags)]
+        blocks = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_STEP_BUDGET", budget)
+            steps = record_steps(mp)
+            engine.build(tags, CMAP, cfg)
+            # the whole array is one block, so every step is a view of it
+            assert all(np.shares_memory(step.timestamp, ts) for step, *_ in steps if len(step))
+            steps.clear()
+            engine.fold_stream_blocks([tags[a:b] for a, b in blocks], CMAP, cfg, threads=1)
+        assert_steps_tile(steps, tags)
+        for step, lo, hi, sync_before in steps:
+            assert (step.timestamp > lo).all(), (lo, hi)
+            # exactly the tags in (lo, hi + lookahead)
+            i, j = np.searchsorted(ts, lo, side="right"), np.searchsorted(ts, hi + lookahead)
+            assert step.timestamp.tolist() == ts[i:j].tolist(), (lo, hi)
+            assert step.channel.tolist() == tags.channel[i:j].tolist(), (lo, hi)
+            k = np.searchsorted(syncs, lo, side="right")
+            assert sync_before == (int(syncs[k - 1]) if k else None), (lo, hi)
+            assert sync_before is None or type(sync_before) is int
+            # a step that starts in a block and whose window closes by the
+            # block's last tag needed no other block: it is a view of it
+            for a, b in blocks:
+                if a <= i and hi + lookahead <= ts[b - 1] and i < j:
+                    assert np.shares_memory(step.timestamp, tags.timestamp[a:b]), (lo, hi)
+
     def test_tick_with_more_tags_than_budget(self):
         cfg = tiny_cfg(250.0)
         # 40 wire tags on one tick, inside the windows of the triggers before it
@@ -614,7 +644,7 @@ class TestStepCutter:
             mp.setattr(engine, "_STEP_BUDGET", 3)
             steps = record_steps(mp)
             got = engine.build(tags, CMAP, cfg)
-            assert (95, 100) in [(lo, hi) for _, lo, hi in steps]
+            assert (95, 100) in [(lo, hi) for _, lo, hi, _ in steps]
             assert_steps_tile(steps, tags)
             folded = engine.fold_stream_blocks([tags[:20], tags[20:]], CMAP, cfg, threads=2)
         assert_same_result(got, want)
@@ -642,9 +672,9 @@ class TestStepCutter:
         assert_same_result(got, want)
         assert want.diagnostics["events"] == 400
         assert len(steps) >= 1600 // budget
-        for step, lo, hi in steps:
+        for step, lo, hi, _ in steps:
             tail = int((step.timestamp > hi).sum())
-            assert len(step) <= budget + tail + 1, (lo, hi)
+            assert len(step) <= budget + tail, (lo, hi)
 
     def test_empty_blocks_and_last_step(self):
         cfg = small_cfg()
@@ -659,8 +689,8 @@ class TestStepCutter:
             assert_steps_tile(steps, tags)
             steps.clear()
             none = engine.fold_stream_blocks([empty, empty], CMAP, cfg)
-            assert [(len(t), lo, hi) for t, lo, hi in steps] == [
-                (0, np.iinfo(np.int64).min, np.iinfo(np.int64).min)]
+            assert [(len(t), lo, hi, sync) for t, lo, hi, sync in steps] == [
+                (0, np.iinfo(np.int64).min, np.iinfo(np.int64).min, None)]
         assert_same_result(got, want)
         assert none.diagnostics == {**engine._fresh_diag(), "jsi_out_of_range": 0}
 
@@ -698,6 +728,12 @@ class TestFoldMemory:
 
 
 class TestFoldTable:
+    @pytest.mark.parametrize("fold_period_ps", [None, 250.0])
+    def test_negative_sync_period_rejected(self, fold_period_ps):
+        # with folding on, it made an empty fold table that no lookup could use
+        with pytest.raises(ValueError, match="sync_period_ticks"):
+            small_cfg(sync_period_ticks=-1, fold_period_ps=fold_period_ps)
+
     @staticmethod
     def formula(offsets, cfg):
         # the fold as computed for every offset before the table
