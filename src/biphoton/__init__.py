@@ -14,7 +14,6 @@ from .simgen import AcquisitionConfig, GroundTruth, SimResult, generate, irf_ref
 from .spdc import (CrystalSpec, FrequencyGrid, JsaGrid, PumpSpec, compute_jsa,
                    phase_mismatch, pump_envelope, read_jsa_file, sample_pairs,
                    solve_phase_matching_angle, write_jsa_file)
-from .tagstream import (ChannelMap, StreamHeader, TagColumns, merge_sorted, read_stream_arrays,
-                        write_stream)
+from .tagstream import ChannelMap, StreamHeader, TagColumns, read_stream_arrays, write_stream
 
 __all__ = [name for name in dir() if not name.startswith("_")]

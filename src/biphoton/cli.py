@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 runtime or data error, 2 configuration error.
 
 import hashlib
 import json
+import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -103,18 +105,6 @@ def cmd_simulate_jsa(config_path, out_dir):
                f"idler {summary['idler_marginal_fwhm_nm']:.2f} nm")
 
 
-class _HashingWriter:
-    """Binary sink that hashes everything written through it."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.sha256 = hashlib.sha256()
-
-    def write(self, data):
-        self.sha256.update(data)
-        return self.fh.write(data)
-
-
 @cli.command("gen-tags")
 @click.argument("jsa_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
@@ -125,20 +115,33 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
     """Synthesize a time-tag stream from an amplitude container."""
     cfg = load_run_config(config_path)
     jsa = spdc.read_jsa_file(jsa_path)
-    result = simgen.generate(jsa, cfg.acquisition)
-    with open(out_path, "wb") as fh:
-        sink = _HashingWriter(fh)
-        n_bytes = tagstream.write_stream(result.header, result.tags, sink)
-    digest = sink.sha256.hexdigest()
+    # the stream is written chunk by chunk to a sibling path, which takes
+    # the output's name only once it is complete, so a failed run leaves
+    # no truncated stream
+    partial = out_path + ".partial"
+    try:
+        with open(partial, "w+b") as fh:
+            result = simgen.generate(jsa, cfg.acquisition, fh)
+            fh.seek(0)
+            sha256, n_bytes = hashlib.sha256(), 0
+            while chunk := fh.read(1 << 20):
+                sha256.update(chunk)
+                n_bytes += len(chunk)
+        os.replace(partial, out_path)
+    except BaseException:
+        Path(partial).unlink(missing_ok=True)
+        raise
+    digest = sha256.hexdigest()
+    n_tags = result.header.record_count
     if truth_path:
         result.truth.write_jsonl(truth_path)
     with open(out_path + ".manifest.json", "w") as fh:
         json.dump({"command": "gen-tags", "config_sha256": config_sha256(config_path),
                    "seed": cfg.seed, "sha256": digest, "bytes": n_bytes,
-                   "tags": len(result.tags), "pairs": len(result.truth),
+                   "tags": n_tags, "pairs": len(result.truth),
                    "biphoton_version": __version__}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    click.echo(f"wrote {len(result.tags)} tags ({n_bytes} bytes), sha256 {digest[:16]}...")
+    click.echo(f"wrote {n_tags} tags ({n_bytes} bytes), sha256 {digest[:16]}...")
 
 
 def _load_tags(ttag_path, cfg):
@@ -232,13 +235,19 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
                f"jsi total {result.histograms['jsi'].total_in_range}")
 
 
+def _finite(ctx, param, value):
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"must be finite, got {value}")
+    return value
+
+
 @cli.command("slice")
 @click.argument("ttag_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
-@click.option("--window", "window_ps", default=150.0, show_default=True,
+@click.option("--window", "window_ps", default=150.0, show_default=True, callback=_finite,
               help="Window width in ps (>= one tick).")
-@click.option("--origin", "origin_ps", default=None, type=float,
+@click.option("--origin", "origin_ps", default=None, type=float, callback=_finite,
               help="First window edge as a sync offset in ps "
                    "(default: centered on the response-function peak).")
 @click.option("--frames", default=5, show_default=True, type=click.IntRange(min=1))

@@ -22,15 +22,16 @@ calibration blocks.
 """
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .calibration import DldCalibration, FibreCalibration, dld_dt, idler_delay_ps, signal_position
 from .histograms import BinSpec, Histogram1D
 from .spdc import JsaGrid, pair_sampler
-from .tagstream import ChannelMap, StreamHeader, TagColumns
+from .tagstream import HEADER_SIZE, RECORD_SIZE, ChannelMap, StreamHeader, TagColumns, write_stream
 from .units import sigma_from_fwhm
 
 _ANODE_BASE_DELAY_PS = 100.0   # keeps wire-end pulses strictly after the MCP
@@ -338,8 +339,11 @@ def _truth_chunks(truth):
 
 @dataclass
 class SimResult:
+    """The stream header, the tags (None when `generate` wrote them to a
+    sink) and the ground truth."""
+
     header: StreamHeader
-    tags: TagColumns
+    tags: TagColumns | None
     truth: GroundTruth
 
 
@@ -347,6 +351,12 @@ def _block_rng(seed, block):
     # counter-based: every block draws from an independent Philox stream,
     # so generation is reproducible for any block-level parallel split
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+
+
+def _pair_count(rng, cfg: AcquisitionConfig, slots):
+    """A block's pair count, the first draw of its generator, so that
+    `generate` can size the ground truth before any block is emitted."""
+    return int(rng.poisson(cfg.pair_prob_per_pulse * slots))
 
 
 def _emit_block(draw_pairs, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi, first_row):
@@ -358,7 +368,7 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi, f
     slots = pulse_hi - pulse_lo
     period = cfg.pulse_period_ps
 
-    n_pairs = int(rng.poisson(cfg.pair_prob_per_pulse * slots))
+    n_pairs = _pair_count(rng, cfg, slots)
     pulse = pulse_lo + np.sort(rng.integers(0, slots, n_pairs))
     lam_s, lam_i = (np.zeros(0), np.zeros(0)) if n_pairs == 0 else draw_pairs(n_pairs, rng)
     det_s = rng.random(n_pairs) < cfg.eta_signal
@@ -423,11 +433,14 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi, f
     return tags, pairs
 
 
-def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig):
+def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept=None):
     """Greedy per-channel suppression: a tag is dropped when it comes less
     than the dead time after the last kept tag on its channel. A tag at
     least the dead time after its predecessor is always kept, so the greedy
-    scan only visits the runs of close gaps."""
+    scan only visits the runs of close gaps. `last_kept`, when given, maps
+    roles to the tick of their last kept tag before `ticks`, and is updated
+    to the last kept tag in `ticks`, so a stream masked in consecutive
+    chunks is masked as a whole."""
     mask = np.ones(len(ticks), dtype=bool)
     for role, dead_ps in cfg.dead_time_ps.items():
         if dead_ps <= 0:
@@ -435,6 +448,10 @@ def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig):
         dead_ticks = dead_ps / cfg.tick_ps
         idx = np.flatnonzero(channels == getattr(cfg.channel_map, role))
         t = ticks[idx]
+        shift = 0
+        if last_kept is not None and role in last_kept:
+            t = np.concatenate(([last_kept[role]], t))  # a kept tag, so never dropped
+            shift = 1
         close = np.flatnonzero(np.diff(t) < dead_ticks) + 1
         dropped, prev, last = [], -1, 0
         for k, t_k, t_before in zip(close.tolist(), t[close].tolist(), t[close - 1].tolist()):
@@ -445,61 +462,106 @@ def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig):
             else:
                 last = t_k
             prev = k
-        mask[idx[dropped]] = False
+        mask[idx[np.array(dropped, dtype=np.intp) - shift]] = False
+        if last_kept is not None:
+            kept = idx[mask[idx]]
+            if len(kept):
+                last_kept[role] = int(ticks[kept[-1]])
     return mask
 
 
-def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
+def _emitted_blocks(draw_pairs, cfg: AcquisitionConfig, blocks, truth):
+    """Emit each (pulse_lo, pulse_hi, first_row) block, write its pairs into
+    `truth` and yield (block number, ticks, channel, label) of its tags at
+    non-negative ticks, for blocks that have any."""
+    for block, (lo, hi, first_row) in enumerate(blocks):
+        tags, pairs = _emit_block(draw_pairs, cfg, block, lo, hi, first_row)
+        rows = slice(first_row, first_row + len(pairs["pulse_index"]))
+        for key, column in pairs.items():
+            getattr(truth, key)[rows] = column
+        t_ps = tags["t_ps"]
+        ticks = np.rint(np.divide(t_ps, cfg.tick_ps, out=t_ps), out=t_ps).astype(np.int64)
+        keep = ticks >= 0
+        if keep.any():
+            yield block, ticks[keep], tags["channel"][keep], tags["label"][keep]
+
+
+def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, truth, index):
+    """Yield the sorted, dead-time-masked stream as TagColumns chunks, each
+    final when yielded, while `_emitted_blocks` fills the pair columns of
+    `truth` and each chunk's tag indices go into `index` (one row per
+    pair, one column per arm).
+
+    A block is sorted once the next one is emitted: one stable lexsort of
+    the carry (sorted tags not yet final, all from earlier blocks) and the
+    block keeps the tie order of a sort of the whole stream, and its tags
+    below the next block's first tick are final. A block with a tag that
+    sorts before one already yielded cannot be placed without reordering
+    the stream, so it raises ValueError."""
+    dead = any(v > 0 for v in cfg.dead_time_ps.values())
+    carry = (np.zeros(0, np.int64), np.zeros(0, np.uint16), np.zeros(0, np.int64))
+    last_kept, last, written, pending = {}, None, 0, None
+    for following in itertools.chain(_emitted_blocks(draw_pairs, cfg, blocks, truth), [None]):
+        if pending is not None:
+            block, *columns = pending
+            ticks, channel, label = (np.concatenate(pair) for pair in zip(carry, columns))
+            order = np.lexsort((channel, ticks))
+            ticks, channel, label = ticks[order], channel[order], label[order]
+            first = (int(ticks[0]), int(channel[0]))
+            if last is not None and first < last:
+                raise ValueError(
+                    f"pulse block {block} has a tag at tick {first[0]} on channel {first[1]}, "
+                    f"which sorts before tick {last[0]} on channel {last[1]} of the stream "
+                    "already final: the blocks are too short for the spread of the tag times")
+            cut = len(ticks)
+            if following is not None:
+                cut = int(np.searchsorted(ticks, following[1].min()))
+            carry = ticks[cut:], channel[cut:], label[cut:]
+            ticks, channel, label = ticks[:cut], channel[:cut], label[:cut]
+            if cut:
+                last = (int(ticks[-1]), int(channel[-1]))
+            if dead:
+                alive = _dead_time_mask(ticks, channel, cfg, last_kept)
+                ticks, channel, label = ticks[alive], channel[alive], label[alive]
+            labelled = np.flatnonzero(label >= 0)
+            index.reshape(-1)[label[labelled]] = written + labelled
+            written += len(ticks)
+            if len(ticks):
+                yield TagColumns(channel, ticks)
+        pending = following
+
+
+def generate(jsa: JsaGrid, cfg: AcquisitionConfig, sink=None):
     """Synthesize the tag stream for cfg.duration_s; deterministic given
-    (jsa, cfg, seed). Returns a SimResult with the sorted stream and the
-    ground truth keyed into it."""
+    (jsa, cfg, seed). The sorted stream is made in final chunks
+    (`_final_chunks`), so it is the same whether kept or written.
+
+    Without `sink`, returns a SimResult with the whole stream and the
+    ground truth keyed into it. With `sink`, a seekable binary file, each
+    chunk goes to `tagstream.write_stream` as it is made and none is kept:
+    the SimResult holds no tags and its header the record count written.
+    The ground truth is held in memory either way."""
     if cfg.pair_prob_per_pulse > 0 and not jsa.normalized:
         raise ValueError("pair sampling requires a normalized amplitude grid")
 
     draw_pairs = pair_sampler(jsa) if cfg.pair_prob_per_pulse > 0 else None
     n_pulses = cfg.n_pulses
-    tag_parts, pair_parts = [], []
-    n_pairs = 0
-    for block, lo in enumerate(range(0, n_pulses, _BLOCK_PULSES)):
-        block_tags, block_pairs = _emit_block(draw_pairs, cfg, block, lo,
-                                              min(lo + _BLOCK_PULSES, n_pulses), n_pairs)
-        tag_parts.append(block_tags)
-        pair_parts.append(block_pairs)
-        n_pairs += len(block_pairs["pulse_index"])
-    pairs = {key: np.concatenate([part[key] for part in pair_parts]) for key in pair_parts[0]}
-    # every step below releases each column it replaces before the next, so
-    # no more than one tag column is ever held twice
-    t_ps, channel, label = (np.concatenate([part.pop(key) for part in tag_parts])
-                            for key in ("t_ps", "channel", "label"))
-    del tag_parts, pair_parts
-    ticks = np.rint(np.divide(t_ps, cfg.tick_ps, out=t_ps), out=t_ps).astype(np.int64)
-    del t_ps
-    if (ticks < 0).any():
-        keep = ticks >= 0
-        ticks = ticks[keep]
-        channel = channel[keep]
-        label = label[keep]
-
-    order = np.lexsort((channel, ticks))
-    ticks = ticks[order]
-    channel = channel[order]
-    label = label[order]
-    del order
-
-    if any(v > 0 for v in cfg.dead_time_ps.values()):
-        alive = _dead_time_mask(ticks, channel, cfg)
-        ticks = ticks[alive]
-        channel = channel[alive]
-        label = label[alive]
-
-    # one row per pair, one column per arm; the labels are flat positions
+    spans = [(lo, min(lo + _BLOCK_PULSES, n_pulses)) for lo in range(0, n_pulses, _BLOCK_PULSES)]
+    counts = [_pair_count(_block_rng(cfg.seed, block), cfg, hi - lo)
+              for block, (lo, hi) in enumerate(spans)]
+    blocks = [(lo, hi, first)
+              for (lo, hi), first in zip(spans, itertools.accumulate(counts, initial=0))]
+    n_pairs = sum(counts)
     index = np.full((n_pairs, 4), -1, dtype=np.int64)
-    labelled = np.flatnonzero(label >= 0)
-    index.reshape(-1)[label[labelled]] = labelled
-    mcp_index, x1_index, x2_index, snspd_index = index.T
-    truth = GroundTruth(**pairs, mcp_index=mcp_index, x1_index=x1_index,
-                        x2_index=x2_index, snspd_index=snspd_index)
-    return SimResult(cfg.header(), TagColumns(channel, ticks), truth)
+    truth = GroundTruth(np.empty(n_pairs, np.int64), np.empty(n_pairs), np.empty(n_pairs),
+                        np.empty(n_pairs, bool), np.empty(n_pairs, bool), *index.T)
+    chunks = _final_chunks(draw_pairs, cfg, blocks, truth, index)
+    header = cfg.header()
+    if sink is None:
+        return SimResult(header, TagColumns.concatenate(chunks), truth)
+    n_bytes = write_stream(header, chunks, sink)
+    return SimResult(replace(header, record_count=(n_bytes - HEADER_SIZE) // RECORD_SIZE),
+                     None, truth)
 
 
 def irf_reference(cfg: AcquisitionConfig, total=1_000_000):

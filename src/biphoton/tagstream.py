@@ -22,8 +22,8 @@ i64 timestamp column.
 
 import io
 import struct
-from dataclasses import dataclass, fields
-from typing import BinaryIO, Iterable
+from dataclasses import dataclass, fields, replace
+from typing import BinaryIO
 
 import numpy as np
 
@@ -218,33 +218,50 @@ def _unmapped_finder(channel_map):
     return first
 
 
-def write_stream(header, tags: TagColumns, sink: BinaryIO):
+def write_stream(header, tags, sink: BinaryIO):
     """Write header + records to a binary sink. Returns the byte count.
 
-    Tags must be sorted by (timestamp, channel), have non-negative
-    timestamps and use only mapped channels.
+    `tags` is one TagColumns or an iterable of TagColumns chunks, each
+    written as it arrives. The tags must be sorted by (timestamp, channel),
+    across chunks too, have non-negative timestamps and use only mapped
+    channels; a fault raises with the index of its tag in the whole
+    sequence. For chunks the header's record_count is written as 0 and
+    patched once the last chunk is written, so the sink must be seekable.
     """
-    violation = first_order_violation(tags)
-    if violation is not None:
-        raise UnsortedTagsError(violation)
-    if len(tags) and tags.timestamp[0] < 0:
-        raise ValueError(f"negative timestamp {int(tags.timestamp[0])} at tag 0")
-    unmapped = _unmapped_finder(header.channel_map)(tags.channel)
-    if unmapped is not None:
-        raise UnknownChannelError(unmapped, int(tags.channel[unmapped]))
-
-    header = StreamHeader(tick_ps=header.tick_ps, channel_count=header.channel_count,
-                          channel_map=header.channel_map, record_count=len(tags),
-                          version=header.version)
+    whole = isinstance(tags, TagColumns)
+    start = None if whole else sink.tell()
+    header = replace(header, record_count=len(tags) if whole else 0)
     sink.write(header.to_bytes())
-    records = np.zeros(min(len(tags), _BLOCK_RECORDS), dtype=RECORD_DTYPE)
-    for lo in range(0, len(tags), _BLOCK_RECORDS):
-        block = tags[lo:lo + _BLOCK_RECORDS]
-        out = records[:len(block)]
-        out["channel"] = block.channel
-        out["timestamp"] = block.timestamp
-        sink.write(out)
-    return HEADER_SIZE + RECORD_SIZE * len(tags)
+    first_unmapped = _unmapped_finder(header.channel_map)
+    records = np.zeros(0, dtype=RECORD_DTYPE)
+    written, last = 0, None
+    for chunk in [tags] if whole else tags:
+        if not len(chunk):
+            continue
+        violation = first_order_violation(chunk, after=last)
+        if violation is not None:
+            raise UnsortedTagsError(written + violation)
+        if not written and chunk.timestamp[0] < 0:
+            raise ValueError(f"negative timestamp {int(chunk.timestamp[0])} at tag 0")
+        unmapped = first_unmapped(chunk.channel)
+        if unmapped is not None:
+            raise UnknownChannelError(written + unmapped, int(chunk.channel[unmapped]))
+        for lo in range(0, len(chunk), _BLOCK_RECORDS):
+            block = chunk[lo:lo + _BLOCK_RECORDS]
+            if len(records) < len(block):
+                records = np.zeros(len(block), dtype=RECORD_DTYPE)
+            out = records[:len(block)]
+            out["channel"] = block.channel
+            out["timestamp"] = block.timestamp
+            sink.write(out)
+        written += len(chunk)
+        last = (int(chunk.timestamp[-1]), int(chunk.channel[-1]))
+    if start is not None:
+        end = sink.tell()
+        sink.seek(start)
+        sink.write(replace(header, record_count=written).to_bytes())
+        sink.seek(end)
+    return HEADER_SIZE + RECORD_SIZE * written
 
 
 def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS, into=None):
@@ -321,10 +338,3 @@ def read_stream_arrays(source: BinaryIO):
     header, blocks = iter_stream_blocks(source, into=tags)
     filled = sum(len(block) for block in blocks)
     return header, tags[:filled]
-
-
-def merge_sorted(streams: Iterable[TagColumns]):
-    """Merge (timestamp, channel)-sorted TagColumns into one sorted
-    TagColumns. The tag multiset is preserved; equal tags keep input order."""
-    merged = TagColumns.concatenate(streams)
-    return merged[np.lexsort((merged.channel, merged.timestamp))]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from biphoton import cli as cli_mod
-from biphoton import schmidt
+from biphoton import schmidt, simgen
 from biphoton.config import default_config_dict
 from biphoton.histograms import read_matrix_csv
 from conftest import assert_fit_matches_scipy
@@ -136,6 +136,26 @@ class TestGenTags:
         expected = (acq.rep_rate_hz * acq.pair_prob_per_pulse * acq.eta_signal
                     + acq.dld_dark_rate_hz) * acq.duration_s
         assert abs(n_mcp - expected) <= 3 * np.sqrt(expected) + 1
+
+
+    def test_failed_generation_leaves_no_stream(self, monkeypatch, tmp_path, pipeline):
+        # six pulse blocks, the third fails: the first chunks are already
+        # written by then, to a path that never becomes the output
+        src, _ = pipeline
+        cfg = small_config(tmp_path)
+        emit_block = simgen._emit_block
+
+        def fail_third(draw_pairs, acq, block, *args):
+            if block == 2:
+                raise ValueError("injected failure in block 2")
+            return emit_block(draw_pairs, acq, block, *args)
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 300_000)
+        monkeypatch.setattr(simgen, "_emit_block", fail_third)
+        out = tmp_path / "out"
+        out.mkdir()
+        run_cli(monkeypatch, ["gen-tags", src / "jsa/jsa.jsag", cfg, out / "run.ttag",
+                              "--truth", out / "truth.jsonl"], expect=1)
+        assert list(out.iterdir()) == []
 
 
 class TestBuild:
@@ -280,6 +300,20 @@ class TestCountOptions:
         err = capsys.readouterr().err
         assert "window must be at least one tick" in err
         assert "magic" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option,value", [("--window", "inf"), ("--window", "nan"),
+                                              ("--origin", "inf"), ("--origin", "-inf"),
+                                              ("--origin", "nan")])
+    def test_non_finite_window_exits_2_before_reading(self, monkeypatch, capsys, tmp_path,
+                                                      pipeline, option, value):
+        _, cfg = pipeline
+        junk = tmp_path / "junk.ttag"
+        junk.write_bytes(b"XTAG" + bytes(40))
+        capsys.readouterr()
+        run_cli(monkeypatch, ["slice", junk, cfg, tmp_path / "out", option, value], expect=2)
+        err = capsys.readouterr().err
+        assert option in err and "finite" in err
         assert not (tmp_path / "out").exists()
 
     def test_least_counts_accepted(self, monkeypatch, tmp_path, pipeline):

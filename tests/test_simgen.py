@@ -1,10 +1,13 @@
 import hashlib
 import io
 import math
+import tracemalloc
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import engine, simgen, spdc, tagstream
@@ -209,6 +212,141 @@ class TestGroundTruthAcrossBlocks:
             "e27f1c042c29442c38c88f479a9e63f81ae777d912195dce939859b4d7eae2a0"
         assert hashlib.sha256((tmp_path / "truth.jsonl").read_bytes()).hexdigest() == \
             "15136545815a63b343c15cc60d638c288d12337ae6c206444ef9cca0958abdbd"
+
+
+def whole_array_generate(jsa, cfg):
+    """The synthesizer as one whole-array pass, the reference for its
+    chunked stream: every block's tags concatenated, ticks below 0
+    dropped, one stable lexsort, the greedy dead-time loop, then one
+    scatter of the labels into the truth index columns."""
+    draw_pairs = spdc.pair_sampler(jsa) if cfg.pair_prob_per_pulse > 0 else None
+    tag_parts, pair_parts, n_pairs = [], [], 0
+    for block, lo in enumerate(range(0, cfg.n_pulses, simgen._BLOCK_PULSES)):
+        hi = min(lo + simgen._BLOCK_PULSES, cfg.n_pulses)
+        tags, pairs = simgen._emit_block(draw_pairs, cfg, block, lo, hi, n_pairs)
+        tag_parts.append(tags)
+        pair_parts.append(pairs)
+        n_pairs += len(pairs["pulse_index"])
+    t_ps, channel, label = (np.concatenate([part[key] for part in tag_parts])
+                            for key in ("t_ps", "channel", "label"))
+    ticks = np.rint(t_ps / cfg.tick_ps).astype(np.int64)
+    keep = ticks >= 0
+    ticks, channel, label = ticks[keep], channel[keep], label[keep]
+    order = np.lexsort((channel, ticks))
+    ticks, channel, label = ticks[order], channel[order], label[order]
+    alive = greedy_dead_time_mask(ticks, channel, cfg)
+    ticks, channel, label = ticks[alive], channel[alive], label[alive]
+    index = np.full((n_pairs, 4), -1, dtype=np.int64)
+    labelled = np.flatnonzero(label >= 0)
+    index.reshape(-1)[label[labelled]] = labelled
+    pairs = {key: np.concatenate([part[key] for part in pair_parts]) for key in pair_parts[0]}
+    truth = simgen.GroundTruth(**pairs, mcp_index=index[:, 0], x1_index=index[:, 1],
+                               x2_index=index[:, 2], snspd_index=index[:, 3])
+    return tagstream.TagColumns(channel, ticks), truth
+
+
+def truth_bytes(truth):
+    return [getattr(truth, f.name).tobytes() for f in fields(simgen.GroundTruth)]
+
+
+def streamed(jsa, cfg):
+    """(stream bytes, truth) of `generate` writing to a sink."""
+    sink = io.BytesIO()
+    result = simgen.generate(jsa, cfg, sink)
+    assert result.tags is None
+    assert result.header.record_count == (len(sink.getvalue()) - tagstream.HEADER_SIZE) \
+        // tagstream.RECORD_SIZE
+    return sink.getvalue(), result.truth
+
+
+_JITTER_PS = st.one_of(st.just(0.0), st.floats(1.0, 3000.0), st.floats(3000.0, 2e5))
+_DEAD_TIME_PS = st.one_of(st.just(0.0), st.floats(25.0, 50_000.0))
+
+
+class TestChunkedStream:
+    """`generate` makes the sorted stream in chunks, each final once the
+    next pulse block is emitted; written to a sink or kept, it must be
+    the whole-array pass's stream and truth exactly, or raise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.one_of(st.integers(1, 16), st.integers(1, 3000)),
+           n_blocks=st.integers(1, 40),
+           seed=st.integers(0, 2**32), pair_prob=st.floats(0.0, 0.3),
+           eta=st.floats(0.3, 1.0), mcp=_JITTER_PS, dtx=_JITTER_PS, extra=_JITTER_PS,
+           dld_dark=st.one_of(st.just(0.0), st.floats(1e4, 3e7)),
+           snspd_dark=st.one_of(st.just(0.0), st.floats(1e4, 3e7)),
+           dead=st.fixed_dictionaries({"mcp": _DEAD_TIME_PS, "dld_x1": _DEAD_TIME_PS,
+                                       "snspd": _DEAD_TIME_PS, "sync": _DEAD_TIME_PS}))
+    def test_streamed_equals_whole_array_or_raises(self, model_jsa, block, n_blocks, seed,
+                                                   pair_prob, eta, mcp, dtx, extra, dld_dark,
+                                                   snspd_dark, dead):
+        cfg = simgen.AcquisitionConfig(
+            duration_s=block * n_blocks / 76e6, seed=seed, pair_prob_per_pulse=pair_prob,
+            eta_signal=eta, eta_idler=eta, mcp_jitter_fwhm_ps=mcp, dtx_jitter_fwhm_ps=dtx,
+            snspd_mcp_conv_jitter_fwhm_ps=mcp + extra, dld_dark_rate_hz=dld_dark,
+            snspd_dark_rate_hz=snspd_dark, dead_time_ps=dead)
+        with mock.patch.object(simgen, "_BLOCK_PULSES", block):
+            tags, truth = whole_array_generate(model_jsa, cfg)
+            try:
+                raw, streamed_truth = streamed(model_jsa, cfg)
+            except ValueError as exc:
+                assert "pulse block" in str(exc)
+                event("raised")
+                return
+            kept = simgen.generate(model_jsa, cfg)
+        oracle = io.BytesIO()
+        tagstream.write_stream(cfg.header(), tags, oracle)
+        assert raw == oracle.getvalue()
+        assert truth_bytes(streamed_truth) == truth_bytes(truth)
+        assert np.array_equal(kept.tags.timestamp, tags.timestamp)
+        assert np.array_equal(kept.tags.channel, tags.channel)
+        assert truth_bytes(kept.truth) == truth_bytes(truth)
+
+    def test_tag_before_written_stream_raises(self, model_jsa):
+        # one-pulse blocks (13 ns) and MCP jitter of 1 us: a later block's
+        # trigger lands before tags already final
+        cfg = simgen.AcquisitionConfig(duration_s=2e-6, pair_prob_per_pulse=0.5,
+                                       mcp_jitter_fwhm_ps=1e6,
+                                       snspd_mcp_conv_jitter_fwhm_ps=1e6)
+        with mock.patch.object(simgen, "_BLOCK_PULSES", 1):
+            with pytest.raises(ValueError, match=r"pulse block \d+ has a tag at tick"):
+                simgen.generate(model_jsa, cfg, io.BytesIO())
+            with pytest.raises(ValueError, match="pulse block"):
+                simgen.generate(model_jsa, cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        simgen.AcquisitionConfig(duration_s=0.0),
+        simgen.AcquisitionConfig(duration_s=0.05, pair_prob_per_pulse=0.0, eta_signal=0.0,
+                                 eta_idler=0.0),
+        simgen.AcquisitionConfig(duration_s=0.25, pair_prob_per_pulse=0.02,
+                                 dead_time_ps={"mcp": 40000.0, "snspd": 20000.0}),
+    ], ids=["0s", "sync-only", "dead-time"])
+    def test_sink_bytes_equal_kept_stream(self, model_jsa, cfg):
+        raw, truth = streamed(model_jsa, cfg)
+        kept = simgen.generate(model_jsa, cfg)
+        whole = io.BytesIO()
+        tagstream.write_stream(kept.header, kept.tags, whole)
+        assert raw == whole.getvalue()
+        assert truth_bytes(truth) == truth_bytes(kept.truth)
+
+    def test_sink_memory_follows_block_not_duration(self, monkeypatch, tmp_path):
+        # tracemalloc peak of a run writing to a file, less the truth
+        # columns, which grow with the pair count: the same at d and 8d. A
+        # one-cell amplitude keeps the sampler's own arrays out of the peak,
+        # and a first run keeps out what numpy sets up on first use.
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 20_000)
+        peaks = []
+        for duration in (0.002, 0.002, 0.016):
+            cfg = simgen.AcquisitionConfig(duration_s=duration, pair_prob_per_pulse=0.05)
+            with open(tmp_path / "run.ttag", "w+b") as fh:
+                tracemalloc.start()
+                try:
+                    truth = simgen.generate(single_point_jsa(), cfg, fh).truth
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            peaks.append(peak - sum(len(col) for col in truth_bytes(truth)))
+        assert abs(peaks[2] - peaks[1]) <= 0.2 * peaks[1], peaks
 
 
 def json_lines_oracle(truth):

@@ -116,6 +116,44 @@ class TestWriteStream:
         ts.write_stream(make_header(), tags, b)
         assert a.getvalue() == b.getvalue()
 
+    def chunked(self, tags, rng):
+        """`tags` cut at random points, with empty chunks among them."""
+        cuts = np.sort(rng.integers(0, len(tags) + 1, int(rng.integers(0, 12))))
+        bounds = [0, *cuts.tolist(), len(tags)]
+        return [tags[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def test_chunks_write_the_bytes_of_one_sequence(self):
+        rng = np.random.Generator(np.random.Philox(key=17))
+        for n in (0, 1, 2, 50, 300):
+            tags = random_sorted_tags(rng, n, 40)
+            for _ in range(5):
+                buf = io.BytesIO()
+                size = ts.write_stream(make_header(), iter(self.chunked(tags, rng)), buf)
+                assert buf.getvalue() == stream_bytes(tags)
+                assert size == len(buf.getvalue())
+                assert ts.StreamHeader.from_bytes(buf.getvalue()).record_count == n
+
+    def test_fault_in_later_chunk_names_whole_stream_index(self):
+        tags = tags_of([(0, 1), (1, 1), (0, 2), (6, 2), (0, 5), (2, 5)])
+        # across a chunk boundary: (0, 5) after (6, 2) is fine, (0, 2) after (0, 5) is not
+        chunks = [tags[:2], tags[2:2], tags[4:5], tags[2:4]]
+        with pytest.raises(ts.UnsortedTagsError) as err:
+            ts.write_stream(make_header(), iter(chunks), io.BytesIO())
+        assert err.value.index == 3
+        # within a later chunk: an equal timestamp on a lower channel
+        bad = tags_of([(0, 1), (6, 1), (0, 2), (3, 5), (2, 5)])
+        with pytest.raises(ts.UnsortedTagsError) as err:
+            ts.write_stream(make_header(), iter([bad[:2], bad[2:]]), io.BytesIO())
+        assert err.value.index == 4
+        unmapped = tags_of([(0, 1), (6, 1), (0, 2), (9, 3)])
+        with pytest.raises(ts.UnknownChannelError) as err:
+            ts.write_stream(make_header(), iter([unmapped[:1], unmapped[1:3], unmapped[3:]]),
+                            io.BytesIO())
+        assert (err.value.index, err.value.channel) == (3, 9)
+        with pytest.raises(ValueError, match="negative timestamp"):
+            ts.write_stream(make_header(), iter([ts.TagColumns.empty(), tags_of([(0, -1)])]),
+                            io.BytesIO())
+
 
 class TestReadStream:
     def test_roundtrip_identity(self):
@@ -254,27 +292,6 @@ class TestReadStream:
             make_header(channel_count=5)
         with pytest.raises(ValueError):
             ts.ChannelMap(mcp=1, dld_x1=1)
-
-
-class TestMergeSorted:
-    def test_empty_inputs(self):
-        assert len(ts.merge_sorted([])) == 0
-        assert len(ts.merge_sorted([ts.TagColumns.empty(), ts.TagColumns.empty()])) == 0
-
-    def test_single_stream_passthrough(self):
-        a = tags_of([(0, 3)])
-        out = ts.merge_sorted([a, ts.TagColumns.empty()])
-        assert out.timestamp.tolist() == [3]
-
-    def test_matches_concat_sort_oracle(self):
-        rng = np.random.Generator(np.random.Philox(key=11))
-        streams = [random_sorted_tags(rng, 1000, 10**6) for _ in range(3)]
-        merged = ts.merge_sorted(streams)
-        # pairwise-comparison oracle: Python's stable sort of (timestamp, channel)
-        oracle = sorted((int(t), int(c)) for s in streams
-                        for c, t in zip(s.channel, s.timestamp))
-        assert list(zip(merged.timestamp.tolist(), merged.channel.tolist())) == oracle
-        assert ts.first_order_violation(merged) is None
 
 
 class TestWholeStreamReader:
