@@ -219,23 +219,27 @@ def _unmapped_finder(channel_map):
 
 
 def write_stream(header, tags, sink: BinaryIO):
-    """Write header + records to a binary sink. Returns the byte count.
+    """Write header + records to a seekable binary sink. Returns the byte
+    count.
 
     `tags` is one TagColumns or an iterable of TagColumns chunks, each
     written as it arrives. The tags must be sorted by (timestamp, channel),
     across chunks too, have non-negative timestamps and use only mapped
     channels; a fault raises with the index of its tag in the whole
-    sequence. For chunks the header's record_count is written as 0 and
-    patched once the last chunk is written, so the sink must be seekable.
+    sequence. Every chunk is checked before any of its records is written,
+    and the header, with the record_count of all chunks, is written last in
+    the room left for it. After a fault in the first non-empty chunk the
+    sink holds nothing new; after a fault in a later one it holds the
+    earlier chunks' records behind a zeroed header, which no reader accepts.
     """
-    whole = isinstance(tags, TagColumns)
-    start = None if whole else sink.tell()
-    header = replace(header, record_count=len(tags) if whole else 0)
-    sink.write(header.to_bytes())
+    if isinstance(tags, TagColumns):
+        tags = [tags]
+    start = sink.tell()
+    sink.seek(start + HEADER_SIZE)
     first_unmapped = _unmapped_finder(header.channel_map)
     records = np.zeros(0, dtype=RECORD_DTYPE)
     written, last = 0, None
-    for chunk in [tags] if whole else tags:
+    for chunk in tags:
         if not len(chunk):
             continue
         violation = first_order_violation(chunk, after=last)
@@ -256,11 +260,10 @@ def write_stream(header, tags, sink: BinaryIO):
             sink.write(out)
         written += len(chunk)
         last = (int(chunk.timestamp[-1]), int(chunk.channel[-1]))
-    if start is not None:
-        end = sink.tell()
-        sink.seek(start)
-        sink.write(replace(header, record_count=written).to_bytes())
-        sink.seek(end)
+    end = sink.tell()
+    sink.seek(start)
+    sink.write(replace(header, record_count=written).to_bytes())
+    sink.seek(end)
     return HEADER_SIZE + RECORD_SIZE * written
 
 

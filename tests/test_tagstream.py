@@ -154,6 +154,34 @@ class TestWriteStream:
             ts.write_stream(make_header(), iter([ts.TagColumns.empty(), tags_of([(0, -1)])]),
                             io.BytesIO())
 
+    def test_sink_after_fault(self):
+        good = tags_of([(0, 1), (6, 1), (0, 2)])
+        # a fault in the first non-empty chunk, or in one whole TagColumns,
+        # writes nothing
+        for tags in (tags_of([(0, 1), (0, 0)]), iter([good[:0], tags_of([(9, 1)])])):
+            buf = io.BytesIO(b"kept")
+            buf.seek(0, io.SEEK_END)
+            with pytest.raises(ValueError):
+                ts.write_stream(make_header(), tags, buf)
+            assert buf.getvalue() == b"kept"
+        # a fault in a later chunk leaves the earlier records behind a
+        # zeroed header, which readers reject
+        buf = io.BytesIO()
+        with pytest.raises(ts.UnsortedTagsError):
+            ts.write_stream(make_header(), iter([good, tags_of([(0, 0)])]), buf)
+        raw = buf.getvalue()
+        assert raw == bytes(ts.HEADER_SIZE) + stream_bytes(good)[ts.HEADER_SIZE:]
+        with pytest.raises(ts.BadMagicError):
+            ts.read_stream_arrays(io.BytesIO(raw))
+
+    def test_header_patched_at_sink_position(self):
+        buf = io.BytesIO(b"prefix")
+        buf.seek(0, io.SEEK_END)
+        tags = tags_of([(0, 1), (6, 1), (0, 2)])
+        size = ts.write_stream(make_header(), iter([tags[:1], tags[1:]]), buf)
+        assert buf.getvalue() == b"prefix" + stream_bytes(tags)
+        assert buf.tell() == len(b"prefix") + size
+
 
 class TestReadStream:
     def test_roundtrip_identity(self):
