@@ -121,18 +121,18 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
     partial = out_path + ".partial"
     try:
         with open(partial, "w+b") as fh:
-            result = simgen.generate(jsa, cfg.acquisition, fh)
+            result = simgen.generate(jsa, cfg.acquisition)
+            n_bytes = tagstream.write_stream(result.header, result.chunks, fh)
             fh.seek(0)
-            sha256, n_bytes = hashlib.sha256(), 0
+            sha256 = hashlib.sha256()
             while chunk := fh.read(1 << 20):
                 sha256.update(chunk)
-                n_bytes += len(chunk)
         os.replace(partial, out_path)
     except BaseException:
         Path(partial).unlink(missing_ok=True)
         raise
     digest = sha256.hexdigest()
-    n_tags = result.header.record_count
+    n_tags = (n_bytes - tagstream.HEADER_SIZE) // tagstream.RECORD_SIZE
     if truth_path:
         result.truth.write_jsonl(truth_path)
     with open(out_path + ".manifest.json", "w") as fh:
@@ -297,8 +297,10 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
 
 @cli.command("analyze")
 @click.argument("jsi_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--background", default=0.0, show_default=True,
-              help="Flat count level subtracted before taking the amplitude root.")
+@click.option("--background", default=0.0, show_default=True, type=click.FloatRange(min=0),
+              callback=_finite,
+              help="Flat count level (finite, >= 0) subtracted before taking the "
+                   "amplitude root.")
 def cmd_analyze(jsi_csv, background):
     """Mode decomposition and marginal widths of a measured joint spectrum."""
     counts, meta = histograms.read_matrix_csv(jsi_csv)

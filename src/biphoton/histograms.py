@@ -1,10 +1,9 @@
-"""Integer-count histogram accumulators with exact merge semantics, plus the
-CSV export/import used by the command-line tools.
+"""Integer-count histogram accumulators, plus the CSV export/import used by
+the command-line tools.
 
 All bin arithmetic is in integer TDC ticks; uniform bins with a width that is
-a whole number of ticks. Merging same-shape histograms is an elementwise
-integer sum, so chunked accumulation over any stream partition reproduces a
-single pass exactly.
+a whole number of ticks. Counts are integers, so adding a stream's chunks
+into one histogram in any partition reproduces a single pass exactly.
 """
 
 import json
@@ -26,10 +25,6 @@ class BinSpec:
             raise ValueError("bin width must be at least 1 tick")
         if self.count < 1:
             raise ValueError("bin count must be at least 1")
-
-    @property
-    def stop(self):
-        return self.start + self.width * self.count
 
     def edges(self):
         return self.start + self.width * np.arange(self.count + 1, dtype=np.int64)
@@ -68,9 +63,6 @@ class Histogram1D:
     def total_accumulated(self):
         return int(self.counts.sum()) + self.underflow + self.overflow
 
-    def same_shape(self, other):
-        return self.spec == other.spec
-
 
 @dataclass
 class Histogram2D:
@@ -98,20 +90,6 @@ class Histogram2D:
     @property
     def total_in_range(self):
         return int(self.counts.sum())
-
-    def same_shape(self, other):
-        return self.x_spec == other.x_spec and self.y_spec == other.y_spec
-
-
-def merge_histograms(a, b):
-    """Elementwise integer sum of two same-shape histograms."""
-    if type(a) is not type(b) or not a.same_shape(b):
-        raise ValueError("histogram bin metadata mismatch")
-    if isinstance(a, Histogram1D):
-        return Histogram1D(a.spec, a.counts + b.counts,
-                           a.underflow + b.underflow, a.overflow + b.overflow)
-    return Histogram2D(a.x_spec, a.y_spec, a.counts + b.counts,
-                       a.out_of_range + b.out_of_range)
 
 
 # ---------------------------------------------------------------------------

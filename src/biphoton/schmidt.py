@@ -76,10 +76,11 @@ def jsa_from_jsi(counts, signal_wavelength_nm, idler_wavelength_nm,
                  background=0.0):
     """Effective joint amplitude from a measured intensity map.
 
-    Takes the positive square root of the (optionally background-subtracted)
-    counts; the phase is unrecoverable from intensities and set to zero.
-    Wavelength axes are bin centers; either orientation is accepted and the
-    result is returned on ascending angular-frequency axes.
+    Takes the positive square root of the counts less a flat `background`
+    level (finite and >= 0; counts below it become 0); the phase is
+    unrecoverable from intensities and set to zero. Wavelength axes are bin
+    centers; either orientation is accepted and the result is returned on
+    ascending angular-frequency axes.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2:
@@ -92,6 +93,8 @@ def jsa_from_jsi(counts, signal_wavelength_nm, idler_wavelength_nm,
         raise ValueError("counts shape does not match wavelength axes")
 
     level = float(background)
+    if not 0.0 <= level < np.inf:
+        raise ValueError(f"background must be finite and >= 0, got {background}")
     work = np.clip(counts - level, 0.0, None)
     if not np.any(work):
         raise ValueError("histogram is empty (all zero after subtraction)")

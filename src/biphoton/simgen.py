@@ -24,14 +24,15 @@ calibration blocks.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .calibration import DldCalibration, FibreCalibration, dld_dt, idler_delay_ps, signal_position
 from .histograms import BinSpec, Histogram1D
 from .spdc import JsaGrid, pair_sampler
-from .tagstream import HEADER_SIZE, RECORD_SIZE, ChannelMap, StreamHeader, TagColumns, write_stream
+from .tagstream import ChannelMap, StreamHeader, TagColumns
 from .units import sigma_from_fwhm
 
 _ANODE_BASE_DELAY_PS = 100.0   # keeps wire-end pulses strictly after the MCP
@@ -339,11 +340,13 @@ def _truth_chunks(truth):
 
 @dataclass
 class SimResult:
-    """The stream header, the tags (None when `generate` wrote them to a
-    sink) and the ground truth."""
+    """The stream header, the sorted stream as a lazy iterator of final
+    TagColumns chunks, and the ground truth keyed into it. `truth` is sized
+    up front but filled as `chunks` is pulled: it is complete only once
+    `chunks` is exhausted."""
 
     header: StreamHeader
-    tags: TagColumns | None
+    chunks: Iterator[TagColumns]
     truth: GroundTruth
 
 
@@ -433,14 +436,14 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi, f
     return tags, pairs
 
 
-def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept=None):
+def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept):
     """Greedy per-channel suppression: a tag is dropped when it comes less
     than the dead time after the last kept tag on its channel. A tag at
     least the dead time after its predecessor is always kept, so the greedy
-    scan only visits the runs of close gaps. `last_kept`, when given, maps
-    roles to the tick of their last kept tag before `ticks`, and is updated
-    to the last kept tag in `ticks`, so a stream masked in consecutive
-    chunks is masked as a whole."""
+    scan only visits the runs of close gaps. `last_kept` maps roles to the
+    tick of their last kept tag before `ticks`, and is updated to the last
+    kept tag in `ticks`, so a stream masked in consecutive chunks is masked
+    as a whole."""
     mask = np.ones(len(ticks), dtype=bool)
     for role, dead_ps in cfg.dead_time_ps.items():
         if dead_ps <= 0:
@@ -449,7 +452,7 @@ def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept=None):
         idx = np.flatnonzero(channels == getattr(cfg.channel_map, role))
         t = ticks[idx]
         shift = 0
-        if last_kept is not None and role in last_kept:
+        if role in last_kept:
             t = np.concatenate(([last_kept[role]], t))  # a kept tag, so never dropped
             shift = 1
         close = np.flatnonzero(np.diff(t) < dead_ticks) + 1
@@ -463,10 +466,9 @@ def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept=None):
                 last = t_k
             prev = k
         mask[idx[np.array(dropped, dtype=np.intp) - shift]] = False
-        if last_kept is not None:
-            kept = idx[mask[idx]]
-            if len(kept):
-                last_kept[role] = int(ticks[kept[-1]])
+        kept = idx[mask[idx]]
+        if len(kept):
+            last_kept[role] = int(ticks[kept[-1]])
     return mask
 
 
@@ -531,16 +533,11 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, truth, index):
         pending = following
 
 
-def generate(jsa: JsaGrid, cfg: AcquisitionConfig, sink=None):
+def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
     """Synthesize the tag stream for cfg.duration_s; deterministic given
-    (jsa, cfg, seed). The sorted stream is made in final chunks
-    (`_final_chunks`), so it is the same whether kept or written.
-
-    Without `sink`, returns a SimResult with the whole stream and the
-    ground truth keyed into it. With `sink`, a seekable binary file, each
-    chunk goes to `tagstream.write_stream` as it is made and none is kept:
-    the SimResult holds no tags and its header the record count written.
-    The ground truth is held in memory either way."""
+    (jsa, cfg, seed). Returns a SimResult at once: the pulse blocks are
+    emitted only as its `chunks` are pulled (`_final_chunks`), and the
+    ground truth is held in memory."""
     if cfg.pair_prob_per_pulse > 0 and not jsa.normalized:
         raise ValueError("pair sampling requires a normalized amplitude grid")
 
@@ -555,13 +552,7 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig, sink=None):
     index = np.full((n_pairs, 4), -1, dtype=np.int64)
     truth = GroundTruth(np.empty(n_pairs, np.int64), np.empty(n_pairs), np.empty(n_pairs),
                         np.empty(n_pairs, bool), np.empty(n_pairs, bool), *index.T)
-    chunks = _final_chunks(draw_pairs, cfg, blocks, truth, index)
-    header = cfg.header()
-    if sink is None:
-        return SimResult(header, TagColumns.concatenate(chunks), truth)
-    n_bytes = write_stream(header, chunks, sink)
-    return SimResult(replace(header, record_count=(n_bytes - HEADER_SIZE) // RECORD_SIZE),
-                     None, truth)
+    return SimResult(cfg.header(), _final_chunks(draw_pairs, cfg, blocks, truth, index), truth)
 
 
 def irf_reference(cfg: AcquisitionConfig, total=1_000_000):

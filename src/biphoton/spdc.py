@@ -163,16 +163,6 @@ class FrequencyGrid:
     def idler_omega(self):
         return self._axis(self.idler_center_nm, self.idler_span_nm, self.n_idler)
 
-    @property
-    def d_omega_signal(self):
-        ax = self.signal_omega
-        return float(ax[1] - ax[0])
-
-    @property
-    def d_omega_idler(self):
-        ax = self.idler_omega
-        return float(ax[1] - ax[0])
-
 
 @dataclass
 class JsaGrid:
@@ -307,7 +297,7 @@ def _sellmeier_delta_k(lam_s_nm, lam_i_nm, phi_deg):
     return k_p - k_s - k_i
 
 
-def phase_mismatch(omega_s, omega_i, crystal: CrystalSpec, pump: PumpSpec | None = None):
+def phase_mismatch(omega_s, omega_i, crystal: CrystalSpec):
     """Collinear phase mismatch delta_k in 1/mm at (omega_s, omega_i)."""
     omega_s = np.asarray(omega_s, dtype=float)
     omega_i = np.asarray(omega_i, dtype=float)
@@ -329,7 +319,7 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, grid: FrequencyGrid):
     wi = grid.idler_omega
     WS, WI = np.meshgrid(ws, wi, indexing="ij")
     alpha = pump_envelope(WS, WI, pump)
-    dk = phase_mismatch(WS, WI, crystal, pump)
+    dk = phase_mismatch(WS, WI, crystal)
     amp = alpha * sinc(dk * crystal.length_mm / 2.0)
     return JsaGrid(ws, wi, amp.astype(complex)).normalize()
 
@@ -355,14 +345,6 @@ def pair_sampler(jsa: JsaGrid):
         return wavelength_from_omega(w_s), wavelength_from_omega(w_i)
 
     return draw
-
-
-def sample_pairs(jsa: JsaGrid, n, rng):
-    """Draw n pairs as `pair_sampler(jsa)` does. rng is a seed or a numpy
-    Generator; a given seed always produces the same sequence."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.Generator(np.random.Philox(key=int(rng)))
-    return pair_sampler(jsa)(n, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from biphoton import calibration, engine, schmidt, simgen, spdc
+from biphoton.tagstream import TagColumns
 from biphoton.units import sinc
 from conftest import (clean_acquisition, criterion, expected_jsi_probabilities,
                       normalized_cross_correlation)
@@ -40,7 +41,7 @@ def clean_run(jsa512):
     acq = clean_acquisition(duration_s=3.5, seed=SEED_CLEAN)
     ecfg = event_cfg_for(acq)
     sim = simgen.generate(jsa512, acq)
-    built = engine.build(sim.tags, sim.header.channel_map, ecfg)
+    built = engine.build(TagColumns.concatenate(sim.chunks), sim.header.channel_map, ecfg)
     return acq, ecfg, built
 
 
@@ -51,7 +52,7 @@ def jittered_run(jsa512):
                             snspd_mcp_conv_jitter_fwhm_ps=310.0)
     ecfg = event_cfg_for(acq)
     sim = simgen.generate(jsa512, acq)
-    built = engine.build(sim.tags, sim.header.channel_map, ecfg)
+    built = engine.build(TagColumns.concatenate(sim.chunks), sim.header.channel_map, ecfg)
     return acq, ecfg, built
 
 
@@ -139,7 +140,7 @@ def irf_run(jsa512):
                             snspd_mcp_conv_jitter_fwhm_ps=310.0)
     ecfg = event_cfg_for(acq)
     sim = simgen.generate(jsa512, acq)
-    built = engine.build(sim.tags, sim.header.channel_map, ecfg)
+    built = engine.build(TagColumns.concatenate(sim.chunks), sim.header.channel_map, ecfg)
     return acq, ecfg, built
 
 
@@ -171,7 +172,7 @@ def test_c07_default_rates_match_published_values(jsa512):
         acq = simgen.AcquisitionConfig(duration_s=1.0, seed=11)
         ecfg = event_cfg_for(acq)
         sim = simgen.generate(jsa512, acq)
-        built = engine.build(sim.tags, sim.header.channel_map, ecfg)
+        built = engine.build(TagColumns.concatenate(sim.chunks), sim.header.channel_map, ecfg)
         rates = engine.rates_report(built.diagnostics, acq.duration_s)
         assert rates["singles_hz"]["mcp"] == pytest.approx(6.1e4, rel=0.10)
         assert rates["singles_hz"]["snspd"] == pytest.approx(6.1e4, rel=0.10)

@@ -124,6 +124,18 @@ class TestGenTags:
         lines = (tmp_path / "truth.jsonl").read_text().splitlines()
         assert lines and json.loads(lines[0])["mcp"] >= -1
 
+    def test_manifest_counts_match_outputs(self, monkeypatch, tmp_path, pipeline):
+        src, cfg = pipeline
+        stream, truth = tmp_path / "m.ttag", tmp_path / "truth.jsonl"
+        run_cli(monkeypatch, ["gen-tags", src / "jsa/jsa.jsag", cfg, stream, "--truth", truth])
+        manifest = json.loads((tmp_path / "m.ttag.manifest.json").read_text())
+        from biphoton import tagstream
+        with open(stream, "rb") as fh:
+            header = tagstream.StreamHeader.from_bytes(fh.read(tagstream.HEADER_SIZE))
+        assert manifest["tags"] == header.record_count > 0
+        assert manifest["bytes"] == stream.stat().st_size
+        assert manifest["pairs"] == truth.read_bytes().count(b"\n") > 0
+
     def test_rate_algebra_short_run(self, monkeypatch, tmp_path, pipeline):
         src, cfg = pipeline
         run_cli(monkeypatch, ["gen-tags", src / "jsa/jsa.jsag", cfg, tmp_path / "r.ttag"])
@@ -411,6 +423,15 @@ class TestAnalyze:
                 (jsa.idler_wavelength_nm, jsa.idler_marginal(), "sinc_squared")):
             order = np.argsort(lam)
             assert_fit_matches_scipy(lam[order], profile[order], model)
+
+    @pytest.mark.parametrize("value", ["-5", "nan", "inf", "-inf"])
+    def test_bad_background_exits_2_before_reading(self, monkeypatch, capsys, tmp_path, value):
+        # reading this file would fail with exit 1
+        junk = tmp_path / "junk.csv"
+        junk.write_text("not,a,matrix\n")
+        capsys.readouterr()
+        run_cli(monkeypatch, ["analyze", junk, "--background", value], expect=2)
+        assert "--background" in capsys.readouterr().err
 
     def test_missing_axis_metadata_exits_1(self, monkeypatch, tmp_path):
         path = tmp_path / "noaxis.csv"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import engine
-from biphoton.histograms import BinSpec, Histogram1D, Histogram2D, merge_histograms
+from biphoton.histograms import BinSpec
 from biphoton.tagstream import ChannelMap, TagColumns
 
 CMAP = ChannelMap()
@@ -209,23 +209,6 @@ class TestHistogramsAndConservation:
         result = engine.build(tags, CMAP, cfg)
         jsi = result.histograms["jsi"]
         assert jsi.total_in_range + jsi.out_of_range == len(result.coincidences)
-
-    def test_merge_identity_and_commutativity(self):
-        cfg = small_cfg()
-        result = engine.build(synthetic_stream(), CMAP, cfg)
-        h = result.histograms["jsi"]
-        zeros = Histogram2D(h.x_spec, h.y_spec)
-        assert np.array_equal(merge_histograms(h, zeros).counts, h.counts)
-        other = engine.build(synthetic_stream(seed=77), CMAP, cfg).histograms["jsi"]
-        ab = merge_histograms(h, other)
-        ba = merge_histograms(other, h)
-        assert np.array_equal(ab.counts, ba.counts)
-
-    def test_merge_shape_mismatch_rejected(self):
-        a = Histogram1D(BinSpec(0, 1, 4))
-        b = Histogram1D(BinSpec(0, 2, 4))
-        with pytest.raises(ValueError):
-            merge_histograms(a, b)
 
 
 class TestSliceTimeResolved:

@@ -148,6 +148,12 @@ class TestJsaFromJsi:
                                  jsa.idler_wavelength_nm, background=5.0))[0]
         assert with_bg.schmidt_number != subtracted.schmidt_number
 
+    @pytest.mark.parametrize("background", [-5.0, np.nan, np.inf, -np.inf])
+    def test_bad_background_rejected(self, background):
+        with pytest.raises(ValueError, match="background must be finite and >= 0"):
+            schmidt.jsa_from_jsi(np.ones((4, 4)), np.arange(4.0) + 514,
+                                 np.arange(4.0) + 1540, background=background)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             schmidt.jsa_from_jsi(np.array([[-1.0, 2.0], [0.0, 1.0]]),

@@ -33,40 +33,47 @@ def event_cfg_for(acq):
     return RunConfig(acquisition=acq).event_config()
 
 
+def generated(jsa, cfg):
+    """(tags, truth) of `generate`, its chunks joined; the truth is complete
+    once they are all pulled."""
+    result = simgen.generate(jsa, cfg)
+    return tagstream.TagColumns.concatenate(result.chunks), result.truth
+
+
 class TestGenerateBasics:
     def test_sync_only_stream(self, model_jsa):
         cfg = clean_acquisition(pair_prob_per_pulse=0.0, eta_signal=0.0,
                                 eta_idler=0.0, duration_s=0.001)
-        result = simgen.generate(model_jsa, cfg)
-        assert np.all(result.tags.channel == CMAP.sync)
+        tags, _ = generated(model_jsa, cfg)
+        assert np.all(tags.channel == CMAP.sync)
         expected = int(np.floor(cfg.duration_s * cfg.rep_rate_hz / cfg.sync_divider)) + 1
-        assert len(result.tags) == expected
+        assert len(tags) == expected
 
     def test_deterministic_given_seed(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.005, seed=777,
                                 mcp_jitter_fwhm_ps=263.0, dtx_jitter_fwhm_ps=263.0,
                                 snspd_mcp_conv_jitter_fwhm_ps=310.0,
                                 dld_dark_rate_hz=2000.0, snspd_dark_rate_hz=200.0)
-        a = simgen.generate(model_jsa, cfg)
-        b = simgen.generate(model_jsa, cfg)
-        assert np.array_equal(a.tags.channel, b.tags.channel)
-        assert np.array_equal(a.tags.timestamp, b.tags.timestamp)
+        a, _ = generated(model_jsa, cfg)
+        b, _ = generated(model_jsa, cfg)
+        assert np.array_equal(a.channel, b.channel)
+        assert np.array_equal(a.timestamp, b.timestamp)
         buf_a, buf_b = io.BytesIO(), io.BytesIO()
-        tagstream.write_stream(a.header, a.tags, buf_a)
-        tagstream.write_stream(b.header, b.tags, buf_b)
+        tagstream.write_stream(cfg.header(), a, buf_a)
+        tagstream.write_stream(cfg.header(), b, buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
 
     def test_stream_is_sorted_and_mapped(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.005, dld_dark_rate_hz=5000.0)
-        result = simgen.generate(model_jsa, cfg)
-        assert tagstream.first_order_violation(result.tags) is None
-        assert set(np.unique(result.tags.channel)) <= set(CMAP.ids())
+        tags, _ = generated(model_jsa, cfg)
+        assert tagstream.first_order_violation(tags) is None
+        assert set(np.unique(tags.channel)) <= set(CMAP.ids())
 
     def test_point_source_zero_jitter_is_exact(self):
         cfg = clean_acquisition(pair_prob_per_pulse=0.01, duration_s=0.005)
-        result = simgen.generate(single_point_jsa(), cfg)
+        tags, _ = generated(single_point_jsa(), cfg)
         ecfg = event_cfg_for(cfg)
-        built = engine.build(result.tags, CMAP, ecfg)
+        built = engine.build(tags, CMAP, ecfg)
         assert len(built.coincidences) > 100
         assert np.all(built.coincidences.dt_x == built.coincidences.dt_x[0])
         assert np.all(built.coincidences.tau == built.coincidences.tau[0])
@@ -92,32 +99,29 @@ class TestGenerateBasics:
 class TestGroundTruth:
     def test_every_detection_tag_referenced_exactly_once(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.01, eta_signal=0.7, eta_idler=0.5)
-        result = simgen.generate(model_jsa, cfg)
-        truth = result.truth
+        tags, truth = generated(model_jsa, cfg)
         referenced = np.concatenate([
             col[col >= 0] for col in (truth.mcp_index, truth.x1_index,
                                       truth.x2_index, truth.snspd_index)])
         detection_channels = (CMAP.mcp, CMAP.dld_x1, CMAP.dld_x2, CMAP.snspd)
-        detection_tags = np.flatnonzero(np.isin(result.tags.channel, detection_channels))
+        detection_tags = np.flatnonzero(np.isin(tags.channel, detection_channels))
         assert np.array_equal(np.sort(referenced), detection_tags)
 
     def test_dark_tags_unreferenced(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.01, dld_dark_rate_hz=3000.0,
                                 snspd_dark_rate_hz=1000.0)
-        result = simgen.generate(model_jsa, cfg)
-        truth = result.truth
+        tags, truth = generated(model_jsa, cfg)
         referenced = sum(int((col >= 0).sum()) for col in
                          (truth.mcp_index, truth.x1_index, truth.x2_index,
                           truth.snspd_index))
         detection_channels = (CMAP.mcp, CMAP.dld_x1, CMAP.dld_x2, CMAP.snspd)
-        n_detection = int(np.isin(result.tags.channel, detection_channels).sum())
+        n_detection = int(np.isin(tags.channel, detection_channels).sum())
         assert referenced < n_detection  # darks exist and are unlabeled
 
     def test_labels_point_at_consistent_channels(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.005)
-        result = simgen.generate(model_jsa, cfg)
-        truth = result.truth
-        ch = result.tags.channel
+        tags, truth = generated(model_jsa, cfg)
+        ch = tags.channel
         for col, chan in ((truth.mcp_index, CMAP.mcp), (truth.x1_index, CMAP.dld_x1),
                           (truth.x2_index, CMAP.dld_x2), (truth.snspd_index, CMAP.snspd)):
             idx = col[col >= 0]
@@ -125,12 +129,12 @@ class TestGroundTruth:
 
     def test_jsonl_roundtrip(self, tmp_path, model_jsa):
         cfg = clean_acquisition(duration_s=0.001)
-        result = simgen.generate(model_jsa, cfg)
+        _, truth = generated(model_jsa, cfg)
         path = tmp_path / "truth.jsonl"
-        result.truth.write_jsonl(path)
+        truth.write_jsonl(path)
         import json
         lines = [json.loads(line) for line in open(path)]
-        assert len(lines) == len(result.truth)
+        assert len(lines) == len(truth)
         if lines:
             assert set(lines[0]) == {"pulse", "lambda_s_nm", "lambda_i_nm",
                                      "signal_detected", "idler_detected",
@@ -139,7 +143,7 @@ class TestGroundTruth:
     def test_jsonl_bytes_match_json_dumps_oracle(self, tmp_path, model_jsa):
         import json
         cfg = clean_acquisition(duration_s=0.002, eta_signal=0.5, eta_idler=0.5)
-        truth = simgen.generate(model_jsa, cfg).truth
+        _, truth = generated(model_jsa, cfg)
         assert truth.signal_detected.any() and not truth.signal_detected.all()
         assert truth.idler_detected.any() and not truth.idler_detected.all()
         assert (truth.mcp_index == -1).any() and (truth.snspd_index == -1).any()
@@ -169,8 +173,7 @@ class TestGroundTruthAcrossBlocks:
         monkeypatch.setattr(simgen, "_BLOCK_PULSES", self.BLOCK)
         cfg = clean_acquisition(duration_s=0.002, pair_prob_per_pulse=0.01,
                                 eta_signal=0.7, eta_idler=0.6)
-        result = simgen.generate(model_jsa, cfg)
-        truth, tags = result.truth, result.tags
+        tags, truth = generated(model_jsa, cfg)
         assert len(np.unique(truth.pulse_index // self.BLOCK)) >= 5
 
         # zero jitter: every detection lands exactly on its pulse's timing
@@ -201,13 +204,12 @@ class TestGroundTruthAcrossBlocks:
             duration_s=0.002, seed=5, pair_prob_per_pulse=0.02,
             dld_dark_rate_hz=2e5, snspd_dark_rate_hz=5e4,
             dead_time_ps={"mcp": 40000.0, "dld_x1": 10000.0, "snspd": 20000.0})
-        result = simgen.generate(model_jsa, cfg)
-        truth = result.truth
+        tags, truth = generated(model_jsa, cfg)
         assert ((truth.mcp_index < 0) & truth.signal_detected).any()  # dead time acted
         stream = io.BytesIO()
-        tagstream.write_stream(result.header, result.tags, stream)
+        tagstream.write_stream(cfg.header(), tags, stream)
         truth.write_jsonl(tmp_path / "truth.jsonl")
-        assert (len(result.tags), len(truth)) == (8150, 3126)
+        assert (len(tags), len(truth)) == (8150, 3126)
         assert hashlib.sha256(stream.getvalue()).hexdigest() == \
             "e27f1c042c29442c38c88f479a9e63f81ae777d912195dce939859b4d7eae2a0"
         assert hashlib.sha256((tmp_path / "truth.jsonl").read_bytes()).hexdigest() == \
@@ -250,13 +252,20 @@ def truth_bytes(truth):
 
 
 def streamed(jsa, cfg):
-    """(stream bytes, truth) of `generate` writing to a sink."""
+    """(stream bytes, truth) of `generate`'s chunks written as `gen-tags`
+    writes them."""
+    result = simgen.generate(jsa, cfg)
     sink = io.BytesIO()
-    result = simgen.generate(jsa, cfg, sink)
-    assert result.tags is None
-    assert result.header.record_count == (len(sink.getvalue()) - tagstream.HEADER_SIZE) \
-        // tagstream.RECORD_SIZE
+    tagstream.write_stream(result.header, result.chunks, sink)
     return sink.getvalue(), result.truth
+
+
+def whole_array_stream(jsa, cfg):
+    """(stream bytes, truth) of `whole_array_generate`."""
+    tags, truth = whole_array_generate(jsa, cfg)
+    sink = io.BytesIO()
+    tagstream.write_stream(cfg.header(), tags, sink)
+    return sink.getvalue(), truth
 
 
 _JITTER_PS = st.one_of(st.just(0.0), st.floats(1.0, 3000.0), st.floats(3000.0, 2e5))
@@ -265,8 +274,8 @@ _DEAD_TIME_PS = st.one_of(st.just(0.0), st.floats(25.0, 50_000.0))
 
 class TestChunkedStream:
     """`generate` makes the sorted stream in chunks, each final once the
-    next pulse block is emitted; written to a sink or kept, it must be
-    the whole-array pass's stream and truth exactly, or raise."""
+    next pulse block is emitted; written, they must be the whole-array
+    pass's stream and truth exactly, or raise."""
 
     @settings(max_examples=60, deadline=None)
     @given(block=st.one_of(st.integers(1, 16), st.integers(1, 3000)),
@@ -286,33 +295,32 @@ class TestChunkedStream:
             snspd_mcp_conv_jitter_fwhm_ps=mcp + extra, dld_dark_rate_hz=dld_dark,
             snspd_dark_rate_hz=snspd_dark, dead_time_ps=dead)
         with mock.patch.object(simgen, "_BLOCK_PULSES", block):
-            tags, truth = whole_array_generate(model_jsa, cfg)
+            oracle, truth = whole_array_stream(model_jsa, cfg)
             try:
                 raw, streamed_truth = streamed(model_jsa, cfg)
             except ValueError as exc:
                 assert "pulse block" in str(exc)
                 event("raised")
                 return
-            kept = simgen.generate(model_jsa, cfg)
-        oracle = io.BytesIO()
-        tagstream.write_stream(cfg.header(), tags, oracle)
-        assert raw == oracle.getvalue()
+        assert raw == oracle
         assert truth_bytes(streamed_truth) == truth_bytes(truth)
-        assert np.array_equal(kept.tags.timestamp, tags.timestamp)
-        assert np.array_equal(kept.tags.channel, tags.channel)
-        assert truth_bytes(kept.truth) == truth_bytes(truth)
 
     def test_tag_before_written_stream_raises(self, model_jsa):
         # one-pulse blocks (13 ns) and MCP jitter of 1 us: a later block's
-        # trigger lands before tags already final
+        # trigger lands before tags already final. `generate` itself only
+        # sets up; the error comes while the chunks are pulled.
         cfg = simgen.AcquisitionConfig(duration_s=2e-6, pair_prob_per_pulse=0.5,
                                        mcp_jitter_fwhm_ps=1e6,
                                        snspd_mcp_conv_jitter_fwhm_ps=1e6)
         with mock.patch.object(simgen, "_BLOCK_PULSES", 1):
+            pulled = []
+            chunks = simgen.generate(model_jsa, cfg).chunks
             with pytest.raises(ValueError, match=r"pulse block \d+ has a tag at tick"):
-                simgen.generate(model_jsa, cfg, io.BytesIO())
+                pulled.extend(chunks)
+            assert pulled
+            result = simgen.generate(model_jsa, cfg)
             with pytest.raises(ValueError, match="pulse block"):
-                simgen.generate(model_jsa, cfg)
+                tagstream.write_stream(result.header, result.chunks, io.BytesIO())
 
     @pytest.mark.parametrize("cfg", [
         simgen.AcquisitionConfig(duration_s=0.0),
@@ -321,19 +329,17 @@ class TestChunkedStream:
         simgen.AcquisitionConfig(duration_s=0.25, pair_prob_per_pulse=0.02,
                                  dead_time_ps={"mcp": 40000.0, "snspd": 20000.0}),
     ], ids=["0s", "sync-only", "dead-time"])
-    def test_sink_bytes_equal_kept_stream(self, model_jsa, cfg):
+    def test_streamed_equals_whole_array_at_full_blocks(self, model_jsa, cfg):
         raw, truth = streamed(model_jsa, cfg)
-        kept = simgen.generate(model_jsa, cfg)
-        whole = io.BytesIO()
-        tagstream.write_stream(kept.header, kept.tags, whole)
-        assert raw == whole.getvalue()
-        assert truth_bytes(truth) == truth_bytes(kept.truth)
+        oracle, whole_truth = whole_array_stream(model_jsa, cfg)
+        assert raw == oracle
+        assert truth_bytes(truth) == truth_bytes(whole_truth)
 
     def test_sink_memory_follows_block_not_duration(self, monkeypatch, tmp_path):
-        # tracemalloc peak of a run writing to a file, less the truth
-        # columns, which grow with the pair count: the same at d and 8d. A
-        # one-cell amplitude keeps the sampler's own arrays out of the peak,
-        # and a first run keeps out what numpy sets up on first use.
+        # tracemalloc peak of generating and writing a run to a file, less
+        # the truth columns, which grow with the pair count: the same at d
+        # and 8d. A one-cell amplitude keeps the sampler's own arrays out of
+        # the peak, and a first run keeps out what numpy sets up on first use.
         monkeypatch.setattr(simgen, "_BLOCK_PULSES", 20_000)
         peaks = []
         for duration in (0.002, 0.002, 0.016):
@@ -341,11 +347,12 @@ class TestChunkedStream:
             with open(tmp_path / "run.ttag", "w+b") as fh:
                 tracemalloc.start()
                 try:
-                    truth = simgen.generate(single_point_jsa(), cfg, fh).truth
+                    result = simgen.generate(single_point_jsa(), cfg)
+                    tagstream.write_stream(result.header, result.chunks, fh)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            peaks.append(peak - sum(len(col) for col in truth_bytes(truth)))
+            peaks.append(peak - sum(len(col) for col in truth_bytes(result.truth)))
         assert abs(peaks[2] - peaks[1]) <= 0.2 * peaks[1], peaks
 
 
@@ -423,14 +430,14 @@ class TestTruthFormatting:
         if chunk_rows is not None:
             monkeypatch.setattr(simgen, "_TRUTH_CHUNK_ROWS", chunk_rows)
         cfg = clean_acquisition(duration_s=0.002, eta_signal=0.5, eta_idler=0.5)
-        truth = simgen.generate(model_jsa, cfg).truth
+        _, truth = generated(model_jsa, cfg)
         assert len(truth) > 7 and (truth.snspd_index == -1).any()
         truth.write_jsonl(tmp_path / "truth.jsonl")
         assert (tmp_path / "truth.jsonl").read_bytes() == json_lines_oracle(truth)
 
     def test_no_pairs_writes_empty_file(self, tmp_path, model_jsa):
-        truth = simgen.generate(model_jsa, clean_acquisition(pair_prob_per_pulse=0.0,
-                                                             duration_s=0.001)).truth
+        _, truth = generated(model_jsa, clean_acquisition(pair_prob_per_pulse=0.0,
+                                                          duration_s=0.001))
         assert len(truth) == 0
         truth.write_jsonl(tmp_path / "truth.jsonl")
         assert (tmp_path / "truth.jsonl").read_bytes() == b""
@@ -453,8 +460,8 @@ class TestTruthFormatting:
 class TestRateAlgebra:
     def test_mcp_singles_within_poisson(self, model_jsa):
         cfg = simgen.AcquisitionConfig(duration_s=1.0)
-        result = simgen.generate(model_jsa, cfg)
-        n_mcp = int((result.tags.channel == CMAP.mcp).sum())
+        tags, _ = generated(model_jsa, cfg)
+        n_mcp = int((tags.channel == CMAP.mcp).sum())
         expected = (cfg.rep_rate_hz * cfg.pair_prob_per_pulse * cfg.eta_signal
                     + cfg.dld_dark_rate_hz) * cfg.duration_s
         assert abs(n_mcp - expected) < 3 * np.sqrt(expected)
@@ -462,8 +469,8 @@ class TestRateAlgebra:
     def test_dead_time_suppresses_close_tags(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.005, pair_prob_per_pulse=0.05,
                                 dead_time_ps={"mcp": 100000.0})
-        result = simgen.generate(model_jsa, cfg)
-        mcp_t = result.tags.timestamp[result.tags.channel == CMAP.mcp]
+        tags, _ = generated(model_jsa, cfg)
+        mcp_t = tags.timestamp[tags.channel == CMAP.mcp]
         gaps = np.diff(mcp_t.astype(np.int64)) * cfg.tick_ps
         assert np.all(gaps >= 100000.0 - cfg.tick_ps)
 
@@ -501,7 +508,7 @@ def test_dead_time_mask_matches_greedy_loop(tags, dead):
     ticks = np.cumsum(np.asarray(gaps, dtype=np.int64))
     channels = np.asarray(channels, dtype=np.uint16)
     cfg = simgen.AcquisitionConfig(dead_time_ps=dead)
-    np.testing.assert_array_equal(simgen._dead_time_mask(ticks, channels, cfg),
+    np.testing.assert_array_equal(simgen._dead_time_mask(ticks, channels, cfg, {}),
                                   greedy_dead_time_mask(ticks, channels, cfg))
 
 
@@ -534,8 +541,8 @@ class TestIrfReference:
 
     def test_generated_irf_fit_recovers_jitter(self, model_jsa):
         cfg = simgen.AcquisitionConfig(duration_s=0.3)
-        result = simgen.generate(model_jsa, cfg)
-        built = engine.build(result.tags, CMAP, event_cfg_for(cfg))
+        tags, _ = generated(model_jsa, cfg)
+        built = engine.build(tags, CMAP, event_cfg_for(cfg))
         irf = built.histograms["irf"]
         assert irf.total_accumulated > 10_000
         fit = fit_peak((irf.spec.centers() * cfg.tick_ps, irf.counts.astype(float)),
@@ -547,9 +554,9 @@ class TestIrfReference:
 class TestReconstruction:
     def test_clean_roundtrip_matches_model(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.3)
-        result = simgen.generate(model_jsa, cfg)
+        tags, _ = generated(model_jsa, cfg)
         ecfg = event_cfg_for(cfg)
-        built = engine.build(result.tags, CMAP, ecfg)
+        built = engine.build(tags, CMAP, ecfg)
         assert len(built.coincidences) > 50_000
         expected = expected_jsi_probabilities(model_jsa, cfg, ecfg)
         ncc = normalized_cross_correlation(built.histograms["jsi"].counts, expected)
@@ -559,8 +566,8 @@ class TestReconstruction:
 @pytest.fixture(scope="module")
 def default_build(model_jsa):
     cfg = simgen.AcquisitionConfig(duration_s=1.0)
-    result = simgen.generate(model_jsa, cfg)
-    return cfg, engine.build(result.tags, CMAP, event_cfg_for(cfg))
+    tags, _ = generated(model_jsa, cfg)
+    return cfg, engine.build(tags, CMAP, event_cfg_for(cfg))
 
 
 class TestOneDimensionalSpectra:
