@@ -24,18 +24,22 @@ def _fail(message, code):
     sys.exit(code)
 
 
+def _write_json(path, doc):
+    """Write an artifact as indented JSON with sorted keys."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, command, cfg_path, seed, extra=None):
-    manifest = {
+    _write_json(Path(out_dir) / "manifest.json", {
         "command": command,
         "config_sha256": config_sha256(cfg_path),
         "seed": seed,
         "biphoton_version": __version__,
         "numpy_version": np.__version__,
-    }
-    manifest.update(extra or {})
-    with open(Path(out_dir) / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        **(extra or {}),
+    })
 
 
 @click.group(invoke_without_command=True)
@@ -96,9 +100,7 @@ def cmd_simulate_jsa(config_path, out_dir):
     summary = report.to_dict()
     summary["signal_marginal_fwhm_nm"] = jsa.marginal_fwhm_nm("signal")
     summary["idler_marginal_fwhm_nm"] = jsa.marginal_fwhm_nm("idler")
-    with open(out / "schmidt.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "schmidt.json", summary)
     _write_manifest(out, "simulate-jsa", config_path, cfg.seed)
     click.echo(f"K = {report.schmidt_number:.3f}  P = {report.purity:.4f}  "
                f"signal {summary['signal_marginal_fwhm_nm']:.3f} nm  "
@@ -115,47 +117,51 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
     """Synthesize a time-tag stream from an amplitude container."""
     cfg = load_run_config(config_path)
     jsa = spdc.read_jsa_file(jsa_path)
-    # the stream is written chunk by chunk to a sibling path, which takes
-    # the output's name only once it is complete, so a failed run leaves
-    # no truncated stream
-    partial = out_path + ".partial"
+    # the stream (written chunk by chunk) and the truth go to sibling
+    # paths, which take the outputs' names only once both are complete, so
+    # a failed run leaves neither a truncated output nor a manifest
+    partials = {path: path + ".partial" for path in (out_path, truth_path) if path}
     try:
-        with open(partial, "w+b") as fh:
+        with open(partials[out_path], "w+b") as fh:
             result = simgen.generate(jsa, cfg.acquisition)
             n_bytes = tagstream.write_stream(result.header, result.chunks, fh)
             fh.seek(0)
             sha256 = hashlib.sha256()
             while chunk := fh.read(1 << 20):
                 sha256.update(chunk)
-        os.replace(partial, out_path)
+        if truth_path:
+            result.truth.write_jsonl(partials[truth_path])
+        for final, partial in partials.items():
+            os.replace(partial, final)
     except BaseException:
-        Path(partial).unlink(missing_ok=True)
+        for partial in partials.values():
+            Path(partial).unlink(missing_ok=True)
         raise
     digest = sha256.hexdigest()
     n_tags = (n_bytes - tagstream.HEADER_SIZE) // tagstream.RECORD_SIZE
-    if truth_path:
-        result.truth.write_jsonl(truth_path)
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump({"command": "gen-tags", "config_sha256": config_sha256(config_path),
-                   "seed": cfg.seed, "sha256": digest, "bytes": n_bytes,
-                   "tags": n_tags, "pairs": len(result.truth),
-                   "biphoton_version": __version__}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_path + ".manifest.json", {
+        "command": "gen-tags", "config_sha256": config_sha256(config_path),
+        "seed": cfg.seed, "sha256": digest, "bytes": n_bytes, "tags": n_tags,
+        "pairs": len(result.truth), "biphoton_version": __version__})
     click.echo(f"wrote {n_tags} tags ({n_bytes} bytes), sha256 {digest[:16]}...")
 
 
-def _load_tags(ttag_path, cfg):
-    """Read a whole stream. Its tick must be the config's, because the
-    event-build gates and bins are derived in config ticks."""
+def _build_stream(ttag_path, cfg, event_cfg, threads=1):
+    """Read a whole stream and build it; returns the build result and the
+    stream's duration in seconds. The stream's tick must be the config's,
+    because the event-build gates and bins are derived in config ticks."""
     with open(ttag_path, "rb") as fh:
         header, tags = tagstream.read_stream_arrays(fh)
     if header.tick_ps != cfg.acquisition.tick_ps:
         raise ValueError(f"{ttag_path} has {header.tick_ps} ps ticks but the config's "
                          f"acquisition.tick_ps is {cfg.acquisition.tick_ps} ps")
-    return header, tags
+    result = engine.build(tags, header.channel_map, event_cfg, threads=threads)
+    t = tags.timestamp
+    return result, (float((int(t[-1]) - int(t[0]) + 1) * header.tick_ps * 1e-12)
+                    if len(t) else 0.0)
 
 
-def _jsi_writer(out, cfg, event_cfg, tick):
+def _jsi_writer(out, cfg, event_cfg):
     """Write the companion axis files of the joint-spectrum binning into
     `out` (one row per bin: tick center, calibrated wavelength center) and
     return `write(name, hist, meta)`, which writes a joint-spectrum matrix
@@ -177,7 +183,7 @@ def _jsi_writer(out, cfg, event_cfg, tick):
                                            ("idler_axis.csv", y_spec, y_centers, y_lam)):
         with open(out / name, "w", newline="") as fh:
             fh.write("# format: biphoton jsi axis v1\n")
-            fh.write(f"# tick_ps: {tick}\n")
+            fh.write(f"# tick_ps: {acq.tick_ps}\n")
             fh.write(f"# wavelength_edges_nm: {json.dumps([float(v) for v in lam_edges])}\n")
             fh.write("bin,center_ticks,wavelength_nm\n")
             for k, (t, lam) in enumerate(zip(spec.centers(), centers)):
@@ -186,7 +192,7 @@ def _jsi_writer(out, cfg, event_cfg, tick):
             "y_wavelength_centers_nm": [float(v) for v in y_centers]}
 
     def write(name, hist, meta):
-        histograms.write_histogram2d_csv(out / name, hist, tick, meta={**meta, **axes},
+        histograms.write_histogram2d_csv(out / name, hist, acq.tick_ps, meta={**meta, **axes},
                                          x_wavelength_edges=x_lam, y_wavelength_edges=y_lam)
     return write
 
@@ -201,35 +207,21 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
     """Build events, coincidences, spectra and the static joint spectrum."""
     cfg = load_run_config(config_path)
     event_cfg = cfg.event_config()
-    header, tags = _load_tags(ttag_path, cfg)
-    result = engine.build(tags, header.channel_map, event_cfg, threads=threads)
+    result, duration_s = _build_stream(ttag_path, cfg, event_cfg, threads)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tick = header.tick_ps
     meta = {"config_sha256": config_sha256(config_path)}
+    for name, value_name in (("irf", "sync_offset"), ("signal_spectrum", "dt_x"),
+                             ("dld_y_spectrum", "dt_y"), ("idler_spectrum", "tau")):
+        histograms.write_histogram1d_csv(out / f"{name}.csv", result.histograms[name],
+                                         value_name, cfg.acquisition.tick_ps, meta=meta)
+    _jsi_writer(out, cfg, event_cfg)("jsi.csv", result.histograms["jsi"], meta)
 
-    histograms.write_histogram1d_csv(out / "irf.csv", result.histograms["irf"],
-                                     "sync_offset", tick, meta=meta)
-    histograms.write_histogram1d_csv(
-        out / "signal_spectrum.csv", result.histograms["signal_spectrum"], "dt_x",
-        tick, meta=meta)
-    histograms.write_histogram1d_csv(
-        out / "dld_y_spectrum.csv", result.histograms["dld_y_spectrum"], "dt_y",
-        tick, meta=meta)
-    histograms.write_histogram1d_csv(
-        out / "idler_spectrum.csv", result.histograms["idler_spectrum"], "tau",
-        tick, meta=meta)
-    _jsi_writer(out, cfg, event_cfg, tick)("jsi.csv", result.histograms["jsi"], meta)
-
-    t = tags.timestamp
-    duration_s = float((int(t[-1]) - int(t[0]) + 1) * tick * 1e-12) if len(t) else 0.0
     diagnostics = dict(result.diagnostics)
     if duration_s > 0:
         diagnostics["rates"] = engine.rates_report(result.diagnostics, duration_s)
-    with open(out / "diagnostics.json", "w") as fh:
-        json.dump(diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "diagnostics.json", diagnostics)
     _write_manifest(out, "build", config_path, cfg.seed, extra={"threads": threads})
     click.echo(f"{diagnostics['events']} events, {diagnostics['coincidences']} coincidences, "
                f"jsi total {result.histograms['jsi'].total_in_range}")
@@ -239,6 +231,15 @@ def _finite(ctx, param, value):
     if value is not None and not math.isfinite(value):
         raise click.BadParameter(f"must be finite, got {value}")
     return value
+
+
+def _ticks(value_ps, tick, option):
+    """`value_ps` rounded to whole ticks, which must fit in int64."""
+    ticks = round(value_ps / tick)
+    if not -2**63 <= ticks < 2**63:
+        raise click.BadParameter(f"{value_ps} ps is beyond the int64 tick range",
+                                 param_hint=option)
+    return ticks
 
 
 @cli.command("slice")
@@ -255,20 +256,18 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
     """Time-resolved joint spectra: one frame per sync-offset window."""
     cfg = load_run_config(config_path)
     event_cfg = cfg.event_config()
-    # _load_tags requires the stream's tick to be the config's
+    # _build_stream requires the stream's tick to be the config's
     tick = cfg.acquisition.tick_ps
-    width_ticks = int(round(window_ps / tick))
+    width_ticks = _ticks(window_ps, tick, "--window")
     if width_ticks < 1:
         raise ValueError(f"window must be at least one tick ({tick} ps)")
-    header, tags = _load_tags(ttag_path, cfg)
-
-    result = engine.build(tags, header.channel_map, event_cfg)
+    if origin_ps is not None:
+        origin_ticks = _ticks(origin_ps, tick, "--origin")
+    result, _ = _build_stream(ttag_path, cfg, event_cfg)
     if origin_ps is None:
         irf = result.histograms["irf"]
         peak_tick = int(np.argmax(irf.counts)) + irf.spec.start
         origin_ticks = peak_tick - (frames * width_ticks) // 2
-    else:
-        origin_ticks = int(round(origin_ps / tick))
 
     slices = engine.slice_time_resolved(result.coincidences, event_cfg,
                                         width_ticks, origin_ticks, frames)
@@ -278,19 +277,18 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
             "window_width_ticks": width_ticks,
             "window_origin_ticks": origin_ticks,
             "folded": slices.folded}
-    write_jsi = _jsi_writer(out, cfg, event_cfg, tick)
+    write_jsi = _jsi_writer(out, cfg, event_cfg)
     totals = []
     for k, frame in enumerate(slices.frames):
         write_jsi(f"frame_{k:02d}.csv", frame, {**meta, "frame": k})
         totals.append(frame.total_in_range)
     write_jsi("out_of_window.csv", slices.out_of_window, meta)
     write_jsi("jsi.csv", result.histograms["jsi"], meta)
-    with open(out / "slices.json", "w") as fh:
-        json.dump({"frame_totals": totals,
-                   "out_of_window_total": slices.out_of_window.total_in_range,
-                   "static_total": result.histograms["jsi"].total_in_range,
-                   **meta}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "slices.json", {
+        "frame_totals": totals,
+        "out_of_window_total": slices.out_of_window.total_in_range,
+        "static_total": result.histograms["jsi"].total_in_range,
+        **meta})
     _write_manifest(out, "slice", config_path, cfg.seed)
     click.echo(f"frame totals: {totals}")
 
@@ -372,9 +370,7 @@ def _run_golden(update=False):
             hashes[rel] = digest
 
         if update:
-            with open(str(golden_path), "w") as fh:
-                json.dump(hashes, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(str(golden_path), hashes)
             click.echo(f"updated {golden_path}")
             return 0
 

@@ -79,9 +79,7 @@ class EventBuildConfig:
         return _fold_by_formula(np.arange(size), self)
 
     def lookahead_ticks(self):
-        return max(self.dld_window_ticks,
-                   self.gate_center_ticks + self.gate_half_width_ticks,
-                   self.gate_center_ticks + self.gate_half_width_ticks
+        return max(self.dld_window_ticks, self.gate_center_ticks + self.gate_half_width_ticks
                    + self.sync_period_ticks) + 1
 
 
@@ -371,10 +369,13 @@ def rates_report(diagnostics, duration_s):
     }
 
 
-def _concat_columns(parts):
-    """Concatenate column dataclasses (DldEvents or Coincidences) field by field."""
-    return type(parts[0])(*(np.concatenate([getattr(p, f.name) for p in parts])
-                            for f in fields(parts[0])))
+def _join_columns(parts):
+    """Join column dataclasses (DldEvents or Coincidences) field by field,
+    taking each field out of the parts as it is joined, so that at most
+    one field is held twice."""
+    cls = type(parts[0])
+    return cls(**{f.name: np.concatenate([vars(p).pop(f.name) for p in parts])
+                  for f in fields(cls)})
 
 
 def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns, lo, hi,
@@ -444,7 +445,7 @@ def _steps(blocks, sync_channel, lookahead):
         yield carry, lo, lo, sync_before
 
 
-def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
+def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads):
     """The one build driver: (events, coincidences, diagnostics) of each
     step of the block stream, in stream order. Steps are taken from the
     stream in order; with threads > 1 they run on a pool with at most
@@ -465,33 +466,37 @@ def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
         yield from (future.result() for future in in_flight)
 
 
+def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep):
+    """The one consumer of the build driver: adds each step into the
+    histograms and diagnostics on the calling thread and hands its columns
+    to `keep(events, coincidences)`. Returns a BuildResult without columns."""
+    hists, diag = new_histograms(cfg), _fresh_diag()
+    for events, coinc, step_diag in _drive(blocks, channel_map, cfg, threads):
+        accumulate_histograms(coinc, events, cfg, into=hists)
+        diag = _merge_diag(diag, step_diag)
+        keep(events, coinc)
+        del events, coinc   # not alive while the next step runs, unless kept
+    diag["jsi_out_of_range"] = hists["jsi"].out_of_range
+    return BuildResult(None, None, hists, diag)
+
+
 def build(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
     """One-shot build of events, coincidences, histograms and diagnostics:
-    the build driver over `tags` as one block, keeping the event and
-    coincidence columns. Any thread count gives identical results."""
-    events, coinc, diags = zip(*_drive([tags], channel_map, cfg, threads))
-    events, coinc = _concat_columns(events), _concat_columns(coinc)
-    hists = accumulate_histograms(coinc, events, cfg)
-    diag = functools.reduce(_merge_diag, diags)
-    diag["jsi_out_of_range"] = hists["jsi"].out_of_range
-    return BuildResult(events, coinc, hists, diag)
+    the fold of `tags` as one block, keeping the event and coincidence
+    columns. Any thread count gives identical results."""
+    kept = []
+    result = _fold([tags], channel_map, cfg, threads, lambda *step: kept.append(step))
+    result.events, result.coincidences = (_join_columns(parts) for parts in zip(*kept))
+    return result
 
 
 def fold_stream_blocks(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads=None):
     """Bounded-memory build over an iterator of TagColumns blocks: the
-    build driver on `threads` workers (None: every CPU this process may
-    use), each step folded into the histograms on the calling thread.
+    fold on `threads` workers (None: every CPU this process may use).
     Histograms and diagnostics are identical to `build` for any block
     partition and thread count; event and coincidence columns are not
     retained."""
     if threads is None:
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    hists = new_histograms(cfg)
-    diag = _fresh_diag()
-    for events, coinc, d in _drive(blocks, channel_map, cfg, threads):
-        accumulate_histograms(coinc, events, cfg, into=hists)
-        diag = _merge_diag(diag, d)
-        del events, coinc   # not alive while the next step runs
-    diag["jsi_out_of_range"] = hists["jsi"].out_of_range
-    return BuildResult(None, None, hists, diag)
+    return _fold(blocks, channel_map, cfg, threads, lambda e, c: None)

@@ -502,35 +502,33 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, truth, index):
     the stream, so it raises ValueError."""
     dead = any(v > 0 for v in cfg.dead_time_ps.values())
     carry = (np.zeros(0, np.int64), np.zeros(0, np.uint16), np.zeros(0, np.int64))
-    last_kept, last, written, pending = {}, None, 0, None
-    for following in itertools.chain(_emitted_blocks(draw_pairs, cfg, blocks, truth), [None]):
-        if pending is not None:
-            block, *columns = pending
-            ticks, channel, label = (np.concatenate(pair) for pair in zip(carry, columns))
-            order = np.lexsort((channel, ticks))
-            ticks, channel, label = ticks[order], channel[order], label[order]
-            first = (int(ticks[0]), int(channel[0]))
-            if last is not None and first < last:
-                raise ValueError(
-                    f"pulse block {block} has a tag at tick {first[0]} on channel {first[1]}, "
-                    f"which sorts before tick {last[0]} on channel {last[1]} of the stream "
-                    "already final: the blocks are too short for the spread of the tag times")
-            cut = len(ticks)
-            if following is not None:
-                cut = int(np.searchsorted(ticks, following[1].min()))
-            carry = ticks[cut:], channel[cut:], label[cut:]
-            ticks, channel, label = ticks[:cut], channel[:cut], label[:cut]
-            if cut:
-                last = (int(ticks[-1]), int(channel[-1]))
-            if dead:
-                alive = _dead_time_mask(ticks, channel, cfg, last_kept)
-                ticks, channel, label = ticks[alive], channel[alive], label[alive]
-            labelled = np.flatnonzero(label >= 0)
-            index.reshape(-1)[label[labelled]] = written + labelled
-            written += len(ticks)
-            if len(ticks):
-                yield TagColumns(channel, ticks)
-        pending = following
+    last_kept, last, written = {}, None, 0
+    emitted = _emitted_blocks(draw_pairs, cfg, blocks, truth)
+    for (block, *columns), following in itertools.pairwise(itertools.chain(emitted, [None])):
+        ticks, channel, label = (np.concatenate(pair) for pair in zip(carry, columns))
+        order = np.lexsort((channel, ticks))
+        ticks, channel, label = ticks[order], channel[order], label[order]
+        first = (int(ticks[0]), int(channel[0]))
+        if last is not None and first < last:
+            raise ValueError(
+                f"pulse block {block} has a tag at tick {first[0]} on channel {first[1]}, "
+                f"which sorts before tick {last[0]} on channel {last[1]} of the stream "
+                "already final: the blocks are too short for the spread of the tag times")
+        cut = len(ticks)
+        if following is not None:
+            cut = int(np.searchsorted(ticks, following[1].min()))
+        carry = ticks[cut:], channel[cut:], label[cut:]
+        ticks, channel, label = ticks[:cut], channel[:cut], label[:cut]
+        if cut:
+            last = (int(ticks[-1]), int(channel[-1]))
+        if dead:
+            alive = _dead_time_mask(ticks, channel, cfg, last_kept)
+            ticks, channel, label = ticks[alive], channel[alive], label[alive]
+        labelled = np.flatnonzero(label >= 0)
+        index.reshape(-1)[label[labelled]] = written + labelled
+        written += len(ticks)
+        if len(ticks):
+            yield TagColumns(channel, ticks)
 
 
 def generate(jsa: JsaGrid, cfg: AcquisitionConfig):

@@ -169,6 +169,18 @@ class TestGenTags:
                               "--truth", out / "truth.jsonl"], expect=1)
         assert list(out.iterdir()) == []
 
+    def test_failed_truth_leaves_no_stream(self, monkeypatch, tmp_path, pipeline):
+        # the stream is complete before the truth is written, but takes its
+        # name only once the truth is complete too
+        src, _ = pipeline
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        run_cli(monkeypatch, ["gen-tags", src / "jsa/jsa.jsag", cfg, out / "run.ttag",
+                              "--truth", tmp_path / "missing" / "truth.jsonl"], expect=1)
+        assert list(out.iterdir()) == []
+        assert not (tmp_path / "missing").exists()
+
 
 class TestBuild:
     def test_outputs_exist_and_conserve(self, pipeline):
@@ -316,7 +328,8 @@ class TestCountOptions:
 
     @pytest.mark.parametrize("option,value", [("--window", "inf"), ("--window", "nan"),
                                               ("--origin", "inf"), ("--origin", "-inf"),
-                                              ("--origin", "nan")])
+                                              ("--origin", "nan"), ("--window", "1e30"),
+                                              ("--origin", "1e30"), ("--origin", "-1e30")])
     def test_non_finite_window_exits_2_before_reading(self, monkeypatch, capsys, tmp_path,
                                                       pipeline, option, value):
         _, cfg = pipeline
@@ -325,7 +338,8 @@ class TestCountOptions:
         capsys.readouterr()
         run_cli(monkeypatch, ["slice", junk, cfg, tmp_path / "out", option, value], expect=2)
         err = capsys.readouterr().err
-        assert option in err and "finite" in err
+        # a finite value whose tick count does not fit the int64 columns
+        assert option in err and ("int64" if value.endswith("e30") else "finite") in err
         assert not (tmp_path / "out").exists()
 
     def test_least_counts_accepted(self, monkeypatch, tmp_path, pipeline):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -708,6 +709,26 @@ class TestFoldMemory:
         # two 1M-tag blocks (20 MB) and five steps in flight
         assert peaks[0] < 64, peaks
         assert peaks[1] < peaks[0] * 1.1 + 1, peaks
+
+
+class TestBuildMemory:
+    def test_build_holds_its_results_once(self):
+        cfg = tiny_cfg(250.0)
+        tags = next(pulse_blocks(1))    # about 1M tags, a coincidence per pulse
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = engine.build(tags, CMAP, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(part, f.name).nbytes
+                      for part in (result.events, result.coincidences)
+                      for f in dataclasses.fields(part))
+        assert columns > 10 * 2**20
+        # joined field by field: the step parts of one field at most are
+        # held beside the joined columns
+        assert peak - columns < columns / 2, (peak, columns)
 
 
 class TestFoldTable:
