@@ -6,7 +6,7 @@ the spectrometer dispersion, and the fibre arrival delay maps linearly to
 idler wavelength through the fibre dispersion.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -110,12 +110,7 @@ class PeakFitResult:
     n_points: int = 0
 
     def to_dict(self):
-        return {
-            "model": self.model, "center": self.center, "width": self.width,
-            "amplitude": self.amplitude, "baseline": self.baseline,
-            "fwhm": self.fwhm, "residual_norm": self.residual_norm,
-            "converged": self.converged, "n_points": self.n_points,
-        }
+        return asdict(self)
 
 
 def _gaussian(x, center, width, amplitude, baseline):

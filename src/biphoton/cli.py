@@ -115,6 +115,11 @@ def cmd_simulate_jsa(config_path, out_dir):
               help="Also write ground-truth labels (JSON lines keyed by tag index).")
 def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
     """Synthesize a time-tag stream from an amplitude container."""
+    manifest_path = out_path + ".manifest.json"
+    taken = (out_path, manifest_path, jsa_path, config_path)
+    if truth_path and Path(truth_path).resolve() in [Path(p).resolve() for p in taken]:
+        raise click.BadParameter(f"{truth_path} is the stream, its manifest or an input",
+                                 param_hint="--truth")
     cfg = load_run_config(config_path)
     jsa = spdc.read_jsa_file(jsa_path)
     # the stream (written chunk by chunk) and the truth go to sibling
@@ -139,7 +144,7 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
         raise
     digest = sha256.hexdigest()
     n_tags = (n_bytes - tagstream.HEADER_SIZE) // tagstream.RECORD_SIZE
-    _write_json(out_path + ".manifest.json", {
+    _write_json(manifest_path, {
         "command": "gen-tags", "config_sha256": config_sha256(config_path),
         "seed": cfg.seed, "sha256": digest, "bytes": n_bytes, "tags": n_tags,
         "pairs": len(result.truth), "biphoton_version": __version__})
@@ -318,11 +323,7 @@ def cmd_analyze(jsi_csv, background):
         "background_subtracted": background,
     }
     for axis, model in (("signal", "gaussian"), ("idler", "sinc_squared")):
-        lam = jsa.signal_wavelength_nm if axis == "signal" else jsa.idler_wavelength_nm
-        profile = jsa.signal_marginal() if axis == "signal" else jsa.idler_marginal()
-        order = np.argsort(lam)
-        fit = calibration.fit_peak((lam[order], profile[order]), model=model)
-        out[f"{axis}_fit"] = fit.to_dict()
+        out[f"{axis}_fit"] = calibration.fit_peak(jsa.marginal(axis), model=model).to_dict()
     if background:
         plain = schmidt.schmidt_decompose(
             schmidt.jsa_from_jsi(counts, lam_s, lam_i, background=0.0))[0]

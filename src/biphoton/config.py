@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .engine import EventBuildConfig
 from .histograms import BinSpec
-from .simgen import AcquisitionConfig
+from .simgen import SEED_LIMIT, AcquisitionConfig
 from .spdc import CrystalSpec, FrequencyGrid, PumpSpec
 
 SEED_ENV_VAR = "BIPHOTON_SEED"
@@ -64,8 +64,7 @@ class RunConfig:
     event_build: EventBuildOverrides = field(default_factory=EventBuildOverrides)
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        _check_seed(self.seed, "seed")
 
     def event_config(self):
         """The event build this instrument implies: the anode propagation
@@ -99,6 +98,13 @@ class RunConfig:
                 f"acquisition.fibre_cal.reference_delay_ps ({gate_center} ticks) and "
                 f"event_build.gate_half_width_ticks ({ov.gate_half_width_ticks}) "
                 f"give an invalid event build: {exc}") from exc
+
+
+def _check_seed(seed, source):
+    """The one seed rule, for the config's `seed` and for SEED_ENV_VAR:
+    an integer in [0, 2**64). `source` names where the seed came from."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"{source} must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _centered_spec(center, width, count):
@@ -139,9 +145,11 @@ def run_config_from_dict(doc):
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
+            seed = int(env_seed)
+        except ValueError:
+            seed = env_seed     # not an integer: the rule rejects it
+        _check_seed(seed, SEED_ENV_VAR)
+        cfg.seed = seed
     cfg.acquisition.seed = cfg.seed
     return cfg
 

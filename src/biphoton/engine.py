@@ -186,15 +186,15 @@ def _count_hits(arr, lo, end, exact):
     return n
 
 
-def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before):
-    """Assemble events for the MCP triggers in [mcp_lo, mcp_hi).
+def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before, diag):
+    """Assemble events for the MCP triggers in [mcp_lo, mcp_hi), writing
+    their counts into the step's diagnostics `diag`.
 
     For each trigger, X1/X2 tags are searched in (t_mcp, t_mcp + window];
     an event is emitted iff exactly one candidate exists on each wire and
     the decoded difference is inside the guard band. Y decoding is optional
     and never rejects an event.
     """
-    diag = _fresh_diag()
     mcp = times["mcp"][mcp_lo:mcp_hi]
     diag["mcp_triggers"] = len(mcp)
     window_end = mcp + cfg.dld_window_ticks
@@ -238,7 +238,7 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before):
         has_sync[:] = True
     diag["syncless_events"] = int((~has_sync).sum())
     diag["events"] = len(t_mcp)
-    return DldEvents(t_mcp, dt_x, dt_y, has_y, sync_offset, has_sync), diag
+    return DldEvents(t_mcp, dt_x, dt_y, has_y, sync_offset, has_sync)
 
 
 def _expand_gate(snspd, starts, counts):
@@ -251,10 +251,10 @@ def _expand_gate(snspd, starts, counts):
     return owner, snspd[np.repeat(starts, counts) + within]
 
 
-def _match_coincidences(times, events: DldEvents, cfg: EventBuildConfig):
-    """Pair each event with every SNSPD tag inside the idler gate. Multi-hit
-    gates yield one coincidence per hit (accidentals, tallied separately)."""
-    diag = _fresh_diag()
+def _match_coincidences(times, events: DldEvents, cfg: EventBuildConfig, diag):
+    """Pair each event with every SNSPD tag inside the idler gate, writing
+    the counts into `diag`. Multi-hit gates yield one coincidence per hit
+    (accidentals, tallied separately)."""
     snspd = times["snspd"]
     gate_lo = events.t_mcp + cfg.gate_center_ticks - cfg.gate_half_width_ticks
     gate_hi = events.t_mcp + cfg.gate_center_ticks + cfg.gate_half_width_ticks
@@ -271,7 +271,7 @@ def _match_coincidences(times, events: DldEvents, cfg: EventBuildConfig):
     disp = cfg.sync_period_ticks
     dlo = np.searchsorted(snspd, gate_lo + disp, side="left")
     diag["displaced_gate_hits"] = int(_count_hits(snspd, dlo, gate_hi + disp, exact=True).sum())
-    return coinc, diag
+    return coinc
 
 
 def _fold_by_formula(offsets, cfg: EventBuildConfig):
@@ -387,10 +387,9 @@ def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns
     Returns (events, coincidences, diagnostics)."""
     times = split_channels(tags, channel_map)
     bounds = {role: np.searchsorted(times[role], (lo, hi), side="right") for role in _ROLES}
-    events, diag = _match_events(times, cfg, *bounds["mcp"], sync_before)
-    coinc, cdiag = _match_coincidences(times, events, cfg)
-    diag = _merge_diag(diag, cdiag)
-    diag["tag_counts"] = {role: int(b - a) for role, (a, b) in bounds.items()}
+    diag = {"tag_counts": {role: int(b - a) for role, (a, b) in bounds.items()}}
+    events = _match_events(times, cfg, *bounds["mcp"], sync_before, diag)
+    coinc = _match_coincidences(times, events, cfg, diag)
     return events, coinc, diag
 
 

@@ -99,9 +99,15 @@ class Histogram2D:
 # then plain rows. The 2-D matrix is written row-major, one x bin per row.
 # ---------------------------------------------------------------------------
 
-def _write_header(fh, meta):
-    for key, value in meta.items():
-        fh.write(f"# {key}: {json.dumps(value)}\n")
+def _write_csv(path, meta, rows, columns=None):
+    """The '#' header of `meta`, an optional column-name line, then one
+    line per row of Python numbers: `repr` keeps every float's shortest
+    round-trip digits and prints ints as `str` does."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {key}: {json.dumps(value)}\n" for key, value in meta.items())
+        if columns is not None:
+            fh.write(columns + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def write_histogram1d_csv(path, hist: Histogram1D, axis_name, tick_ps, meta=None):
@@ -117,11 +123,8 @@ def write_histogram1d_csv(path, hist: Histogram1D, axis_name, tick_ps, meta=None
         "overflow": hist.overflow,
     }
     header.update(meta or {})
-    with open(path, "w", newline="") as fh:
-        _write_header(fh, header)
-        fh.write(f"{axis_name}_ticks,count\n")
-        fh.writelines(f"{c!r},{n}\n"
-                      for c, n in zip(hist.spec.centers().tolist(), hist.counts.tolist()))
+    _write_csv(path, header, zip(hist.spec.centers().tolist(), hist.counts.tolist()),
+               columns=f"{axis_name}_ticks,count")
 
 
 def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, meta=None,
@@ -144,9 +147,7 @@ def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, meta=None,
     if y_wavelength_edges is not None:
         header["y_wavelength_edges_nm"] = [float(v) for v in y_wavelength_edges]
     header.update(meta or {})
-    with open(path, "w", newline="") as fh:
-        _write_header(fh, header)
-        fh.writelines(",".join(map(str, row)) + "\n" for row in hist.counts.tolist())
+    _write_csv(path, header, hist.counts.tolist())
 
 
 def read_matrix_csv(path):
@@ -157,26 +158,20 @@ def read_matrix_csv(path):
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
+                key, colon, value = line[1:].partition(":")
+                if colon:
                     try:
-                        meta[key.strip()] = json.loads(value.strip())
+                        meta[key.strip()] = json.loads(value)
                     except json.JSONDecodeError:
                         meta[key.strip()] = value.strip()
-                continue
-            rows.append([float(v) for v in line.split(",")])
+            elif line:
+                rows.append(line)
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
-    return np.array(rows, dtype=float), meta
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2), meta
 
 
 def write_matrix_csv(path, matrix, meta):
     """Float matrix with the same header convention (model intensities)."""
-    with open(path, "w", newline="") as fh:
-        _write_header(fh, meta)
-        fh.writelines(",".join(map(repr, row)) + "\n"
-                      for row in np.asarray(matrix, dtype=np.float64).tolist())
+    _write_csv(path, meta, np.asarray(matrix, dtype=np.float64).tolist())

@@ -6,7 +6,7 @@ normalized to sum(c_j^2) = 1, the mode count K = 1 / sum(c_j^4) and the
 heralded purity P = sum(c_j^4); K * P = 1 by construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,12 +25,7 @@ class SchmidtReport:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
 
     def to_dict(self):
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "schmidt_number": self.schmidt_number,
-            "purity": self.purity,
-            "residual": self.residual,
-        }
+        return {**asdict(self), "eigenvalues": self.eigenvalues.tolist()}
 
 
 def schmidt_decompose(jsa: JsaGrid, mode_count=None):

@@ -37,6 +37,8 @@ from .units import sigma_from_fwhm
 
 _ANODE_BASE_DELAY_PS = 100.0   # keeps wire-end pulses strictly after the MCP
 _BLOCK_PULSES = 1 << 23
+#: seeds are below this: a seed is one uint64 word of each block's Philox key
+SEED_LIMIT = 1 << 64
 
 
 @dataclass
@@ -86,8 +88,8 @@ class AcquisitionConfig:
             raise ValueError(f"dead_time_ps has unknown role(s) {unknown}; roles are {roles}")
         if any(v < 0 for v in self.dead_time_ps.values()):
             raise ValueError("dead times must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not isinstance(self.tick_ps, int) or self.tick_ps < 1:
             raise ValueError(f"tick_ps must be an integer >= 1, got {self.tick_ps!r}")
 
@@ -356,22 +358,16 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _pair_count(rng, cfg: AcquisitionConfig, slots):
-    """A block's pair count, the first draw of its generator, so that
-    `generate` can size the ground truth before any block is emitted."""
-    return int(rng.poisson(cfg.pair_prob_per_pulse * slots))
-
-
-def _emit_block(draw_pairs, cfg: AcquisitionConfig, block, pulse_lo, pulse_hi, first_row):
-    """One pulse block, its pairs numbered from `first_row` and drawn by
-    `draw_pairs` (a `spdc.pair_sampler`). Returns the tag columns `t_ps`,
+def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, pulse_hi,
+                first_row):
+    """One pulse block of `n_pairs` pairs, numbered from `first_row` and
+    drawn by `draw_pairs` (a `spdc.pair_sampler`), with every other draw
+    from the block's generator `rng`. Returns the tag columns `t_ps`,
     `channel` and `label` (4 * pair row + arm, the arm 0 MCP, 1 X1, 2 X2,
     3 SNSPD; -1 for sync and dark tags) and the pair columns."""
-    rng = _block_rng(cfg.seed, block)
     slots = pulse_hi - pulse_lo
     period = cfg.pulse_period_ps
 
-    n_pairs = _pair_count(rng, cfg, slots)
     pulse = pulse_lo + np.sort(rng.integers(0, slots, n_pairs))
     lam_s, lam_i = (np.zeros(0), np.zeros(0)) if n_pairs == 0 else draw_pairs(n_pairs, rng)
     det_s = rng.random(n_pairs) < cfg.eta_signal
@@ -473,12 +469,12 @@ def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept):
 
 
 def _emitted_blocks(draw_pairs, cfg: AcquisitionConfig, blocks, truth):
-    """Emit each (pulse_lo, pulse_hi, first_row) block, write its pairs into
-    `truth` and yield (block number, ticks, channel, label) of its tags at
-    non-negative ticks, for blocks that have any."""
-    for block, (lo, hi, first_row) in enumerate(blocks):
-        tags, pairs = _emit_block(draw_pairs, cfg, block, lo, hi, first_row)
-        rows = slice(first_row, first_row + len(pairs["pulse_index"]))
+    """Emit each (rng, n_pairs, pulse_lo, pulse_hi, first_row) block, write
+    its pairs into `truth` and yield (block number, ticks, channel, label)
+    of its tags at non-negative ticks, for blocks that have any."""
+    for block, (rng, n_pairs, lo, hi, first_row) in enumerate(blocks):
+        tags, pairs = _emit_block(draw_pairs, cfg, rng, n_pairs, lo, hi, first_row)
+        rows = slice(first_row, first_row + n_pairs)
         for key, column in pairs.items():
             getattr(truth, key)[rows] = column
         t_ps = tags["t_ps"]
@@ -541,12 +537,15 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
 
     draw_pairs = pair_sampler(jsa) if cfg.pair_prob_per_pulse > 0 else None
     n_pulses = cfg.n_pulses
-    spans = [(lo, min(lo + _BLOCK_PULSES, n_pulses)) for lo in range(0, n_pulses, _BLOCK_PULSES)]
-    counts = [_pair_count(_block_rng(cfg.seed, block), cfg, hi - lo)
-              for block, (lo, hi) in enumerate(spans)]
-    blocks = [(lo, hi, first)
-              for (lo, hi), first in zip(spans, itertools.accumulate(counts, initial=0))]
-    n_pairs = sum(counts)
+    blocks, n_pairs = [], 0
+    for block, lo in enumerate(range(0, n_pulses, _BLOCK_PULSES)):
+        hi = min(lo + _BLOCK_PULSES, n_pulses)
+        # the pair count is the block generator's first draw, so the ground
+        # truth is sized before any block is emitted
+        rng = _block_rng(cfg.seed, block)
+        count = int(rng.poisson(cfg.pair_prob_per_pulse * (hi - lo)))
+        blocks.append((rng, count, lo, hi, n_pairs))
+        n_pairs += count
     index = np.full((n_pairs, 4), -1, dtype=np.int64)
     truth = GroundTruth(np.empty(n_pairs, np.int64), np.empty(n_pairs), np.empty(n_pairs),
                         np.empty(n_pairs, bool), np.empty(n_pairs, bool), *index.T)

@@ -39,29 +39,26 @@ def _check_range(lam_um):
             f"wavelength outside LBO Sellmeier validity range {lo}-{hi} um")
 
 
-def lbo_nx(lam_um):
+#: (A, B, C, D, E) of n^2 = A + B / (lam^2 - C) + D lam^2 + E lam^4 on each
+#: principal axis
+_LBO_SELLMEIER = {"x": (2.454140, 0.011249, 0.011350, -0.014591, -6.60e-5),
+                  "y": (2.539070, 0.012711, 0.012523, -0.018540, 2.00e-4),
+                  "z": (2.586179, 0.013099, 0.011893, -0.017968, -2.26e-4)}
+
+
+def lbo_index(lam_um, axis):
+    """LBO refractive index along principal axis "x", "y" or "z"."""
     _check_range(lam_um)
+    a, b, c, d, e = _LBO_SELLMEIER[axis]
     l2 = np.asarray(lam_um, dtype=float) ** 2
-    return np.sqrt(2.454140 + 0.011249 / (l2 - 0.011350) - 0.014591 * l2 - 6.60e-5 * l2**2)
-
-
-def lbo_ny(lam_um):
-    _check_range(lam_um)
-    l2 = np.asarray(lam_um, dtype=float) ** 2
-    return np.sqrt(2.539070 + 0.012711 / (l2 - 0.012523) - 0.018540 * l2 + 2.00e-4 * l2**2)
-
-
-def lbo_nz(lam_um):
-    _check_range(lam_um)
-    l2 = np.asarray(lam_um, dtype=float) ** 2
-    return np.sqrt(2.586179 + 0.013099 / (l2 - 0.011893) - 0.017968 * l2 - 2.26e-4 * l2**2)
+    return np.sqrt(a + b / (l2 - c) + d * l2 + e * l2**2)
 
 
 def lbo_n_inplane(lam_um, phi_rad):
     """Index of the in-plane polarized wave for propagation in the XY plane
     at angle phi from the x axis (theta = 90 deg)."""
-    nx = lbo_nx(lam_um)
-    ny = lbo_ny(lam_um)
+    nx = lbo_index(lam_um, "x")
+    ny = lbo_index(lam_um, "y")
     s2 = np.sin(phi_rad) ** 2
     c2 = np.cos(phi_rad) ** 2
     return 1.0 / np.sqrt(s2 / nx**2 + c2 / ny**2)
@@ -210,27 +207,23 @@ class JsaGrid:
         self.normalized = True
         return self
 
-    def signal_marginal(self):
-        _, dwi = self.cell_measures()
-        return np.sum(self.jsi() * dwi[None, :], axis=1)
-
-    def idler_marginal(self):
-        dws, _ = self.cell_measures()
-        return np.sum(self.jsi() * dws[:, None], axis=0)
+    def marginal(self, axis):
+        """The "signal" or "idler" intensity marginal: its wavelengths in nm,
+        ascending, and the marginal there."""
+        dws, dwi = self.cell_measures()
+        if axis == "signal":
+            omega, profile = self.signal_omega, np.sum(self.jsi() * dwi[None, :], axis=1)
+        elif axis == "idler":
+            omega, profile = self.idler_omega, np.sum(self.jsi() * dws[:, None], axis=0)
+        else:
+            raise ValueError("axis must be 'signal' or 'idler'")
+        # omega ascends, so the wavelength descends
+        return wavelength_from_omega(omega)[::-1], profile[::-1]
 
     def marginal_fwhm_nm(self, axis):
         """FWHM of the signal or idler intensity marginal, in nm, from
         half-maximum crossings interpolated on the wavelength axis."""
-        if axis == "signal":
-            profile = self.signal_marginal()
-            lam = self.signal_wavelength_nm
-        elif axis == "idler":
-            profile = self.idler_marginal()
-            lam = self.idler_wavelength_nm
-        else:
-            raise ValueError("axis must be 'signal' or 'idler'")
-        order = np.argsort(lam)
-        return fwhm_from_profile(lam[order], profile[order])
+        return fwhm_from_profile(*self.marginal(axis))
 
 
 def fwhm_from_profile(x, y):
@@ -292,8 +285,8 @@ def _sellmeier_delta_k(lam_s_nm, lam_i_nm, phi_deg):
     lam_p_nm = 1.0 / (1.0 / lam_s_nm + 1.0 / lam_i_nm)
     phi = np.radians(phi_deg)
     k_p = 2e6 * np.pi * lbo_n_inplane(lam_p_nm * 1e-3, phi) / lam_p_nm
-    k_s = 2e6 * np.pi * lbo_nz(lam_s_nm * 1e-3) / lam_s_nm
-    k_i = 2e6 * np.pi * lbo_nz(lam_i_nm * 1e-3) / lam_i_nm
+    k_s = 2e6 * np.pi * lbo_index(lam_s_nm * 1e-3, "z") / lam_s_nm
+    k_i = 2e6 * np.pi * lbo_index(lam_i_nm * 1e-3, "z") / lam_i_nm
     return k_p - k_s - k_i
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +108,42 @@ class TestGenTags:
         run_cli(monkeypatch, ["gen-tags", src / "jsa/jsa.jsag", cfg, tmp_path / "b.ttag"])
         assert (tmp_path / "a.ttag").read_bytes() != (tmp_path / "b.ttag").read_bytes()
 
+    @pytest.mark.parametrize("target", ["{out}/run.ttag", "{out}/../out/run.ttag.manifest.json",
+                                        "{jsa}", "{cfg}"])
+    def test_truth_on_output_or_input_exits_2(self, monkeypatch, capsys, tmp_path, pipeline,
+                                              target):
+        src, _ = pipeline
+        cfg = small_config(tmp_path)
+        jsa = tmp_path / "jsa.jsag"
+        jsa.write_bytes((src / "jsa/jsa.jsag").read_bytes())
+        inputs = {path: path.read_bytes() for path in (jsa, cfg)}
+        out = tmp_path / "out"
+        out.mkdir()
+        run_cli(monkeypatch, ["gen-tags", jsa, cfg, out / "run.ttag",
+                              "--truth", target.format(out=out, jsa=jsa, cfg=cfg)], expect=2)
+        assert "--truth" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert {path: path.read_bytes() for path in inputs} == inputs
+
+    @pytest.mark.parametrize("env_seed, file_seed, source", [
+        ("-5", 1, "BIPHOTON_SEED"), (str(2**64), 1, "BIPHOTON_SEED"), (None, 2**64, "seed")])
+    def test_bad_seed_exits_2_before_work(self, monkeypatch, capsys, tmp_path, pipeline,
+                                          env_seed, file_seed, source):
+        src, _ = pipeline
+        cfg = small_config(tmp_path, seed=file_seed)
+        if env_seed is not None:
+            monkeypatch.setenv("BIPHOTON_SEED", env_seed)
+        out = tmp_path / "out"
+        out.mkdir()
+        for args in (["simulate-jsa", cfg, out / "jsa"],
+                     ["gen-tags", src / "jsa/jsa.jsag", cfg, out / "run.ttag"]):
+            capsys.readouterr()
+            run_cli(monkeypatch, args, expect=2)
+            err = capsys.readouterr().err
+            assert f"{source} must be an integer in [0, 2**64)" in err
+            assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_zero_duration_minimal_file(self, monkeypatch, tmp_path, pipeline):
         src, _ = pipeline
         cfg = small_config(tmp_path, **{"acquisition.duration_s": 0.0})
@@ -157,10 +194,10 @@ class TestGenTags:
         cfg = small_config(tmp_path)
         emit_block = simgen._emit_block
 
-        def fail_third(draw_pairs, acq, block, *args):
-            if block == 2:
+        def fail_third(draw_pairs, acq, rng, n_pairs, pulse_lo, *args):
+            if pulse_lo == 2 * 300_000:
                 raise ValueError("injected failure in block 2")
-            return emit_block(draw_pairs, acq, block, *args)
+            return emit_block(draw_pairs, acq, rng, n_pairs, pulse_lo, *args)
         monkeypatch.setattr(simgen, "_BLOCK_PULSES", 300_000)
         monkeypatch.setattr(simgen, "_emit_block", fail_third)
         out = tmp_path / "out"
@@ -432,11 +469,8 @@ class TestAnalyze:
         counts, meta = read_matrix_csv(tmp / name)
         jsa = schmidt.jsa_from_jsi(counts, np.asarray(meta["x_wavelength_centers_nm"]),
                                    np.asarray(meta["y_wavelength_centers_nm"]))
-        for lam, profile, model in (
-                (jsa.signal_wavelength_nm, jsa.signal_marginal(), "gaussian"),
-                (jsa.idler_wavelength_nm, jsa.idler_marginal(), "sinc_squared")):
-            order = np.argsort(lam)
-            assert_fit_matches_scipy(lam[order], profile[order], model)
+        for axis, model in (("signal", "gaussian"), ("idler", "sinc_squared")):
+            assert_fit_matches_scipy(*jsa.marginal(axis), model)
 
     @pytest.mark.parametrize("value", ["-5", "nan", "inf", "-inf"])
     def test_bad_background_exits_2_before_reading(self, monkeypatch, capsys, tmp_path, value):
@@ -479,6 +513,19 @@ class TestImport:
                              check=True, env=env)
         assert '"signal_fit"' in out.stdout
         assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+class TestTracedNames:
+    def test_benchmark_trace_targets_exist(self, tmp_path):
+        # the benchmark's tracer wraps functions by name and lists a missing
+        # one as "absent" instead of failing
+        root = Path(__file__).resolve().parents[1]
+        spans = tmp_path / "spans.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, root / "pipebench/trace.py", spans, "cli",
+                        "init-config", tmp_path / "config.json"],
+                       capture_output=True, check=True, env=env)
+        assert json.loads(spans.read_text())["absent"] == []
 
 
 class TestGolden:

@@ -6,6 +6,7 @@ import pytest
 
 from biphoton.config import (ConfigError, RunConfig, default_config_dict, load_run_config,
                              run_config_from_dict)
+from biphoton.simgen import AcquisitionConfig
 
 
 def leaf_paths(cls, prefix=()):
@@ -137,6 +138,28 @@ class TestStrictParsing:
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ConfigError):
             run_config_from_dict({"seed": -3})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True])
+    def test_config_seed_outside_the_seed_rule(self, monkeypatch, seed):
+        monkeypatch.delenv("BIPHOTON_SEED", raising=False)
+        with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            run_config_from_dict({"seed": seed})
+
+    @pytest.mark.parametrize("value", ["-5", str(2**64), "seven", "1.5"])
+    def test_env_seed_outside_the_seed_rule(self, monkeypatch, value):
+        monkeypatch.setenv("BIPHOTON_SEED", value)
+        with pytest.raises(ConfigError,
+                           match=r"BIPHOTON_SEED must be an integer in \[0, 2\*\*64\)"):
+            run_config_from_dict({"seed": 1})
+
+    def test_seed_rule_ends(self, monkeypatch):
+        monkeypatch.delenv("BIPHOTON_SEED", raising=False)
+        for seed in (0, 2**64 - 1):
+            assert run_config_from_dict({"seed": seed}).acquisition.seed == seed
+        monkeypatch.setenv("BIPHOTON_SEED", str(2**64 - 1))
+        assert run_config_from_dict({"seed": 0}).acquisition.seed == 2**64 - 1
+        with pytest.raises(ValueError, match="seed"):
+            AcquisitionConfig(seed=2**64)
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("BIPHOTON_SEED", "777")

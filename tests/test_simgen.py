@@ -220,12 +220,15 @@ def whole_array_generate(jsa, cfg):
     """The synthesizer as one whole-array pass, the reference for its
     chunked stream: every block's tags concatenated, ticks below 0
     dropped, one stable lexsort, the greedy dead-time loop, then one
-    scatter of the labels into the truth index columns."""
+    scatter of the labels into the truth index columns. Each block's
+    generator is keyed by (seed, block) and draws its pair count first."""
     draw_pairs = spdc.pair_sampler(jsa) if cfg.pair_prob_per_pulse > 0 else None
     tag_parts, pair_parts, n_pairs = [], [], 0
     for block, lo in enumerate(range(0, cfg.n_pulses, simgen._BLOCK_PULSES)):
         hi = min(lo + simgen._BLOCK_PULSES, cfg.n_pulses)
-        tags, pairs = simgen._emit_block(draw_pairs, cfg, block, lo, hi, n_pairs)
+        rng = simgen._block_rng(cfg.seed, block)
+        count = int(rng.poisson(cfg.pair_prob_per_pulse * (hi - lo)))
+        tags, pairs = simgen._emit_block(draw_pairs, cfg, rng, count, lo, hi, n_pairs)
         tag_parts.append(tags)
         pair_parts.append(pairs)
         n_pairs += len(pairs["pulse_index"])

@@ -203,7 +203,7 @@ class TestSamplePairs:
         lam_s, _ = draw_pairs(default_jsa, n, seed=99)
         ws = np.sort(omega_from_wavelength(lam_s))
         ds, _ = default_jsa.cell_measures()
-        weights = default_jsa.signal_marginal() * ds
+        weights = default_jsa.marginal("signal")[1][::-1] * ds   # ascending omega
         cdf_grid = np.cumsum(weights) / np.sum(weights)
         ax = default_jsa.signal_omega
         edges = np.concatenate([ax - ds / 2, [ax[-1] + ds[-1] / 2]])
