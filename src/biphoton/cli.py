@@ -31,8 +31,8 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_manifest(out_dir, command, cfg_path, seed, extra=None):
-    _write_json(Path(out_dir) / "manifest.json", {
+def _write_manifest(path, command, cfg_path, seed, extra=None):
+    _write_json(path, {
         "command": command,
         "config_sha256": config_sha256(cfg_path),
         "seed": seed,
@@ -101,7 +101,7 @@ def cmd_simulate_jsa(config_path, out_dir):
     summary["signal_marginal_fwhm_nm"] = jsa.marginal_fwhm_nm("signal")
     summary["idler_marginal_fwhm_nm"] = jsa.marginal_fwhm_nm("idler")
     _write_json(out / "schmidt.json", summary)
-    _write_manifest(out, "simulate-jsa", config_path, cfg.seed)
+    _write_manifest(out / "manifest.json", "simulate-jsa", config_path, cfg.seed)
     click.echo(f"K = {report.schmidt_number:.3f}  P = {report.purity:.4f}  "
                f"signal {summary['signal_marginal_fwhm_nm']:.3f} nm  "
                f"idler {summary['idler_marginal_fwhm_nm']:.2f} nm")
@@ -116,16 +116,20 @@ def cmd_simulate_jsa(config_path, out_dir):
 def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
     """Synthesize a time-tag stream from an amplitude container."""
     manifest_path = out_path + ".manifest.json"
-    taken = (out_path, manifest_path, jsa_path, config_path)
-    if truth_path and Path(truth_path).resolve() in [Path(p).resolve() for p in taken]:
-        raise click.BadParameter(f"{truth_path} is the stream, its manifest or an input",
-                                 param_hint="--truth")
-    cfg = load_run_config(config_path)
-    jsa = spdc.read_jsa_file(jsa_path)
     # the stream (written chunk by chunk) and the truth go to sibling
     # paths, which take the outputs' names only once both are complete, so
     # a failed run leaves neither a truncated output nor a manifest
     partials = {path: path + ".partial" for path in (out_path, truth_path) if path}
+    # every file written must be a file of its own: no input, no other output
+    taken = {}
+    for name, path in (("JSA_PATH", jsa_path), ("CONFIG_PATH", config_path),
+                       ("OUT_PATH", out_path), ("OUT_PATH.partial", partials[out_path]),
+                       ("OUT_PATH.manifest.json", manifest_path), ("--truth", truth_path),
+                       ("--truth.partial", partials.get(truth_path))):
+        if path is not None and (other := taken.setdefault(Path(path).resolve(), name)) != name:
+            raise click.BadParameter(f"{path} is also {other}", param_hint=name.split(".")[0])
+    cfg = load_run_config(config_path)
+    jsa = spdc.read_jsa_file(jsa_path)
     try:
         with open(partials[out_path], "w+b") as fh:
             result = simgen.generate(jsa, cfg.acquisition)
@@ -144,10 +148,8 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
         raise
     digest = sha256.hexdigest()
     n_tags = (n_bytes - tagstream.HEADER_SIZE) // tagstream.RECORD_SIZE
-    _write_json(manifest_path, {
-        "command": "gen-tags", "config_sha256": config_sha256(config_path),
-        "seed": cfg.seed, "sha256": digest, "bytes": n_bytes, "tags": n_tags,
-        "pairs": len(result.truth), "biphoton_version": __version__})
+    _write_manifest(manifest_path, "gen-tags", config_path, cfg.seed, extra={
+        "sha256": digest, "bytes": n_bytes, "tags": n_tags, "pairs": len(result.truth)})
     click.echo(f"wrote {n_tags} tags ({n_bytes} bytes), sha256 {digest[:16]}...")
 
 
@@ -186,13 +188,11 @@ def _jsi_writer(out, cfg, event_cfg):
     y_centers = calibration.idler_wavelength(y_spec.centers(), acq.fibre_cal, acq.tick_ps)
     for name, spec, centers, lam_edges in (("signal_axis.csv", x_spec, x_centers, x_lam),
                                            ("idler_axis.csv", y_spec, y_centers, y_lam)):
-        with open(out / name, "w", newline="") as fh:
-            fh.write("# format: biphoton jsi axis v1\n")
-            fh.write(f"# tick_ps: {acq.tick_ps}\n")
-            fh.write(f"# wavelength_edges_nm: {json.dumps([float(v) for v in lam_edges])}\n")
-            fh.write("bin,center_ticks,wavelength_nm\n")
-            for k, (t, lam) in enumerate(zip(spec.centers(), centers)):
-                fh.write(f"{k},{float(t)!r},{float(lam)!r}\n")
+        histograms.write_table_csv(
+            out / name, {"format": "biphoton jsi axis v1", "tick_ps": acq.tick_ps,
+                         "wavelength_edges_nm": [float(v) for v in lam_edges]},
+            zip(range(spec.count), spec.centers().tolist(), centers.tolist()),
+            columns="bin,center_ticks,wavelength_nm")
     axes = {"x_wavelength_centers_nm": [float(v) for v in x_centers],
             "y_wavelength_centers_nm": [float(v) for v in y_centers]}
 
@@ -227,7 +227,8 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
     if duration_s > 0:
         diagnostics["rates"] = engine.rates_report(result.diagnostics, duration_s)
     _write_json(out / "diagnostics.json", diagnostics)
-    _write_manifest(out, "build", config_path, cfg.seed, extra={"threads": threads})
+    _write_manifest(out / "manifest.json", "build", config_path, cfg.seed,
+                    extra={"threads": threads})
     click.echo(f"{diagnostics['events']} events, {diagnostics['coincidences']} coincidences, "
                f"jsi total {result.histograms['jsi'].total_in_range}")
 
@@ -294,7 +295,7 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
         "out_of_window_total": slices.out_of_window.total_in_range,
         "static_total": result.histograms["jsi"].total_in_range,
         **meta})
-    _write_manifest(out, "slice", config_path, cfg.seed)
+    _write_manifest(out / "manifest.json", "slice", config_path, cfg.seed)
     click.echo(f"frame totals: {totals}")
 
 
@@ -395,7 +396,7 @@ def main():
         sys.exit(2 if isinstance(exc, click.exceptions.UsageError) else 1)
     except ConfigError as exc:
         _fail(str(exc), 2)
-    except (tagstream.StreamFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _fail(str(exc), 1)
     sys.exit(0)
 

@@ -99,7 +99,7 @@ class Histogram2D:
 # then plain rows. The 2-D matrix is written row-major, one x bin per row.
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, meta, rows, columns=None):
+def write_table_csv(path, meta, rows, columns=None):
     """The '#' header of `meta`, an optional column-name line, then one
     line per row of Python numbers: `repr` keeps every float's shortest
     round-trip digits and prints ints as `str` does."""
@@ -123,8 +123,8 @@ def write_histogram1d_csv(path, hist: Histogram1D, axis_name, tick_ps, meta=None
         "overflow": hist.overflow,
     }
     header.update(meta or {})
-    _write_csv(path, header, zip(hist.spec.centers().tolist(), hist.counts.tolist()),
-               columns=f"{axis_name}_ticks,count")
+    write_table_csv(path, header, zip(hist.spec.centers().tolist(), hist.counts.tolist()),
+                    columns=f"{axis_name}_ticks,count")
 
 
 def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, meta=None,
@@ -147,7 +147,7 @@ def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, meta=None,
     if y_wavelength_edges is not None:
         header["y_wavelength_edges_nm"] = [float(v) for v in y_wavelength_edges]
     header.update(meta or {})
-    _write_csv(path, header, hist.counts.tolist())
+    write_table_csv(path, header, hist.counts.tolist())
 
 
 def read_matrix_csv(path):
@@ -174,4 +174,4 @@ def read_matrix_csv(path):
 
 def write_matrix_csv(path, matrix, meta):
     """Float matrix with the same header convention (model intensities)."""
-    _write_csv(path, meta, np.asarray(matrix, dtype=np.float64).tolist())
+    write_table_csv(path, meta, np.asarray(matrix, dtype=np.float64).tolist())

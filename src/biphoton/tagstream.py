@@ -40,7 +40,7 @@ RECORD_DTYPE = np.dtype([("channel", "<u2"), ("reserved", "<u2"), ("timestamp", 
 _BLOCK_RECORDS = 1 << 20
 
 
-class StreamFormatError(Exception):
+class StreamFormatError(ValueError):
     """Base class for malformed `.ttag` data; `byte_offset` locates the
     fault in the file when it is known."""
 
@@ -77,19 +77,6 @@ class UnmappedChannelError(StreamFormatError):
 
 class TimestampRangeError(StreamFormatError):
     """A record's u64 timestamp does not fit in the i64 timestamp column."""
-
-
-class UnsortedTagsError(ValueError):
-    def __init__(self, index):
-        super().__init__(f"tags not sorted by (timestamp, channel): first violation at index {index}")
-        self.index = index
-
-
-class UnknownChannelError(ValueError):
-    def __init__(self, index, channel):
-        super().__init__(f"tag {index} uses channel {channel} which is not in the channel map")
-        self.index = index
-        self.channel = channel
 
 
 @dataclass(eq=False)
@@ -218,19 +205,44 @@ def _unmapped_finder(channel_map):
     return first
 
 
+def _check_records(block: TagColumns, last, first_unmapped, offset):
+    """The record check of the reader and the writer: `last` is the
+    (timestamp, channel) before the non-empty `block`, or None, and `offset`
+    the byte offset of its first record. Raises UnmappedChannelError for the
+    first unmapped channel, else TimestampRangeError or RecordOrderError for
+    the first record out of order, by whether its u64 timestamp fits in
+    int64. Returns the block's last (timestamp, channel)."""
+    bad = first_unmapped(block.channel)
+    if bad is not None:
+        raise UnmappedChannelError(
+            f"record on channel {block.channel[bad]}, which is not in the "
+            "header's channel map", offset + bad * RECORD_SIZE)
+    # a u64 timestamp of 2**63 or more is negative in the i64 column:
+    # out of order after a valid one, or first in a sorted block
+    bad = first_order_violation(block, after=last)
+    if bad is None and block.timestamp[0] < 0:
+        bad = 0
+    if bad is not None:
+        if block.timestamp[bad] < 0:
+            raise TimestampRangeError(
+                f"record timestamp {int(block.timestamp[bad]) % 2**64} does not fit in int64",
+                offset + bad * RECORD_SIZE)
+        raise RecordOrderError("record out of (timestamp, channel) order",
+                               offset + bad * RECORD_SIZE)
+    return int(block.timestamp[-1]), int(block.channel[-1])
+
+
 def write_stream(header, tags, sink: BinaryIO):
     """Write header + records to a seekable binary sink. Returns the byte
     count.
 
     `tags` is one TagColumns or an iterable of TagColumns chunks, each
-    written as it arrives. The tags must be sorted by (timestamp, channel),
-    across chunks too, have non-negative timestamps and use only mapped
-    channels; a fault raises with the index of its tag in the whole
-    sequence. Every chunk is checked before any of its records is written,
-    and the header, with the record_count of all chunks, is written last in
-    the room left for it. After a fault in the first non-empty chunk the
-    sink holds nothing new; after a fault in a later one it holds the
-    earlier chunks' records behind a zeroed header, which no reader accepts.
+    checked as the reader checks its blocks, then written. A fault raises
+    the reader's error at the byte offset the record would have. The
+    header, with the record_count of all chunks, is written last in the
+    room left for it. After a fault the sink holds the earlier chunks'
+    records behind a zeroed header, which no reader accepts, or nothing
+    new when there are none.
     """
     if isinstance(tags, TagColumns):
         tags = [tags]
@@ -242,14 +254,8 @@ def write_stream(header, tags, sink: BinaryIO):
     for chunk in tags:
         if not len(chunk):
             continue
-        violation = first_order_violation(chunk, after=last)
-        if violation is not None:
-            raise UnsortedTagsError(written + violation)
-        if not written and chunk.timestamp[0] < 0:
-            raise ValueError(f"negative timestamp {int(chunk.timestamp[0])} at tag 0")
-        unmapped = first_unmapped(chunk.channel)
-        if unmapped is not None:
-            raise UnknownChannelError(written + unmapped, int(chunk.channel[unmapped]))
+        last = _check_records(chunk, last, first_unmapped,
+                              HEADER_SIZE + RECORD_SIZE * written)
         for lo in range(0, len(chunk), _BLOCK_RECORDS):
             block = chunk[lo:lo + _BLOCK_RECORDS]
             if len(records) < len(block):
@@ -259,7 +265,6 @@ def write_stream(header, tags, sink: BinaryIO):
             out["timestamp"] = block.timestamp
             sink.write(out)
         written += len(chunk)
-        last = (int(chunk.timestamp[-1]), int(chunk.channel[-1]))
     end = sink.tell()
     sink.seek(start)
     sink.write(replace(header, record_count=written).to_bytes())
@@ -300,24 +305,7 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS, into=None
                      else into[seen:seen + whole])
             block.channel[:] = records["channel"]
             block.timestamp[:] = records["timestamp"]
-            bad = first_unmapped(block.channel)
-            if bad is not None:
-                raise UnmappedChannelError(
-                    f"record on channel {block.channel[bad]}, which is not in the "
-                    "header's channel map", offset + bad * RECORD_SIZE)
-            # a u64 timestamp of 2**63 or more is negative in the i64 column:
-            # out of order after a valid one, or first in a sorted block
-            bad = first_order_violation(block, after=last)
-            if bad is None and block.timestamp[0] < 0:
-                bad = 0
-            if bad is not None:
-                if block.timestamp[bad] < 0:
-                    raise TimestampRangeError(
-                        f"record timestamp {records['timestamp'][bad]} does not fit in int64",
-                        offset + bad * RECORD_SIZE)
-                raise RecordOrderError("record out of (timestamp, channel) order",
-                                       offset + bad * RECORD_SIZE)
-            last = (int(block.timestamp[-1]), int(block.channel[-1]))
+            last = _check_records(block, last, first_unmapped, offset)
             offset += size
             seen += whole
             yield block

@@ -125,6 +125,28 @@ class TestGenTags:
         assert list(out.iterdir()) == []
         assert {path: path.read_bytes() for path in inputs} == inputs
 
+    @pytest.mark.parametrize("config_name, target", [
+        ("config.json", "{cfg}"), ("config.json", "{jsa}"),
+        ("run.ttag.manifest.json", "{out}"), ("run.ttag.partial", "{out}")])
+    def test_output_on_input_exits_2(self, monkeypatch, capsys, tmp_path, pipeline,
+                                     config_name, target):
+        src, _ = pipeline
+        cfg = small_config(tmp_path, name=config_name)
+        jsa = tmp_path / "jsa.jsag"
+        jsa.write_bytes((src / "jsa/jsa.jsag").read_bytes())
+
+        def files():
+            return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in tmp_path.iterdir()}
+        before = files()
+        capsys.readouterr()
+        run_cli(monkeypatch, ["gen-tags", jsa, cfg,
+                              target.format(out=tmp_path / "run.ttag", jsa=jsa, cfg=cfg)],
+                expect=2)
+        assert "OUT_PATH" in capsys.readouterr().err
+        # the inputs are unchanged, and no partial stream or manifest is left
+        assert files() == before
+
     @pytest.mark.parametrize("env_seed, file_seed, source", [
         ("-5", 1, "BIPHOTON_SEED"), (str(2**64), 1, "BIPHOTON_SEED"), (None, 2**64, "seed")])
     def test_bad_seed_exits_2_before_work(self, monkeypatch, capsys, tmp_path, pipeline,
@@ -334,6 +356,33 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "channel 9" in err and f"byte offset {offset}" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestProvenance:
+    def test_every_manifest_records_provenance(self, monkeypatch, tmp_path, pipeline):
+        tmp, cfg = pipeline
+        run_cli(monkeypatch, ["slice", tmp / "tags.ttag", cfg, tmp_path / "sliced"])
+        manifests = [json.loads(path.read_text()) for path in (
+            tmp / "jsa/manifest.json", tmp / "tags.ttag.manifest.json",
+            tmp / "built/manifest.json", tmp_path / "sliced/manifest.json")]
+        assert [m["command"] for m in manifests] == ["simulate-jsa", "gen-tags", "build", "slice"]
+        for manifest in manifests:
+            assert {"command", "config_sha256", "seed", "biphoton_version",
+                    "numpy_version"} <= manifest.keys()
+            assert manifest["numpy_version"] == np.__version__
+            assert manifest["config_sha256"] == manifests[0]["config_sha256"]
+
+    def test_every_csv_header_value_is_json(self, monkeypatch, tmp_path, pipeline):
+        tmp, cfg = pipeline
+        run_cli(monkeypatch, ["slice", tmp / "tags.ttag", cfg, tmp_path / "sliced"])
+        paths = [*(tmp / "built").glob("*.csv"), *(tmp_path / "sliced").glob("*.csv")]
+        assert {"signal_axis.csv", "idler_axis.csv", "frame_00.csv"} <= {p.name for p in paths}
+        for path in paths:
+            for line in path.read_text().splitlines():
+                if line.startswith("#"):
+                    key, colon, value = line[1:].partition(":")
+                    assert colon, (path.name, line)
+                    json.loads(value)
 
 
 class TestCountOptions:

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import tagstream as ts
 
@@ -69,17 +71,17 @@ class TestWriteStream:
     def test_unsorted_rejected_with_index(self):
         # equal timestamps, channels 3 then 1: tie-break violated at index 1
         tags = tags_of([(3, 100), (1, 100)])
-        with pytest.raises(ts.UnsortedTagsError) as err:
+        with pytest.raises(ts.RecordOrderError) as err:
             ts.write_stream(make_header(), tags, io.BytesIO())
-        assert err.value.index == 1
+        assert err.value.byte_offset == ts.HEADER_SIZE + 1 * ts.RECORD_SIZE
 
     def test_unsorted_timestamp_rejected(self):
         tags = tags_of([(0, 5), (0, 4)])
-        with pytest.raises(ts.UnsortedTagsError):
+        with pytest.raises(ts.RecordOrderError):
             ts.write_stream(make_header(), tags, io.BytesIO())
 
     def test_channel_outside_map_rejected(self):
-        with pytest.raises(ts.UnknownChannelError):
+        with pytest.raises(ts.UnmappedChannelError):
             ts.write_stream(make_header(), tags_of([(9, 0)]), io.BytesIO())
 
     def test_unmapped_channel_index(self):
@@ -87,12 +89,13 @@ class TestWriteStream:
         cmap = ts.ChannelMap(mcp=10, dld_x1=11, dld_x2=12, dld_y1=13, dld_y2=14,
                              snspd=15, sync=20)
         tags = tags_of([(10, 1), (20, 1), (11, 2), (17, 2), (0, 3)])
-        with pytest.raises(ts.UnknownChannelError) as err:
+        with pytest.raises(ts.UnmappedChannelError) as err:
             ts.write_stream(make_header(channel_map=cmap), tags, io.BytesIO())
-        assert (err.value.index, err.value.channel) == (3, 17)
+        assert err.value.byte_offset == ts.HEADER_SIZE + 3 * ts.RECORD_SIZE
+        assert "channel 17" in str(err.value)
 
     def test_negative_timestamp_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ts.TimestampRangeError):
             ts.write_stream(make_header(), tags_of([(0, -1), (0, 3)]), io.BytesIO())
 
     def test_sort_violation_scan_matches_pairwise_oracle(self):
@@ -137,22 +140,24 @@ class TestWriteStream:
         tags = tags_of([(0, 1), (1, 1), (0, 2), (6, 2), (0, 5), (2, 5)])
         # across a chunk boundary: (0, 5) after (6, 2) is fine, (0, 2) after (0, 5) is not
         chunks = [tags[:2], tags[2:2], tags[4:5], tags[2:4]]
-        with pytest.raises(ts.UnsortedTagsError) as err:
+        with pytest.raises(ts.RecordOrderError) as err:
             ts.write_stream(make_header(), iter(chunks), io.BytesIO())
-        assert err.value.index == 3
+        assert err.value.byte_offset == ts.HEADER_SIZE + 3 * ts.RECORD_SIZE
         # within a later chunk: an equal timestamp on a lower channel
         bad = tags_of([(0, 1), (6, 1), (0, 2), (3, 5), (2, 5)])
-        with pytest.raises(ts.UnsortedTagsError) as err:
+        with pytest.raises(ts.RecordOrderError) as err:
             ts.write_stream(make_header(), iter([bad[:2], bad[2:]]), io.BytesIO())
-        assert err.value.index == 4
+        assert err.value.byte_offset == ts.HEADER_SIZE + 4 * ts.RECORD_SIZE
         unmapped = tags_of([(0, 1), (6, 1), (0, 2), (9, 3)])
-        with pytest.raises(ts.UnknownChannelError) as err:
+        with pytest.raises(ts.UnmappedChannelError) as err:
             ts.write_stream(make_header(), iter([unmapped[:1], unmapped[1:3], unmapped[3:]]),
                             io.BytesIO())
-        assert (err.value.index, err.value.channel) == (3, 9)
-        with pytest.raises(ValueError, match="negative timestamp"):
+        assert err.value.byte_offset == ts.HEADER_SIZE + 3 * ts.RECORD_SIZE
+        assert "channel 9" in str(err.value)
+        with pytest.raises(ts.TimestampRangeError, match="does not fit in int64") as err:
             ts.write_stream(make_header(), iter([ts.TagColumns.empty(), tags_of([(0, -1)])]),
                             io.BytesIO())
+        assert err.value.byte_offset == ts.HEADER_SIZE
 
     def test_sink_after_fault(self):
         good = tags_of([(0, 1), (6, 1), (0, 2)])
@@ -167,7 +172,7 @@ class TestWriteStream:
         # a fault in a later chunk leaves the earlier records behind a
         # zeroed header, which readers reject
         buf = io.BytesIO()
-        with pytest.raises(ts.UnsortedTagsError):
+        with pytest.raises(ts.RecordOrderError):
             ts.write_stream(make_header(), iter([good, tags_of([(0, 0)])]), buf)
         raw = buf.getvalue()
         assert raw == bytes(ts.HEADER_SIZE) + stream_bytes(good)[ts.HEADER_SIZE:]
@@ -352,3 +357,56 @@ class TestWholeStreamReader:
         with pytest.raises(ts.TimestampRangeError) as err:
             ts.read_stream_arrays(io.BytesIO(raw[:ts.HEADER_SIZE] + records.tobytes()))
         assert err.value.byte_offset == ts.HEADER_SIZE + k * ts.RECORD_SIZE
+
+
+@st.composite
+def one_fault(draw):
+    """(channel, timestamp) records sorted by (timestamp, channel), then
+    given at most one fault: an unmapped channel, a record below the one
+    before it, or a u64 timestamp of 2**63 or more."""
+    pairs = sorted(draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 40)),
+                                 min_size=1, max_size=60)), key=lambda p: (p[1], p[0]))
+    fault = draw(st.sampled_from(["channel", "order", "range", "none"]))
+    i = draw(st.integers(fault == "order" and len(pairs) > 1, len(pairs) - 1))
+    channel, timestamp = pairs[i]
+    if fault == "channel":
+        pairs[i] = (draw(st.integers(7, 0xFFFF)), timestamp)
+    elif fault == "order" and i:
+        prev_channel, prev_timestamp = pairs[i - 1]
+        timestamp = draw(st.integers(0, prev_timestamp))
+        if timestamp == prev_timestamp and prev_channel == 0:
+            timestamp -= 1
+        top = prev_channel - 1 if timestamp == prev_timestamp else 6
+        pairs[i] = (draw(st.integers(0, top)), timestamp)
+    elif fault == "range":
+        pairs[i] = (channel, draw(st.integers(2**63, 2**64 - 1)))
+    return pairs
+
+
+class TestReaderWriterAgree:
+    """The writer rejects what the reader rejects, with the same error at
+    the same byte offset, however the records are cut into chunks and
+    blocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=one_fault(), cuts=st.lists(st.integers(0, 60), max_size=8),
+           block_records=st.integers(1, 64))
+    def test_writer_raises_what_the_reader_raises(self, pairs, cuts, block_records):
+        raw = unchecked_stream(pairs)
+        # the writer's i64 column holds a u64 timestamp of 2**63 or more as
+        # a negative value, which is written as the same record bytes
+        tags = tags_of((c, t - 2**64 if t >= 2**63 else t) for c, t in pairs)
+        bounds = [0, *sorted(min(k, len(tags)) for k in cuts), len(tags)]
+        chunks = [tags[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        sink = io.BytesIO()
+        outcomes = []
+        for run in (lambda: list(ts.iter_stream_blocks(io.BytesIO(raw), block_records)[1]),
+                    lambda: ts.write_stream(make_header(), iter(chunks), sink)):
+            try:
+                run()
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append((type(exc), exc.byte_offset, str(exc)))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is None:
+            assert sink.getvalue() == raw
