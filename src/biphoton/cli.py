@@ -74,7 +74,7 @@ def cmd_simulate_jsa(config_path, out_dir):
     a model joint-spectrum CSV, and the mode-decomposition report."""
     cfg = load_run_config(config_path)
     jsa = spdc.compute_jsa(cfg.pump, cfg.crystal, cfg.grid)
-    report, _, _ = schmidt.schmidt_decompose(jsa)
+    report = schmidt.schmidt_decompose(jsa)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,24 +275,24 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
         peak_tick = int(np.argmax(irf.counts)) + irf.spec.start
         origin_ticks = peak_tick - (frames * width_ticks) // 2
 
-    slices = engine.slice_time_resolved(result.coincidences, event_cfg,
-                                        width_ticks, origin_ticks, frames)
+    frame_hists, out_of_window = engine.slice_time_resolved(
+        result.coincidences, event_cfg, width_ticks, origin_ticks, frames)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config_sha256": config_sha256(config_path),
             "window_width_ticks": width_ticks,
             "window_origin_ticks": origin_ticks,
-            "folded": slices.folded}
+            "folded": event_cfg.fold_period_ps is not None}
     write_jsi = _jsi_writer(out, cfg, event_cfg)
     totals = []
-    for k, frame in enumerate(slices.frames):
+    for k, frame in enumerate(frame_hists):
         write_jsi(f"frame_{k:02d}.csv", frame, {**meta, "frame": k})
         totals.append(frame.total_in_range)
-    write_jsi("out_of_window.csv", slices.out_of_window, meta)
+    write_jsi("out_of_window.csv", out_of_window, meta)
     write_jsi("jsi.csv", result.histograms["jsi"], meta)
     _write_json(out / "slices.json", {
         "frame_totals": totals,
-        "out_of_window_total": slices.out_of_window.total_in_range,
+        "out_of_window_total": out_of_window.total_in_range,
         "static_total": result.histograms["jsi"].total_in_range,
         **meta})
     _write_manifest(out / "manifest.json", "slice", config_path, cfg.seed)
@@ -315,7 +315,7 @@ def cmd_analyze(jsi_csv, background):
         raise ValueError(f"{jsi_csv} lacks wavelength axis metadata ({exc})") from exc
 
     jsa = schmidt.jsa_from_jsi(counts, lam_s, lam_i, background=background)
-    report, _, _ = schmidt.schmidt_decompose(jsa)
+    report = schmidt.schmidt_decompose(jsa)
     out = {
         "schmidt_number": report.schmidt_number,
         "purity": report.purity,
@@ -327,7 +327,7 @@ def cmd_analyze(jsi_csv, background):
         out[f"{axis}_fit"] = calibration.fit_peak(jsa.marginal(axis), model=model).to_dict()
     if background:
         plain = schmidt.schmidt_decompose(
-            schmidt.jsa_from_jsi(counts, lam_s, lam_i, background=0.0))[0]
+            schmidt.jsa_from_jsi(counts, lam_s, lam_i, background=0.0))
         out["no_subtraction"] = {"schmidt_number": plain.schmidt_number,
                                  "purity": plain.purity}
     click.echo(json.dumps(out, indent=2, sort_keys=True))

@@ -50,8 +50,8 @@ class EventBuildOverrides:
             least["dld_window_ticks"] = 1
         for name, low in least.items():
             value = getattr(self, name)
-            if not isinstance(value, int) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 @dataclass
@@ -111,10 +111,38 @@ def _centered_spec(center, width, count):
     return BinSpec(center - width * count // 2, width, count)
 
 
+#: what each annotated type is in a config document
+_JSON_FORMS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               dict: "an object", type(None): "null"}
+
+
+def _fits(value, hint):
+    """Whether a config value has a non-dataclass field's annotated type: a
+    boolean is neither an int nor a float, an int is also a float, `X | None`
+    also takes None, and a tuple takes a list (or tuple) of its length."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if args:
+        return any(_fits(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _form(hint):
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return f"a list of {len(args)} ({', '.join(map(_form, args))})"
+    return " or ".join(map(_form, args)) if args else _JSON_FORMS[hint]
+
+
 def _build(cls, data, where=None):
     """Instantiate dataclass `cls` from a JSON object (`where` is its dotted
     section name, None at the top level), recursing into the fields whose
-    type is itself a dataclass. JSON arrays become tuples for tuple-typed
+    type is itself a dataclass. Every other value must have its field's
+    annotated type (`_fits`); JSON arrays become tuples for tuple-typed
     fields."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {where!r} must be an object" if where
@@ -129,9 +157,14 @@ def _build(cls, data, where=None):
     types = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if is_dataclass(types[key]):
-            value = _build(types[key], value, f"{where}.{key}" if where else key)
-        elif typing.get_origin(types[key]) is tuple and isinstance(value, list):
+        hint, dotted = types[key], f"{where}.{key}" if where else key
+        if is_dataclass(hint):
+            value = _build(hint, value, dotted)
+        # the seed has its own rule, which also names its range
+        elif dotted != "seed" and not _fits(value, hint):
+            raise ConfigError(f"{dotted} must be {_form(hint)}, "
+                              f"got {json.dumps(value, default=repr)}")
+        elif typing.get_origin(hint) is tuple:
             value = tuple(value)
         kwargs[key] = value
     try:

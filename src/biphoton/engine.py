@@ -113,15 +113,6 @@ class Coincidences:
 
 
 @dataclass
-class SliceSet:
-    window_width_ticks: int
-    window_origin_ticks: int
-    frames: list
-    out_of_window: Histogram2D
-    folded: bool
-
-
-@dataclass
 class BuildResult:
     events: DldEvents | None
     coincidences: Coincidences | None
@@ -322,7 +313,8 @@ def accumulate_histograms(coincidences: Coincidences, events: DldEvents,
 
 def slice_time_resolved(coincidences: Coincidences, cfg: EventBuildConfig,
                         window_width_ticks, window_origin_ticks, n_windows):
-    """Partition coincidences into contiguous sync-offset windows.
+    """Partition coincidences into contiguous sync-offset windows; returns
+    (frames, out_of_window), one Histogram2D per window and one for the rest.
 
     Every coincidence lands in exactly one frame or in out_of_window
     (including sync-less ones), so per-cell counts across frames plus
@@ -331,24 +323,19 @@ def slice_time_resolved(coincidences: Coincidences, cfg: EventBuildConfig,
     width = int(window_width_ticks)
     if width < 1:
         raise ValueError("window width must be at least 1 tick")
-    origin = int(window_origin_ticks)
     n_windows = int(n_windows)
     if n_windows < 1:
         raise ValueError("need at least one window")
 
     values = fold_offset_values(coincidences.sync_offset, cfg)
-    frame_idx = np.floor_divide(values - origin, width)
-    in_any = coincidences.has_sync & (frame_idx >= 0) & (frame_idx < n_windows)
-
-    frames = []
-    for k in range(n_windows):
-        hist = Histogram2D(cfg.jsi_x_spec, cfg.jsi_y_spec)
-        sel = in_any & (frame_idx == k)
+    frame_idx = np.floor_divide(values - int(window_origin_ticks), width)
+    outside = ~coincidences.has_sync | (frame_idx < 0) | (frame_idx >= n_windows)
+    frame_idx[outside] = n_windows      # the out-of-window slot
+    hists = [Histogram2D(cfg.jsi_x_spec, cfg.jsi_y_spec) for _ in range(n_windows + 1)]
+    for k, hist in enumerate(hists):
+        sel = frame_idx == k
         hist.add(coincidences.dt_x[sel], coincidences.tau[sel])
-        frames.append(hist)
-    out = Histogram2D(cfg.jsi_x_spec, cfg.jsi_y_spec)
-    out.add(coincidences.dt_x[~in_any], coincidences.tau[~in_any])
-    return SliceSet(width, origin, frames, out, folded=cfg.fold_period_ps is not None)
+    return hists[:-1], hists[-1]
 
 
 def rates_report(diagnostics, duration_s):

@@ -19,7 +19,6 @@ class SchmidtReport:
     eigenvalues: np.ndarray
     schmidt_number: float
     purity: float
-    residual: float
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
@@ -28,13 +27,9 @@ class SchmidtReport:
         return {**asdict(self), "eigenvalues": self.eigenvalues.tolist()}
 
 
-def schmidt_decompose(jsa: JsaGrid, mode_count=None):
-    """Decompose a joint amplitude; returns (report, signal_modes, idler_modes).
-
-    signal_modes[j] and idler_modes[j] are orthonormal under the grid's
-    quadrature weights. mode_count truncates the returned mode set and the
-    reported eigenvalue list (default: full rank).
-    """
+def schmidt_decompose(jsa: JsaGrid):
+    """Decompose a joint amplitude; returns the SchmidtReport of its
+    normalized Schmidt coefficients under the grid's quadrature weights."""
     amp = np.asarray(jsa.amplitude)
     if not np.all(np.isfinite(amp)):
         raise ValueError("amplitude contains NaN or Inf")
@@ -42,29 +37,11 @@ def schmidt_decompose(jsa: JsaGrid, mode_count=None):
         raise ValueError("amplitude is identically zero")
 
     dws, dwi = jsa.cell_measures()
-    root_s = np.sqrt(dws)
-    root_i = np.sqrt(dwi)
-    weighted = amp * root_s[:, None] * root_i[None, :]
-    u, s, vh = np.linalg.svd(weighted, full_matrices=False)
-
-    norm = np.sqrt(np.sum(s**2))
-    coeffs = s / norm
-    if mode_count is None:
-        mode_count = len(coeffs)
-    mode_count = min(mode_count, len(coeffs))
-
-    kept = s[:mode_count]
-    recon_err_sq = max(float(np.sum(s**2) - np.sum(kept**2)), 0.0)
-    residual = float(np.sqrt(recon_err_sq) / norm)
-
+    weighted = amp * np.sqrt(dws)[:, None] * np.sqrt(dwi)[None, :]
+    s = np.linalg.svd(weighted, compute_uv=False)
+    coeffs = s / np.sqrt(np.sum(s**2))
     purity = float(np.sum(coeffs**4))
-    report = SchmidtReport(eigenvalues=coeffs[:mode_count],
-                           schmidt_number=1.0 / purity,
-                           purity=purity,
-                           residual=residual)
-    signal_modes = (u[:, :mode_count] / root_s[:, None]).T
-    idler_modes = (vh[:mode_count, :] / root_i[None, :]).conj()
-    return report, signal_modes, idler_modes
+    return SchmidtReport(eigenvalues=coeffs, schmidt_number=1.0 / purity, purity=purity)
 
 
 def jsa_from_jsi(counts, signal_wavelength_nm, idler_wavelength_nm,

@@ -23,14 +23,12 @@ calibration blocks.
 
 import functools
 import itertools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .calibration import DldCalibration, FibreCalibration, dld_dt, idler_delay_ps, signal_position
-from .histograms import BinSpec, Histogram1D
 from .spdc import JsaGrid, pair_sampler
 from .tagstream import ChannelMap, StreamHeader, TagColumns
 from .units import sigma_from_fwhm
@@ -550,24 +548,3 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
     truth = GroundTruth(np.empty(n_pairs, np.int64), np.empty(n_pairs), np.empty(n_pairs),
                         np.empty(n_pairs, bool), np.empty(n_pairs, bool), *index.T)
     return SimResult(cfg.header(), _final_chunks(draw_pairs, cfg, blocks, truth, index), truth)
-
-
-def irf_reference(cfg: AcquisitionConfig, total=1_000_000):
-    """Analytic instrument-response histogram: the expected folded MCP-sync
-    distribution (Gaussian with the configured MCP jitter) at tick
-    resolution, scaled to `total` counts."""
-    period = cfg.pulse_period_ps
-    n_bins = int(np.ceil(period / cfg.tick_ps))
-    spec = BinSpec(0, 1, n_bins)
-    center = np.mod(cfg.mcp_delay_ps, period)
-    edges = spec.edges().astype(float) * cfg.tick_ps
-    sigma = sigma_from_fwhm(cfg.mcp_jitter_fwhm_ps)
-    if sigma == 0:
-        mass = np.zeros(n_bins)
-        mass[int(center // cfg.tick_ps)] = 1.0
-    else:
-        cdf = [0.5 * math.erfc(-z / math.sqrt(2.0)) for z in ((edges - center) / sigma).tolist()]
-        mass = np.diff(cdf)
-    hist = Histogram1D(spec)
-    hist.counts = np.rint(total * mass).astype(np.uint64)
-    return hist

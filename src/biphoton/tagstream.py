@@ -208,20 +208,19 @@ def _unmapped_finder(channel_map):
 def _check_records(block: TagColumns, last, first_unmapped, offset):
     """The record check of the reader and the writer: `last` is the
     (timestamp, channel) before the non-empty `block`, or None, and `offset`
-    the byte offset of its first record. Raises UnmappedChannelError for the
-    first unmapped channel, else TimestampRangeError or RecordOrderError for
-    the first record out of order, by whether its u64 timestamp fits in
-    int64. Returns the block's last (timestamp, channel)."""
-    bad = first_unmapped(block.channel)
-    if bad is not None:
+    the byte offset of its first record. Raises for the first faulty record,
+    whatever the partition into blocks: UnmappedChannelError for a channel
+    outside the map, else TimestampRangeError for a u64 timestamp beyond
+    int64, else RecordOrderError for a record out of order. Returns the
+    block's last (timestamp, channel)."""
+    # a u64 timestamp of 2**63 or more is negative in the i64 column, so
+    # after a valid record the first one is also the first out of order
+    bad = 0 if block.timestamp[0] < 0 else first_order_violation(block, after=last)
+    unmapped = first_unmapped(block.channel)
+    if unmapped is not None and (bad is None or unmapped <= bad):
         raise UnmappedChannelError(
-            f"record on channel {block.channel[bad]}, which is not in the "
-            "header's channel map", offset + bad * RECORD_SIZE)
-    # a u64 timestamp of 2**63 or more is negative in the i64 column:
-    # out of order after a valid one, or first in a sorted block
-    bad = first_order_violation(block, after=last)
-    if bad is None and block.timestamp[0] < 0:
-        bad = 0
+            f"record on channel {block.channel[unmapped]}, which is not in the "
+            "header's channel map", offset + unmapped * RECORD_SIZE)
     if bad is not None:
         if block.timestamp[bad] < 0:
             raise TimestampRangeError(

@@ -33,7 +33,7 @@ def reconstructed_schmidt_number(jsi_hist, acq, ecfg):
     lam_i = calibration.idler_wavelength(ecfg.jsi_y_spec.centers(), acq.fibre_cal,
                                          acq.tick_ps)
     rebuilt = schmidt.jsa_from_jsi(jsi_hist.counts.astype(float), lam_s, lam_i)
-    return schmidt.schmidt_decompose(rebuilt)[0].schmidt_number
+    return schmidt.schmidt_decompose(rebuilt).schmidt_number
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def test_c01_schmidt_identity_on_random_amplitudes():
         for _ in range(100):
             rank = int(rng.integers(1, 9))
             coeffs = rng.random(rank) + 0.05
-            report, _, _ = schmidt.schmidt_decompose(synthetic_jsa(coeffs, n=48))
+            report = schmidt.schmidt_decompose(synthetic_jsa(coeffs, n=48))
             assert abs(np.sum(report.eigenvalues**2) - 1.0) < 1e-9
             assert abs(report.schmidt_number * report.purity - 1.0) < 1e-9
         assert time.time() - start < 10.0
@@ -74,7 +74,7 @@ def test_c02_source_model_reproduces_published_values(jsa512):
     with criterion(2, "default source model: marginals 1.55/13.6 nm, K 5.60, "
                       "P 0.18 within 15%; linearized widths within 2%"):
         start = time.time()
-        report, _, _ = schmidt.schmidt_decompose(jsa512)
+        report = schmidt.schmidt_decompose(jsa512)
         sig = jsa512.marginal_fwhm_nm("signal")
         idl = jsa512.marginal_fwhm_nm("idler")
         assert sig == pytest.approx(1.55, rel=0.15)
@@ -99,7 +99,7 @@ def test_c03_clean_roundtrip_fidelity(jsa512, clean_run):
         expected = expected_jsi_probabilities(jsa512, acq, ecfg)
         ncc = normalized_cross_correlation(built.histograms["jsi"].counts, expected)
         assert ncc >= 0.99
-        k_direct = schmidt.schmidt_decompose(jsa512)[0].schmidt_number
+        k_direct = schmidt.schmidt_decompose(jsa512).schmidt_number
         k_reco = reconstructed_schmidt_number(built.histograms["jsi"], acq, ecfg)
         assert k_reco == pytest.approx(k_direct, rel=0.05)
         assert time.time() - start < 120.0
@@ -122,14 +122,14 @@ def test_c05_slice_conservation_exact(jittered_run):
         _, ecfg, built = jittered_run
         static = built.histograms["jsi"]
         for width_ticks in (1, 6, 16):
-            slices = engine.slice_time_resolved(built.coincidences, ecfg,
-                                                width_ticks, 180, n_windows=10)
-            total = slices.out_of_window.counts.copy()
-            for frame in slices.frames:
+            frames, out_of_window = engine.slice_time_resolved(built.coincidences, ecfg,
+                                                               width_ticks, 180, n_windows=10)
+            total = out_of_window.counts.copy()
+            for frame in frames:
                 total += frame.counts
             assert np.array_equal(total, static.counts), f"width {width_ticks}"
-            assert slices.out_of_window.out_of_range + sum(
-                f.out_of_range for f in slices.frames) == static.out_of_range
+            assert out_of_window.out_of_range + sum(
+                f.out_of_range for f in frames) == static.out_of_range
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +159,8 @@ def test_c06_irf_recovery_and_contrast_pattern(irf_run):
         peak_tick = int(np.argmax(irf.counts))
         width = 6  # 150 ps
         origin = peak_tick - (5 * width) // 2
-        slices = engine.slice_time_resolved(built.coincidences, ecfg, width, origin, 5)
-        totals = [f.total_in_range for f in slices.frames]
+        frames, _ = engine.slice_time_resolved(built.coincidences, ecfg, width, origin, 5)
+        totals = [f.total_in_range for f in frames]
         assert np.argmax(totals) == 2
         assert totals[0] <= totals[1] <= totals[2]
         assert totals[2] >= totals[3] >= totals[4]

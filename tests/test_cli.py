@@ -166,6 +166,26 @@ class TestGenTags:
             assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("acquisition.tick_ps", True), ("acquisition.sync_divider", 63.5),
+        ("event_build.fold_sync", "no"), ("acquisition.dld_cal.t_a_ticks", 800.5),
+        ("event_build.jsi_signal_count", True), ("grid.n_signal", 64.5)])
+    def test_value_of_wrong_type_exits_2_before_work(self, monkeypatch, capsys, tmp_path,
+                                                     pipeline, key, value):
+        src, _ = pipeline
+        cfg = small_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        out.mkdir()
+        for args in (["simulate-jsa", cfg, out / "jsa"],
+                     ["gen-tags", src / "jsa/jsa.jsag", cfg, out / "run.ttag"],
+                     ["build", src / "tags.ttag", cfg, out / "built"]):
+            capsys.readouterr()
+            run_cli(monkeypatch, args, expect=2)
+            err = capsys.readouterr().err
+            assert f"{key} must be" in err
+            assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_zero_duration_minimal_file(self, monkeypatch, tmp_path, pipeline):
         src, _ = pipeline
         cfg = small_config(tmp_path, **{"acquisition.duration_s": 0.0})
@@ -546,16 +566,15 @@ class TestImport:
         assert out.stdout.strip() == "[]"
 
     def test_commands_do_not_load_scipy(self, tmp_path):
-        # the solved phase-matching angle, the peak fits of analyze and the
-        # analytic response histogram all run without scipy
+        # the solved phase-matching angle and the peak fits of analyze run
+        # without scipy
         cfg = small_config(tmp_path, **{"crystal.phase_matching_angle_deg": None})
         steps = [["simulate-jsa", cfg, tmp_path / "jsa"],
                  ["gen-tags", tmp_path / "jsa/jsa.jsag", cfg, tmp_path / "tags.ttag"],
                  ["analyze", tmp_path / "jsa/jsi_model.csv"]]
-        code = ("import sys; from biphoton import cli, simgen\n"
+        code = ("import sys; from biphoton import cli\n"
                 f"for args in {[[str(a) for a in step] for step in steps]!r}:\n"
                 "    cli.cli(args, standalone_mode=False)\n"
-                "simgen.irf_reference(simgen.AcquisitionConfig())\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

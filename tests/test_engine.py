@@ -217,27 +217,27 @@ class TestSliceTimeResolved:
         cfg = small_cfg()
         result = engine.build(synthetic_stream(), CMAP, cfg)
         static = result.histograms["jsi"]
-        slices = engine.slice_time_resolved(result.coincidences, cfg,
-                                            window_width_ticks=10**7,
-                                            window_origin_ticks=0, n_windows=1)
+        (frame,), out_of_window = engine.slice_time_resolved(result.coincidences, cfg,
+                                                              window_width_ticks=10**7,
+                                                              window_origin_ticks=0,
+                                                              n_windows=1)
         # sync-less coincidences fall outside any frame by definition
         synced = result.coincidences.has_sync
-        assert slices.frames[0].total_in_range + slices.out_of_window.total_in_range \
-            == static.total_in_range
-        assert int(slices.out_of_window.counts.sum()) == \
-            int(static.counts.sum()) - int(slices.frames[0].counts.sum())
+        assert frame.total_in_range + out_of_window.total_in_range == static.total_in_range
+        assert int(out_of_window.counts.sum()) == \
+            int(static.counts.sum()) - int(frame.counts.sum())
         if synced.all():
-            assert np.array_equal(slices.frames[0].counts, static.counts)
+            assert np.array_equal(frame.counts, static.counts)
 
     def test_per_cell_conservation_exact(self):
         cfg = small_cfg()
         result = engine.build(synthetic_stream(), CMAP, cfg)
         static = result.histograms["jsi"]
         for width in (1, 6, 16):
-            slices = engine.slice_time_resolved(result.coincidences, cfg,
-                                                width, 40, n_windows=7)
-            total = slices.out_of_window.counts.copy()
-            for frame in slices.frames:
+            frames, out_of_window = engine.slice_time_resolved(result.coincidences, cfg,
+                                                               width, 40, n_windows=7)
+            total = out_of_window.counts.copy()
+            for frame in frames:
                 total += frame.counts
             assert np.array_equal(total, static.counts), f"width {width}"
 
@@ -246,6 +246,37 @@ class TestSliceTimeResolved:
         result = engine.build(synthetic_stream(n_triples=50), CMAP, cfg)
         with pytest.raises(ValueError):
             engine.slice_time_resolved(result.coincidences, cfg, 0, 0, 5)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(-12, 12), st.integers(8, 34),
+                                   st.integers(0, 200), st.booleans()), max_size=60),
+           fold_period_ps=st.sampled_from([None, 250.0]), width=st.integers(1, 12),
+           origin=st.integers(-20, 40), n_windows=st.integers(1, 6))
+    def test_each_coincidence_in_its_frame(self, rows, fold_period_ps, width, origin,
+                                           n_windows):
+        # rows: (dt_x, tau, sync offset, has sync) per coincidence
+        cfg = tiny_cfg(fold_period_ps)
+        dt_x, tau, offset, has_sync = (np.array([row[i] for row in rows], dtype=dtype)
+                                       for i, dtype in enumerate((np.int64,) * 3 + (bool,)))
+        coinc = engine.Coincidences(np.zeros(len(rows), np.int64), dt_x, offset, has_sync, tau)
+        frames, out_of_window = engine.slice_time_resolved(coinc, cfg, width, origin,
+                                                           n_windows)
+
+        xs, ys = cfg.jsi_x_spec, cfg.jsi_y_spec
+        counts = np.zeros((n_windows + 1, xs.count, ys.count), dtype=np.uint64)
+        out_of_range = [0] * (n_windows + 1)
+        for x, y, off, synced in rows:
+            k = (int(engine.fold_offset_values([off], cfg)[0]) - origin) // width
+            slot = k if synced and 0 <= k < n_windows else n_windows
+            ix, iy = (x - xs.start) // xs.width, (y - ys.start) // ys.width
+            if 0 <= ix < xs.count and 0 <= iy < ys.count:
+                counts[slot, ix, iy] += 1
+            else:
+                out_of_range[slot] += 1
+        for slot, hist in enumerate([*frames, out_of_window]):
+            assert np.array_equal(hist.counts, counts[slot]), slot
+            assert hist.out_of_range == out_of_range[slot], slot
 
 
 class TestChunkingAndThreads:
@@ -349,9 +380,9 @@ class TestDriverProperties:
         assert list(zip(coinc.t_mcp.tolist(), coinc.tau.tolist())) == \
             brute_force_coincidences(tags, cfg, oracle)
 
-        slices = engine.slice_time_resolved(coinc, cfg, *window)
-        total = slices.out_of_window.counts.copy()
-        for frame in slices.frames:
+        frames, out_of_window = engine.slice_time_resolved(coinc, cfg, *window)
+        total = out_of_window.counts.copy()
+        for frame in frames:
             total += frame.counts
         assert np.array_equal(total, whole.histograms["jsi"].counts)
 

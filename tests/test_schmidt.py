@@ -28,21 +28,21 @@ def synthetic_jsa(coeffs, n=64):
 class TestSchmidtDecompose:
     def test_rank_one_separable(self):
         jsa = synthetic_jsa([1.0])
-        report, _, _ = schmidt.schmidt_decompose(jsa)
+        report = schmidt.schmidt_decompose(jsa)
         assert report.schmidt_number == pytest.approx(1.0, abs=1e-9)
         assert report.purity == pytest.approx(1.0, abs=1e-9)
         assert report.eigenvalues[1] < 1e-8 * report.eigenvalues[0]
 
     def test_two_equal_modes(self):
         jsa = synthetic_jsa([1 / np.sqrt(2), 1 / np.sqrt(2)])
-        report, _, _ = schmidt.schmidt_decompose(jsa)
+        report = schmidt.schmidt_decompose(jsa)
         assert report.schmidt_number == pytest.approx(2.0, abs=1e-9)
         assert report.purity == pytest.approx(0.5, abs=1e-9)
 
     def test_default_source_matches_published_mode_content(self):
         jsa = spdc.compute_jsa(spdc.PumpSpec(), spdc.CrystalSpec(),
                                spdc.FrequencyGrid(n_signal=256, n_idler=256))
-        report, _, _ = schmidt.schmidt_decompose(jsa)
+        report = schmidt.schmidt_decompose(jsa)
         assert report.schmidt_number == pytest.approx(5.60, rel=0.15)
         assert report.purity == pytest.approx(0.18, rel=0.15)
 
@@ -52,7 +52,7 @@ class TestSchmidtDecompose:
             rank = int(rng.integers(1, 8))
             coeffs = rng.random(rank) + 0.05
             jsa = synthetic_jsa(coeffs, n=48)
-            report, _, _ = schmidt.schmidt_decompose(jsa)
+            report = schmidt.schmidt_decompose(jsa)
             lam = report.eigenvalues
             assert np.all(np.diff(lam) <= 1e-12)          # descending
             assert np.sum(lam**2) == pytest.approx(1.0, abs=1e-9)
@@ -62,27 +62,15 @@ class TestSchmidtDecompose:
     def test_known_coefficients_recovered(self):
         coeffs = np.array([0.8, 0.5, 0.33166247903554])  # unit norm
         jsa = synthetic_jsa(coeffs)
-        report, _, _ = schmidt.schmidt_decompose(jsa)
+        report = schmidt.schmidt_decompose(jsa)
         assert np.allclose(report.eigenvalues[:3], sorted(coeffs, reverse=True),
                            atol=1e-9)
 
-    def test_modes_orthonormal_and_reconstruct(self):
-        jsa = synthetic_jsa([0.9, 0.4358898943540674])
-        report, gs, hs = schmidt.schmidt_decompose(jsa, mode_count=8)
-        dws, dwi = jsa.cell_measures()
-        gram = np.einsum("jx,kx,x->jk", gs.conj(), gs, dws)
-        assert np.allclose(gram, np.eye(len(gs)), atol=1e-9)
-        recon = np.einsum("j,jx,jy->xy", report.eigenvalues, gs, hs)
-        err = np.linalg.norm((recon - jsa.amplitude) * np.sqrt(dws)[:, None]
-                             * np.sqrt(dwi)[None, :])
-        assert err < 1e-8
-        assert report.residual < 1e-8
-
     def test_scalar_invariance(self):
         jsa = synthetic_jsa([0.7, 0.7141428428542851])
-        a, _, _ = schmidt.schmidt_decompose(jsa)
+        a = schmidt.schmidt_decompose(jsa)
         scaled = spdc.JsaGrid(jsa.signal_omega, jsa.idler_omega, 17.3 * jsa.amplitude)
-        b, _, _ = schmidt.schmidt_decompose(scaled)
+        b = schmidt.schmidt_decompose(scaled)
         assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)
         assert a.schmidt_number == pytest.approx(b.schmidt_number, rel=1e-12)
 
@@ -91,7 +79,7 @@ class TestSchmidtDecompose:
         k = []
         for n in (256, 512):
             jsa = spdc.compute_jsa(pump, crystal, spdc.FrequencyGrid(n_signal=n, n_idler=n))
-            k.append(schmidt.schmidt_decompose(jsa)[0].schmidt_number)
+            k.append(schmidt.schmidt_decompose(jsa).schmidt_number)
         assert abs(k[1] - k[0]) / k[0] < 0.01
 
     def test_rejects_bad_input(self):
@@ -112,7 +100,7 @@ class TestJsaFromJsi:
         lam_s = np.linspace(514, 516, 16)
         lam_i = np.linspace(1540, 1560, 16)
         jsa = schmidt.jsa_from_jsi(counts, lam_s, lam_i)
-        report, _, _ = schmidt.schmidt_decompose(jsa)
+        report = schmidt.schmidt_decompose(jsa)
         assert report.schmidt_number == pytest.approx(1.0, abs=1e-9)
 
     def test_discretized_intensity_matches_direct_decomposition(self):
@@ -122,11 +110,11 @@ class TestJsaFromJsi:
                                spdc.FrequencyGrid(n_signal=128, n_idler=128))
         modulus = spdc.JsaGrid(jsa.signal_omega, jsa.idler_omega,
                                np.abs(jsa.amplitude), normalized=jsa.normalized)
-        direct, _, _ = schmidt.schmidt_decompose(modulus)
+        direct = schmidt.schmidt_decompose(modulus)
         counts = jsa.jsi()
         rebuilt = schmidt.jsa_from_jsi(counts, jsa.signal_wavelength_nm,
                                        jsa.idler_wavelength_nm)
-        indirect, _, _ = schmidt.schmidt_decompose(rebuilt)
+        indirect = schmidt.schmidt_decompose(rebuilt)
         assert indirect.schmidt_number == pytest.approx(direct.schmidt_number, rel=1e-6)
 
     def test_all_zero_rejected(self):
@@ -142,10 +130,10 @@ class TestJsaFromJsi:
         counts = rng.poisson(jsa.jsi() * scale + 5.0)
         with_bg = schmidt.schmidt_decompose(
             schmidt.jsa_from_jsi(counts, jsa.signal_wavelength_nm,
-                                 jsa.idler_wavelength_nm))[0]
+                                 jsa.idler_wavelength_nm))
         subtracted = schmidt.schmidt_decompose(
             schmidt.jsa_from_jsi(counts, jsa.signal_wavelength_nm,
-                                 jsa.idler_wavelength_nm, background=5.0))[0]
+                                 jsa.idler_wavelength_nm, background=5.0))
         assert with_bg.schmidt_number != subtracted.schmidt_number
 
     @pytest.mark.parametrize("background", [-5.0, np.nan, np.inf, -np.inf])

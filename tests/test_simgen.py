@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from biphoton import engine, simgen, spdc, tagstream
 from biphoton.calibration import fit_peak, idler_delay_ps
 from biphoton.config import RunConfig
-from biphoton.units import sigma_from_fwhm
 from conftest import clean_acquisition, expected_jsi_probabilities, normalized_cross_correlation
 
 CMAP = tagstream.ChannelMap()
@@ -516,32 +515,6 @@ def test_dead_time_mask_matches_greedy_loop(tags, dead):
 
 
 class TestIrfReference:
-    def test_half_max_crossings_within_tick(self):
-        cfg = simgen.AcquisitionConfig()
-        hist = simgen.irf_reference(cfg)
-        counts = hist.counts.astype(float)
-        peak = counts.max()
-        above = np.flatnonzero(counts >= peak / 2)
-        width_ps = (above[-1] - above[0] + 1) * cfg.tick_ps
-        assert abs(width_ps - 263.0) <= cfg.tick_ps
-
-    @pytest.mark.parametrize("jitter_ps", [263.0, 50.0, 1000.0])
-    def test_counts_match_scipy_ndtr(self, jitter_ps):
-        special = pytest.importorskip("scipy.special")
-        cfg = simgen.AcquisitionConfig(mcp_jitter_fwhm_ps=jitter_ps,
-                                       snspd_mcp_conv_jitter_fwhm_ps=max(310.0, jitter_ps))
-        hist = simgen.irf_reference(cfg)
-        z = ((hist.spec.edges().astype(float) * cfg.tick_ps
-              - np.mod(cfg.mcp_delay_ps, cfg.pulse_period_ps)) / sigma_from_fwhm(jitter_ps))
-        expected = np.rint(1_000_000 * np.diff(special.ndtr(z))).astype(np.uint64)
-        np.testing.assert_array_equal(hist.counts, expected)
-
-    def test_zero_jitter_single_bin(self):
-        cfg = clean_acquisition()
-        hist = simgen.irf_reference(cfg)
-        assert int((hist.counts > 0).sum()) == 1
-        assert int(np.argmax(hist.counts)) == int(cfg.mcp_delay_ps // cfg.tick_ps)
-
     def test_generated_irf_fit_recovers_jitter(self, model_jsa):
         cfg = simgen.AcquisitionConfig(duration_s=0.3)
         tags, _ = generated(model_jsa, cfg)

@@ -360,36 +360,53 @@ class TestWholeStreamReader:
 
 
 @st.composite
-def one_fault(draw):
+def faulty_records(draw):
     """(channel, timestamp) records sorted by (timestamp, channel), then
-    given at most one fault: an unmapped channel, a record below the one
+    given up to two faults, each an unmapped channel, a record below the one
     before it, or a u64 timestamp of 2**63 or more."""
     pairs = sorted(draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 40)),
                                  min_size=1, max_size=60)), key=lambda p: (p[1], p[0]))
-    fault = draw(st.sampled_from(["channel", "order", "range", "none"]))
-    i = draw(st.integers(fault == "order" and len(pairs) > 1, len(pairs) - 1))
-    channel, timestamp = pairs[i]
-    if fault == "channel":
-        pairs[i] = (draw(st.integers(7, 0xFFFF)), timestamp)
-    elif fault == "order" and i:
-        prev_channel, prev_timestamp = pairs[i - 1]
-        timestamp = draw(st.integers(0, prev_timestamp))
-        if timestamp == prev_timestamp and prev_channel == 0:
-            timestamp -= 1
-        top = prev_channel - 1 if timestamp == prev_timestamp else 6
-        pairs[i] = (draw(st.integers(0, top)), timestamp)
-    elif fault == "range":
-        pairs[i] = (channel, draw(st.integers(2**63, 2**64 - 1)))
+    for fault in draw(st.lists(st.sampled_from(["channel", "order", "range"]), max_size=2)):
+        i = draw(st.integers(fault == "order" and len(pairs) > 1, len(pairs) - 1))
+        channel, timestamp = pairs[i]
+        if fault == "channel":
+            pairs[i] = (draw(st.integers(7, 0xFFFF)), timestamp)
+        elif fault == "order" and i:
+            prev_channel, prev_timestamp = pairs[i - 1]
+            timestamp = draw(st.integers(0, prev_timestamp))
+            if timestamp == prev_timestamp and prev_channel == 0:
+                timestamp -= 1
+            top = prev_channel - 1 if timestamp == prev_timestamp else 6
+            pairs[i] = (draw(st.integers(0, top)), timestamp)
+        elif fault == "range":
+            pairs[i] = (channel, draw(st.integers(2**63, 2**64 - 1)))
     return pairs
+
+
+def first_fault(pairs):
+    """(error class, byte offset) of the first faulty record, or None: a
+    record's channel is checked first, then its u64 timestamp, then its
+    (timestamp, channel) order in i64 against the record before it."""
+    prev = None
+    for i, (channel, timestamp) in enumerate(pairs):
+        at = ts.HEADER_SIZE + i * ts.RECORD_SIZE
+        if channel > 6:
+            return ts.UnmappedChannelError, at
+        if timestamp >= 2**63:
+            return ts.TimestampRangeError, at
+        if prev is not None and (timestamp, channel) < prev:
+            return ts.RecordOrderError, at
+        prev = (timestamp, channel)
+    return None
 
 
 class TestReaderWriterAgree:
     """The writer rejects what the reader rejects, with the same error at
     the same byte offset, however the records are cut into chunks and
-    blocks."""
+    blocks: the first faulty record's."""
 
     @settings(max_examples=300, deadline=None)
-    @given(pairs=one_fault(), cuts=st.lists(st.integers(0, 60), max_size=8),
+    @given(pairs=faulty_records(), cuts=st.lists(st.integers(0, 60), max_size=8),
            block_records=st.integers(1, 64))
     def test_writer_raises_what_the_reader_raises(self, pairs, cuts, block_records):
         raw = unchecked_stream(pairs)
@@ -408,5 +425,21 @@ class TestReaderWriterAgree:
             except ValueError as exc:
                 outcomes.append((type(exc), exc.byte_offset, str(exc)))
         assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] and outcomes[0][:2]) == first_fault(pairs)
         if outcomes[0] is None:
             assert sink.getvalue() == raw
+
+    @pytest.mark.parametrize("pairs, error, byte_offset", [
+        ([(0, 5), (0, 3), (9, 7)], ts.RecordOrderError, 46),
+        ([(0, 2**63 + 5), (0, 3), (0, 2)], ts.TimestampRangeError, 34)])
+    @pytest.mark.parametrize("block_records", [1, 2, 100])
+    def test_first_fault_for_any_block_size(self, pairs, error, byte_offset, block_records):
+        raw = unchecked_stream(pairs)
+        with pytest.raises(error) as err:
+            list(ts.iter_stream_blocks(io.BytesIO(raw), block_records)[1])
+        assert err.value.byte_offset == byte_offset
+        tags = tags_of((c, t - 2**64 if t >= 2**63 else t) for c, t in pairs)
+        chunks = [tags[lo:lo + block_records] for lo in range(0, len(tags), block_records)]
+        with pytest.raises(error) as err:
+            ts.write_stream(make_header(), chunks, io.BytesIO())
+        assert err.value.byte_offset == byte_offset
