@@ -4,6 +4,7 @@ build spectra and joint spectra, slice them in time, and analyze results.
 Exit codes: 0 success, 1 runtime or data error, 2 configuration error.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -153,19 +154,28 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
     click.echo(f"wrote {n_tags} tags ({n_bytes} bytes), sha256 {digest[:16]}...")
 
 
-def _build_stream(ttag_path, cfg, event_cfg, threads=1):
-    """Read a whole stream and build it; returns the build result and the
-    stream's duration in seconds. The stream's tick must be the config's,
-    because the event-build gates and bins are derived in config ticks."""
+@contextlib.contextmanager
+def _open_stream(ttag_path, cfg):
+    """Open a stream at its start once its header shows the config's tick,
+    so that a mismatch fails before any record is decoded: the event-build
+    gates and bins are derived in config ticks."""
     with open(ttag_path, "rb") as fh:
-        header, tags = tagstream.read_stream_arrays(fh)
-    if header.tick_ps != cfg.acquisition.tick_ps:
-        raise ValueError(f"{ttag_path} has {header.tick_ps} ps ticks but the config's "
-                         f"acquisition.tick_ps is {cfg.acquisition.tick_ps} ps")
-    result = engine.build(tags, header.channel_map, event_cfg, threads=threads)
-    t = tags.timestamp
-    return result, (float((int(t[-1]) - int(t[0]) + 1) * header.tick_ps * 1e-12)
-                    if len(t) else 0.0)
+        header = tagstream.StreamHeader.from_bytes(fh.read(tagstream.HEADER_SIZE))
+        if header.tick_ps != cfg.acquisition.tick_ps:
+            raise ValueError(f"{ttag_path} has {header.tick_ps} ps ticks but the config's "
+                             f"acquisition.tick_ps is {cfg.acquisition.tick_ps} ps")
+        fh.seek(0)
+        yield fh
+
+
+def _tracking_span(blocks, span):
+    """Re-yield `blocks`, keeping the stream's first and last timestamp in
+    the dict `span` (empty until a tag is seen)."""
+    for block in blocks:
+        if len(block):
+            span.setdefault("first", int(block.timestamp[0]))
+            span["last"] = int(block.timestamp[-1])
+        yield block
 
 
 def _jsi_writer(out, cfg, event_cfg):
@@ -212,7 +222,11 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
     """Build events, coincidences, spectra and the static joint spectrum."""
     cfg = load_run_config(config_path)
     event_cfg = cfg.event_config()
-    result, duration_s = _build_stream(ttag_path, cfg, event_cfg, threads)
+    span = {}
+    with _open_stream(ttag_path, cfg) as fh:
+        header, blocks = tagstream.iter_stream_blocks(fh)
+        result = engine.fold_stream_blocks(_tracking_span(blocks, span), header.channel_map,
+                                           event_cfg, threads=threads)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -224,7 +238,8 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
     _jsi_writer(out, cfg, event_cfg)("jsi.csv", result.histograms["jsi"], meta)
 
     diagnostics = dict(result.diagnostics)
-    if duration_s > 0:
+    if span:
+        duration_s = float((span["last"] - span["first"] + 1) * header.tick_ps * 1e-12)
         diagnostics["rates"] = engine.rates_report(result.diagnostics, duration_s)
     _write_json(out / "diagnostics.json", diagnostics)
     _write_manifest(out / "manifest.json", "build", config_path, cfg.seed,
@@ -262,14 +277,16 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
     """Time-resolved joint spectra: one frame per sync-offset window."""
     cfg = load_run_config(config_path)
     event_cfg = cfg.event_config()
-    # _build_stream requires the stream's tick to be the config's
+    # _open_stream requires the stream's tick to be the config's
     tick = cfg.acquisition.tick_ps
     width_ticks = _ticks(window_ps, tick, "--window")
     if width_ticks < 1:
         raise ValueError(f"window must be at least one tick ({tick} ps)")
     if origin_ps is not None:
         origin_ticks = _ticks(origin_ps, tick, "--origin")
-    result, _ = _build_stream(ttag_path, cfg, event_cfg)
+    with _open_stream(ttag_path, cfg) as fh:
+        header, tags = tagstream.read_stream_arrays(fh)
+    result = engine.build(tags, header.channel_map, event_cfg)
     if origin_ps is None:
         irf = result.histograms["irf"]
         peak_tick = int(np.argmax(irf.counts)) + irf.spec.start

@@ -119,11 +119,14 @@ _JSON_FORMS = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 def _fits(value, hint):
     """Whether a config value has a non-dataclass field's annotated type: a
     boolean is neither an int nor a float, an int is also a float, `X | None`
-    also takes None, and a tuple takes a list (or tuple) of its length."""
+    also takes None, a tuple takes a list (or tuple) of its length, and a
+    dict an object whose values fit."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         return (isinstance(value, (list, tuple)) and len(value) == len(args)
                 and all(map(_fits, value, args)))
+    if typing.get_origin(hint) is dict:
+        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
     if args:
         return any(_fits(value, arg) for arg in args)
     if isinstance(value, bool):
@@ -135,14 +138,28 @@ def _form(hint):
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         return f"a list of {len(args)} ({', '.join(map(_form, args))})"
+    if typing.get_origin(hint) is dict:
+        return _JSON_FORMS[dict]
     return " or ".join(map(_form, args)) if args else _JSON_FORMS[hint]
+
+
+def _check(value, hint, dotted):
+    """Raise a ConfigError unless `value` fits `hint` (`_fits`), naming the
+    dotted key of the value, or of the first value of an object that does
+    not fit."""
+    if typing.get_origin(hint) is dict and isinstance(value, dict):
+        for key, item in value.items():
+            _check(item, typing.get_args(hint)[1], f"{dotted}.{key}")
+    elif not _fits(value, hint):
+        raise ConfigError(f"{dotted} must be {_form(hint)}, "
+                          f"got {json.dumps(value, default=repr)}")
 
 
 def _build(cls, data, where=None):
     """Instantiate dataclass `cls` from a JSON object (`where` is its dotted
     section name, None at the top level), recursing into the fields whose
     type is itself a dataclass. Every other value must have its field's
-    annotated type (`_fits`); JSON arrays become tuples for tuple-typed
+    annotated type (`_check`); JSON arrays become tuples for tuple-typed
     fields."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {where!r} must be an object" if where
@@ -161,11 +178,10 @@ def _build(cls, data, where=None):
         if is_dataclass(hint):
             value = _build(hint, value, dotted)
         # the seed has its own rule, which also names its range
-        elif dotted != "seed" and not _fits(value, hint):
-            raise ConfigError(f"{dotted} must be {_form(hint)}, "
-                              f"got {json.dumps(value, default=repr)}")
-        elif typing.get_origin(hint) is tuple:
-            value = tuple(value)
+        elif dotted != "seed":
+            _check(value, hint, dotted)
+            if typing.get_origin(hint) is tuple:
+                value = tuple(value)
         kwargs[key] = value
     try:
         return cls(**kwargs)

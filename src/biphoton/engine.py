@@ -114,7 +114,6 @@ class Coincidences:
 
 @dataclass
 class BuildResult:
-    events: DldEvents | None
     coincidences: Coincidences | None
     histograms: dict
     diagnostics: dict
@@ -190,30 +189,32 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before, dia
     diag["mcp_triggers"] = len(mcp)
     window_end = mcp + cfg.dld_window_ticks
 
-    def first_and_count(role, keep=slice(None)):
+    def first_and_count(role, t_mcp, window_end):
         # 0, 1 or 2 (more than one) wire tags in each trigger's window
         arr = times[role]
-        lo = np.searchsorted(arr, mcp[keep], side="right")
-        return lo, _count_hits(arr, lo, window_end[keep], exact=False)
+        lo = np.searchsorted(arr, t_mcp, side="right")
+        return lo, _count_hits(arr, lo, window_end, exact=False)
 
-    lo1, n1 = first_and_count("dld_x1")
-    lo2, n2 = first_and_count("dld_x2")
+    lo1, n1 = first_and_count("dld_x1", mcp, window_end)
+    lo2, n2 = first_and_count("dld_x2", mcp, window_end)
     good = (n1 == 1) & (n2 == 1)
     diag["no_x1"] = int((n1 == 0).sum())
     diag["multi_x1"] = int((n1 > 1).sum())
     diag["no_x2"] = int((n2 == 0).sum())
     diag["multi_x2"] = int((n2 > 1).sum())
 
-    t_mcp = mcp[good]
-    dt_x = times["dld_x1"][lo1[good]] - times["dld_x2"][lo2[good]]
+    keep = np.flatnonzero(good)
+    dt_x = times["dld_x1"][lo1[keep]] - times["dld_x2"][lo2[keep]]
+    del lo1, n1, lo2, n2, good      # a step's largest arrays: not held for Y
     in_guard = np.abs(dt_x) <= cfg.t_a_ticks + cfg.dt_guard_ticks
     diag["out_of_guard"] = int((~in_guard).sum())
-    t_mcp = t_mcp[in_guard]
+    keep = keep[in_guard]
     dt_x = dt_x[in_guard]
+    t_mcp, window_end = mcp[keep], window_end[keep]
+    del keep
 
-    keep = np.flatnonzero(good)[in_guard]
-    loy1, ny1 = first_and_count("dld_y1", keep)
-    loy2, ny2 = first_and_count("dld_y2", keep)
+    loy1, ny1 = first_and_count("dld_y1", t_mcp, window_end)
+    loy2, ny2 = first_and_count("dld_y2", t_mcp, window_end)
     has_y = (ny1 == 1) & (ny2 == 1)
     dt_y = np.zeros(len(t_mcp), dtype=np.int64)
     if has_y.any():
@@ -249,19 +250,23 @@ def _match_coincidences(times, events: DldEvents, cfg: EventBuildConfig, diag):
     snspd = times["snspd"]
     gate_lo = events.t_mcp + cfg.gate_center_ticks - cfg.gate_half_width_ticks
     gate_hi = events.t_mcp + cfg.gate_center_ticks + cfg.gate_half_width_ticks
-    lo = np.searchsorted(snspd, gate_lo, side="left")
-    counts = _count_hits(snspd, lo, gate_hi, exact=True)
-    owner, sn_t = _expand_gate(snspd, lo, counts)
-    tau = sn_t - events.t_mcp[owner]
-    coinc = Coincidences(events.t_mcp[owner], events.dt_x[owner],
-                         events.sync_offset[owner], events.has_sync[owner], tau)
-    diag["coincidences"] = len(coinc)
-    diag["multi_hit_gates"] = int((counts > 1).sum())
-    diag["extra_gate_hits"] = int(np.clip(counts - 1, 0, None).sum())
-
     disp = cfg.sync_period_ticks
     dlo = np.searchsorted(snspd, gate_lo + disp, side="left")
     diag["displaced_gate_hits"] = int(_count_hits(snspd, dlo, gate_hi + disp, exact=True).sum())
+    del dlo
+
+    lo = np.searchsorted(snspd, gate_lo, side="left")
+    counts = _count_hits(snspd, lo, gate_hi, exact=True)
+    del gate_lo, gate_hi    # not held beside the coincidence columns
+    owner, sn_t = _expand_gate(snspd, lo, counts)
+    diag["multi_hit_gates"] = int((counts > 1).sum())
+    diag["extra_gate_hits"] = int(np.clip(counts - 1, 0, None).sum())
+    del lo, counts
+    tau = sn_t - events.t_mcp[owner]
+    del sn_t
+    coinc = Coincidences(events.t_mcp[owner], events.dt_x[owner],
+                         events.sync_offset[owner], events.has_sync[owner], tau)
+    diag["coincidences"] = len(coinc)
     return coinc
 
 
@@ -357,9 +362,9 @@ def rates_report(diagnostics, duration_s):
 
 
 def _join_columns(parts):
-    """Join column dataclasses (DldEvents or Coincidences) field by field,
-    taking each field out of the parts as it is joined, so that at most
-    one field is held twice."""
+    """Join column dataclasses of one class field by field, taking each
+    field out of the parts as it is joined, so that at most one field is
+    held twice."""
     cls = type(parts[0])
     return cls(**{f.name: np.concatenate([vars(p).pop(f.name) for p in parts])
                   for f in fields(cls)})
@@ -452,27 +457,30 @@ def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads):
         yield from (future.result() for future in in_flight)
 
 
-def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep):
+def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=None):
     """The one consumer of the build driver: adds each step into the
-    histograms and diagnostics on the calling thread and hands its columns
-    to `keep(events, coincidences)`. Returns a BuildResult without columns."""
+    histograms and diagnostics on the calling thread and hands its
+    coincidences to `keep`, if given. Returns a BuildResult without
+    columns."""
     hists, diag = new_histograms(cfg), _fresh_diag()
     for events, coinc, step_diag in _drive(blocks, channel_map, cfg, threads):
         accumulate_histograms(coinc, events, cfg, into=hists)
         diag = _merge_diag(diag, step_diag)
-        keep(events, coinc)
+        if keep is not None:
+            keep(coinc)
         del events, coinc   # not alive while the next step runs, unless kept
     diag["jsi_out_of_range"] = hists["jsi"].out_of_range
-    return BuildResult(None, None, hists, diag)
+    return BuildResult(None, hists, diag)
 
 
 def build(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
-    """One-shot build of events, coincidences, histograms and diagnostics:
-    the fold of `tags` as one block, keeping the event and coincidence
-    columns. Any thread count gives identical results."""
+    """One-shot build of coincidences, histograms and diagnostics: the fold
+    of `tags` as one block, keeping the coincidence columns (the anode
+    events go into the histograms only). Any thread count gives identical
+    results."""
     kept = []
-    result = _fold([tags], channel_map, cfg, threads, lambda *step: kept.append(step))
-    result.events, result.coincidences = (_join_columns(parts) for parts in zip(*kept))
+    result = _fold([tags], channel_map, cfg, threads, kept.append)
+    result.coincidences = _join_columns(kept)
     return result
 
 
@@ -480,9 +488,8 @@ def fold_stream_blocks(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, t
     """Bounded-memory build over an iterator of TagColumns blocks: the
     fold on `threads` workers (None: every CPU this process may use).
     Histograms and diagnostics are identical to `build` for any block
-    partition and thread count; event and coincidence columns are not
-    retained."""
+    partition and thread count; coincidence columns are not retained."""
     if threads is None:
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    return _fold(blocks, channel_map, cfg, threads, lambda e, c: None)
+    return _fold(blocks, channel_map, cfg, threads)

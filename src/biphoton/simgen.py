@@ -51,7 +51,7 @@ class AcquisitionConfig:
     snspd_mcp_conv_jitter_fwhm_ps: float = 310.0
     dld_dark_rate_hz: float = 2000.0
     snspd_dark_rate_hz: float = 200.0
-    dead_time_ps: dict = field(default_factory=dict)
+    dead_time_ps: dict[str, float] = field(default_factory=dict)
     duration_s: float = 1.0
     seed: int = 12345
     tick_ps: int = 25

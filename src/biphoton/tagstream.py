@@ -39,6 +39,10 @@ RECORD_DTYPE = np.dtype([("channel", "<u2"), ("reserved", "<u2"), ("timestamp", 
 
 _BLOCK_RECORDS = 1 << 20
 
+#: records decoded at a time: a block's columns are filled through one
+#: window of this many records, so the reader holds no block-sized buffer
+_WINDOW_RECORDS = 1 << 16
+
 
 class StreamFormatError(ValueError):
     """Base class for malformed `.ttag` data; `byte_offset` locates the
@@ -275,7 +279,8 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS, into=None
     """Read the header eagerly, then yield TagColumns in bounded blocks.
 
     Returns (header, block_iterator). Single pass; memory bounded by
-    block_records. Each block is decoded into fresh columns or, when `into`
+    block_records. Each block of up to block_records records is decoded,
+    `_WINDOW_RECORDS` records at a time, into fresh columns or, when `into`
     (TagColumns with room for every record) is given, straight into its
     slice of `into`. When the block holding the fault is reached, raises a
     StreamFormatError naming its byte offset for a partial record, a record
@@ -284,33 +289,39 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS, into=None
     block or across a block boundary, and a non-zero header record_count
     that differs from the records present.
     """
+    if block_records < 1:
+        raise ValueError(f"block_records must be at least 1, got {block_records}")
     header = StreamHeader.from_bytes(source.read(HEADER_SIZE))
     first_unmapped = _unmapped_finder(header.channel_map)
 
     def blocks():
-        # one record buffer for the whole pass: every block is decoded out
-        # of it, so the buffer can be refilled
-        buffer = np.empty(block_records, dtype=RECORD_DTYPE)
-        offset = HEADER_SIZE
-        seen = 0
-        last = None
-        while size := source.readinto(buffer):
-            whole, leftover = divmod(size, RECORD_SIZE)
-            if leftover:
-                raise TruncatedStreamError("stream truncated mid-record",
-                                           offset + whole * RECORD_SIZE)
-            records = buffer[:whole]
-            block = (TagColumns.empty_of(whole) if into is None
-                     else into[seen:seen + whole])
-            block.channel[:] = records["channel"]
-            block.timestamp[:] = records["timestamp"]
-            last = _check_records(block, last, first_unmapped, offset)
-            offset += size
-            seen += whole
-            yield block
+        # one record window for the whole pass: every block is decoded out
+        # of it, so the window can be refilled
+        window = np.empty(min(block_records, _WINDOW_RECORDS), dtype=RECORD_DTYPE)
+        seen, last, at_end = 0, None, False
+        while not at_end:
+            block = (TagColumns.empty_of(block_records) if into is None
+                     else into[seen:seen + block_records])
+            filled = 0
+            while filled < block_records and not at_end:
+                want = min(len(window), block_records - filled)
+                whole, leftover = divmod(source.readinto(window[:want]), RECORD_SIZE)
+                if leftover:
+                    raise TruncatedStreamError("stream truncated mid-record",
+                                               HEADER_SIZE + RECORD_SIZE * (seen + filled + whole))
+                block.channel[filled:filled + whole] = window["channel"][:whole]
+                block.timestamp[filled:filled + whole] = window["timestamp"][:whole]
+                filled += whole
+                at_end = whole < want
+            if filled:
+                block = block[:filled]
+                last = _check_records(block, last, first_unmapped,
+                                      HEADER_SIZE + RECORD_SIZE * seen)
+                seen += filled
+                yield block
         if header.record_count and seen != header.record_count:
-            raise RecordCountError(
-                f"header declares {header.record_count} records, found {seen}", offset)
+            raise RecordCountError(f"header declares {header.record_count} records, found {seen}",
+                                   HEADER_SIZE + RECORD_SIZE * seen)
 
     return header, blocks()
 

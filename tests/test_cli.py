@@ -1,15 +1,17 @@
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from biphoton import cli as cli_mod
-from biphoton import schmidt, simgen
+from biphoton import engine, schmidt, simgen, tagstream
 from biphoton.config import default_config_dict
 from biphoton.histograms import read_matrix_csv
 from conftest import assert_fit_matches_scipy
@@ -290,6 +292,94 @@ class TestBuild:
         run_cli(monkeypatch, ["build", tmp_path / "z.ttag", cfg, tmp_path / "out"])
         jsi, _ = read_matrix_csv(tmp_path / "out/jsi.csv")
         assert jsi.sum() == 0
+
+    def test_header_only_stream_writes_no_rates(self, monkeypatch, tmp_path):
+        stream = tmp_path / "empty.ttag"
+        with open(stream, "wb") as fh:
+            tagstream.write_stream(tagstream.StreamHeader(), tagstream.TagColumns.empty(), fh)
+        run_cli(monkeypatch, ["build", stream, small_config(tmp_path), tmp_path / "out"])
+        diag = json.loads((tmp_path / "out/diagnostics.json").read_text())
+        assert "rates" not in diag
+        assert diag == {**engine._fresh_diag(), "jsi_out_of_range": 0}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_block_fold_equals_whole_array_build(self, monkeypatch, tmp_path, pipeline,
+                                                 threads):
+        tmp, cfg = pipeline
+        stream = tmp / "tags.ttag"
+        whole = tmp_path / "whole"
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "fold_stream_blocks",
+                       lambda blocks, channel_map, event_cfg, threads: engine.build(
+                           tagstream.TagColumns.concatenate(blocks), channel_map, event_cfg,
+                           threads=threads))
+            run_cli(mp, ["build", stream, cfg, whole])
+        # 997-record blocks and 500-tag steps: many steps span a block boundary
+        monkeypatch.setattr(tagstream, "iter_stream_blocks",
+                            functools.partial(tagstream.iter_stream_blocks, block_records=997))
+        monkeypatch.setattr(engine, "_STEP_BUDGET", 500)
+        out = tmp_path / "folded"
+        run_cli(monkeypatch, ["build", stream, cfg, out, "--threads", threads])
+        names = sorted(path.name for path in whole.iterdir())
+        assert names == sorted(path.name for path in out.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+        with open(stream, "rb") as fh:
+            header, tags = tagstream.read_stream_arrays(fh)
+        assert len(tags) > 20 * 997
+        t = tags.timestamp
+        rates = json.loads((out / "diagnostics.json").read_text())["rates"]
+        assert rates["duration_s"] == (int(t[-1]) - int(t[0]) + 1) * header.tick_ps * 1e-12
+
+    def test_build_peak_is_flat_in_stream_length(self, tmp_path):
+        # 1M-tag blocks of 3500-tick pulses, longer than the anode window: a
+        # sync tag, an MCP trigger, an SNSPD tag in the idler gate of the
+        # trigger 88 pulses earlier (88 * 3500 ticks is the template's gate
+        # center) and two wire tags
+        cfg = small_config(tmp_path)
+        cmap = tagstream.ChannelMap()
+        roles = ("sync", "mcp", "snspd", "dld_x1", "dld_x2")
+        offsets = np.array([0, 10, 12, 20, 30])
+        pulses = (1 << 20) // len(roles)
+        channel = np.tile(np.array([getattr(cmap, r) for r in roles], dtype=np.uint16), pulses)
+
+        def blocks(n_blocks):
+            for k in range(n_blocks):
+                start = (k * pulses + np.arange(pulses, dtype=np.int64)) * 3500
+                yield tagstream.TagColumns(channel, (start[:, None] + offsets).ravel())
+
+        peaks = []
+        for n_blocks in (2, 4):
+            stream = tmp_path / f"{n_blocks}.ttag"
+            with open(stream, "wb") as fh:
+                tagstream.write_stream(tagstream.StreamHeader(), blocks(n_blocks), fh)
+            out = tmp_path / f"out{n_blocks}"
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                cli_mod.cmd_build.callback(str(stream), str(cfg), str(out), threads=1)
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2**20)
+            finally:
+                tracemalloc.stop()
+            diag = json.loads((out / "diagnostics.json").read_text())
+            assert diag["coincidences"] == n_blocks * pulses - 88
+            stream.unlink()
+        # a 1M-record block (10 MB) and its steps, whatever the stream length
+        assert peaks[0] < 40, peaks
+        assert peaks[1] < peaks[0] * 1.1 + 1, peaks
+
+    @pytest.mark.parametrize("command", ["build", "slice"])
+    def test_tick_checked_before_any_record(self, monkeypatch, capsys, tmp_path, command):
+        # the junk body is not a whole record: the tick must be named first
+        stream = tmp_path / "junk.ttag"
+        stream.write_bytes(tagstream.StreamHeader(tick_ps=10).to_bytes() + b"junk body")
+        capsys.readouterr()
+        run_cli(monkeypatch, [command, stream, small_config(tmp_path), tmp_path / "out"],
+                expect=1)
+        err = capsys.readouterr().err
+        assert f"{stream} has 10 ps ticks but the config's acquisition.tick_ps is 25 ps" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_stream_exits_1(self, monkeypatch, tmp_path, pipeline):
         _, cfg = pipeline

@@ -94,6 +94,13 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="acquisition.*dead_time_ps"):
             run_config_from_dict({"acquisition": {"dead_time_ps": ["mcp"]}})
 
+    @pytest.mark.parametrize("value", [True, "x", None, [1]])
+    def test_dead_time_value_of_wrong_type_named(self, value):
+        # true had loaded as a 1 ps dead time; the others failed naming no key
+        with pytest.raises(ConfigError,
+                           match=r"^acquisition\.dead_time_ps\.mcp must be a number, got "):
+            run_config_from_dict({"acquisition": {"dead_time_ps": {"mcp": value}}})
+
     @pytest.mark.parametrize("key, value", [
         ("jsi_signal_count", 0), ("jsi_idler_count", 0), ("jsi_signal_width_ticks", 0),
         ("jsi_idler_width_ticks", -2), ("gate_half_width_ticks", -5), ("dt_guard_ticks", -1),

@@ -20,9 +20,13 @@ def tags_from(rows):
     return out[np.lexsort((out.channel, out.timestamp))]
 
 
-def build_events(tags, cfg):
-    result = engine.build(tags, CMAP, cfg)
-    return result.events, result.diagnostics
+def build_events(tags, cfg, cmap=CMAP, threads=1):
+    """The anode events of a whole-array build, joined from the steps of
+    the build driver (engine.build keeps only the coincidences), and the
+    build's diagnostics."""
+    steps = list(engine._drive([tags], cmap, cfg, threads))
+    events = engine._join_columns([events for events, _, _ in steps])
+    return events, engine.build(tags, cmap, cfg, threads=threads).diagnostics
 
 
 def small_cfg(**kw):
@@ -300,10 +304,12 @@ class TestChunkingAndThreads:
         cfg = small_cfg()
         tags = synthetic_stream(n_triples=5000, seed=53)
         single = engine.build(tags, CMAP, cfg, threads=1)
+        single_events, _ = build_events(tags, cfg, threads=1)
         for threads in (2, 4, 8):
             multi = engine.build(tags, CMAP, cfg, threads=threads)
-            assert np.array_equal(single.events.t_mcp, multi.events.t_mcp)
-            assert np.array_equal(single.events.dt_x, multi.events.dt_x)
+            multi_events, _ = build_events(tags, cfg, threads=threads)
+            assert np.array_equal(single_events.t_mcp, multi_events.t_mcp)
+            assert np.array_equal(single_events.dt_x, multi_events.dt_x)
             assert np.array_equal(single.coincidences.tau, multi.coincidences.tau)
             for name in single.histograms:
                 assert np.array_equal(single.histograms[name].counts,
@@ -370,7 +376,7 @@ class TestDriverProperties:
             role: int((tags.channel == getattr(CMAP, role)).sum()) for role in engine._ROLES}
 
         oracle = brute_force_events(tags, cfg)
-        events = whole.events
+        events, _ = build_events(tags, cfg, threads=threads)
         assert events.t_mcp.tolist() == [t0 for t0, _, _ in oracle]
         assert events.dt_x.tolist() == [dt for _, dt, _ in oracle]
         assert events.has_sync.tolist() == [sync is not None for _, _, sync in oracle]
@@ -547,7 +553,7 @@ class TestWindowEdges:
                           [900, 1000, 1010, 1030])
         tags = TagColumns.concatenate([tags, TagColumns([cmap.sync], [1000])])
         tags = tags[np.lexsort((tags.channel, tags.timestamp))]
-        events = engine.build(tags, cmap, cfg).events
+        events, _ = build_events(tags, cfg, cmap)
         assert events.has_sync.tolist() == [True]
         assert events.sync_offset.tolist() == [0]
 
@@ -599,10 +605,10 @@ class TestStepCutter:
             folded = engine.fold_stream_blocks(
                 (tags[a:b] for a, b in zip(edges, edges[1:])), CMAP, cfg, threads=threads)
             assert_steps_tile(steps, tags)
+            events, _ = build_events(tags, cfg, threads=threads)
         assert_same_result(folded, whole)
 
         oracle = brute_force_events(tags, cfg)
-        events = whole.events
         assert events.t_mcp.tolist() == [t0 for t0, _, _ in oracle]
         assert events.dt_x.tolist() == [dt for _, dt, _ in oracle]
         assert events.sync_offset[events.has_sync].tolist() == [
@@ -745,7 +751,8 @@ class TestFoldMemory:
 class TestBuildMemory:
     def test_build_holds_its_results_once(self):
         cfg = tiny_cfg(250.0)
-        tags = next(pulse_blocks(1))    # about 1M tags, a coincidence per pulse
+        # about 2M tags, a coincidence per pulse
+        tags = next(pulse_blocks(1, groups=(1 << 21) // 5))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -753,9 +760,8 @@ class TestBuildMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        columns = sum(getattr(part, f.name).nbytes
-                      for part in (result.events, result.coincidences)
-                      for f in dataclasses.fields(part))
+        coinc = result.coincidences
+        columns = sum(getattr(coinc, f.name).nbytes for f in dataclasses.fields(coinc))
         assert columns > 10 * 2**20
         # joined field by field: the step parts of one field at most are
         # held beside the joined columns

@@ -318,6 +318,44 @@ class TestReadStream:
         assert err.value.byte_offset == ts.HEADER_SIZE
         assert str(ts.HEADER_SIZE) in str(err.value)
 
+    @pytest.mark.parametrize("block_records, n_whole", [(100, 6), (6, 11)])
+    def test_truncated_in_second_window_names_offset(self, monkeypatch, block_records,
+                                                     n_whole):
+        # 4-record windows: the partial record follows the whole records of
+        # the second window of the first or of the second block
+        monkeypatch.setattr(ts, "_WINDOW_RECORDS", 4)
+        raw = stream_bytes(tags_of((0, t) for t in range(n_whole + 1)))
+        cut = raw[:ts.HEADER_SIZE + n_whole * ts.RECORD_SIZE + 5]
+        offset = ts.HEADER_SIZE + n_whole * ts.RECORD_SIZE
+        _, blocks = ts.iter_stream_blocks(io.BytesIO(cut), block_records=block_records)
+        with pytest.raises(ts.TruncatedStreamError) as err:
+            list(blocks)
+        assert err.value.byte_offset == offset
+        with pytest.raises(ts.TruncatedStreamError) as err:
+            ts.read_stream_arrays(io.BytesIO(cut))
+        assert err.value.byte_offset == offset
+
+    def test_block_records_below_one_rejected(self):
+        raw = stream_bytes(tags_of([(0, 1)]))
+        with pytest.raises(ValueError, match="block_records must be at least 1"):
+            ts.iter_stream_blocks(io.BytesIO(raw), block_records=0)
+
+    def test_order_fault_across_windows_of_one_block(self, monkeypatch):
+        # records 3 and 4 are the last of one window and the first of the next
+        monkeypatch.setattr(ts, "_WINDOW_RECORDS", 4)
+        pairs = [(0, t) for t in (1, 2, 3, 9, 4, 10, 11)]
+        raw = unchecked_stream(pairs)
+        _, blocks = ts.iter_stream_blocks(io.BytesIO(raw), block_records=100)
+        with pytest.raises(ts.RecordOrderError) as err:
+            list(blocks)
+        assert err.value.byte_offset == ts.HEADER_SIZE + 4 * ts.RECORD_SIZE
+        # the window does not change the blocks
+        tags = tags_of(sorted(pairs, key=lambda p: p[1]))
+        _, blocks = ts.iter_stream_blocks(io.BytesIO(stream_bytes(tags)), block_records=3)
+        parts = list(blocks)
+        assert [len(p) for p in parts] == [3, 3, 1]
+        assert_same_tags(ts.TagColumns.concatenate(parts), tags)
+
     def test_header_invariants(self):
         with pytest.raises(ValueError):
             make_header(tick_ps=0)
