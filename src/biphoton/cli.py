@@ -5,11 +5,13 @@ Exit codes: 0 success, 1 runtime or data error, 2 configuration error.
 """
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -132,15 +134,23 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
     cfg = load_run_config(config_path)
     jsa = spdc.read_jsa_file(jsa_path)
     try:
-        with open(partials[out_path], "w+b") as fh:
-            result = simgen.generate(jsa, cfg.acquisition)
-            n_bytes = tagstream.write_stream(result.header, result.chunks, fh)
-            fh.seek(0)
-            sha256 = hashlib.sha256()
-            while chunk := fh.read(1 << 20):
-                sha256.update(chunk)
-        if truth_path:
-            result.truth.write_jsonl(partials[truth_path])
+        with contextlib.ExitStack() as stack:
+            on_truth = None
+            if truth_path:
+                # the truth's rows go to an anonymous file beside it as they
+                # become final, and become JSON lines once the stream is done
+                spill = stack.enter_context(
+                    tempfile.TemporaryFile(dir=Path(truth_path).resolve().parent))
+                on_truth = functools.partial(simgen.spill_truth, spill)
+            with open(partials[out_path], "w+b") as fh:
+                result = simgen.generate(jsa, cfg.acquisition, on_truth)
+                n_bytes = tagstream.write_stream(result.header, result.chunks, fh)
+                fh.seek(0)
+                sha256 = hashlib.sha256()
+                while chunk := fh.read(1 << 20):
+                    sha256.update(chunk)
+            if truth_path:
+                simgen.write_spilled_jsonl(spill, partials[truth_path])
         for final, partial in partials.items():
             os.replace(partial, final)
     except BaseException:
@@ -169,12 +179,15 @@ def _open_stream(ttag_path, cfg):
 
 
 def _tracking_span(blocks, span):
-    """Re-yield `blocks`, keeping the stream's first and last timestamp in
-    the dict `span` (empty until a tag is seen)."""
+    """Re-yield `blocks`, counting their records in span["records"] and
+    keeping the stream's first and last timestamp in span["first"] and
+    span["last"] (absent until a tag is seen)."""
+    span["records"] = 0
     for block in blocks:
         if len(block):
             span.setdefault("first", int(block.timestamp[0]))
             span["last"] = int(block.timestamp[-1])
+            span["records"] += len(block)
         yield block
 
 
@@ -237,8 +250,8 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
                                          value_name, cfg.acquisition.tick_ps, meta=meta)
     _jsi_writer(out, cfg, event_cfg)("jsi.csv", result.histograms["jsi"], meta)
 
-    diagnostics = dict(result.diagnostics)
-    if span:
+    diagnostics = {**result.diagnostics, "records": span["records"]}
+    if "first" in span:
         duration_s = float((span["last"] - span["first"] + 1) * header.tick_ps * 1e-12)
         diagnostics["rates"] = engine.rates_report(result.diagnostics, duration_s)
     _write_json(out / "diagnostics.json", diagnostics)
@@ -371,8 +384,6 @@ def _golden_config(tmp: Path):
 
 
 def _run_golden(update=False):
-    import tempfile
-
     golden_path = resources.files("biphoton").joinpath("data/golden_hashes.json")
     with tempfile.TemporaryDirectory() as tmp_str:
         tmp = Path(tmp_str)

@@ -21,8 +21,10 @@ reference delay and decoded wavelengths are consistent with the embedded
 calibration blocks.
 """
 
+import contextlib
 import functools
 import itertools
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
@@ -109,6 +111,13 @@ class AcquisitionConfig:
                             channel_map=self.channel_map)
 
 
+#: one ground-truth pair as a fixed-size record (58 bytes), its fields
+#: named and ordered as the JSON lines keys and the `GroundTruth` columns
+TRUTH_RECORD = np.dtype([("pulse", "<u8"), ("lambda_s_nm", "<f8"), ("lambda_i_nm", "<f8"),
+                         ("signal_detected", "?"), ("idler_detected", "?"), ("mcp", "<i8"),
+                         ("x1", "<i8"), ("x2", "<i8"), ("snspd", "<i8")])
+
+
 @dataclass
 class GroundTruth:
     """Per emitted pair: pulse slot, sampled wavelengths, per-arm detection
@@ -128,17 +137,39 @@ class GroundTruth:
     def __len__(self):
         return len(self.pulse_index)
 
-    def write_jsonl(self, path):
-        """One JSON object per pair, byte-identical to `json.dumps` of the
-        row dict: floats are `repr` (shortest round-trip), so every
-        wavelength must be finite. Rows are formatted `_TRUTH_CHUNK_ROWS` at
-        a time by `_truth_chunks`."""
+    def check_finite(self, first_row=0):
+        """Raise ValueError naming the first pair with a non-finite
+        wavelength, numbered from `first_row`."""
         finite = np.isfinite(self.lambda_s) & np.isfinite(self.lambda_i)
         if not finite.all():
             row = int(np.argmin(finite))
-            raise ValueError(f"ground truth pair row {row} has a non-finite wavelength "
-                             f"(lambda_s {self.lambda_s[row]!r}, lambda_i {self.lambda_i[row]!r})")
-        with open(path, "wb") as fh:
+            raise ValueError(f"ground truth pair row {first_row + row} has a non-finite "
+                             f"wavelength (lambda_s {self.lambda_s[row]!r}, "
+                             f"lambda_i {self.lambda_i[row]!r})")
+
+    def to_records(self):
+        """The pairs as `TRUTH_RECORD` records."""
+        records = np.empty(len(self), TRUTH_RECORD)
+        for name, column in zip(TRUTH_RECORD.names, fields(self)):
+            records[name] = getattr(self, column.name)
+        return records
+
+    @classmethod
+    def from_records(cls, records):
+        """The pairs of `TRUTH_RECORD` records, each column a contiguous copy
+        in the type `generate` makes."""
+        return cls(records["pulse"].astype(np.int64),
+                   *(records[name].copy() for name in TRUTH_RECORD.names[1:]))
+
+    def write_jsonl(self, sink):
+        """One JSON object per pair, byte-identical to `json.dumps` of the
+        row dict: floats are `repr` (shortest round-trip), so every
+        wavelength must be finite, which is checked before anything is
+        written. `sink` is a path, written anew, or a binary file, appended
+        to. Rows are formatted `_TRUTH_CHUNK_ROWS` at a time by
+        `_truth_chunks`."""
+        self.check_finite()
+        with contextlib.nullcontext(sink) if hasattr(sink, "write") else open(sink, "wb") as fh:
             for lines in _truth_chunks(self):
                 fh.write(lines)
 
@@ -338,16 +369,35 @@ def _truth_chunks(truth):
         yield text[text != 0]
 
 
+def spill_truth(spill, batch):
+    """Append a ground-truth batch to the binary file `spill` as
+    `TRUTH_RECORD` records, once its wavelengths are checked, its rows
+    numbered after the records already there."""
+    batch.check_finite(spill.tell() // TRUTH_RECORD.itemsize)
+    spill.write(batch.to_records())
+
+
+def write_spilled_jsonl(spill, path):
+    """Write the `TRUTH_RECORD` records of `spill` to `path` as JSON lines,
+    one formatting chunk (`_TRUTH_CHUNK_ROWS` records) per `write_jsonl`,
+    so the read-back adds little to generation's peak."""
+    spill.seek(0)
+    with open(path, "wb") as fh:
+        while raw := spill.read(_TRUTH_CHUNK_ROWS * TRUTH_RECORD.itemsize):
+            GroundTruth.from_records(np.frombuffer(raw, TRUTH_RECORD)).write_jsonl(fh)
+
+
 @dataclass
 class SimResult:
     """The stream header, the sorted stream as a lazy iterator of final
-    TagColumns chunks, and the ground truth keyed into it. `truth` is sized
-    up front but filled as `chunks` is pulled: it is complete only once
-    `chunks` is exhausted."""
+    TagColumns chunks, and the pair rows, numbered as the ground truth
+    numbers them: `len(truth)` is the pair count, known before any block is
+    emitted. The truth itself goes to `generate`'s `on_truth` as the chunks
+    are pulled."""
 
     header: StreamHeader
     chunks: Iterator[TagColumns]
-    truth: GroundTruth
+    truth: range
 
 
 def _block_rng(seed, block):
@@ -466,27 +516,62 @@ def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept):
     return mask
 
 
-def _emitted_blocks(draw_pairs, cfg: AcquisitionConfig, blocks, truth):
-    """Emit each (rng, n_pairs, pulse_lo, pulse_hi, first_row) block, write
-    its pairs into `truth` and yield (block number, ticks, channel, label)
-    of its tags at non-negative ticks, for blocks that have any."""
+class _PendingTruth:
+    """The pair rows emitted but not yet final, for `_final_chunks`: their
+    pair columns block by block, each block with the last tick of its
+    labelled tags, and their stream indices, -1 until placed (one row per
+    pair, one column per arm). `release` hands each leading block whose
+    labelled tags are all final to `on_truth` as one GroundTruth batch."""
+
+    def __init__(self, on_truth):
+        self.on_truth = on_truth
+        self.first_row = 0
+        self.index = np.zeros((0, 4), np.int64)
+        self.blocks = deque()
+
+    def add(self, pairs, last_tick):
+        n = len(pairs["pulse_index"])
+        self.index = np.concatenate([self.index, np.full((n, 4), -1, np.int64)])
+        self.blocks.append((pairs, last_tick))
+
+    def place(self, labels, indices):
+        self.index.reshape(-1)[labels - 4 * self.first_row] = indices
+
+    def release(self, final_below=None):
+        """Hand on every leading block whose labelled tags all lie below the
+        tick `final_below` (None: every block)."""
+        while self.blocks and (final_below is None or self.blocks[0][1] < final_below):
+            pairs, _ = self.blocks.popleft()
+            n = len(pairs["pulse_index"])
+            index, self.index = self.index[:n], self.index[n:]
+            self.first_row += n
+            if n:
+                self.on_truth(GroundTruth(**pairs, mcp_index=index[:, 0], x1_index=index[:, 1],
+                                          x2_index=index[:, 2], snspd_index=index[:, 3]))
+
+
+def _emitted_blocks(draw_pairs, cfg: AcquisitionConfig, blocks, pending):
+    """Emit each (rng, n_pairs, pulse_lo, pulse_hi, first_row) block, add
+    its pairs to `pending` (unless None) and yield (block number, ticks,
+    channel, label) of its tags at non-negative ticks, for blocks that have
+    any."""
     for block, (rng, n_pairs, lo, hi, first_row) in enumerate(blocks):
         tags, pairs = _emit_block(draw_pairs, cfg, rng, n_pairs, lo, hi, first_row)
-        rows = slice(first_row, first_row + n_pairs)
-        for key, column in pairs.items():
-            getattr(truth, key)[rows] = column
         t_ps = tags["t_ps"]
         ticks = np.rint(np.divide(t_ps, cfg.tick_ps, out=t_ps), out=t_ps).astype(np.int64)
         keep = ticks >= 0
-        if keep.any():
-            yield block, ticks[keep], tags["channel"][keep], tags["label"][keep]
+        ticks, channel, label = ticks[keep], tags["channel"][keep], tags["label"][keep]
+        if pending is not None:
+            pending.add(pairs, ticks[label >= 0].max(initial=-1))
+        if len(ticks):
+            yield block, ticks, channel, label
 
 
-def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, truth, index):
+def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, on_truth):
     """Yield the sorted, dead-time-masked stream as TagColumns chunks, each
-    final when yielded, while `_emitted_blocks` fills the pair columns of
-    `truth` and each chunk's tag indices go into `index` (one row per
-    pair, one column per arm).
+    final when yielded. With `on_truth`, each chunk's tag indices are
+    placed into the pending truth, and every run of pair rows whose tags are
+    all final goes to `on_truth` before the chunk is yielded, in row order.
 
     A block is sorted once the next one is emitted: one stable lexsort of
     the carry (sorted tags not yet final, all from earlier blocks) and the
@@ -497,7 +582,8 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, truth, index):
     dead = any(v > 0 for v in cfg.dead_time_ps.values())
     carry = (np.zeros(0, np.int64), np.zeros(0, np.uint16), np.zeros(0, np.int64))
     last_kept, last, written = {}, None, 0
-    emitted = _emitted_blocks(draw_pairs, cfg, blocks, truth)
+    pending = _PendingTruth(on_truth) if on_truth is not None else None
+    emitted = _emitted_blocks(draw_pairs, cfg, blocks, pending)
     for (block, *columns), following in itertools.pairwise(itertools.chain(emitted, [None])):
         ticks, channel, label = (np.concatenate(pair) for pair in zip(carry, columns))
         order = np.lexsort((channel, ticks))
@@ -508,9 +594,10 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, truth, index):
                 f"pulse block {block} has a tag at tick {first[0]} on channel {first[1]}, "
                 f"which sorts before tick {last[0]} on channel {last[1]} of the stream "
                 "already final: the blocks are too short for the spread of the tag times")
-        cut = len(ticks)
+        cut, final_below = len(ticks), None
         if following is not None:
-            cut = int(np.searchsorted(ticks, following[1].min()))
+            final_below = int(following[1].min())
+            cut = int(np.searchsorted(ticks, final_below))
         carry = ticks[cut:], channel[cut:], label[cut:]
         ticks, channel, label = ticks[:cut], channel[:cut], label[:cut]
         if cut:
@@ -518,18 +605,24 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, truth, index):
         if dead:
             alive = _dead_time_mask(ticks, channel, cfg, last_kept)
             ticks, channel, label = ticks[alive], channel[alive], label[alive]
-        labelled = np.flatnonzero(label >= 0)
-        index.reshape(-1)[label[labelled]] = written + labelled
+        if pending is not None:
+            labelled = np.flatnonzero(label >= 0)
+            pending.place(label[labelled], written + labelled)
+            pending.release(final_below)
         written += len(ticks)
         if len(ticks):
             yield TagColumns(channel, ticks)
+    if pending is not None:
+        pending.release()
 
 
-def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
+def generate(jsa: JsaGrid, cfg: AcquisitionConfig, on_truth=None):
     """Synthesize the tag stream for cfg.duration_s; deterministic given
     (jsa, cfg, seed). Returns a SimResult at once: the pulse blocks are
-    emitted only as its `chunks` are pulled (`_final_chunks`), and the
-    ground truth is held in memory."""
+    emitted only as its `chunks` are pulled (`_final_chunks`). The ground
+    truth is built only for a callback `on_truth`, which receives it as
+    GroundTruth batches of consecutive pair rows, in row order, each once
+    every stream record of its rows is final."""
     if cfg.pair_prob_per_pulse > 0 and not jsa.normalized:
         raise ValueError("pair sampling requires a normalized amplitude grid")
 
@@ -538,13 +631,11 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig):
     blocks, n_pairs = [], 0
     for block, lo in enumerate(range(0, n_pulses, _BLOCK_PULSES)):
         hi = min(lo + _BLOCK_PULSES, n_pulses)
-        # the pair count is the block generator's first draw, so the ground
-        # truth is sized before any block is emitted
+        # the pair count is the block generator's first draw, so the pairs
+        # are counted before any block is emitted
         rng = _block_rng(cfg.seed, block)
         count = int(rng.poisson(cfg.pair_prob_per_pulse * (hi - lo)))
         blocks.append((rng, count, lo, hi, n_pairs))
         n_pairs += count
-    index = np.full((n_pairs, 4), -1, dtype=np.int64)
-    truth = GroundTruth(np.empty(n_pairs, np.int64), np.empty(n_pairs), np.empty(n_pairs),
-                        np.empty(n_pairs, bool), np.empty(n_pairs, bool), *index.T)
-    return SimResult(cfg.header(), _final_chunks(draw_pairs, cfg, blocks, truth, index), truth)
+    return SimResult(cfg.header(), _final_chunks(draw_pairs, cfg, blocks, on_truth),
+                     range(n_pairs))

@@ -262,6 +262,87 @@ class TestGenTags:
         assert list(out.iterdir()) == []
         assert not (tmp_path / "missing").exists()
 
+    def test_truth_equals_whole_array_oracle(self, monkeypatch, tmp_path, pipeline):
+        # six pulse blocks, and 1000-row read-back batches and formatting
+        # chunks: the JSON lines are those of the whole-array truth, and the
+        # stream its records
+        from test_simgen import json_lines_oracle, whole_array_generate
+        src, _ = pipeline
+        cfg = small_config(tmp_path)
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 300_000)
+        monkeypatch.setattr(simgen, "_TRUTH_CHUNK_ROWS", 1000)
+        stream, truth = tmp_path / "run.ttag", tmp_path / "truth.jsonl"
+        run_cli(monkeypatch, ["gen-tags", src / "jsa/jsa.jsag", cfg, stream, "--truth", truth])
+        from biphoton.config import load_run_config
+        from biphoton.spdc import read_jsa_file
+        tags, whole = whole_array_generate(read_jsa_file(src / "jsa/jsa.jsag"),
+                                           load_run_config(cfg).acquisition)
+        assert len(whole) > 3000
+        assert truth.read_bytes() == json_lines_oracle(whole)
+        with open(stream, "rb") as fh:
+            _, streamed = tagstream.read_stream_arrays(fh)
+        assert np.array_equal(streamed.channel, tags.channel)
+        assert np.array_equal(streamed.timestamp, tags.timestamp)
+        assert json.loads((tmp_path / "run.ttag.manifest.json").read_text())["pairs"] == \
+            len(whole)
+
+    def test_non_finite_wavelength_exits_1_before_truth_opens(self, monkeypatch, capsys,
+                                                              tmp_path, pipeline):
+        # block 2 of six gets a non-finite idler wavelength at its fourth
+        # pair (its tags are already made): the error names the global row
+        src, _ = pipeline
+        cfg = small_config(tmp_path)
+        emit_block, bad_rows, opened = simgen._emit_block, [], []
+        builtin_open = open
+
+        def bad_third(draw_pairs, acq, rng, n_pairs, pulse_lo, pulse_hi, first_row):
+            tags, pairs = emit_block(draw_pairs, acq, rng, n_pairs, pulse_lo, pulse_hi,
+                                     first_row)
+            if pulse_lo == 2 * 300_000:
+                pairs["lambda_i"][3] = np.inf
+                bad_rows.append(first_row + 3)
+            return tags, pairs
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return builtin_open(path, *args, **kwargs)
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 300_000)
+        monkeypatch.setattr(simgen, "_emit_block", bad_third)
+        monkeypatch.setattr("builtins.open", recording_open)
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        run_cli(monkeypatch, ["gen-tags", src / "jsa/jsa.jsag", cfg, out / "run.ttag",
+                              "--truth", out / "truth.jsonl"], expect=1)
+        assert bad_rows and bad_rows[0] > 3
+        assert f"ground truth pair row {bad_rows[0]} has a non-finite wavelength" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert [path for path in opened if path.startswith(str(out))] == \
+            [str(out / "run.ttag.partial")]
+
+    def test_truth_peak_is_flat_in_stream_length(self, monkeypatch, tmp_path, pipeline):
+        # traced peak of `gen-tags --truth` at d and 4d, 20k pairs per
+        # 200k-pulse block: the truth (58 bytes a pair) must not be held
+        src, _ = pipeline
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 200_000)
+        peaks = []
+        for duration in (0.02, 0.02, 0.08):
+            cfg = small_config(tmp_path, **{"acquisition.duration_s": duration,
+                                            "acquisition.pair_prob_per_pulse": 0.1})
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                cli_mod.cmd_gen_tags.callback(str(src / "jsa/jsa.jsag"), str(cfg),
+                                              str(tmp_path / "run.ttag"),
+                                              str(tmp_path / "truth.jsonl"))
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2**20)
+            finally:
+                tracemalloc.stop()
+        pairs = json.loads((tmp_path / "run.ttag.manifest.json").read_text())["pairs"]
+        assert pairs > 500_000  # over 29 MB of truth at 4d
+        assert peaks[2] < peaks[1] * 1.1 + 1, peaks
+
 
 class TestBuild:
     def test_outputs_exist_and_conserve(self, pipeline):
@@ -273,6 +354,13 @@ class TestBuild:
         jsi, meta = read_matrix_csv(tmp / "built/jsi.csv")
         assert int(jsi.sum()) == diag["coincidences"] - diag["jsi_out_of_range"]
         assert "rates" in diag
+
+    def test_diagnostics_count_every_record(self, pipeline):
+        tmp, _ = pipeline
+        diag = json.loads((tmp / "built/diagnostics.json").read_text())
+        with open(tmp / "tags.ttag", "rb") as fh:
+            header = tagstream.StreamHeader.from_bytes(fh.read(tagstream.HEADER_SIZE))
+        assert sum(diag["tag_counts"].values()) == diag["records"] == header.record_count > 0
 
     def test_thread_count_does_not_change_bytes(self, monkeypatch, tmp_path, pipeline):
         tmp, cfg = pipeline
@@ -300,7 +388,7 @@ class TestBuild:
         run_cli(monkeypatch, ["build", stream, small_config(tmp_path), tmp_path / "out"])
         diag = json.loads((tmp_path / "out/diagnostics.json").read_text())
         assert "rates" not in diag
-        assert diag == {**engine._fresh_diag(), "jsi_out_of_range": 0}
+        assert diag == {**engine._fresh_diag(), "jsi_out_of_range": 0, "records": 0}
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_block_fold_equals_whole_array_build(self, monkeypatch, tmp_path, pipeline,

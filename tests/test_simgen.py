@@ -32,11 +32,23 @@ def event_cfg_for(acq):
     return RunConfig(acquisition=acq).event_config()
 
 
+def joined(batches):
+    """One GroundTruth of truth batches, in arrival order."""
+    empty = simgen.GroundTruth.from_records(np.zeros(0, simgen.TRUTH_RECORD))
+    return simgen.GroundTruth(*(np.concatenate([getattr(batch, f.name)
+                                                for batch in (empty, *batches)])
+                                for f in fields(simgen.GroundTruth)))
+
+
 def generated(jsa, cfg):
-    """(tags, truth) of `generate`, its chunks joined; the truth is complete
-    once they are all pulled."""
-    result = simgen.generate(jsa, cfg)
-    return tagstream.TagColumns.concatenate(result.chunks), result.truth
+    """(tags, truth) of `generate`, its chunks joined and its truth batches
+    joined; the batches hold every pair row once the chunks are pulled."""
+    batches = []
+    result = simgen.generate(jsa, cfg, batches.append)
+    tags = tagstream.TagColumns.concatenate(result.chunks)
+    truth = joined(batches)
+    assert len(truth) == len(result.truth)
+    return tags, truth
 
 
 class TestGenerateBasics:
@@ -255,11 +267,14 @@ def truth_bytes(truth):
 
 def streamed(jsa, cfg):
     """(stream bytes, truth) of `generate`'s chunks written as `gen-tags`
-    writes them."""
-    result = simgen.generate(jsa, cfg)
+    writes them, and its truth batches joined."""
+    batches = []
+    result = simgen.generate(jsa, cfg, batches.append)
     sink = io.BytesIO()
     tagstream.write_stream(result.header, result.chunks, sink)
-    return sink.getvalue(), result.truth
+    truth = joined(batches)
+    assert len(truth) == len(result.truth)
+    return sink.getvalue(), truth
 
 
 def whole_array_stream(jsa, cfg):
@@ -338,10 +353,10 @@ class TestChunkedStream:
         assert truth_bytes(truth) == truth_bytes(whole_truth)
 
     def test_sink_memory_follows_block_not_duration(self, monkeypatch, tmp_path):
-        # tracemalloc peak of generating and writing a run to a file, less
-        # the truth columns, which grow with the pair count: the same at d
-        # and 8d. A one-cell amplitude keeps the sampler's own arrays out of
-        # the peak, and a first run keeps out what numpy sets up on first use.
+        # tracemalloc peak of generating and writing a run to a file, with
+        # no truth callback and so no truth: the same at d and 8d. A
+        # one-cell amplitude keeps the sampler's own arrays out of the peak,
+        # and a first run keeps out what numpy sets up on first use.
         monkeypatch.setattr(simgen, "_BLOCK_PULSES", 20_000)
         peaks = []
         for duration in (0.002, 0.002, 0.016):
@@ -354,8 +369,70 @@ class TestChunkedStream:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            peaks.append(peak - sum(len(col) for col in truth_bytes(result.truth)))
+            peaks.append(peak)
         assert abs(peaks[2] - peaks[1]) <= 0.2 * peaks[1], peaks
+
+
+class TestStreamedTruth:
+    """`generate` hands the ground truth to its callback in batches of pair
+    rows, each once all of its rows' records are final: joined, they must be
+    the whole-array pass's truth, in row order, every row once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.one_of(st.integers(1, 16), st.integers(1, 3000)),
+           n_blocks=st.integers(1, 30), seed=st.integers(0, 2**32),
+           pair_prob=st.floats(0.0, 0.3),
+           dead=st.fixed_dictionaries({"mcp": _DEAD_TIME_PS, "snspd": _DEAD_TIME_PS}))
+    def test_batches_join_to_whole_array_truth(self, model_jsa, block, n_blocks, seed,
+                                               pair_prob, dead):
+        cfg = simgen.AcquisitionConfig(duration_s=block * n_blocks / 76e6, seed=seed,
+                                       pair_prob_per_pulse=pair_prob, dead_time_ps=dead)
+        arrivals, sizes = [], []  # (chunks yielded before the batch, batch)
+        with mock.patch.object(simgen, "_BLOCK_PULSES", block):
+            tags, truth = whole_array_generate(model_jsa, cfg)
+            result = simgen.generate(model_jsa, cfg,
+                                     lambda batch: arrivals.append((len(sizes), batch)))
+            chunks = []
+            try:
+                for chunk in result.chunks:
+                    sizes.append(len(chunk))
+                    chunks.append(chunk)
+            except ValueError as exc:
+                assert "pulse block" in str(exc)
+                event("raised")
+                return
+        streamed_tags = tagstream.TagColumns.concatenate(chunks)
+        assert np.array_equal(streamed_tags.channel, tags.channel)
+        assert np.array_equal(streamed_tags.timestamp, tags.timestamp)
+        assert all(len(batch) for _, batch in arrivals)
+        assert sum(len(batch) for _, batch in arrivals) == len(result.truth) == len(truth)
+        assert truth_bytes(joined([batch for _, batch in arrivals])) == truth_bytes(truth)
+        # a batch's indices lie in the chunks yielded so far or the one in flight
+        ends = np.cumsum([0, *sizes])
+        for before, batch in arrivals:
+            bound = ends[min(before + 1, len(sizes))]
+            for col in (batch.mcp_index, batch.x1_index, batch.x2_index, batch.snspd_index):
+                assert (col < bound).all()
+
+    def test_no_callback_same_stream_and_pair_count(self, model_jsa):
+        cfg = clean_acquisition(duration_s=0.002)
+        result = simgen.generate(model_jsa, cfg)
+        tags = tagstream.TagColumns.concatenate(result.chunks)
+        with_truth, truth = generated(model_jsa, cfg)
+        assert result.truth == range(len(truth)) and len(truth) > 0
+        assert np.array_equal(tags.channel, with_truth.channel)
+        assert np.array_equal(tags.timestamp, with_truth.timestamp)
+
+    def test_records_round_trip_and_appended_lines(self, tmp_path, model_jsa):
+        _, truth = generated(model_jsa, clean_acquisition(duration_s=0.002, eta_signal=0.5))
+        records = truth.to_records()
+        assert records.dtype.itemsize == 58
+        assert truth_bytes(simgen.GroundTruth.from_records(records)) == truth_bytes(truth)
+        path = tmp_path / "truth.jsonl"
+        with open(path, "wb") as fh:
+            for lo in range(0, len(records), 1000):
+                simgen.GroundTruth.from_records(records[lo:lo + 1000]).write_jsonl(fh)
+        assert path.read_bytes() == json_lines_oracle(truth)
 
 
 def json_lines_oracle(truth):
