@@ -408,11 +408,13 @@ def _block_rng(seed, block):
 
 def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, pulse_hi,
                 first_row):
-    """One pulse block of `n_pairs` pairs, numbered from `first_row` and
-    drawn by `draw_pairs` (a `spdc.pair_sampler`), with every other draw
-    from the block's generator `rng`. Returns the tag columns `t_ps`,
-    `channel` and `label` (4 * pair row + arm, the arm 0 MCP, 1 X1, 2 X2,
-    3 SNSPD; -1 for sync and dark tags) and the pair columns."""
+    """The pair and dark tags of one pulse block of `n_pairs` pairs,
+    numbered from `first_row` and drawn by `draw_pairs` (a
+    `spdc.pair_sampler`), with every other draw from the block's generator
+    `rng`. Returns the tag columns `t_ps`, `channel` and `label` (4 * pair
+    row + arm, the arm 0 MCP, 1 X1, 2 X2, 3 SNSPD; -1 for dark tags) and the
+    pair columns. The block's sync markers draw nothing and are not emitted
+    here: `_sync_ticks` computes them."""
     slots = pulse_hi - pulse_lo
     period = cfg.pulse_period_ps
 
@@ -451,11 +453,6 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, puls
             (t_x2, cmap.dld_x2, det_s), (t_sn, cmap.snspd, det_i))):
         emit(times[detected], channel, row_label[detected] + arm)
 
-    # sync markers for every divided pulse in this block
-    first = ((pulse_lo + cfg.sync_divider - 1) // cfg.sync_divider) * cfg.sync_divider
-    sync_pulses = np.arange(first, pulse_hi, cfg.sync_divider, dtype=np.int64)
-    emit(sync_pulses.astype(np.float64) * period, cmap.sync)
-
     # dark counts: anode darks are full uncorrelated triples at uniform
     # positions, SNSPD darks are lone tags
     block_span_ps = slots * period
@@ -478,6 +475,16 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, puls
     pairs = {"pulse_index": pulse, "lambda_s": lam_s, "lambda_i": lam_i,
              "signal_detected": det_s, "idler_detected": det_i}
     return tags, pairs
+
+
+def _sync_ticks(cfg: AcquisitionConfig, pulse_lo, pulse_hi):
+    """The ticks of the sync markers of pulses [pulse_lo, pulse_hi), one at
+    every sync_divider-th pulse's time exactly, quantized as emitted tags
+    are: non-decreasing, and never negative."""
+    first = ((pulse_lo + cfg.sync_divider - 1) // cfg.sync_divider) * cfg.sync_divider
+    t_ps = np.arange(first, pulse_hi, cfg.sync_divider, dtype=np.int64).astype(np.float64)
+    t_ps *= cfg.pulse_period_ps
+    return np.rint(np.divide(t_ps, cfg.tick_ps, out=t_ps), out=t_ps).astype(np.int64)
 
 
 def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept):
@@ -552,19 +559,44 @@ class _PendingTruth:
 
 def _emitted_blocks(draw_pairs, cfg: AcquisitionConfig, blocks, pending):
     """Emit each (rng, n_pairs, pulse_lo, pulse_hi, first_row) block, add
-    its pairs to `pending` (unless None) and yield (block number, ticks,
-    channel, label) of its tags at non-negative ticks, for blocks that have
-    any."""
+    its pairs to `pending` (unless None) and yield (block number, tags, sync
+    ticks) for blocks with any tag. `tags` holds the columns `ticks` and
+    `channel` of its pair and dark tags at non-negative ticks, in emission
+    order, and their `label` when `pending` is given; the sync ticks are
+    `_sync_ticks` of its pulses."""
     for block, (rng, n_pairs, lo, hi, first_row) in enumerate(blocks):
-        tags, pairs = _emit_block(draw_pairs, cfg, rng, n_pairs, lo, hi, first_row)
-        t_ps = tags["t_ps"]
+        emitted, pairs = _emit_block(draw_pairs, cfg, rng, n_pairs, lo, hi, first_row)
+        t_ps = emitted["t_ps"]
         ticks = np.rint(np.divide(t_ps, cfg.tick_ps, out=t_ps), out=t_ps).astype(np.int64)
         keep = ticks >= 0
-        ticks, channel, label = ticks[keep], tags["channel"][keep], tags["label"][keep]
+        tags = {"ticks": ticks[keep], "channel": emitted["channel"][keep]}
         if pending is not None:
-            pending.add(pairs, ticks[label >= 0].max(initial=-1))
-        if len(ticks):
-            yield block, ticks, channel, label
+            tags["label"] = label = emitted["label"][keep]
+            pending.add(pairs, tags["ticks"][label >= 0].max(initial=-1))
+        sync = _sync_ticks(cfg, lo, hi)
+        if len(tags["ticks"]) or len(sync):
+            yield block, tags, sync
+
+
+def _take(tags, index):
+    """Every column of `tags` indexed by `index`."""
+    return {key: column[index] for key, column in tags.items()}
+
+
+def _merge_sync(sync, sync_id, tags):
+    """Merge the non-decreasing sync ticks `sync` into `tags` sorted by
+    (tick, channel), as markers on channel `sync_id` labelled -1. Each tag
+    is searched into the markers: it goes before those at its tick when its
+    channel is below `sync_id`, after them otherwise (a tag on `sync_id` is
+    a marker of an earlier block, like those it ties with)."""
+    before = np.searchsorted(sync, tags["ticks"] - (tags["channel"] < sync_id), side="right")
+    at = before + np.arange(len(before))
+    merged = {"ticks": np.insert(sync, before, tags["ticks"])}
+    for key, marker in (("channel", sync_id), ("label", -1)):
+        if key in tags:
+            merged[key] = np.full(len(merged["ticks"]), marker, tags[key].dtype)
+            merged[key][at] = tags[key]
+    return merged
 
 
 def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, on_truth):
@@ -573,45 +605,49 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, on_truth):
     placed into the pending truth, and every run of pair rows whose tags are
     all final goes to `on_truth` before the chunk is yielded, in row order.
 
-    A block is sorted once the next one is emitted: one stable lexsort of
+    A block is sorted once the next one is emitted. One stable lexsort of
     the carry (sorted tags not yet final, all from earlier blocks) and the
-    block keeps the tie order of a sort of the whole stream, and its tags
-    below the next block's first tick are final. A block with a tag that
-    sorts before one already yielded cannot be placed without reordering
-    the stream, so it raises ValueError."""
+    block's pair and dark tags keeps the tie order of a sort of the whole
+    stream; the block's sync ticks, already in order, are then merged in
+    (`_merge_sync`). The merged tags below the next block's first tick,
+    pair, dark or sync, are final. A block with a tag that sorts before one
+    already yielded cannot be placed without reordering the stream, so it
+    raises ValueError."""
     dead = any(v > 0 for v in cfg.dead_time_ps.values())
-    carry = (np.zeros(0, np.int64), np.zeros(0, np.uint16), np.zeros(0, np.int64))
-    last_kept, last, written = {}, None, 0
     pending = _PendingTruth(on_truth) if on_truth is not None else None
+    carry = {"ticks": np.zeros(0, np.int64), "channel": np.zeros(0, np.uint16)}
+    if pending is not None:
+        carry["label"] = np.zeros(0, np.int64)
+    last_kept, last, written = {}, None, 0
     emitted = _emitted_blocks(draw_pairs, cfg, blocks, pending)
-    for (block, *columns), following in itertools.pairwise(itertools.chain(emitted, [None])):
-        ticks, channel, label = (np.concatenate(pair) for pair in zip(carry, columns))
-        order = np.lexsort((channel, ticks))
-        ticks, channel, label = ticks[order], channel[order], label[order]
-        first = (int(ticks[0]), int(channel[0]))
+    for (block, tags, sync), following in itertools.pairwise(itertools.chain(emitted, [None])):
+        tags = {key: np.concatenate([carry[key], column]) for key, column in tags.items()}
+        order = np.lexsort((tags["channel"], tags["ticks"]))
+        tags = _merge_sync(sync, cfg.channel_map.sync, _take(tags, order))
+        first = (int(tags["ticks"][0]), int(tags["channel"][0]))
         if last is not None and first < last:
             raise ValueError(
                 f"pulse block {block} has a tag at tick {first[0]} on channel {first[1]}, "
                 f"which sorts before tick {last[0]} on channel {last[1]} of the stream "
                 "already final: the blocks are too short for the spread of the tag times")
-        cut, final_below = len(ticks), None
+        cut, final_below = len(tags["ticks"]), None
         if following is not None:
-            final_below = int(following[1].min())
-            cut = int(np.searchsorted(ticks, final_below))
-        carry = ticks[cut:], channel[cut:], label[cut:]
-        ticks, channel, label = ticks[:cut], channel[:cut], label[:cut]
+            _, next_tags, next_sync = following
+            final_below = int(next_tags["ticks"].min(initial=next_sync[0]) if len(next_sync)
+                              else next_tags["ticks"].min())
+            cut = int(np.searchsorted(tags["ticks"], final_below))
+        carry, tags = _take(tags, slice(cut, None)), _take(tags, slice(cut))
         if cut:
-            last = (int(ticks[-1]), int(channel[-1]))
+            last = (int(tags["ticks"][-1]), int(tags["channel"][-1]))
         if dead:
-            alive = _dead_time_mask(ticks, channel, cfg, last_kept)
-            ticks, channel, label = ticks[alive], channel[alive], label[alive]
+            tags = _take(tags, _dead_time_mask(tags["ticks"], tags["channel"], cfg, last_kept))
         if pending is not None:
-            labelled = np.flatnonzero(label >= 0)
-            pending.place(label[labelled], written + labelled)
+            labelled = np.flatnonzero(tags["label"] >= 0)
+            pending.place(tags["label"][labelled], written + labelled)
             pending.release(final_below)
-        written += len(ticks)
-        if len(ticks):
-            yield TagColumns(channel, ticks)
+        written += len(tags["ticks"])
+        if len(tags["ticks"]):
+            yield TagColumns(tags["channel"], tags["ticks"])
     if pending is not None:
         pending.release()
 

@@ -1,8 +1,9 @@
 import hashlib
 import io
 import math
+import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -227,22 +228,38 @@ class TestGroundTruthAcrossBlocks:
             "15136545815a63b343c15cc60d638c288d12337ae6c206444ef9cca0958abdbd"
 
 
-def whole_array_generate(jsa, cfg):
-    """The synthesizer as one whole-array pass, the reference for its
-    chunked stream: every block's tags concatenated, ticks below 0
-    dropped, one stable lexsort, the greedy dead-time loop, then one
-    scatter of the labels into the truth index columns. Each block's
-    generator is keyed by (seed, block) and draws its pair count first."""
+def oracle_blocks(jsa, cfg):
+    """Each pulse block's tags and pairs as the synthesizer emitted them
+    when it sorted every tag: its pair and dark tags (`_emit_block`), then
+    its sync markers (float64 pulse times on the sync channel, labelled
+    -1). Each block's generator is keyed by (seed, block) and draws its
+    pair count first."""
     draw_pairs = spdc.pair_sampler(jsa) if cfg.pair_prob_per_pulse > 0 else None
-    tag_parts, pair_parts, n_pairs = [], [], 0
+    parts, n_pairs = [], 0
     for block, lo in enumerate(range(0, cfg.n_pulses, simgen._BLOCK_PULSES)):
         hi = min(lo + simgen._BLOCK_PULSES, cfg.n_pulses)
         rng = simgen._block_rng(cfg.seed, block)
         count = int(rng.poisson(cfg.pair_prob_per_pulse * (hi - lo)))
         tags, pairs = simgen._emit_block(draw_pairs, cfg, rng, count, lo, hi, n_pairs)
-        tag_parts.append(tags)
-        pair_parts.append(pairs)
+        sync_pulses = np.arange(-(-lo // cfg.sync_divider) * cfg.sync_divider, hi,
+                                cfg.sync_divider)
+        tags = {"t_ps": np.concatenate([tags["t_ps"],
+                                        sync_pulses.astype(np.float64) * cfg.pulse_period_ps]),
+                "channel": np.concatenate([tags["channel"], np.full(
+                    len(sync_pulses), cfg.channel_map.sync, np.uint16)]),
+                "label": np.concatenate([tags["label"], np.full(len(sync_pulses), -1, np.int64)])}
+        parts.append((tags, pairs))
         n_pairs += len(pairs["pulse_index"])
+    return parts
+
+
+def whole_array_generate(jsa, cfg):
+    """The synthesizer as one whole-array pass, the reference for its
+    chunked stream: every block's tags (`oracle_blocks`) concatenated,
+    ticks below 0 dropped, one stable lexsort, the greedy dead-time loop,
+    then one scatter of the labels into the truth index columns."""
+    tag_parts, pair_parts = zip(*oracle_blocks(jsa, cfg))
+    n_pairs = sum(len(pairs["pulse_index"]) for pairs in pair_parts)
     t_ps, channel, label = (np.concatenate([part[key] for part in tag_parts])
                             for key in ("t_ps", "channel", "label"))
     ticks = np.rint(t_ps / cfg.tick_ps).astype(np.int64)
@@ -371,6 +388,143 @@ class TestChunkedStream:
                     tracemalloc.stop()
             peaks.append(peak)
         assert abs(peaks[2] - peaks[1]) <= 0.2 * peaks[1], peaks
+
+    def test_sync_marker_memory_per_block(self, monkeypatch, tmp_path):
+        # tracemalloc peak of generating and writing a sync-only run of four
+        # blocks of 16384 markers, per marker of one block: measured 59 B
+        # with each block's markers merged into its sorted tags, 142 B when
+        # they were emitted, labelled and sorted with them. The second run
+        # counts: the first sets up what numpy allocates on first use.
+        markers = 1 << 14
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 63 * markers)
+        cfg = clean_acquisition(pair_prob_per_pulse=0.0, eta_signal=0.0, eta_idler=0.0,
+                                duration_s=4 * 63 * markers / 76e6)
+        for _ in range(2):
+            with open(tmp_path / "run.ttag", "w+b") as fh:
+                tracemalloc.start()
+                try:
+                    result = simgen.generate(None, cfg)
+                    tagstream.write_stream(result.header, result.chunks, fh)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peak / markers <= 80, peak / markers
+
+
+def with_sync_id(sync):
+    """A channel map with the sync channel at id `sync` and the other six
+    roles permuted over the remaining ids."""
+    return st.permutations([c for c in range(7) if c != sync]).map(
+        lambda rest: tagstream.ChannelMap(*rest, sync))
+
+
+def emitted_tags(part, cfg):
+    """The (tick, channel) pairs of one `oracle_blocks` block."""
+    return set(zip(np.rint(part["t_ps"] / cfg.tick_ps).astype(np.int64).tolist(),
+                   part["channel"].tolist()))
+
+
+def assert_names_its_block(exc, jsa, cfg):
+    """A block error names a tag that block emitted, sorting before a tag
+    that an earlier block emitted."""
+    found = re.fullmatch(r"pulse block (\d+) has a tag at tick (\d+) on channel (\d+), which "
+                         r"sorts before tick (\d+) on channel (\d+) of the stream already "
+                         r"final: .*", str(exc))
+    assert found, str(exc)
+    block, tick, channel, final_tick, final_channel = map(int, found.groups())
+    assert (tick, channel) < (final_tick, final_channel)
+    parts = oracle_blocks(jsa, cfg)
+    assert (tick, channel) in emitted_tags(parts[block][0], cfg)
+    assert any((final_tick, final_channel) in emitted_tags(tags, cfg)
+               for tags, _ in parts[:block])
+    return block, channel
+
+
+class TestSyncMerge:
+    """Sync markers are computed per block and merged into the sorted pair
+    and dark tags by (tick, channel): on every tie the stream and truth
+    must be the whole-array sort's, or the block that sorts before the
+    final stream is named."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(block=st.one_of(st.integers(1, 16), st.integers(1, 600)),
+           n_blocks=st.integers(1, 12), seed=st.integers(0, 2**32),
+           channel_map=st.sampled_from([0, 3, 6]).flatmap(with_sync_id),
+           rep_rate=st.sampled_from([76e6, 1e9, 4e9]),
+           tick=st.one_of(st.just(25), st.integers(1, 5000)),
+           divider=st.one_of(st.just(1), st.integers(1, 70)),
+           pair_prob=st.floats(0.0, 0.5), mcp_delay=st.sampled_from([0.0, 5000.0]),
+           jitter=st.one_of(st.just(0.0), st.floats(1.0, 3000.0)),
+           dark=st.one_of(st.just(0.0), st.floats(1e5, 3e7)),
+           dead=st.fixed_dictionaries({"sync": _DEAD_TIME_PS, "mcp": _DEAD_TIME_PS}))
+    def test_ties_with_markers_equal_whole_array_or_raise(self, model_jsa, block, n_blocks,
+                                                          seed, channel_map, rep_rate, tick,
+                                                          divider, pair_prob, mcp_delay,
+                                                          jitter, dark, dead):
+        # zero jitter with no MCP delay puts triggers on sync ticks; a tick
+        # longer than the marker spacing puts several markers, and dark
+        # tags, on one tick
+        cfg = simgen.AcquisitionConfig(
+            rep_rate_hz=rep_rate, sync_divider=divider, tick_ps=tick,
+            duration_s=block * n_blocks / rep_rate, seed=seed, pair_prob_per_pulse=pair_prob,
+            mcp_delay_ps=mcp_delay, mcp_jitter_fwhm_ps=jitter, dtx_jitter_fwhm_ps=jitter,
+            snspd_mcp_conv_jitter_fwhm_ps=jitter, dld_dark_rate_hz=dark,
+            snspd_dark_rate_hz=dark, dead_time_ps=dead, channel_map=channel_map)
+        with mock.patch.object(simgen, "_BLOCK_PULSES", block):
+            oracle, truth = whole_array_stream(model_jsa, cfg)
+            tags, _ = whole_array_generate(model_jsa, replace(cfg, dead_time_ps={}))
+            marker_ticks = tags.timestamp[tags.channel == channel_map.sync]
+            if np.isin(tags.timestamp[tags.channel != channel_map.sync], marker_ticks).any():
+                event("a pair or dark tag on a marker's tick")
+            if len(np.unique(marker_ticks)) < len(marker_ticks):
+                event("markers sharing a tick")
+            try:
+                raw, streamed_truth = streamed(model_jsa, cfg)
+            except ValueError as exc:
+                assert_names_its_block(exc, model_jsa, cfg)
+                event("raised")
+                return
+        assert raw == oracle
+        assert truth_bytes(streamed_truth) == truth_bytes(truth)
+
+    @pytest.mark.parametrize("sync", [0, 3, 6], ids=["sync-lowest", "sync-middle",
+                                                     "sync-highest"])
+    def test_tags_on_marker_ticks_equal_whole_array(self, monkeypatch, model_jsa, sync):
+        # 250 ps pulses on 1 ns ticks: four markers a tick, and every
+        # trigger, X1, X2 and dark tag on a marker's tick, on both sides of
+        # the sync channel, with dead time on sync and MCP, over 40 blocks
+        others = iter([5, 0, 6, 1, 4, 2] if sync == 3 else [c for c in range(7) if c != sync])
+        cmap = tagstream.ChannelMap(*others, sync)
+        cfg = simgen.AcquisitionConfig(
+            rep_rate_hz=4e9, sync_divider=1, tick_ps=1000, duration_s=2e-6,
+            pair_prob_per_pulse=0.2, mcp_delay_ps=0.0, mcp_jitter_fwhm_ps=0.0,
+            dtx_jitter_fwhm_ps=0.0, snspd_mcp_conv_jitter_fwhm_ps=0.0, dld_dark_rate_hz=1e8,
+            dead_time_ps={"sync": 1000.0, "mcp": 2000.0}, channel_map=cmap)
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 200)
+        tags, _ = whole_array_generate(model_jsa, replace(cfg, dead_time_ps={}))
+        on_marker = np.isin(tags.timestamp, tags.timestamp[tags.channel == sync])
+        assert np.bincount(tags.timestamp[tags.channel == sync]).max() >= 4
+        for side in (tags.channel < sync, tags.channel > sync):
+            if side.any():
+                assert (on_marker & side).sum() > 100
+        oracle, truth = whole_array_stream(model_jsa, cfg)
+        raw, streamed_truth = streamed(model_jsa, cfg)
+        assert raw == oracle
+        assert truth_bytes(streamed_truth) == truth_bytes(truth)
+
+    def test_marker_sorting_before_final_stream_raises(self, monkeypatch, model_jsa):
+        # one-pulse blocks, a marker every second pulse and only idler
+        # detections 7.7 us late: block 1, with no marker, makes final its
+        # predecessor's idler tag, and block 2's marker sorts before it
+        cmap = tagstream.ChannelMap(0, 1, 2, 4, 5, 6, 3)
+        cfg = clean_acquisition(sync_divider=2, duration_s=3e-8, pair_prob_per_pulse=1.0,
+                                eta_signal=0.0, seed=3, channel_map=cmap)
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 1)
+        with pytest.raises(ValueError, match="pulse block") as raised:
+            tagstream.write_stream(cfg.header(), simgen.generate(model_jsa, cfg).chunks,
+                                   io.BytesIO())
+        block, channel = assert_names_its_block(raised.value, model_jsa, cfg)
+        assert (block, channel) == (2, cmap.sync)
 
 
 class TestStreamedTruth:
