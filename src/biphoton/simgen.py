@@ -23,7 +23,6 @@ calibration blocks.
 
 import contextlib
 import functools
-import itertools
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
@@ -90,8 +89,8 @@ class AcquisitionConfig:
             raise ValueError("dead times must be >= 0")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if not isinstance(self.tick_ps, int) or self.tick_ps < 1:
-            raise ValueError(f"tick_ps must be an integer >= 1, got {self.tick_ps!r}")
+        if not isinstance(self.tick_ps, int) or not 1 <= self.tick_ps < 1 << 32:
+            raise ValueError(f"tick_ps must be an integer in [1, 2**32), got {self.tick_ps!r}")
 
     @property
     def pulse_period_ps(self):
@@ -344,27 +343,19 @@ _ROW_END = _words(b"}\n")
 
 def _truth_chunks(truth):
     """The JSON lines of `truth`, `_TRUTH_CHUNK_ROWS` rows at a time, as
-    uint8 arrays. The key words are written again only when a chunk's
-    value widths differ from the last chunk's."""
-    m, layout = None, None
+    uint8 arrays."""
     for lo in range(0, len(truth), _TRUTH_CHUNK_ROWS):
         rows = slice(lo, lo + _TRUTH_CHUNK_ROWS)
         fields = [field(getattr(truth, name)[rows]) for _, name, field in _TRUTH_ROW]
-        n, widths = len(truth.pulse_index[rows]), [k for k, _ in fields]
-        if (n, widths) != layout:
-            layout = (n, widths)
-            m = np.empty((n, sum(len(key) for key, _, _ in _TRUTH_ROW) + sum(widths)
-                          + len(_ROW_END)), np.uint32)
-            at = 0
-            for (key, _, _), k in zip(_TRUTH_ROW, widths):
-                m[:, at:at + len(key)] = key
-                at += len(key) + k
-            m[:, at:] = _ROW_END
+        m = np.empty((len(truth.pulse_index[rows]), sum(len(key) for key, _, _ in _TRUTH_ROW)
+                      + sum(k for k, _ in fields) + len(_ROW_END)), np.uint32)
         at = 0
         for (key, _, _), (k, fill) in zip(_TRUTH_ROW, fields):
+            m[:, at:at + len(key)] = key
             at += len(key)
             fill(m[:, at:at + k])
             at += k
+        m[:, at:] = _ROW_END
         text = m.view(np.uint8)
         yield text[text != 0]
 
@@ -477,14 +468,20 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, puls
     return tags, pairs
 
 
+def _ticks(t_ps, tick_ps):
+    """Float64 times in ps, overwritten, as int64 ticks: the one quantization
+    of every tag, so a sync marker has the tick a tag at its time would."""
+    return np.rint(np.divide(t_ps, tick_ps, out=t_ps), out=t_ps).astype(np.int64)
+
+
 def _sync_ticks(cfg: AcquisitionConfig, pulse_lo, pulse_hi):
     """The ticks of the sync markers of pulses [pulse_lo, pulse_hi), one at
-    every sync_divider-th pulse's time exactly, quantized as emitted tags
-    are: non-decreasing, and never negative."""
+    every sync_divider-th pulse's time exactly: non-decreasing, and never
+    negative."""
     first = ((pulse_lo + cfg.sync_divider - 1) // cfg.sync_divider) * cfg.sync_divider
     t_ps = np.arange(first, pulse_hi, cfg.sync_divider, dtype=np.int64).astype(np.float64)
     t_ps *= cfg.pulse_period_ps
-    return np.rint(np.divide(t_ps, cfg.tick_ps, out=t_ps), out=t_ps).astype(np.int64)
+    return _ticks(t_ps, cfg.tick_ps)
 
 
 def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept):
@@ -525,57 +522,38 @@ def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept):
 
 class _PendingTruth:
     """The pair rows emitted but not yet final, for `_final_chunks`: their
-    pair columns block by block, each block with the last tick of its
-    labelled tags, and their stream indices, -1 until placed (one row per
-    pair, one column per arm). `release` hands each leading block whose
-    labelled tags are all final to `on_truth` as one GroundTruth batch."""
+    pair columns block by block, and their stream indices, -1 until placed
+    (one row per pair, one column per arm). `release` hands each leading
+    block with no row left among the labels of the tags not yet final to
+    `on_truth` as one GroundTruth batch."""
 
     def __init__(self, on_truth):
         self.on_truth = on_truth
-        self.first_row = 0
+        self.first_row = self.written = 0
         self.index = np.zeros((0, 4), np.int64)
         self.blocks = deque()
 
-    def add(self, pairs, last_tick):
+    def add(self, pairs):
         n = len(pairs["pulse_index"])
         self.index = np.concatenate([self.index, np.full((n, 4), -1, np.int64)])
-        self.blocks.append((pairs, last_tick))
+        self.blocks.append(pairs)
 
-    def place(self, labels, indices):
-        self.index.reshape(-1)[labels - 4 * self.first_row] = indices
+    def place(self, labels):
+        """Place the labels of the stream's next final tags (-1: no pair)."""
+        labelled = np.flatnonzero(labels >= 0)
+        self.index.reshape(-1)[labels[labelled] - 4 * self.first_row] = self.written + labelled
+        self.written += len(labels)
 
-    def release(self, final_below=None):
-        """Hand on every leading block whose labelled tags all lie below the
-        tick `final_below` (None: every block)."""
-        while self.blocks and (final_below is None or self.blocks[0][1] < final_below):
-            pairs, _ = self.blocks.popleft()
-            n = len(pairs["pulse_index"])
+    def release(self, held):
+        """Hand on every leading block with no row among the labels `held`."""
+        stop = held[held >= 0].min(initial=np.iinfo(np.int64).max) // 4
+        while self.blocks and self.first_row + (n := len(self.blocks[0]["pulse_index"])) <= stop:
+            pairs = self.blocks.popleft()
             index, self.index = self.index[:n], self.index[n:]
             self.first_row += n
             if n:
                 self.on_truth(GroundTruth(**pairs, mcp_index=index[:, 0], x1_index=index[:, 1],
                                           x2_index=index[:, 2], snspd_index=index[:, 3]))
-
-
-def _emitted_blocks(draw_pairs, cfg: AcquisitionConfig, blocks, pending):
-    """Emit each (rng, n_pairs, pulse_lo, pulse_hi, first_row) block, add
-    its pairs to `pending` (unless None) and yield (block number, tags, sync
-    ticks) for blocks with any tag. `tags` holds the columns `ticks` and
-    `channel` of its pair and dark tags at non-negative ticks, in emission
-    order, and their `label` when `pending` is given; the sync ticks are
-    `_sync_ticks` of its pulses."""
-    for block, (rng, n_pairs, lo, hi, first_row) in enumerate(blocks):
-        emitted, pairs = _emit_block(draw_pairs, cfg, rng, n_pairs, lo, hi, first_row)
-        t_ps = emitted["t_ps"]
-        ticks = np.rint(np.divide(t_ps, cfg.tick_ps, out=t_ps), out=t_ps).astype(np.int64)
-        keep = ticks >= 0
-        tags = {"ticks": ticks[keep], "channel": emitted["channel"][keep]}
-        if pending is not None:
-            tags["label"] = label = emitted["label"][keep]
-            pending.add(pairs, tags["ticks"][label >= 0].max(initial=-1))
-        sync = _sync_ticks(cfg, lo, hi)
-        if len(tags["ticks"]) or len(sync):
-            yield block, tags, sync
 
 
 def _take(tags, index):
@@ -602,15 +580,16 @@ def _merge_sync(sync, sync_id, tags):
 def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, on_truth):
     """Yield the sorted, dead-time-masked stream as TagColumns chunks, each
     final when yielded. With `on_truth`, each chunk's tag indices are
-    placed into the pending truth, and every run of pair rows whose tags are
-    all final goes to `on_truth` before the chunk is yielded, in row order.
+    placed into the pending truth, and each block's pair rows go to
+    `on_truth`, in row order, once none of their tags is left in the carry.
 
-    A block is sorted once the next one is emitted. One stable lexsort of
-    the carry (sorted tags not yet final, all from earlier blocks) and the
-    block's pair and dark tags keeps the tie order of a sort of the whole
-    stream; the block's sync ticks, already in order, are then merged in
-    (`_merge_sync`). The merged tags below the next block's first tick,
-    pair, dark or sync, are final. A block with a tag that sorts before one
+    The carry holds the sorted tags not yet final, all from earlier blocks.
+    Once a block is emitted, the carry below its first tick (its first pair
+    or dark tag, or its first sync marker) is final: it is yielded, and the
+    rest copied. Only then is the rest sorted with the block's pair and
+    dark tags by one stable lexsort, which keeps the tie order of a sort of
+    the whole stream, and the block's sync ticks, already in order, are
+    merged in (`_merge_sync`). A block with a tag that sorts before one
     already yielded cannot be placed without reordering the stream, so it
     raises ValueError."""
     dead = any(v > 0 for v in cfg.dead_time_ps.values())
@@ -618,38 +597,48 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, on_truth):
     carry = {"ticks": np.zeros(0, np.int64), "channel": np.zeros(0, np.uint16)}
     if pending is not None:
         carry["label"] = np.zeros(0, np.int64)
-    last_kept, last, written = {}, None, 0
-    emitted = _emitted_blocks(draw_pairs, cfg, blocks, pending)
-    for (block, tags, sync), following in itertools.pairwise(itertools.chain(emitted, [None])):
-        tags = {key: np.concatenate([carry[key], column]) for key, column in tags.items()}
-        order = np.lexsort((tags["channel"], tags["ticks"]))
-        tags = _merge_sync(sync, cfg.channel_map.sync, _take(tags, order))
-        first = (int(tags["ticks"][0]), int(tags["channel"][0]))
-        if last is not None and first < last:
-            raise ValueError(
-                f"pulse block {block} has a tag at tick {first[0]} on channel {first[1]}, "
-                f"which sorts before tick {last[0]} on channel {last[1]} of the stream "
-                "already final: the blocks are too short for the spread of the tag times")
-        cut, final_below = len(tags["ticks"]), None
-        if following is not None:
-            _, next_tags, next_sync = following
-            final_below = int(next_tags["ticks"].min(initial=next_sync[0]) if len(next_sync)
-                              else next_tags["ticks"].min())
-            cut = int(np.searchsorted(tags["ticks"], final_below))
-        carry, tags = _take(tags, slice(cut, None)), _take(tags, slice(cut))
+    last_kept, last = {}, None
+
+    def final(cut):
+        """Yield the carry's first `cut` tags, masked, once their labels are
+        placed and the blocks they complete handed on; keep a copy of the
+        rest as the carry."""
+        nonlocal carry, last
+        tags, carry = _take(carry, slice(cut)), {key: column[cut:].copy()
+                                                 for key, column in carry.items()}
         if cut:
             last = (int(tags["ticks"][-1]), int(tags["channel"][-1]))
         if dead:
             tags = _take(tags, _dead_time_mask(tags["ticks"], tags["channel"], cfg, last_kept))
         if pending is not None:
-            labelled = np.flatnonzero(tags["label"] >= 0)
-            pending.place(tags["label"][labelled], written + labelled)
-            pending.release(final_below)
-        written += len(tags["ticks"])
+            pending.place(tags["label"])
+            pending.release(carry["label"])
         if len(tags["ticks"]):
             yield TagColumns(tags["channel"], tags["ticks"])
-    if pending is not None:
-        pending.release()
+
+    for block, (rng, n_pairs, lo, hi, first_row) in enumerate(blocks):
+        tags, pairs = _emit_block(draw_pairs, cfg, rng, n_pairs, lo, hi, first_row)
+        tags["ticks"] = _ticks(tags.pop("t_ps"), cfg.tick_ps)
+        if pending is None:
+            del tags["label"]
+        tags = _take(tags, tags["ticks"] >= 0)
+        first_sync = _sync_ticks(cfg, lo, min(hi, lo + cfg.sync_divider))
+        if len(first_sync) or len(tags["ticks"]):
+            below = (tags["ticks"].min(initial=first_sync[0]) if len(first_sync)
+                     else tags["ticks"].min())
+            yield from final(int(np.searchsorted(carry["ticks"], below)))
+            tags = {key: np.concatenate([carry[key], column]) for key, column in tags.items()}
+            order = np.lexsort((tags["channel"], tags["ticks"]))
+            carry = _merge_sync(_sync_ticks(cfg, lo, hi), cfg.channel_map.sync, _take(tags, order))
+            first = (int(carry["ticks"][0]), int(carry["channel"][0]))
+            if last is not None and first < last:
+                raise ValueError(
+                    f"pulse block {block} has a tag at tick {first[0]} on channel {first[1]}, "
+                    f"which sorts before tick {last[0]} on channel {last[1]} of the stream "
+                    "already final: the blocks are too short for the spread of the tag times")
+        if pending is not None:
+            pending.add(pairs)
+    yield from final(len(carry["ticks"]))
 
 
 def generate(jsa: JsaGrid, cfg: AcquisitionConfig, on_truth=None):

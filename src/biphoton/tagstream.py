@@ -268,6 +268,7 @@ def write_stream(header, tags, sink: BinaryIO):
             out["timestamp"] = block.timestamp
             sink.write(out)
         written += len(chunk)
+        del chunk, block  # a generated chunk is freed before the next is made
     end = sink.tell()
     sink.seek(start)
     sink.write(replace(header, record_count=written).to_bytes())

@@ -188,6 +188,20 @@ class TestGenTags:
             assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    def test_tick_beyond_u32_exits_2_before_work(self, monkeypatch, capsys, tmp_path, pipeline):
+        # the stream header holds the tick as a u32: a larger tick must fail
+        # at the config, not once the whole stream is generated
+        src, _ = pipeline
+        cfg = small_config(tmp_path, **{"acquisition.tick_ps": 2**32})
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        run_cli(monkeypatch, ["gen-tags", src / "jsa/jsa.jsag", cfg, out / "run.ttag"], expect=2)
+        err = capsys.readouterr().err
+        assert "tick_ps must be an integer in [1, 2**32)" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_zero_duration_minimal_file(self, monkeypatch, tmp_path, pipeline):
         src, _ = pipeline
         cfg = small_config(tmp_path, **{"acquisition.duration_s": 0.0})

@@ -410,6 +410,27 @@ class TestChunkedStream:
                     tracemalloc.stop()
         assert peak / markers <= 80, peak / markers
 
+    @pytest.mark.parametrize("markers", [1 << 14, 1 << 16])
+    def test_sync_only_write_peak_per_marker(self, monkeypatch, tmp_path, markers):
+        # the run of test_sync_marker_memory_per_block, also at 65536
+        # markers a block, bounded tighter: measured 35 and 31 B a marker
+        # with the carry cut as each block arrives and each chunk freed by
+        # the writer before the next is made, 59 and 55 B with the next
+        # block's markers computed ahead and the last chunk held
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 63 * markers)
+        cfg = clean_acquisition(pair_prob_per_pulse=0.0, eta_signal=0.0, eta_idler=0.0,
+                                duration_s=4 * 63 * markers / 76e6)
+        for _ in range(2):
+            with open(tmp_path / "run.ttag", "w+b") as fh:
+                tracemalloc.start()
+                try:
+                    result = simgen.generate(None, cfg)
+                    tagstream.write_stream(result.header, result.chunks, fh)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peak / markers <= 45, peak / markers
+
 
 def with_sync_id(sync):
     """A channel map with the sync channel at id `sync` and the other six
@@ -559,6 +580,9 @@ class TestStreamedTruth:
         assert np.array_equal(streamed_tags.channel, tags.channel)
         assert np.array_equal(streamed_tags.timestamp, tags.timestamp)
         assert all(len(batch) for _, batch in arrivals)
+        # one batch per pulse block with pairs, of its pair count, in block order
+        counts = np.bincount(truth.pulse_index // block)
+        assert [len(batch) for _, batch in arrivals] == counts[counts > 0].tolist()
         assert sum(len(batch) for _, batch in arrivals) == len(result.truth) == len(truth)
         assert truth_bytes(joined([batch for _, batch in arrivals])) == truth_bytes(truth)
         # a batch's indices lie in the chunks yielded so far or the one in flight
