@@ -176,8 +176,10 @@ class GroundTruth:
 # Ground-truth JSON lines are built as a matrix of uint32 words, one row per
 # pair: each key takes whole words and each value the words the widest in
 # its chunk needs, all padded with 0 bytes, which no JSON line holds, so
-# dropping every 0 byte leaves exactly the lines.
-_TRUTH_CHUNK_ROWS = 1 << 14
+# dropping every 0 byte leaves exactly the lines. A chunk's temporaries (at
+# most about 0.8 kB a row) stay small enough for malloc to reuse from one
+# chunk to the next: at 16384 rows it grew and trimmed the heap every chunk.
+_TRUTH_CHUNK_ROWS = 1 << 12
 _POW10 = 10.0 ** np.arange(23)            # exact doubles
 _IPOW10 = 10 ** np.arange(19, dtype=np.int64)
 _VELTKAMP = 134217729.0                   # 2**27 + 1 splits a double into 26-bit halves
@@ -356,6 +358,7 @@ def _truth_chunks(truth):
             fill(m[:, at:at + k])
             at += k
         m[:, at:] = _ROW_END
+        del fields  # their digits are in `m`: free them before the text is compacted
         text = m.view(np.uint8)
         yield text[text != 0]
 
@@ -370,12 +373,14 @@ def spill_truth(spill, batch):
 
 def write_spilled_jsonl(spill, path):
     """Write the `TRUTH_RECORD` records of `spill` to `path` as JSON lines,
-    one formatting chunk (`_TRUTH_CHUNK_ROWS` records) per `write_jsonl`,
-    so the read-back adds little to generation's peak."""
+    one formatting chunk (`_TRUTH_CHUNK_ROWS` records, read into one reused
+    buffer) per `write_jsonl`, so the read-back adds little to generation's
+    peak."""
+    records = np.empty(_TRUTH_CHUNK_ROWS, TRUTH_RECORD)
     spill.seek(0)
     with open(path, "wb") as fh:
-        while raw := spill.read(_TRUTH_CHUNK_ROWS * TRUTH_RECORD.itemsize):
-            GroundTruth.from_records(np.frombuffer(raw, TRUTH_RECORD)).write_jsonl(fh)
+        while n := spill.readinto(records) // TRUTH_RECORD.itemsize:
+            GroundTruth.from_records(records[:n]).write_jsonl(fh)
 
 
 @dataclass
@@ -417,18 +422,7 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, puls
     sig_mcp = sigma_from_fwhm(cfg.mcp_jitter_fwhm_ps)
     sig_anode = sigma_from_fwhm(cfg.dtx_jitter_fwhm_ps) / np.sqrt(2.0)
     sig_resid = sigma_from_fwhm(cfg.snspd_residual_jitter_fwhm_ps)
-    j_mcp = rng.normal(0.0, sig_mcp, n_pairs)
-    j_x1 = rng.normal(0.0, sig_anode, n_pairs)
-    j_x2 = rng.normal(0.0, sig_anode, n_pairs)
-    j_sn = rng.normal(0.0, sig_resid, n_pairs)
-
-    t_pulse = pulse.astype(np.float64) * period
-    t_electron = t_pulse + cfg.mcp_delay_ps + j_mcp
     ta_ps = cfg.dld_cal.t_a_ticks * cfg.tick_ps
-    dt_ps = dld_dt(signal_position(lam_s, cfg.dld_cal), cfg.dld_cal) * cfg.tick_ps
-    t_x1 = t_electron + _ANODE_BASE_DELAY_PS + (ta_ps + dt_ps) / 2.0 + j_x1
-    t_x2 = t_electron + _ANODE_BASE_DELAY_PS + (ta_ps - dt_ps) / 2.0 + j_x2
-    t_sn = t_pulse + cfg.mcp_delay_ps + idler_delay_ps(lam_i, cfg.fibre_cal) + j_sn
 
     cmap = cfg.channel_map
     cols_t, cols_ch, cols_label = [], [], []
@@ -438,11 +432,33 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, puls
         cols_ch.append(np.full(len(times), channel, dtype=np.uint16))
         cols_label.append(np.full(len(times), -1, dtype=np.int64) if label is None else label)
 
-    row_label = 4 * (first_row + np.arange(n_pairs, dtype=np.int64))
-    for arm, (times, channel, detected) in enumerate((
-            (t_electron, cmap.mcp, det_s), (t_x1, cmap.dld_x1, det_s),
-            (t_x2, cmap.dld_x2, det_s), (t_sn, cmap.snspd, det_i))):
+    def emit_arm(arm, times, channel, detected):
         emit(times[detected], channel, row_label[detected] + arm)
+
+    # each arm is emitted as soon as its times are known, and each per-pair
+    # column deleted once used, so at high pair rates few are live at once
+    j_mcp = rng.normal(0.0, sig_mcp, n_pairs)
+    j_x1 = rng.normal(0.0, sig_anode, n_pairs)
+    j_x2 = rng.normal(0.0, sig_anode, n_pairs)
+    j_sn = rng.normal(0.0, sig_resid, n_pairs)
+    row_label = 4 * (first_row + np.arange(n_pairs, dtype=np.int64))
+    t_pulse = pulse.astype(np.float64) * period
+    t_electron = t_pulse + cfg.mcp_delay_ps + j_mcp
+    del j_mcp
+    emit_arm(0, t_electron, cmap.mcp, det_s)
+    dt_ps = dld_dt(signal_position(lam_s, cfg.dld_cal), cfg.dld_cal) * cfg.tick_ps
+    t_x1 = t_electron + _ANODE_BASE_DELAY_PS + (ta_ps + dt_ps) / 2.0 + j_x1
+    del j_x1
+    emit_arm(1, t_x1, cmap.dld_x1, det_s)
+    del t_x1
+    t_x2 = t_electron + _ANODE_BASE_DELAY_PS + (ta_ps - dt_ps) / 2.0 + j_x2
+    del j_x2, t_electron, dt_ps
+    emit_arm(2, t_x2, cmap.dld_x2, det_s)
+    del t_x2
+    t_sn = t_pulse + cfg.mcp_delay_ps + idler_delay_ps(lam_i, cfg.fibre_cal) + j_sn
+    del j_sn, t_pulse
+    emit_arm(3, t_sn, cmap.snspd, det_i)
+    del t_sn, row_label
 
     # dark counts: anode darks are full uncorrelated triples at uniform
     # positions, SNSPD darks are lone tags

@@ -431,6 +431,28 @@ class TestChunkedStream:
                     tracemalloc.stop()
         assert peak / markers <= 45, peak / markers
 
+    def test_dense_write_peak_per_pair(self, monkeypatch, tmp_path):
+        # the tracemalloc peak of generating and writing four blocks at 2%
+        # pairs per pulse (5287 pairs a block), per pair of one block:
+        # measured 230 B with each arm emitted and each per-pair column
+        # deleted once used, 285 B with every arm's jitter and times held
+        # until all four arms were emitted
+        monkeypatch.setattr(simgen, "_BLOCK_PULSES", 1 << 18)
+        cfg = simgen.AcquisitionConfig(duration_s=4 * (1 << 18) / 76e6,
+                                       pair_prob_per_pulse=0.02)
+        for _ in range(2):
+            with open(tmp_path / "run.ttag", "w+b") as fh:
+                tracemalloc.start()
+                try:
+                    result = simgen.generate(single_point_jsa(), cfg)
+                    tagstream.write_stream(result.header, result.chunks, fh)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        pairs = len(result.truth) / 4
+        assert pairs > 5000
+        assert peak / pairs <= 255, peak / pairs
+
 
 def with_sync_id(sync):
     """A channel map with the sync channel at id `sync` and the other six
@@ -611,6 +633,35 @@ class TestStreamedTruth:
             for lo in range(0, len(records), 1000):
                 simgen.GroundTruth.from_records(records[lo:lo + 1000]).write_jsonl(fh)
         assert path.read_bytes() == json_lines_oracle(truth)
+
+    def test_spilled_jsonl_peak_small_and_flat(self, tmp_path):
+        # the tracemalloc peak of writing a spill of 4 and 16 formatting
+        # chunks, and of 100k rows and a partial chunk, as JSON lines:
+        # measured 3.3 MB at each with 4096-row chunks, 15.3 MB with
+        # 16384-row chunks. The first run sets up the digit tables.
+        chunk = simgen._TRUTH_CHUNK_ROWS
+        peaks = []
+        for rows in (4 * chunk, 4 * chunk, 16 * chunk, 100_000 + chunk // 2):
+            rng = np.random.default_rng(rows)
+
+            def index():
+                return np.where(rng.random(rows) < 0.36, rng.integers(0, 10**7, rows), -1)
+            truth = simgen.GroundTruth(
+                np.sort(rng.integers(0, 152_000_000, rows)), 515.0 + rng.normal(size=rows),
+                1550.0 + 5 * rng.normal(size=rows), rng.random(rows) < 0.36,
+                rng.random(rows) < 0.36, index(), index(), index(), index())
+            with open(tmp_path / "spill", "w+b") as spill:
+                simgen.spill_truth(spill, truth)
+                tracemalloc.start()
+                try:
+                    simgen.write_spilled_jsonl(spill, tmp_path / "truth.jsonl")
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        truth.write_jsonl(tmp_path / "whole.jsonl")
+        assert (tmp_path / "truth.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+        assert max(peaks[1:]) < 6e6, peaks
+        assert max(peaks[1:]) <= 1.1 * min(peaks[1:]), peaks
 
 
 def json_lines_oracle(truth):
