@@ -245,7 +245,7 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config_sha256": config_sha256(config_path)}
     for name, value_name in (("irf", "sync_offset"), ("signal_spectrum", "dt_x"),
-                             ("dld_y_spectrum", "dt_y"), ("idler_spectrum", "tau")):
+                             ("idler_spectrum", "tau")):
         histograms.write_histogram1d_csv(out / f"{name}.csv", result.histograms[name],
                                          value_name, cfg.acquisition.tick_ps, meta=meta)
     _jsi_writer(out, cfg, event_cfg)("jsi.csv", result.histograms["jsi"], meta)

@@ -23,9 +23,10 @@ from .tagstream import ChannelMap, TagColumns
 _ROLES = tuple(f.name for f in fields(ChannelMap))
 
 #: tags in (lo, hi] of one build step. Measured on a sync-heavy and a
-#: dense stream: as fast as the fastest count of non-sync tags on both,
-#: and small enough that a pool's steps in flight stay small
-_STEP_BUDGET = 1 << 18
+#: dense stream at 1 to 8 threads: 2**18 held 4-33 MB more with 2 or more
+#: threads and was no faster at 1; 2**16 was 15-28% slower at 4 and 8
+#: (README, "Step budget")
+_STEP_BUDGET = 1 << 17
 
 #: most entries of an EventBuildConfig's fold table (8 MB)
 _FOLD_TABLE_MAX = 1 << 20
@@ -89,8 +90,6 @@ class DldEvents:
 
     t_mcp: np.ndarray
     dt_x: np.ndarray
-    dt_y: np.ndarray
-    has_dt_y: np.ndarray
     sync_offset: np.ndarray
     has_sync: np.ndarray
 
@@ -182,21 +181,21 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before, dia
 
     For each trigger, X1/X2 tags are searched in (t_mcp, t_mcp + window];
     an event is emitted iff exactly one candidate exists on each wire and
-    the decoded difference is inside the guard band. Y decoding is optional
-    and never rejects an event.
+    the decoded difference is inside the guard band. The Y wires are not
+    read: no result uses the second anode axis.
     """
     mcp = times["mcp"][mcp_lo:mcp_hi]
     diag["mcp_triggers"] = len(mcp)
     window_end = mcp + cfg.dld_window_ticks
 
-    def first_and_count(role, t_mcp, window_end):
+    def first_and_count(role):
         # 0, 1 or 2 (more than one) wire tags in each trigger's window
         arr = times[role]
-        lo = np.searchsorted(arr, t_mcp, side="right")
+        lo = np.searchsorted(arr, mcp, side="right")
         return lo, _count_hits(arr, lo, window_end, exact=False)
 
-    lo1, n1 = first_and_count("dld_x1", mcp, window_end)
-    lo2, n2 = first_and_count("dld_x2", mcp, window_end)
+    lo1, n1 = first_and_count("dld_x1")
+    lo2, n2 = first_and_count("dld_x2")
     good = (n1 == 1) & (n2 == 1)
     diag["no_x1"] = int((n1 == 0).sum())
     diag["multi_x1"] = int((n1 > 1).sum())
@@ -205,20 +204,12 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before, dia
 
     keep = np.flatnonzero(good)
     dt_x = times["dld_x1"][lo1[keep]] - times["dld_x2"][lo2[keep]]
-    del lo1, n1, lo2, n2, good      # a step's largest arrays: not held for Y
+    del lo1, n1, lo2, n2, good, window_end  # a step's largest arrays
     in_guard = np.abs(dt_x) <= cfg.t_a_ticks + cfg.dt_guard_ticks
     diag["out_of_guard"] = int((~in_guard).sum())
-    keep = keep[in_guard]
+    t_mcp = mcp[keep[in_guard]]
     dt_x = dt_x[in_guard]
-    t_mcp, window_end = mcp[keep], window_end[keep]
     del keep
-
-    loy1, ny1 = first_and_count("dld_y1", t_mcp, window_end)
-    loy2, ny2 = first_and_count("dld_y2", t_mcp, window_end)
-    has_y = (ny1 == 1) & (ny2 == 1)
-    dt_y = np.zeros(len(t_mcp), dtype=np.int64)
-    if has_y.any():
-        dt_y[has_y] = times["dld_y1"][loy1[has_y]] - times["dld_y2"][loy2[has_y]]
 
     sync = times["sync"]
     si = np.searchsorted(sync, t_mcp, side="right") - 1
@@ -230,7 +221,7 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before, dia
         has_sync[:] = True
     diag["syncless_events"] = int((~has_sync).sum())
     diag["events"] = len(t_mcp)
-    return DldEvents(t_mcp, dt_x, dt_y, has_y, sync_offset, has_sync)
+    return DldEvents(t_mcp, dt_x, sync_offset, has_sync)
 
 
 def _expand_gate(snspd, starts, counts):
@@ -297,7 +288,6 @@ def new_histograms(cfg: EventBuildConfig):
         "irf": Histogram1D(cfg.irf_spec),
         "signal_spectrum": Histogram1D(cfg.signal_spec),
         "idler_spectrum": Histogram1D(cfg.idler_spec),
-        "dld_y_spectrum": Histogram1D(cfg.signal_spec),
         "jsi": Histogram2D(cfg.jsi_x_spec, cfg.jsi_y_spec),
     }
 
@@ -310,7 +300,6 @@ def accumulate_histograms(coincidences: Coincidences, events: DldEvents,
     hists = into if into is not None else new_histograms(cfg)
     hists["irf"].add(fold_offset_values(events.sync_offset[events.has_sync], cfg))
     hists["signal_spectrum"].add(events.dt_x)
-    hists["dld_y_spectrum"].add(events.dt_y[events.has_dt_y])
     hists["idler_spectrum"].add(coincidences.tau)
     hists["jsi"].add(coincidences.dt_x, coincidences.tau)
     return hists

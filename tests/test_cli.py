@@ -364,6 +364,7 @@ class TestBuild:
         for name in ("irf.csv", "signal_spectrum.csv", "idler_spectrum.csv",
                      "jsi.csv", "diagnostics.json", "manifest.json"):
             assert (tmp / "built" / name).exists()
+        assert not (tmp / "built" / "dld_y_spectrum.csv").exists()
         diag = json.loads((tmp / "built/diagnostics.json").read_text())
         jsi, meta = read_matrix_csv(tmp / "built/jsi.csv")
         assert int(jsi.sum()) == diag["coincidences"] - diag["jsi_out_of_range"]

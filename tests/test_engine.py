@@ -100,10 +100,11 @@ class TestBuildDldEvents:
         cfg = small_cfg()
         tags = tags_from([("mcp", 1000), ("dld_x1", 1010), ("dld_x2", 1030),
                           ("dld_y1", 1012), ("dld_y2", 1024)])
-        events, _ = build_events(tags, cfg)
+        events, diag = build_events(tags, cfg)
         assert len(events) == 1
-        assert events.has_dt_y[0]
-        assert events.dt_y[0] == -12
+        # counted as tags, but no Y spectrum is built from them
+        assert diag["tag_counts"]["dld_y1"] == diag["tag_counts"]["dld_y2"] == 1
+        assert "dld_y_spectrum" not in engine.build(tags, CMAP, cfg).histograms
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.Generator(np.random.Philox(key=17))
@@ -746,6 +747,20 @@ class TestFoldMemory:
         # two 1M-tag blocks (20 MB) and five steps in flight
         assert peaks[0] < 64, peaks
         assert peaks[1] < peaks[0] * 1.1 + 1, peaks
+
+    def test_dense_steps_in_flight_are_small(self):
+        # 80% non-sync tags: the budget counts every tag, so five dense
+        # steps in flight cost 10 MB beside the blocks (29.5 MB in all);
+        # 2**18-tag steps held 43-46 MB
+        cfg = tiny_cfg(250.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            engine.fold_stream_blocks(pulse_blocks(3), CMAP, cfg, threads=4)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 36, peak
 
 
 class TestBuildMemory:

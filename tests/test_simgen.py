@@ -145,7 +145,8 @@ class TestGroundTruth:
         path = tmp_path / "truth.jsonl"
         truth.write_jsonl(path)
         import json
-        lines = [json.loads(line) for line in open(path)]
+        with open(path) as fh:
+            lines = [json.loads(line) for line in fh]
         assert len(lines) == len(truth)
         if lines:
             assert set(lines[0]) == {"pulse", "lambda_s_nm", "lambda_i_nm",

@@ -411,6 +411,8 @@ def faulty_records(draw):
             pairs[i] = (draw(st.integers(7, 0xFFFF)), timestamp)
         elif fault == "order" and i:
             prev_channel, prev_timestamp = pairs[i - 1]
+            if (prev_timestamp, prev_channel) == (0, 0):
+                continue    # an earlier order fault left no record below it
             timestamp = draw(st.integers(0, prev_timestamp))
             if timestamp == prev_timestamp and prev_channel == 0:
                 timestamp -= 1
