@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -82,16 +83,8 @@ def cmd_simulate_jsa(config_path, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spdc.write_jsa_file(out / "jsa.jsag", jsa, params={
-        "pump": {"center_wavelength_nm": cfg.pump.center_wavelength_nm,
-                 "fwhm_bandwidth_nm": cfg.pump.fwhm_bandwidth_nm},
-        "crystal": {"length_mm": cfg.crystal.length_mm,
-                    "phase_matching_angle_deg": cfg.crystal.phase_matching_angle_deg,
-                    "pm_model": cfg.crystal.pm_model},
-        "grid": {"n_signal": cfg.grid.n_signal, "n_idler": cfg.grid.n_idler,
-                 "signal_span_nm": cfg.grid.signal_span_nm,
-                 "idler_span_nm": cfg.grid.idler_span_nm},
-        "seed": cfg.seed,
-    })
+        "pump": asdict(cfg.pump), "crystal": asdict(cfg.crystal), "grid": asdict(cfg.grid),
+        "seed": cfg.seed})
     histograms.write_matrix_csv(out / "jsi_model.csv", jsa.jsi(), meta={
         "format": "biphoton jsi v1",
         "x_axis": "signal (rows)",

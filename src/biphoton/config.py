@@ -75,19 +75,27 @@ class RunConfig:
         ov = self.event_build
         period_ps = acq.pulse_period_ps
         gate_center = int(round(acq.fibre_cal.reference_delay_ps / acq.tick_ps))
-        dt_center = int(round(2.0 * acq.dld_cal.x_center_mm / acq.dld_cal.v_mm_per_tick
-                              - acq.dld_cal.t_a_ticks))
+        t_a = acq.dld_cal.t_a_ticks
+        dt_center = int(round(2.0 * acq.dld_cal.x_center_mm / acq.dld_cal.v_mm_per_tick - t_a))
+        x_spec = _centered_spec(dt_center, ov.jsi_signal_width_ticks, ov.jsi_signal_count)
+        # an edge beyond the anode's ends has no position, and so no wavelength
+        first, last = x_spec.edges()[[0, -1]].tolist()
+        if not -t_a <= first <= last <= t_a:
+            raise ConfigError(
+                f"event_build.jsi_signal_width_ticks ({ov.jsi_signal_width_ticks}) and "
+                f"event_build.jsi_signal_count ({ov.jsi_signal_count}) put the joint-spectrum "
+                f"signal edges at dt_x [{first}, {last}] ticks, beyond the anode's ends at "
+                f"+-acquisition.dld_cal.t_a_ticks ({t_a} ticks)")
         try:
             return EventBuildConfig(
-                t_a_ticks=acq.dld_cal.t_a_ticks,
+                t_a_ticks=t_a,
                 dt_guard_ticks=ov.dt_guard_ticks,
                 gate_center_ticks=gate_center,
                 gate_half_width_ticks=ov.gate_half_width_ticks,
                 fold_period_ps=period_ps if ov.fold_sync else None,
                 sync_period_ticks=int(round(acq.sync_divider * period_ps / acq.tick_ps)),
                 tick_ps=acq.tick_ps,
-                jsi_x_spec=_centered_spec(dt_center, ov.jsi_signal_width_ticks,
-                                          ov.jsi_signal_count),
+                jsi_x_spec=x_spec,
                 jsi_y_spec=_centered_spec(gate_center, ov.jsi_idler_width_ticks,
                                           ov.jsi_idler_count),
                 dld_window_ticks=ov.dld_window_ticks,

@@ -21,7 +21,6 @@ reference delay and decoded wavelengths are consistent with the embedded
 calibration blocks.
 """
 
-import contextlib
 import functools
 from collections import deque
 from collections.abc import Iterator
@@ -110,67 +109,44 @@ class AcquisitionConfig:
                             channel_map=self.channel_map)
 
 
-#: one ground-truth pair as a fixed-size record (58 bytes), its fields
-#: named and ordered as the JSON lines keys and the `GroundTruth` columns
-TRUTH_RECORD = np.dtype([("pulse", "<u8"), ("lambda_s_nm", "<f8"), ("lambda_i_nm", "<f8"),
+#: one ground-truth pair as a fixed-size record (58 bytes): its pulse slot,
+#: sampled wavelengths, per-arm detection flags, and the indices of its
+#: arms' records in the sorted stream (-1 where no record exists, e.g.
+#: undetected or dead-time suppressed). The names are the JSON lines keys.
+TRUTH_RECORD = np.dtype([("pulse", "<i8"), ("lambda_s_nm", "<f8"), ("lambda_i_nm", "<f8"),
                          ("signal_detected", "?"), ("idler_detected", "?"), ("mcp", "<i8"),
                          ("x1", "<i8"), ("x2", "<i8"), ("snspd", "<i8")])
 
 
 @dataclass
 class GroundTruth:
-    """Per emitted pair: pulse slot, sampled wavelengths, per-arm detection
-    flags, and the indices of the resulting records in the sorted stream
-    (-1 where no record exists, e.g. undetected or dead-time suppressed)."""
+    """Emitted pairs as one array of `TRUTH_RECORD` records."""
 
-    pulse_index: np.ndarray
-    lambda_s: np.ndarray
-    lambda_i: np.ndarray
-    signal_detected: np.ndarray
-    idler_detected: np.ndarray
-    mcp_index: np.ndarray
-    x1_index: np.ndarray
-    x2_index: np.ndarray
-    snspd_index: np.ndarray
+    records: np.ndarray
 
     def __len__(self):
-        return len(self.pulse_index)
+        return len(self.records)
 
     def check_finite(self, first_row=0):
         """Raise ValueError naming the first pair with a non-finite
         wavelength, numbered from `first_row`."""
-        finite = np.isfinite(self.lambda_s) & np.isfinite(self.lambda_i)
+        lam_s, lam_i = self.records["lambda_s_nm"], self.records["lambda_i_nm"]
+        finite = np.isfinite(lam_s) & np.isfinite(lam_i)
         if not finite.all():
             row = int(np.argmin(finite))
             raise ValueError(f"ground truth pair row {first_row + row} has a non-finite "
-                             f"wavelength (lambda_s {self.lambda_s[row]!r}, "
-                             f"lambda_i {self.lambda_i[row]!r})")
+                             f"wavelength (lambda_s_nm {lam_s[row]!r}, "
+                             f"lambda_i_nm {lam_i[row]!r})")
 
-    def to_records(self):
-        """The pairs as `TRUTH_RECORD` records."""
-        records = np.empty(len(self), TRUTH_RECORD)
-        for name, column in zip(TRUTH_RECORD.names, fields(self)):
-            records[name] = getattr(self, column.name)
-        return records
-
-    @classmethod
-    def from_records(cls, records):
-        """The pairs of `TRUTH_RECORD` records, each column a contiguous copy
-        in the type `generate` makes."""
-        return cls(records["pulse"].astype(np.int64),
-                   *(records[name].copy() for name in TRUTH_RECORD.names[1:]))
-
-    def write_jsonl(self, sink):
-        """One JSON object per pair, byte-identical to `json.dumps` of the
-        row dict: floats are `repr` (shortest round-trip), so every
-        wavelength must be finite, which is checked before anything is
-        written. `sink` is a path, written anew, or a binary file, appended
-        to. Rows are formatted `_TRUTH_CHUNK_ROWS` at a time by
-        `_truth_chunks`."""
+    def write_jsonl(self, fh):
+        """Append one JSON object per pair to the binary file `fh`,
+        byte-identical to `json.dumps` of the row dict: floats are `repr`
+        (shortest round-trip), so every wavelength must be finite, which is
+        checked before anything is written. Rows are formatted
+        `_TRUTH_CHUNK_ROWS` at a time by `_truth_chunks`."""
         self.check_finite()
-        with contextlib.nullcontext(sink) if hasattr(sink, "write") else open(sink, "wb") as fh:
-            for lines in _truth_chunks(self):
-                fh.write(lines)
+        for lines in _truth_chunks(self.records):
+            fh.write(lines)
 
 
 # Ground-truth JSON lines are built as a matrix of uint32 words, one row per
@@ -331,25 +307,21 @@ def _float_field(x):
     return k, fill
 
 
-_TRUTH_ROW = ((_words(b'{"pulse": '), "pulse_index", _int_field),
-              (_words(b', "lambda_s_nm": '), "lambda_s", _float_field),
-              (_words(b', "lambda_i_nm": '), "lambda_i", _float_field),
-              (_words(b', "signal_detected": '), "signal_detected", _bool_field),
-              (_words(b', "idler_detected": '), "idler_detected", _bool_field),
-              (_words(b', "mcp": '), "mcp_index", _int_field),
-              (_words(b', "x1": '), "x1_index", _int_field),
-              (_words(b', "x2": '), "x2_index", _int_field),
-              (_words(b', "snspd": '), "snspd_index", _int_field))
+#: per `TRUTH_RECORD` field: its key's words (with the separator before it),
+#: its name, and the formatter of its dtype kind
+_TRUTH_ROW = tuple((_words(b'%s"%s": ' % (b", " if k else b"{", name.encode())), name,
+                    {"i": _int_field, "f": _float_field, "b": _bool_field}[TRUTH_RECORD[k].kind])
+                   for k, name in enumerate(TRUTH_RECORD.names))
 _ROW_END = _words(b"}\n")
 
 
-def _truth_chunks(truth):
-    """The JSON lines of `truth`, `_TRUTH_CHUNK_ROWS` rows at a time, as
-    uint8 arrays."""
-    for lo in range(0, len(truth), _TRUTH_CHUNK_ROWS):
-        rows = slice(lo, lo + _TRUTH_CHUNK_ROWS)
-        fields = [field(getattr(truth, name)[rows]) for _, name, field in _TRUTH_ROW]
-        m = np.empty((len(truth.pulse_index[rows]), sum(len(key) for key, _, _ in _TRUTH_ROW)
+def _truth_chunks(records):
+    """The JSON lines of `TRUTH_RECORD` records, `_TRUTH_CHUNK_ROWS` rows at
+    a time, as uint8 arrays."""
+    for lo in range(0, len(records), _TRUTH_CHUNK_ROWS):
+        chunk = records[lo:lo + _TRUTH_CHUNK_ROWS]
+        fields = [field(chunk[name]) for _, name, field in _TRUTH_ROW]
+        m = np.empty((len(chunk), sum(len(key) for key, _, _ in _TRUTH_ROW)
                       + sum(k for k, _ in fields) + len(_ROW_END)), np.uint32)
         at = 0
         for (key, _, _), (k, fill) in zip(_TRUTH_ROW, fields):
@@ -368,19 +340,19 @@ def spill_truth(spill, batch):
     `TRUTH_RECORD` records, once its wavelengths are checked, its rows
     numbered after the records already there."""
     batch.check_finite(spill.tell() // TRUTH_RECORD.itemsize)
-    spill.write(batch.to_records())
+    spill.write(batch.records)
 
 
 def write_spilled_jsonl(spill, path):
     """Write the `TRUTH_RECORD` records of `spill` to `path` as JSON lines,
     one formatting chunk (`_TRUTH_CHUNK_ROWS` records, read into one reused
-    buffer) per `write_jsonl`, so the read-back adds little to generation's
-    peak."""
+    buffer and formatted there) per `write_jsonl`, so the read-back adds
+    little to generation's peak."""
     records = np.empty(_TRUTH_CHUNK_ROWS, TRUTH_RECORD)
     spill.seek(0)
     with open(path, "wb") as fh:
         while n := spill.readinto(records) // TRUTH_RECORD.itemsize:
-            GroundTruth.from_records(records[:n]).write_jsonl(fh)
+            GroundTruth(records[:n]).write_jsonl(fh)
 
 
 @dataclass
@@ -409,7 +381,7 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, puls
     `spdc.pair_sampler`), with every other draw from the block's generator
     `rng`. Returns the tag columns `t_ps`, `channel` and `label` (4 * pair
     row + arm, the arm 0 MCP, 1 X1, 2 X2, 3 SNSPD; -1 for dark tags) and the
-    pair columns. The block's sync markers draw nothing and are not emitted
+    pair columns, keyed by their `TRUTH_RECORD` names. The block's sync markers draw nothing and are not emitted
     here: `_sync_ticks` computes them."""
     slots = pulse_hi - pulse_lo
     period = cfg.pulse_period_ps
@@ -479,7 +451,7 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, puls
 
     tags = {"t_ps": np.concatenate(cols_t), "channel": np.concatenate(cols_ch),
             "label": np.concatenate(cols_label)}
-    pairs = {"pulse_index": pulse, "lambda_s": lam_s, "lambda_i": lam_i,
+    pairs = {"pulse": pulse, "lambda_s_nm": lam_s, "lambda_i_nm": lam_i,
              "signal_detected": det_s, "idler_detected": det_i}
     return tags, pairs
 
@@ -538,10 +510,10 @@ def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept):
 
 class _PendingTruth:
     """The pair rows emitted but not yet final, for `_final_chunks`: their
-    pair columns block by block, and their stream indices, -1 until placed
-    (one row per pair, one column per arm). `release` hands each leading
-    block with no row left among the labels of the tags not yet final to
-    `on_truth` as one GroundTruth batch."""
+    pair columns block by block, keyed by `TRUTH_RECORD` names, and their
+    stream indices, -1 until placed (one row per pair, one column per arm).
+    `release` hands each leading block with no row left among the labels of
+    the tags not yet final to `on_truth` as one GroundTruth batch."""
 
     def __init__(self, on_truth):
         self.on_truth = on_truth
@@ -550,7 +522,7 @@ class _PendingTruth:
         self.blocks = deque()
 
     def add(self, pairs):
-        n = len(pairs["pulse_index"])
+        n = len(pairs["pulse"])
         self.index = np.concatenate([self.index, np.full((n, 4), -1, np.int64)])
         self.blocks.append(pairs)
 
@@ -563,13 +535,17 @@ class _PendingTruth:
     def release(self, held):
         """Hand on every leading block with no row among the labels `held`."""
         stop = held[held >= 0].min(initial=np.iinfo(np.int64).max) // 4
-        while self.blocks and self.first_row + (n := len(self.blocks[0]["pulse_index"])) <= stop:
+        while self.blocks and self.first_row + (n := len(self.blocks[0]["pulse"])) <= stop:
             pairs = self.blocks.popleft()
             index, self.index = self.index[:n], self.index[n:]
             self.first_row += n
             if n:
-                self.on_truth(GroundTruth(**pairs, mcp_index=index[:, 0], x1_index=index[:, 1],
-                                          x2_index=index[:, 2], snspd_index=index[:, 3]))
+                records = np.empty(n, TRUTH_RECORD)
+                for name, column in pairs.items():
+                    records[name] = column
+                for name, column in zip(TRUTH_RECORD.names[-4:], index.T):  # arms 0-3
+                    records[name] = column
+                self.on_truth(GroundTruth(records))
 
 
 def _take(tags, index):

@@ -91,6 +91,19 @@ class TestSimulateJsa:
         run_cli(monkeypatch, ["simulate-jsa", cfg, tmp_path / "out"], expect=2)
         assert not (tmp_path / "out").exists()
 
+    def test_sidecar_records_every_source_parameter(self, monkeypatch, tmp_path):
+        # the sidecar used to omit the grid centers, so these two were equal
+        sidecars = []
+        for center in (515.0, 516.0):
+            cfg = small_config(tmp_path, **{"grid.n_signal": 16, "grid.n_idler": 16,
+                                            "grid.signal_center_nm": center})
+            run_cli(monkeypatch, ["simulate-jsa", cfg, tmp_path / "out"])
+            doc = json.loads(cfg.read_text())
+            sidecar = json.loads((tmp_path / "out/jsa.jsag.json").read_text())
+            assert sidecar == {key: doc[key] for key in ("pump", "crystal", "grid", "seed")}
+            sidecars.append(sidecar)
+        assert sidecars[0] != sidecars[1]
+
 
 class TestGenTags:
     def test_same_seed_identical_hashes(self, monkeypatch, tmp_path, pipeline):
@@ -218,6 +231,8 @@ class TestGenTags:
                               tmp_path / "t.ttag", "--truth", tmp_path / "truth.jsonl"])
         lines = (tmp_path / "truth.jsonl").read_text().splitlines()
         assert lines and json.loads(lines[0])["mcp"] >= -1
+        # every line's keys are the record's field names, in order
+        assert all(list(json.loads(line)) == list(simgen.TRUTH_RECORD.names) for line in lines)
 
     def test_manifest_counts_match_outputs(self, monkeypatch, tmp_path, pipeline):
         src, cfg = pipeline
@@ -313,7 +328,7 @@ class TestGenTags:
             tags, pairs = emit_block(draw_pairs, acq, rng, n_pairs, pulse_lo, pulse_hi,
                                      first_row)
             if pulse_lo == 2 * 300_000:
-                pairs["lambda_i"][3] = np.inf
+                pairs["lambda_i_nm"][3] = np.inf
                 bad_rows.append(first_row + 3)
             return tags, pairs
 
@@ -540,6 +555,24 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "acquisition.fibre_cal.reference_delay_ps" in err
         assert "event_build.gate_half_width_ticks" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["build", "slice"])
+    @pytest.mark.parametrize("width, edge", [(13, 832), (20, 1280)])
+    def test_jsi_signal_edges_beyond_anode_exit_2_before_reading(self, monkeypatch, capsys,
+                                                                 tmp_path, command, width,
+                                                                 edge):
+        # 128 signal bins centred on the anode: at 13 ticks their edges lie
+        # inside the 840-tick guard but beyond the anode's ends at 800 ticks
+        junk = tmp_path / "junk.ttag"
+        junk.write_bytes(b"XTAG" + bytes(40))  # reading it would exit 1
+        cfg = small_config(tmp_path, **{"event_build.jsi_signal_width_ticks": width})
+        capsys.readouterr()
+        run_cli(monkeypatch, [command, junk, cfg, tmp_path / "out"], expect=2)
+        err = capsys.readouterr().err
+        for text in ("event_build.jsi_signal_width_ticks", "event_build.jsi_signal_count",
+                     f"[-{edge}, {edge}]", "acquisition.dld_cal.t_a_ticks (800 ticks)"):
+            assert text in err
         assert not (tmp_path / "out").exists()
 
     def test_timestamp_beyond_int64_exits_1(self, monkeypatch, capsys, tmp_path, pipeline):

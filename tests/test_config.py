@@ -201,13 +201,23 @@ class TestDerivedEventConfig:
 
     def test_gate_and_anode_follow_calibrations(self):
         cfg = run_config_from_dict({"acquisition": {
-            "dld_cal": {"t_a_ticks": 400},
+            "dld_cal": {"t_a_ticks": 400, "x_center_mm": 10.0},  # the 20 mm anode's middle
             "fibre_cal": {"reference_delay_ps": 5.0e6}}})
         ecfg = cfg.event_config()
         assert ecfg.t_a_ticks == 400
         assert ecfg.dld_window_ticks == 1600
         assert ecfg.gate_center_ticks == 200000
         assert ecfg.jsi_y_spec.centers().mean() == pytest.approx(200000)
+
+    def test_jsi_signal_edges_must_lie_on_the_anode(self):
+        # 64 bins of 25 ticks reach the anode's ends at +-800 ticks exactly
+        spec = run_config_from_dict({"event_build": {
+            "jsi_signal_width_ticks": 25, "jsi_signal_count": 64}}).event_config().jsi_x_spec
+        assert spec.edges()[[0, -1]].tolist() == [-800, 800]
+        cfg = run_config_from_dict({"event_build": {"jsi_signal_width_ticks": 25,
+                                                    "jsi_signal_count": 65}})
+        with pytest.raises(ConfigError, match=r"dt_x \[-812, 813\] ticks"):
+            cfg.event_config()
 
     def test_fold_period_from_rep_rate(self):
         cfg = run_config_from_dict({"acquisition": {"rep_rate_hz": 80e6}})

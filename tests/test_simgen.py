@@ -1,9 +1,10 @@
+import functools
 import hashlib
 import io
 import math
 import re
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,8 @@ from biphoton.config import RunConfig
 from conftest import clean_acquisition, expected_jsi_probabilities, normalized_cross_correlation
 
 CMAP = tagstream.ChannelMap()
+#: the truth's stream-index fields, one per arm: MCP, X1, X2, SNSPD
+ARMS = ("mcp", "x1", "x2", "snspd")
 
 
 def single_point_jsa(lam_s=515.0, lam_i=1550.0):
@@ -35,10 +38,15 @@ def event_cfg_for(acq):
 
 def joined(batches):
     """One GroundTruth of truth batches, in arrival order."""
-    empty = simgen.GroundTruth.from_records(np.zeros(0, simgen.TRUTH_RECORD))
-    return simgen.GroundTruth(*(np.concatenate([getattr(batch, f.name)
-                                                for batch in (empty, *batches)])
-                                for f in fields(simgen.GroundTruth)))
+    return simgen.GroundTruth(np.concatenate([np.zeros(0, simgen.TRUTH_RECORD),
+                                              *(batch.records for batch in batches)]))
+
+
+def jsonl_bytes(truth):
+    """The JSON lines `truth.write_jsonl` appends to a binary file."""
+    sink = io.BytesIO()
+    truth.write_jsonl(sink)
+    return sink.getvalue()
 
 
 def generated(jsa, cfg):
@@ -112,9 +120,8 @@ class TestGroundTruth:
     def test_every_detection_tag_referenced_exactly_once(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.01, eta_signal=0.7, eta_idler=0.5)
         tags, truth = generated(model_jsa, cfg)
-        referenced = np.concatenate([
-            col[col >= 0] for col in (truth.mcp_index, truth.x1_index,
-                                      truth.x2_index, truth.snspd_index)])
+        referenced = np.concatenate([truth.records[arm][truth.records[arm] >= 0]
+                                     for arm in ARMS])
         detection_channels = (CMAP.mcp, CMAP.dld_x1, CMAP.dld_x2, CMAP.snspd)
         detection_tags = np.flatnonzero(np.isin(tags.channel, detection_channels))
         assert np.array_equal(np.sort(referenced), detection_tags)
@@ -123,9 +130,7 @@ class TestGroundTruth:
         cfg = clean_acquisition(duration_s=0.01, dld_dark_rate_hz=3000.0,
                                 snspd_dark_rate_hz=1000.0)
         tags, truth = generated(model_jsa, cfg)
-        referenced = sum(int((col >= 0).sum()) for col in
-                         (truth.mcp_index, truth.x1_index, truth.x2_index,
-                          truth.snspd_index))
+        referenced = sum(int((truth.records[arm] >= 0).sum()) for arm in ARMS)
         detection_channels = (CMAP.mcp, CMAP.dld_x1, CMAP.dld_x2, CMAP.snspd)
         n_detection = int(np.isin(tags.channel, detection_channels).sum())
         assert referenced < n_detection  # darks exist and are unlabeled
@@ -134,46 +139,42 @@ class TestGroundTruth:
         cfg = clean_acquisition(duration_s=0.005)
         tags, truth = generated(model_jsa, cfg)
         ch = tags.channel
-        for col, chan in ((truth.mcp_index, CMAP.mcp), (truth.x1_index, CMAP.dld_x1),
-                          (truth.x2_index, CMAP.dld_x2), (truth.snspd_index, CMAP.snspd)):
+        for arm, chan in zip(ARMS, (CMAP.mcp, CMAP.dld_x1, CMAP.dld_x2, CMAP.snspd)):
+            col = truth.records[arm]
             idx = col[col >= 0]
             assert np.all(ch[idx] == chan)
 
-    def test_jsonl_roundtrip(self, tmp_path, model_jsa):
+    def test_jsonl_roundtrip(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.001)
         _, truth = generated(model_jsa, cfg)
-        path = tmp_path / "truth.jsonl"
-        truth.write_jsonl(path)
         import json
-        with open(path) as fh:
-            lines = [json.loads(line) for line in fh]
+        lines = [json.loads(line) for line in jsonl_bytes(truth).splitlines()]
         assert len(lines) == len(truth)
         if lines:
             assert set(lines[0]) == {"pulse", "lambda_s_nm", "lambda_i_nm",
                                      "signal_detected", "idler_detected",
                                      "mcp", "x1", "x2", "snspd"}
 
-    def test_jsonl_bytes_match_json_dumps_oracle(self, tmp_path, model_jsa):
+    def test_jsonl_bytes_match_json_dumps_oracle(self, model_jsa):
         import json
         cfg = clean_acquisition(duration_s=0.002, eta_signal=0.5, eta_idler=0.5)
         _, truth = generated(model_jsa, cfg)
-        assert truth.signal_detected.any() and not truth.signal_detected.all()
-        assert truth.idler_detected.any() and not truth.idler_detected.all()
-        assert (truth.mcp_index == -1).any() and (truth.snspd_index == -1).any()
+        r = truth.records
+        assert r["signal_detected"].any() and not r["signal_detected"].all()
+        assert r["idler_detected"].any() and not r["idler_detected"].all()
+        assert (r["mcp"] == -1).any() and (r["snspd"] == -1).any()
         oracle = "".join(json.dumps({
-            "pulse": int(truth.pulse_index[k]),
-            "lambda_s_nm": float(truth.lambda_s[k]),
-            "lambda_i_nm": float(truth.lambda_i[k]),
-            "signal_detected": bool(truth.signal_detected[k]),
-            "idler_detected": bool(truth.idler_detected[k]),
-            "mcp": int(truth.mcp_index[k]),
-            "x1": int(truth.x1_index[k]),
-            "x2": int(truth.x2_index[k]),
-            "snspd": int(truth.snspd_index[k]),
+            "pulse": int(r["pulse"][k]),
+            "lambda_s_nm": float(r["lambda_s_nm"][k]),
+            "lambda_i_nm": float(r["lambda_i_nm"][k]),
+            "signal_detected": bool(r["signal_detected"][k]),
+            "idler_detected": bool(r["idler_detected"][k]),
+            "mcp": int(r["mcp"][k]),
+            "x1": int(r["x1"][k]),
+            "x2": int(r["x2"][k]),
+            "snspd": int(r["snspd"][k]),
         }) + "\n" for k in range(len(truth)))
-        path = tmp_path / "truth.jsonl"
-        truth.write_jsonl(path)
-        assert path.read_bytes() == oracle.encode()
+        assert jsonl_bytes(truth) == oracle.encode()
 
 
 class TestGroundTruthAcrossBlocks:
@@ -187,16 +188,17 @@ class TestGroundTruthAcrossBlocks:
         cfg = clean_acquisition(duration_s=0.002, pair_prob_per_pulse=0.01,
                                 eta_signal=0.7, eta_idler=0.6)
         tags, truth = generated(model_jsa, cfg)
-        assert len(np.unique(truth.pulse_index // self.BLOCK)) >= 5
+        r = truth.records
+        assert len(np.unique(r["pulse"] // self.BLOCK)) >= 5
 
         # zero jitter: every detection lands exactly on its pulse's timing
-        t_mcp_ps = truth.pulse_index.astype(np.float64) * cfg.pulse_period_ps + cfg.mcp_delay_ps
-        t_sn_ps = t_mcp_ps + idler_delay_ps(truth.lambda_i, cfg.fibre_cal)
+        t_mcp_ps = r["pulse"].astype(np.float64) * cfg.pulse_period_ps + cfg.mcp_delay_ps
+        t_sn_ps = t_mcp_ps + idler_delay_ps(r["lambda_i_nm"], cfg.fibre_cal)
         for col, detected, chan, t_ps in (
-                (truth.mcp_index, truth.signal_detected, CMAP.mcp, t_mcp_ps),
-                (truth.x1_index, truth.signal_detected, CMAP.dld_x1, None),
-                (truth.x2_index, truth.signal_detected, CMAP.dld_x2, None),
-                (truth.snspd_index, truth.idler_detected, CMAP.snspd, t_sn_ps)):
+                (r["mcp"], r["signal_detected"], CMAP.mcp, t_mcp_ps),
+                (r["x1"], r["signal_detected"], CMAP.dld_x1, None),
+                (r["x2"], r["signal_detected"], CMAP.dld_x2, None),
+                (r["snspd"], r["idler_detected"], CMAP.snspd, t_sn_ps)):
             assert np.array_equal(col >= 0, detected)
             idx = col[detected]
             assert np.all(tags.channel[idx] == chan)
@@ -204,12 +206,11 @@ class TestGroundTruthAcrossBlocks:
                 expected = np.rint(t_ps[detected] / cfg.tick_ps).astype(np.int64)
                 assert np.array_equal(tags.timestamp[idx], expected)
 
-        referenced = np.concatenate([col[col >= 0] for col in (
-            truth.mcp_index, truth.x1_index, truth.x2_index, truth.snspd_index)])
+        referenced = np.concatenate([r[arm][r[arm] >= 0] for arm in ARMS])
         detection = np.flatnonzero(tags.channel != CMAP.sync)
         assert np.array_equal(np.sort(referenced), detection)
 
-    def test_multi_block_bytes_pinned(self, monkeypatch, tmp_path, model_jsa):
+    def test_multi_block_bytes_pinned(self, monkeypatch, model_jsa):
         # seven blocks with jitter, darks on both detectors and dead time on
         # three channels: the stream and truth bytes must not move
         monkeypatch.setattr(simgen, "_BLOCK_PULSES", 25_000)
@@ -218,14 +219,13 @@ class TestGroundTruthAcrossBlocks:
             dld_dark_rate_hz=2e5, snspd_dark_rate_hz=5e4,
             dead_time_ps={"mcp": 40000.0, "dld_x1": 10000.0, "snspd": 20000.0})
         tags, truth = generated(model_jsa, cfg)
-        assert ((truth.mcp_index < 0) & truth.signal_detected).any()  # dead time acted
+        assert ((truth.records["mcp"] < 0) & truth.records["signal_detected"]).any()  # dead time
         stream = io.BytesIO()
         tagstream.write_stream(cfg.header(), tags, stream)
-        truth.write_jsonl(tmp_path / "truth.jsonl")
         assert (len(tags), len(truth)) == (8150, 3126)
         assert hashlib.sha256(stream.getvalue()).hexdigest() == \
             "e27f1c042c29442c38c88f479a9e63f81ae777d912195dce939859b4d7eae2a0"
-        assert hashlib.sha256((tmp_path / "truth.jsonl").read_bytes()).hexdigest() == \
+        assert hashlib.sha256(jsonl_bytes(truth)).hexdigest() == \
             "15136545815a63b343c15cc60d638c288d12337ae6c206444ef9cca0958abdbd"
 
 
@@ -250,7 +250,7 @@ def oracle_blocks(jsa, cfg):
                     len(sync_pulses), cfg.channel_map.sync, np.uint16)]),
                 "label": np.concatenate([tags["label"], np.full(len(sync_pulses), -1, np.int64)])}
         parts.append((tags, pairs))
-        n_pairs += len(pairs["pulse_index"])
+        n_pairs += len(pairs["pulse"])
     return parts
 
 
@@ -258,9 +258,9 @@ def whole_array_generate(jsa, cfg):
     """The synthesizer as one whole-array pass, the reference for its
     chunked stream: every block's tags (`oracle_blocks`) concatenated,
     ticks below 0 dropped, one stable lexsort, the greedy dead-time loop,
-    then one scatter of the labels into the truth index columns."""
+    then one scatter of the labels into the truth's arm index fields."""
     tag_parts, pair_parts = zip(*oracle_blocks(jsa, cfg))
-    n_pairs = sum(len(pairs["pulse_index"]) for pairs in pair_parts)
+    n_pairs = sum(len(pairs["pulse"]) for pairs in pair_parts)
     t_ps, channel, label = (np.concatenate([part[key] for part in tag_parts])
                             for key in ("t_ps", "channel", "label"))
     ticks = np.rint(t_ps / cfg.tick_ps).astype(np.int64)
@@ -273,14 +273,12 @@ def whole_array_generate(jsa, cfg):
     index = np.full((n_pairs, 4), -1, dtype=np.int64)
     labelled = np.flatnonzero(label >= 0)
     index.reshape(-1)[label[labelled]] = labelled
-    pairs = {key: np.concatenate([part[key] for part in pair_parts]) for key in pair_parts[0]}
-    truth = simgen.GroundTruth(**pairs, mcp_index=index[:, 0], x1_index=index[:, 1],
-                               x2_index=index[:, 2], snspd_index=index[:, 3])
-    return tagstream.TagColumns(channel, ticks), truth
-
-
-def truth_bytes(truth):
-    return [getattr(truth, f.name).tobytes() for f in fields(simgen.GroundTruth)]
+    records = np.empty(n_pairs, simgen.TRUTH_RECORD)
+    for key in pair_parts[0]:
+        records[key] = np.concatenate([part[key] for part in pair_parts])
+    for arm, name in enumerate(ARMS):
+        records[name] = index[:, arm]
+    return tagstream.TagColumns(channel, ticks), simgen.GroundTruth(records)
 
 
 def streamed(jsa, cfg):
@@ -338,7 +336,7 @@ class TestChunkedStream:
                 event("raised")
                 return
         assert raw == oracle
-        assert truth_bytes(streamed_truth) == truth_bytes(truth)
+        assert streamed_truth.records.tobytes() == truth.records.tobytes()
 
     def test_tag_before_written_stream_raises(self, model_jsa):
         # one-pulse blocks (13 ns) and MCP jitter of 1 us: a later block's
@@ -368,7 +366,7 @@ class TestChunkedStream:
         raw, truth = streamed(model_jsa, cfg)
         oracle, whole_truth = whole_array_stream(model_jsa, cfg)
         assert raw == oracle
-        assert truth_bytes(truth) == truth_bytes(whole_truth)
+        assert truth.records.tobytes() == whole_truth.records.tobytes()
 
     def test_sink_memory_follows_block_not_duration(self, monkeypatch, tmp_path):
         # tracemalloc peak of generating and writing a run to a file, with
@@ -529,7 +527,7 @@ class TestSyncMerge:
                 event("raised")
                 return
         assert raw == oracle
-        assert truth_bytes(streamed_truth) == truth_bytes(truth)
+        assert streamed_truth.records.tobytes() == truth.records.tobytes()
 
     @pytest.mark.parametrize("sync", [0, 3, 6], ids=["sync-lowest", "sync-middle",
                                                      "sync-highest"])
@@ -554,7 +552,7 @@ class TestSyncMerge:
         oracle, truth = whole_array_stream(model_jsa, cfg)
         raw, streamed_truth = streamed(model_jsa, cfg)
         assert raw == oracle
-        assert truth_bytes(streamed_truth) == truth_bytes(truth)
+        assert streamed_truth.records.tobytes() == truth.records.tobytes()
 
     def test_marker_sorting_before_final_stream_raises(self, monkeypatch, model_jsa):
         # one-pulse blocks, a marker every second pulse and only idler
@@ -603,17 +601,19 @@ class TestStreamedTruth:
         assert np.array_equal(streamed_tags.channel, tags.channel)
         assert np.array_equal(streamed_tags.timestamp, tags.timestamp)
         assert all(len(batch) for _, batch in arrivals)
+        assert all(batch.records.dtype == simgen.TRUTH_RECORD for _, batch in arrivals)
         # one batch per pulse block with pairs, of its pair count, in block order
-        counts = np.bincount(truth.pulse_index // block)
+        counts = np.bincount(truth.records["pulse"] // block)
         assert [len(batch) for _, batch in arrivals] == counts[counts > 0].tolist()
         assert sum(len(batch) for _, batch in arrivals) == len(result.truth) == len(truth)
-        assert truth_bytes(joined([batch for _, batch in arrivals])) == truth_bytes(truth)
+        assert joined([batch for _, batch in arrivals]).records.tobytes() == \
+            truth.records.tobytes()
         # a batch's indices lie in the chunks yielded so far or the one in flight
         ends = np.cumsum([0, *sizes])
         for before, batch in arrivals:
             bound = ends[min(before + 1, len(sizes))]
-            for col in (batch.mcp_index, batch.x1_index, batch.x2_index, batch.snspd_index):
-                assert (col < bound).all()
+            for arm in ARMS:
+                assert (batch.records[arm] < bound).all()
 
     def test_no_callback_same_stream_and_pair_count(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.002)
@@ -624,16 +624,20 @@ class TestStreamedTruth:
         assert np.array_equal(tags.channel, with_truth.channel)
         assert np.array_equal(tags.timestamp, with_truth.timestamp)
 
-    def test_records_round_trip_and_appended_lines(self, tmp_path, model_jsa):
-        _, truth = generated(model_jsa, clean_acquisition(duration_s=0.002, eta_signal=0.5))
-        records = truth.to_records()
-        assert records.dtype.itemsize == 58
-        assert truth_bytes(simgen.GroundTruth.from_records(records)) == truth_bytes(truth)
-        path = tmp_path / "truth.jsonl"
-        with open(path, "wb") as fh:
-            for lo in range(0, len(records), 1000):
-                simgen.GroundTruth.from_records(records[lo:lo + 1000]).write_jsonl(fh)
-        assert path.read_bytes() == json_lines_oracle(truth)
+    def test_records_round_trip_and_appended_lines(self, model_jsa):
+        # the spill holds every batch's records as they are; read back in
+        # pieces, they append the whole truth's JSON lines
+        cfg = clean_acquisition(duration_s=0.002, eta_signal=0.5)
+        spill = io.BytesIO()
+        list(simgen.generate(model_jsa, cfg, functools.partial(simgen.spill_truth, spill)).chunks)
+        _, truth = generated(model_jsa, cfg)
+        records = np.frombuffer(spill.getvalue(), simgen.TRUTH_RECORD)
+        assert simgen.TRUTH_RECORD.itemsize == 58 and len(records) == len(truth) > 100
+        assert records.tobytes() == truth.records.tobytes()
+        sink = io.BytesIO()
+        for lo in range(0, len(records), 100):
+            simgen.GroundTruth(records[lo:lo + 100]).write_jsonl(sink)
+        assert sink.getvalue() == json_lines_oracle(truth)
 
     def test_spilled_jsonl_peak_small_and_flat(self, tmp_path):
         # the tracemalloc peak of writing a spill of 4 and 16 formatting
@@ -645,12 +649,16 @@ class TestStreamedTruth:
         for rows in (4 * chunk, 4 * chunk, 16 * chunk, 100_000 + chunk // 2):
             rng = np.random.default_rng(rows)
 
-            def index():
-                return np.where(rng.random(rows) < 0.36, rng.integers(0, 10**7, rows), -1)
-            truth = simgen.GroundTruth(
-                np.sort(rng.integers(0, 152_000_000, rows)), 515.0 + rng.normal(size=rows),
-                1550.0 + 5 * rng.normal(size=rows), rng.random(rows) < 0.36,
-                rng.random(rows) < 0.36, index(), index(), index(), index())
+            records = np.empty(rows, simgen.TRUTH_RECORD)
+            records["pulse"] = np.sort(rng.integers(0, 152_000_000, rows))
+            records["lambda_s_nm"] = 515.0 + rng.normal(size=rows)
+            records["lambda_i_nm"] = 1550.0 + 5 * rng.normal(size=rows)
+            records["signal_detected"] = rng.random(rows) < 0.36
+            records["idler_detected"] = rng.random(rows) < 0.36
+            for arm in ARMS:
+                records[arm] = np.where(rng.random(rows) < 0.36,
+                                        rng.integers(0, 10**7, rows), -1)
+            truth = simgen.GroundTruth(records)
             with open(tmp_path / "spill", "w+b") as spill:
                 simgen.spill_truth(spill, truth)
                 tracemalloc.start()
@@ -659,24 +667,24 @@ class TestStreamedTruth:
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-        truth.write_jsonl(tmp_path / "whole.jsonl")
-        assert (tmp_path / "truth.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+        assert (tmp_path / "truth.jsonl").read_bytes() == jsonl_bytes(truth)
         assert max(peaks[1:]) < 6e6, peaks
         assert max(peaks[1:]) <= 1.1 * min(peaks[1:]), peaks
 
 
 def json_lines_oracle(truth):
     import json
+    r = truth.records
     return "".join(json.dumps({
-        "pulse": int(truth.pulse_index[k]),
-        "lambda_s_nm": float(truth.lambda_s[k]),
-        "lambda_i_nm": float(truth.lambda_i[k]),
-        "signal_detected": bool(truth.signal_detected[k]),
-        "idler_detected": bool(truth.idler_detected[k]),
-        "mcp": int(truth.mcp_index[k]),
-        "x1": int(truth.x1_index[k]),
-        "x2": int(truth.x2_index[k]),
-        "snspd": int(truth.snspd_index[k]),
+        "pulse": int(r["pulse"][k]),
+        "lambda_s_nm": float(r["lambda_s_nm"][k]),
+        "lambda_i_nm": float(r["lambda_i_nm"][k]),
+        "signal_detected": bool(r["signal_detected"][k]),
+        "idler_detected": bool(r["idler_detected"][k]),
+        "mcp": int(r["mcp"][k]),
+        "x1": int(r["x1"][k]),
+        "x2": int(r["x2"][k]),
+        "snspd": int(r["snspd"][k]),
     }) + "\n" for k in range(len(truth))).encode()
 
 
@@ -734,36 +742,32 @@ class TestTruthFormatting:
             assert field_text(simgen._int_field, np.array([v], dtype=np.int64)) == [str(v)]
 
     @pytest.mark.parametrize("chunk_rows", [1, 7, None])
-    def test_jsonl_matches_oracle_at_chunk_sizes(self, monkeypatch, tmp_path, model_jsa,
-                                                 chunk_rows):
+    def test_jsonl_matches_oracle_at_chunk_sizes(self, monkeypatch, model_jsa, chunk_rows):
         if chunk_rows is not None:
             monkeypatch.setattr(simgen, "_TRUTH_CHUNK_ROWS", chunk_rows)
         cfg = clean_acquisition(duration_s=0.002, eta_signal=0.5, eta_idler=0.5)
         _, truth = generated(model_jsa, cfg)
-        assert len(truth) > 7 and (truth.snspd_index == -1).any()
-        truth.write_jsonl(tmp_path / "truth.jsonl")
-        assert (tmp_path / "truth.jsonl").read_bytes() == json_lines_oracle(truth)
+        assert len(truth) > 7 and (truth.records["snspd"] == -1).any()
+        assert jsonl_bytes(truth) == json_lines_oracle(truth)
 
-    def test_no_pairs_writes_empty_file(self, tmp_path, model_jsa):
+    def test_no_pairs_writes_empty_file(self, model_jsa):
         _, truth = generated(model_jsa, clean_acquisition(pair_prob_per_pulse=0.0,
                                                           duration_s=0.001))
         assert len(truth) == 0
-        truth.write_jsonl(tmp_path / "truth.jsonl")
-        assert (tmp_path / "truth.jsonl").read_bytes() == b""
+        assert jsonl_bytes(truth) == b""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_wavelength_rejected(self, tmp_path, bad):
-        n = 5
-        index = np.full(n, -1, dtype=np.int64)
-        lam_s, lam_i = np.full(n, 515.0), np.full(n, 1550.0)
-        lam_i[3] = bad
-        lam_s[4] = np.nan
-        truth = simgen.GroundTruth(np.arange(n), lam_s, lam_i, np.zeros(n, bool),
-                                   np.zeros(n, bool), index, index, index, index)
+        records = np.zeros(5, simgen.TRUTH_RECORD)
+        records["pulse"] = np.arange(5)
+        records["lambda_s_nm"], records["lambda_i_nm"] = 515.0, 1550.0
+        records[list(ARMS)] = -1
+        records["lambda_i_nm"][3] = bad
+        records["lambda_s_nm"][4] = np.nan
         path = tmp_path / "truth.jsonl"
-        with pytest.raises(ValueError, match="pair row 3"):
-            truth.write_jsonl(path)
-        assert not path.exists()
+        with open(path, "wb") as fh, pytest.raises(ValueError, match="pair row 3"):
+            simgen.GroundTruth(records).write_jsonl(fh)
+        assert path.read_bytes() == b""
 
 
 class TestRateAlgebra:
