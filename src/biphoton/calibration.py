@@ -79,8 +79,8 @@ def signal_position(lambda_nm, cal: DldCalibration):
     return cal.x_center_mm + (lam - cal.reference_wavelength_nm) / cal.grating_dispersion_nm_per_mm
 
 
-def idler_wavelength(tau_ticks, cal: FibreCalibration, tick_ps=25):
-    """Idler wavelength (nm) from the coincidence delay in ticks."""
+def idler_wavelength(tau_ticks, cal: FibreCalibration, tick_ps):
+    """Idler wavelength (nm) from the coincidence delay in `tick_ps` ticks."""
     tau_ps = np.asarray(tau_ticks, dtype=float) * tick_ps
     return (cal.reference_wavelength_nm
             + (tau_ps - cal.reference_delay_ps) / cal.dispersion_ps_per_nm)

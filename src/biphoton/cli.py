@@ -290,9 +290,18 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
         raise ValueError(f"window must be at least one tick ({tick} ps)")
     if origin_ps is not None:
         origin_ticks = _ticks(origin_ps, tick, "--origin")
+        origins, option = (origin_ticks, origin_ticks), "--origin"
+    else:   # centered on the response peak, which may be any IRF bin
+        first = event_cfg.irf_spec.start - (frames * width_ticks) // 2
+        origins, option = (first, first + event_cfg.irf_spec.count - 1), "--window"
+    # every window edge origin + k * width, k = 0 .. frames, must be an int64
+    if not -2**63 <= origins[0] <= origins[1] + frames * width_ticks < 2**63:
+        raise click.BadParameter(f"{frames} windows of {width_ticks} ticks put a window edge "
+                                 "beyond the int64 tick range", param_hint=option)
     with _open_stream(ttag_path, cfg) as fh:
         header, tags = tagstream.read_stream_arrays(fh)
     result = engine.build(tags, header.channel_map, event_cfg)
+    del tags    # not held under the frame count
     if origin_ps is None:
         irf = result.histograms["irf"]
         peak_tick = int(np.argmax(irf.counts)) + irf.spec.start

@@ -11,7 +11,7 @@ thread count.
 
 import functools
 import os
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -98,17 +98,10 @@ class DldEvents:
 
 
 @dataclass
-class Coincidences:
-    """Column arrays, one entry per gated signal-idler pair."""
+class Coincidences(DldEvents):
+    """Column arrays, one entry per gated signal-idler pair: its event's columns and tau."""
 
-    t_mcp: np.ndarray
-    dt_x: np.ndarray
-    sync_offset: np.ndarray
-    has_sync: np.ndarray
     tau: np.ndarray
-
-    def __len__(self):
-        return len(self.t_mcp)
 
 
 @dataclass
@@ -132,26 +125,6 @@ def split_channels(tags: TagColumns, channel_map: ChannelMap):
         if role != "sync":
             times[role] = np.compress(ch_rest == getattr(channel_map, role), t_rest)
     return times
-
-
-def _fresh_diag():
-    return {
-        "mcp_triggers": 0, "events": 0, "no_x1": 0, "multi_x1": 0,
-        "no_x2": 0, "multi_x2": 0, "out_of_guard": 0, "syncless_events": 0,
-        "coincidences": 0, "multi_hit_gates": 0, "extra_gate_hits": 0,
-        "displaced_gate_hits": 0,
-        "tag_counts": {role: 0 for role in _ROLES},
-    }
-
-
-def _merge_diag(a, b):
-    out = dict(a)
-    for key, value in b.items():
-        if key == "tag_counts":
-            out[key] = {r: a[key][r] + value[r] for r in value}
-        else:
-            out[key] = a[key] + value
-    return out
 
 
 def _count_hits(arr, lo, end, exact):
@@ -197,10 +170,8 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before, dia
     lo1, n1 = first_and_count("dld_x1")
     lo2, n2 = first_and_count("dld_x2")
     good = (n1 == 1) & (n2 == 1)
-    diag["no_x1"] = int((n1 == 0).sum())
-    diag["multi_x1"] = int((n1 > 1).sum())
-    diag["no_x2"] = int((n2 == 0).sum())
-    diag["multi_x2"] = int((n2 > 1).sum())
+    diag["no_x1"], _, diag["multi_x1"] = np.bincount(n1, minlength=3).tolist()
+    diag["no_x2"], _, diag["multi_x2"] = np.bincount(n2, minlength=3).tolist()
 
     keep = np.flatnonzero(good)
     dt_x = times["dld_x1"][lo1[keep]] - times["dld_x2"][lo2[keep]]
@@ -293,22 +264,22 @@ def new_histograms(cfg: EventBuildConfig):
 
 
 def accumulate_histograms(coincidences: Coincidences, events: DldEvents,
-                          cfg: EventBuildConfig, into=None):
-    """Fill the standard histogram set; the instrument-response histogram is
-    built from every anode event with a sync reference, the idler spectrum
-    and joint spectrum from coincidences."""
-    hists = into if into is not None else new_histograms(cfg)
-    hists["irf"].add(fold_offset_values(events.sync_offset[events.has_sync], cfg))
-    hists["signal_spectrum"].add(events.dt_x)
-    hists["idler_spectrum"].add(coincidences.tau)
-    hists["jsi"].add(coincidences.dt_x, coincidences.tau)
-    return hists
+                          cfg: EventBuildConfig, into):
+    """Add one step into `into`, a `new_histograms` set; the instrument-response
+    histogram is built from every anode event with a sync reference, the idler
+    spectrum and joint spectrum from coincidences."""
+    into["irf"].add(fold_offset_values(events.sync_offset[events.has_sync], cfg))
+    into["signal_spectrum"].add(events.dt_x)
+    into["idler_spectrum"].add(coincidences.tau)
+    into["jsi"].add(coincidences.dt_x, coincidences.tau)
+    return into
 
 
 def slice_time_resolved(coincidences: Coincidences, cfg: EventBuildConfig,
                         window_width_ticks, window_origin_ticks, n_windows):
     """Partition coincidences into contiguous sync-offset windows; returns
-    (frames, out_of_window), one Histogram2D per window and one for the rest.
+    (frames, out_of_window), one Histogram2D per window and one for the rest,
+    all counted by one `bincount` over (frame, cell) slots.
 
     Every coincidence lands in exactly one frame or in out_of_window
     (including sync-less ones), so per-cell counts across frames plus
@@ -321,14 +292,16 @@ def slice_time_resolved(coincidences: Coincidences, cfg: EventBuildConfig,
     if n_windows < 1:
         raise ValueError("need at least one window")
 
-    values = fold_offset_values(coincidences.sync_offset, cfg)
-    frame_idx = np.floor_divide(values - int(window_origin_ticks), width)
-    outside = ~coincidences.has_sync | (frame_idx < 0) | (frame_idx >= n_windows)
-    frame_idx[outside] = n_windows      # the out-of-window slot
+    frame = (fold_offset_values(coincidences.sync_offset, cfg) - int(window_origin_ticks)) // width
+    # frames 0 .. n_windows - 1, then the out-of-window slot
+    frame = np.where(coincidences.has_sync & (frame.view(np.uint64) < n_windows),
+                     frame, n_windows)
     hists = [Histogram2D(cfg.jsi_x_spec, cfg.jsi_y_spec) for _ in range(n_windows + 1)]
-    for k, hist in enumerate(hists):
-        sel = frame_idx == k
-        hist.add(coincidences.dt_x[sel], coincidences.tau[sel])
+    slots = hists[0].counts.size + 1    # each frame's cells and out-of-range slot
+    cells = hists[0].cells(coincidences.dt_x, coincidences.tau)
+    counts = np.bincount(frame * slots + cells, minlength=len(hists) * slots)
+    for hist, n in zip(hists, counts.reshape(len(hists), slots)):
+        hist.add_cell_counts(n)
     return hists[:-1], hists[-1]
 
 
@@ -448,18 +421,19 @@ def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads):
 
 def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=None):
     """The one consumer of the build driver: adds each step into the
-    histograms and diagnostics on the calling thread and hands its
+    histograms and the diagnostic counters on the calling thread and hands its
     coincidences to `keep`, if given. Returns a BuildResult without
     columns."""
-    hists, diag = new_histograms(cfg), _fresh_diag()
+    hists, diag, tag_counts = new_histograms(cfg), Counter(), Counter()
     for events, coinc, step_diag in _drive(blocks, channel_map, cfg, threads):
-        accumulate_histograms(coinc, events, cfg, into=hists)
-        diag = _merge_diag(diag, step_diag)
+        accumulate_histograms(coinc, events, cfg, hists)
+        tag_counts.update(step_diag.pop("tag_counts"))
+        diag.update(step_diag)
         if keep is not None:
             keep(coinc)
         del events, coinc   # not alive while the next step runs, unless kept
-    diag["jsi_out_of_range"] = hists["jsi"].out_of_range
-    return BuildResult(None, hists, diag)
+    return BuildResult(None, hists, {**diag, "tag_counts": dict(tag_counts),
+                                     "jsi_out_of_range": hists["jsi"].out_of_range})
 
 
 def build(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):

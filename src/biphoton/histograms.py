@@ -3,7 +3,8 @@ the command-line tools.
 
 All bin arithmetic is in integer TDC ticks; uniform bins with a width that is
 a whole number of ticks. Counts are integers, so adding a stream's chunks
-into one histogram in any partition reproduces a single pass exactly.
+into one histogram in any partition reproduces a single pass exactly. One
+`np.bincount` over slots makes every count, out-of-range values included.
 """
 
 import json
@@ -49,15 +50,12 @@ class Histogram1D:
             self.counts = np.zeros(self.spec.count, dtype=np.uint64)
 
     def add(self, values):
-        values = np.asarray(values, dtype=np.int64)
-        idx = self.spec.index(values)
-        low = idx < 0
-        high = idx >= self.spec.count
-        self.underflow += int(low.sum())
-        self.overflow += int(high.sum())
-        ok = idx[~(low | high)]
-        if ok.size:
-            self.counts += np.bincount(ok, minlength=self.spec.count).astype(np.uint64)
+        # slot 0 is the underflow, 1 .. count the bins, count + 1 the overflow
+        slots = np.clip(self.spec.index(values), -1, self.spec.count) + 1
+        n = np.bincount(slots, minlength=self.spec.count + 2).view(np.uint64)
+        self.underflow += int(n[0])
+        self.overflow += int(n[-1])
+        self.counts += n[1:-1]
 
     @property
     def total_accumulated(self):
@@ -77,15 +75,24 @@ class Histogram2D:
         if self.counts is None:
             self.counts = np.zeros((self.x_spec.count, self.y_spec.count), dtype=np.uint64)
 
-    def add(self, x_values, y_values):
+    def cells(self, x_values, y_values):
+        """Row-major flat bin index of each (x, y) pair, or `counts.size`
+        (the out-of-range slot) for a pair outside the bins."""
+        nx, ny = self.counts.shape
         ix = self.x_spec.index(x_values)
         iy = self.y_spec.index(y_values)
-        ok = (ix >= 0) & (ix < self.x_spec.count) & (iy >= 0) & (iy < self.y_spec.count)
-        self.out_of_range += int((~ok).sum())
-        if ok.any():
-            flat = ix[ok] * self.y_spec.count + iy[ok]
-            binned = np.bincount(flat, minlength=self.x_spec.count * self.y_spec.count)
-            self.counts += binned.reshape(self.counts.shape).astype(np.uint64)
+        # a negative index is a huge unsigned one, so one test finds both ends
+        inside = (ix.view(np.uint64) < nx) & (iy.view(np.uint64) < ny)
+        return np.where(inside, ix * ny + iy, nx * ny)
+
+    def add_cell_counts(self, n):
+        """Add `n`, a `bincount` of `cells` over all `counts.size + 1` slots."""
+        self.counts += n[:-1].view(np.uint64).reshape(self.counts.shape)
+        self.out_of_range += int(n[-1])
+
+    def add(self, x_values, y_values):
+        self.add_cell_counts(np.bincount(self.cells(x_values, y_values),
+                                         minlength=self.counts.size + 1))
 
     @property
     def total_in_range(self):

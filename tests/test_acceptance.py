@@ -187,7 +187,7 @@ def test_c08_calibration_fixed_points_exact():
         assert calibration.dld_position(dld.t_a_ticks, dld) == dld.t_a_ticks * dld.v_mm_per_tick
         fibre = calibration.FibreCalibration()
         tau_ref = fibre.reference_delay_ps / 25.0
-        assert calibration.idler_wavelength(tau_ref, fibre) == 1550.0
+        assert calibration.idler_wavelength(tau_ref, fibre, 25) == 1550.0
 
         x = np.linspace(-12, 12, 241)
         g = 50.0 * np.exp(-((x - 0.7) ** 2) / (2 * 1.9**2)) + 4.0

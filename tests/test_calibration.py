@@ -61,23 +61,23 @@ class TestIdlerWavelength:
     def test_reference_point(self):
         c = cal.FibreCalibration()
         tau_ticks = c.reference_delay_ps / 25.0
-        assert cal.idler_wavelength(tau_ticks, c) == pytest.approx(1550.0)
+        assert cal.idler_wavelength(tau_ticks, c, 25) == pytest.approx(1550.0)
 
     def test_dispersion_arithmetic(self):
         # 2550 ps earlier than the reference is +10 nm at -255 ps/nm
         c = cal.FibreCalibration()
         tau_ticks = (c.reference_delay_ps - 2550.0) / 25.0
-        assert cal.idler_wavelength(tau_ticks, c) == pytest.approx(1560.0)
+        assert cal.idler_wavelength(tau_ticks, c, 25) == pytest.approx(1560.0)
 
     def test_roundtrip_with_forward_map(self):
         c = cal.FibreCalibration()
         lams = np.linspace(1515.0, 1585.0, 17)
         tau_ticks = cal.idler_delay_ps(lams, c) / 25.0
-        assert np.allclose(cal.idler_wavelength(tau_ticks, c), lams, atol=1e-9)
+        assert np.allclose(cal.idler_wavelength(tau_ticks, c, 25), lams, atol=1e-9)
 
     def test_monotone(self):
         c = cal.FibreCalibration()
-        lam = cal.idler_wavelength(np.arange(307000, 309000, 10), c)
+        lam = cal.idler_wavelength(np.arange(307000, 309000, 10), c, 25)
         assert np.all(np.diff(lam) < 0)  # negative dispersion: later = bluer
 
 

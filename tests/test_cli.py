@@ -15,6 +15,7 @@ from biphoton import engine, schmidt, simgen, tagstream
 from biphoton.config import default_config_dict
 from biphoton.histograms import read_matrix_csv
 from conftest import assert_fit_matches_scipy
+from test_engine import ZERO_DIAGNOSTICS
 
 
 def run_cli(monkeypatch, args, expect=0):
@@ -418,7 +419,7 @@ class TestBuild:
         run_cli(monkeypatch, ["build", stream, small_config(tmp_path), tmp_path / "out"])
         diag = json.loads((tmp_path / "out/diagnostics.json").read_text())
         assert "rates" not in diag
-        assert diag == {**engine._fresh_diag(), "jsi_out_of_range": 0, "records": 0}
+        assert diag == {**ZERO_DIAGNOSTICS, "jsi_out_of_range": 0, "records": 0}
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_block_fold_equals_whole_array_build(self, monkeypatch, tmp_path, pipeline,
@@ -661,17 +662,24 @@ class TestCountOptions:
     @pytest.mark.parametrize("option,value", [("--window", "inf"), ("--window", "nan"),
                                               ("--origin", "inf"), ("--origin", "-inf"),
                                               ("--origin", "nan"), ("--window", "1e30"),
-                                              ("--origin", "1e30"), ("--origin", "-1e30")])
+                                              ("--origin", "1e30"), ("--origin", "-1e30"),
+                                              # widths and origins in int64 ticks, but
+                                              # a window edge beyond them: the default
+                                              # origin is 2.5 windows before the peak
+                                              ("--window", "2e20"),
+                                              ("--origin", "1e20 --window 1e20")])
     def test_non_finite_window_exits_2_before_reading(self, monkeypatch, capsys, tmp_path,
                                                       pipeline, option, value):
         _, cfg = pipeline
         junk = tmp_path / "junk.ttag"
         junk.write_bytes(b"XTAG" + bytes(40))
         capsys.readouterr()
-        run_cli(monkeypatch, ["slice", junk, cfg, tmp_path / "out", option, value], expect=2)
+        run_cli(monkeypatch, ["slice", junk, cfg, tmp_path / "out", option, *value.split()],
+                expect=2)
         err = capsys.readouterr().err
         # a finite value whose tick count does not fit the int64 columns
-        assert option in err and ("int64" if value.endswith("e30") else "finite") in err
+        assert option in err and ("finite" if value.lstrip("-") in ("inf", "nan")
+                                  else "int64") in err
         assert not (tmp_path / "out").exists()
 
     def test_least_counts_accepted(self, monkeypatch, tmp_path, pipeline):

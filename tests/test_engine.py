@@ -12,6 +12,15 @@ from biphoton.tagstream import ChannelMap, TagColumns
 
 CMAP = ChannelMap()
 
+#: the diagnostics of a build that saw no tag
+ZERO_DIAGNOSTICS = {
+    "mcp_triggers": 0, "events": 0, "no_x1": 0, "multi_x1": 0, "no_x2": 0, "multi_x2": 0,
+    "out_of_guard": 0, "syncless_events": 0, "coincidences": 0, "multi_hit_gates": 0,
+    "extra_gate_hits": 0, "displaced_gate_hits": 0,
+    "tag_counts": {"mcp": 0, "dld_x1": 0, "dld_x2": 0, "dld_y1": 0, "dld_y2": 0, "snspd": 0,
+                   "sync": 0},
+}
+
 
 def tags_from(rows):
     """rows: iterable of (channel_role_or_id, timestamp)."""
@@ -396,8 +405,8 @@ class TestDriverProperties:
 
 class TestRatesReport:
     def test_singles_arithmetic(self):
-        diag = engine._fresh_diag()
-        diag["tag_counts"]["mcp"] = 61000
+        diag = {**ZERO_DIAGNOSTICS, "tag_counts": {**ZERO_DIAGNOSTICS["tag_counts"],
+                                                   "mcp": 61000}}
         diag["coincidences"] = 500
         diag["displaced_gate_hits"] = 100
         rates = engine.rates_report(diag, duration_s=1.0)
@@ -406,7 +415,7 @@ class TestRatesReport:
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
-            engine.rates_report(engine._fresh_diag(), 0.0)
+            engine.rates_report(ZERO_DIAGNOSTICS, 0.0)
 
     def test_uncorrelated_streams_figure_near_one(self):
         # planted triples plus an independent Poisson SNSPD stream: the gated
@@ -714,7 +723,7 @@ class TestStepCutter:
             assert [(len(t), lo, hi, sync) for t, lo, hi, sync in steps] == [
                 (0, np.iinfo(np.int64).min, np.iinfo(np.int64).min, None)]
         assert_same_result(got, want)
-        assert none.diagnostics == {**engine._fresh_diag(), "jsi_out_of_range": 0}
+        assert none.diagnostics == {**ZERO_DIAGNOSTICS, "jsi_out_of_range": 0}
 
 
 def pulse_blocks(n_blocks, groups=(1 << 20) // 5):

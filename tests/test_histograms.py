@@ -2,9 +2,63 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from biphoton.histograms import (BinSpec, Histogram2D, read_matrix_csv, write_histogram2d_csv,
-                                 write_matrix_csv)
+from biphoton.histograms import (BinSpec, Histogram1D, Histogram2D, read_matrix_csv,
+                                 write_histogram2d_csv, write_matrix_csv)
+
+specs = st.builds(BinSpec, start=st.integers(-50, 50), width=st.integers(1, 7),
+                  count=st.integers(1, 9))
+
+
+def values_for(spec):
+    """Values at and beside every bin edge, plus any within +-2**62."""
+    edges = spec.edges().tolist()
+    near = st.sampled_from(sorted({e + d for e in edges for d in (-1, 0, 1)}))
+    return st.one_of(near, st.integers(-2**62, 2**62))
+
+
+def oracle_bin(spec, value):
+    """The bin of one value by Python arithmetic: -1 below, count above."""
+    return min(max((value - spec.start) // spec.width, -1), spec.count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), spec=specs)
+def test_histogram1d_add_matches_per_value_oracle(data, spec):
+    hist = Histogram1D(spec)
+    want = [0] * (spec.count + 2)
+    for _ in range(data.draw(st.integers(1, 4))):
+        values = data.draw(st.lists(values_for(spec), max_size=30))
+        hist.add(np.array(values, dtype=np.int64))
+        for value in values:
+            want[oracle_bin(spec, value) + 1] += 1
+    assert hist.counts.dtype == np.uint64
+    assert hist.counts.tolist() == want[1:-1]
+    assert (hist.underflow, hist.overflow) == (want[0], want[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), x_spec=specs, y_spec=specs)
+def test_histogram2d_add_matches_per_value_oracle(data, x_spec, y_spec):
+    hist = Histogram2D(x_spec, y_spec)
+    want = np.zeros((x_spec.count, y_spec.count), dtype=np.int64)
+    out_of_range = 0
+    for _ in range(data.draw(st.integers(1, 4))):
+        pairs = data.draw(st.lists(st.tuples(values_for(x_spec), values_for(y_spec)),
+                                   max_size=30))
+        hist.add(np.array([x for x, _ in pairs], dtype=np.int64),
+                 np.array([y for _, y in pairs], dtype=np.int64))
+        for x, y in pairs:
+            ix, iy = oracle_bin(x_spec, x), oracle_bin(y_spec, y)
+            if 0 <= ix < x_spec.count and 0 <= iy < y_spec.count:
+                want[ix, iy] += 1
+            else:
+                out_of_range += 1
+    assert hist.counts.dtype == np.uint64
+    assert hist.counts.tolist() == want.tolist()
+    assert hist.out_of_range == out_of_range
 
 
 def test_matrix_round_trips_bitwise(tmp_path):
