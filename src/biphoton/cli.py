@@ -136,7 +136,7 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
                     tempfile.TemporaryFile(dir=Path(truth_path).resolve().parent))
                 on_truth = functools.partial(simgen.spill_truth, spill)
             with open(partials[out_path], "w+b") as fh:
-                result = simgen.generate(jsa, cfg.acquisition, on_truth)
+                result = simgen.generate(jsa, cfg.acquisition, cfg.seed, on_truth)
                 n_bytes = tagstream.write_stream(result.header, result.chunks, fh)
                 fh.seek(0)
                 sha256 = hashlib.sha256()

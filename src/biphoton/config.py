@@ -18,10 +18,6 @@ from .spdc import CrystalSpec, FrequencyGrid, PumpSpec
 
 SEED_ENV_VAR = "BIPHOTON_SEED"
 
-#: Field left out of the template and rejected by the parser: the top-level
-#: `seed` is the one seed of a run and is copied into the acquisition.
-_SEED_COPY = ("acquisition", "seed")
-
 
 class ConfigError(ValueError):
     pass
@@ -173,8 +169,6 @@ def _build(cls, data, where=None):
         raise ConfigError(f"section {where!r} must be an object" if where
                           else "top-level config must be a JSON object")
     known = {f.name for f in fields(cls)}
-    if where == _SEED_COPY[0]:
-        known.discard(_SEED_COPY[1])
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where!r}" if where
@@ -207,7 +201,6 @@ def run_config_from_dict(doc):
             seed = env_seed     # not an integer: the rule rejects it
         _check_seed(seed, SEED_ENV_VAR)
         cfg.seed = seed
-    cfg.acquisition.seed = cfg.seed
     return cfg
 
 
@@ -231,7 +224,4 @@ def config_sha256(path):
 
 def default_config_dict():
     """Template document: every key the parser accepts, at its default."""
-    doc = asdict(RunConfig())
-    section, key = _SEED_COPY
-    del doc[section][key]
-    return doc
+    return asdict(RunConfig())

@@ -148,9 +148,10 @@ def _count_hits(arr, lo, end, exact):
     return n
 
 
-def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before, diag):
+def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, diag):
     """Assemble events for the MCP triggers in [mcp_lo, mcp_hi), writing
-    their counts into the step's diagnostics `diag`.
+    their counts into the step's diagnostics `diag`. An event's sync tag is
+    the last in `times["sync"]` at or before its trigger.
 
     For each trigger, X1/X2 tags are searched in (t_mcp, t_mcp + window];
     an event is emitted iff exactly one candidate exists on each wire and
@@ -187,9 +188,6 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before, dia
     has_sync = si >= 0
     sync_offset = np.zeros(len(t_mcp), dtype=np.int64)
     sync_offset[has_sync] = t_mcp[has_sync] - sync[si[has_sync]]
-    if sync_before is not None:     # for the triggers before the first sync tag
-        sync_offset[~has_sync] = t_mcp[~has_sync] - sync_before
-        has_sync[:] = True
     diag["syncless_events"] = int((~has_sync).sum())
     diag["events"] = len(t_mcp)
     return DldEvents(t_mcp, dt_x, sync_offset, has_sync)
@@ -336,13 +334,15 @@ def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns
                 sync_before):
     """Demux one step's tags, then match the events of the MCP triggers in
     (lo, hi] and their coincidences. `tags` must hold every tag in
-    (lo, hi + lookahead); `sync_before` is the time of the last sync tag at
-    or before `lo`, or None. `tag_counts` counts the tags in (lo, hi].
-    Returns (events, coincidences, diagnostics)."""
+    (lo, hi + lookahead); `sync_before`, the last sync tag at or before `lo`
+    (or None), leads the sync column once `tag_counts` counts the tags in
+    (lo, hi]. Returns (events, coincidences, diagnostics)."""
     times = split_channels(tags, channel_map)
     bounds = {role: np.searchsorted(times[role], (lo, hi), side="right") for role in _ROLES}
     diag = {"tag_counts": {role: int(b - a) for role, (a, b) in bounds.items()}}
-    events = _match_events(times, cfg, *bounds["mcp"], sync_before, diag)
+    if sync_before is not None:
+        times["sync"] = np.insert(times["sync"], 0, sync_before)
+    events = _match_events(times, cfg, *bounds["mcp"], diag)
     coinc = _match_coincidences(times, events, cfg, diag)
     return events, coinc, diag
 

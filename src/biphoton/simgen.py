@@ -53,7 +53,6 @@ class AcquisitionConfig:
     snspd_dark_rate_hz: float = 200.0
     dead_time_ps: dict[str, float] = field(default_factory=dict)
     duration_s: float = 1.0
-    seed: int = 12345
     tick_ps: int = 25
     mcp_delay_ps: float = 5000.0
     dld_cal: DldCalibration = field(default_factory=DldCalibration)
@@ -86,8 +85,6 @@ class AcquisitionConfig:
             raise ValueError(f"dead_time_ps has unknown role(s) {unknown}; roles are {roles}")
         if any(v < 0 for v in self.dead_time_ps.values()):
             raise ValueError("dead times must be >= 0")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not isinstance(self.tick_ps, int) or not 1 <= self.tick_ps < 1 << 32:
             raise ValueError(f"tick_ps must be an integer in [1, 2**32), got {self.tick_ps!r}")
 
@@ -633,13 +630,15 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, on_truth):
     yield from final(len(carry["ticks"]))
 
 
-def generate(jsa: JsaGrid, cfg: AcquisitionConfig, on_truth=None):
+def generate(jsa: JsaGrid, cfg: AcquisitionConfig, seed, on_truth=None):
     """Synthesize the tag stream for cfg.duration_s; deterministic given
-    (jsa, cfg, seed). Returns a SimResult at once: the pulse blocks are
-    emitted only as its `chunks` are pulled (`_final_chunks`). The ground
-    truth is built only for a callback `on_truth`, which receives it as
-    GroundTruth batches of consecutive pair rows, in row order, each once
-    every stream record of its rows is final."""
+    (jsa, cfg, seed), the seed in [0, SEED_LIMIT). Returns a SimResult at
+    once: the pulse blocks are emitted only as its `chunks` are pulled
+    (`_final_chunks`). The ground truth is built only for a callback
+    `on_truth`, which receives it as GroundTruth batches of consecutive pair
+    rows, in row order, each once every stream record of its rows is final."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if cfg.pair_prob_per_pulse > 0 and not jsa.normalized:
         raise ValueError("pair sampling requires a normalized amplitude grid")
 
@@ -650,7 +649,7 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig, on_truth=None):
         hi = min(lo + _BLOCK_PULSES, n_pulses)
         # the pair count is the block generator's first draw, so the pairs
         # are counted before any block is emitted
-        rng = _block_rng(cfg.seed, block)
+        rng = _block_rng(seed, block)
         count = int(rng.poisson(cfg.pair_prob_per_pulse * (hi - lo)))
         blocks.append((rng, count, lo, hi, n_pairs))
         n_pairs += count

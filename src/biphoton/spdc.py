@@ -388,5 +388,7 @@ def read_jsa_file(path):
         amp = np.frombuffer(fh.read(16 * n_s * n_i), dtype="<c16")
         if len(ws) != n_s or len(wi) != n_i or len(amp) != n_s * n_i:
             raise ValueError("JSA container truncated")
+        if extra := Path(path).stat().st_size - fh.tell():
+            raise ValueError(f"JSA container has {extra} bytes after its amplitude")
     return JsaGrid(ws.copy(), wi.copy(), amp.reshape(n_s, n_i).copy(),
                    normalized=bool(flags & 1))

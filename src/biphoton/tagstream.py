@@ -110,7 +110,8 @@ class TagColumns:
 
     @classmethod
     def empty_of(cls, n):
-        """Uninitialised columns for n tags."""
+        """Uninitialised columns for n tags. np.empty, unlike np.zeros, gets
+        huge pages, which halves the cost of first touching the columns."""
         return cls(np.empty(n, dtype=np.uint16), np.empty(n, dtype=np.int64))
 
     @classmethod
@@ -151,7 +152,6 @@ class StreamHeader:
     channel_count: int = 7
     channel_map: ChannelMap = ChannelMap()
     record_count: int = 0
-    version: int = VERSION
 
     def __post_init__(self):
         if self.tick_ps < 1:
@@ -161,7 +161,7 @@ class StreamHeader:
 
     def to_bytes(self):
         return _HEADER_STRUCT.pack(
-            MAGIC, self.version, self.tick_ps, self.channel_count,
+            MAGIC, VERSION, self.tick_ps, self.channel_count,
             *self.channel_map.ids(), self.record_count,
         )
 
@@ -174,10 +174,8 @@ class StreamHeader:
         magic, version, tick_ps, channel_count, *ids, record_count = _HEADER_STRUCT.unpack(raw[:HEADER_SIZE])
         if version != VERSION:
             raise UnsupportedVersionError(f"unsupported stream version {version}")
-        header = cls(tick_ps=tick_ps, channel_count=channel_count,
-                     channel_map=ChannelMap(*ids), record_count=record_count,
-                     version=version)
-        return header
+        return cls(tick_ps=tick_ps, channel_count=channel_count,
+                   channel_map=ChannelMap(*ids), record_count=record_count)
 
 
 def first_order_violation(tags: TagColumns, after=None):
@@ -276,19 +274,18 @@ def write_stream(header, tags, sink: BinaryIO):
     return HEADER_SIZE + RECORD_SIZE * written
 
 
-def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS, into=None):
+def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
     """Read the header eagerly, then yield TagColumns in bounded blocks.
 
     Returns (header, block_iterator). Single pass; memory bounded by
     block_records. Each block of up to block_records records is decoded,
-    `_WINDOW_RECORDS` records at a time, into fresh columns or, when `into`
-    (TagColumns with room for every record) is given, straight into its
-    slice of `into`. When the block holding the fault is reached, raises a
-    StreamFormatError naming its byte offset for a partial record, a record
-    on a channel outside the header's channel map, a timestamp of 2**63
-    ticks or more, a record out of (timestamp, channel) order, within a
-    block or across a block boundary, and a non-zero header record_count
-    that differs from the records present.
+    `_WINDOW_RECORDS` records at a time, into fresh columns. When the block
+    holding the fault is reached, raises a StreamFormatError naming its byte
+    offset for a partial record, a record on a channel outside the header's
+    channel map, a timestamp of 2**63 ticks or more, a record out of
+    (timestamp, channel) order, within a block or across a block boundary,
+    and a non-zero header record_count that differs from the records
+    present.
     """
     if block_records < 1:
         raise ValueError(f"block_records must be at least 1, got {block_records}")
@@ -301,8 +298,7 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS, into=None
         window = np.empty(min(block_records, _WINDOW_RECORDS), dtype=RECORD_DTYPE)
         seen, last, at_end = 0, None, False
         while not at_end:
-            block = (TagColumns.empty_of(block_records) if into is None
-                     else into[seen:seen + block_records])
+            block = TagColumns.empty_of(block_records)
             filled = 0
             while filled < block_records and not at_end:
                 want = min(len(window), block_records - filled)
@@ -329,14 +325,11 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS, into=None
 
 def read_stream_arrays(source: BinaryIO):
     """Eager reader for a seekable source: returns (header, TagColumns with
-    all records), each block decoded straight into preallocated columns."""
+    all records), decoded as one block one record longer than the source
+    can hold, so that the block reader reaches the end inside it."""
     start = source.tell()
     size = source.seek(0, io.SEEK_END) - start
     source.seek(start)
     n = max(size - HEADER_SIZE, 0) // RECORD_SIZE
-    # np.empty, unlike np.zeros, gets huge pages, which halves the cost of
-    # first touching the columns
-    tags = TagColumns.empty_of(n)
-    header, blocks = iter_stream_blocks(source, into=tags)
-    filled = sum(len(block) for block in blocks)
-    return header, tags[:filled]
+    header, blocks = iter_stream_blocks(source, block_records=n + 1)
+    return header, [TagColumns.empty(), *blocks][-1]

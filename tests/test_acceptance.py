@@ -38,20 +38,20 @@ def reconstructed_schmidt_number(jsi_hist, acq, ecfg):
 
 @pytest.fixture(scope="module")
 def clean_run(jsa512):
-    acq = clean_acquisition(duration_s=3.5, seed=SEED_CLEAN)
+    acq = clean_acquisition(duration_s=3.5)
     ecfg = event_cfg_for(acq)
-    sim = simgen.generate(jsa512, acq)
+    sim = simgen.generate(jsa512, acq, SEED_CLEAN)
     built = engine.build(TagColumns.concatenate(sim.chunks), sim.header.channel_map, ecfg)
     return acq, ecfg, built
 
 
 @pytest.fixture(scope="module")
 def jittered_run(jsa512):
-    acq = clean_acquisition(duration_s=3.5, seed=SEED_CLEAN,
+    acq = clean_acquisition(duration_s=3.5,
                             mcp_jitter_fwhm_ps=263.0, dtx_jitter_fwhm_ps=263.0,
                             snspd_mcp_conv_jitter_fwhm_ps=310.0)
     ecfg = event_cfg_for(acq)
-    sim = simgen.generate(jsa512, acq)
+    sim = simgen.generate(jsa512, acq, SEED_CLEAN)
     built = engine.build(TagColumns.concatenate(sim.chunks), sim.header.channel_map, ecfg)
     return acq, ecfg, built
 
@@ -135,11 +135,11 @@ def test_c05_slice_conservation_exact(jittered_run):
 @pytest.fixture(scope="module")
 def irf_run(jsa512):
     acq = clean_acquisition(pair_prob_per_pulse=0.01, eta_signal=1.0, eta_idler=0.5,
-                            duration_s=1.4, seed=606,
+                            duration_s=1.4,
                             mcp_jitter_fwhm_ps=263.0, dtx_jitter_fwhm_ps=263.0,
                             snspd_mcp_conv_jitter_fwhm_ps=310.0)
     ecfg = event_cfg_for(acq)
-    sim = simgen.generate(jsa512, acq)
+    sim = simgen.generate(jsa512, acq, 606)
     built = engine.build(TagColumns.concatenate(sim.chunks), sim.header.channel_map, ecfg)
     return acq, ecfg, built
 
@@ -169,9 +169,9 @@ def test_c06_irf_recovery_and_contrast_pattern(irf_run):
 def test_c07_default_rates_match_published_values(jsa512):
     with criterion(7, "tuned defaults over 1 s: singles ~6.1e4 Hz and coincidences "
                       "~2.2e4 Hz within 10%"):
-        acq = simgen.AcquisitionConfig(duration_s=1.0, seed=11)
+        acq = simgen.AcquisitionConfig(duration_s=1.0)
         ecfg = event_cfg_for(acq)
-        sim = simgen.generate(jsa512, acq)
+        sim = simgen.generate(jsa512, acq, 11)
         built = engine.build(TagColumns.concatenate(sim.chunks), sim.header.channel_map, ecfg)
         rates = engine.rates_report(built.diagnostics, acq.duration_s)
         assert rates["singles_hz"]["mcp"] == pytest.approx(6.1e4, rel=0.10)

@@ -163,6 +163,20 @@ class TestGenTags:
         # the inputs are unchanged, and no partial stream or manifest is left
         assert files() == before
 
+    def test_bytes_after_jsa_exit_1_before_writing(self, monkeypatch, capsys, tmp_path,
+                                                  pipeline):
+        src, _ = pipeline
+        cfg = small_config(tmp_path)
+        jsa = tmp_path / "jsa.jsag"
+        jsa.write_bytes((src / "jsa/jsa.jsag").read_bytes() + bytes(7))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        run_cli(monkeypatch, ["gen-tags", jsa, cfg, out / "run.ttag",
+                              "--truth", out / "truth.jsonl"], expect=1)
+        assert "7 bytes after its amplitude" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("env_seed, file_seed, source", [
         ("-5", 1, "BIPHOTON_SEED"), (str(2**64), 1, "BIPHOTON_SEED"), (None, 2**64, "seed")])
     def test_bad_seed_exits_2_before_work(self, monkeypatch, capsys, tmp_path, pipeline,
@@ -305,8 +319,9 @@ class TestGenTags:
         run_cli(monkeypatch, ["gen-tags", src / "jsa/jsa.jsag", cfg, stream, "--truth", truth])
         from biphoton.config import load_run_config
         from biphoton.spdc import read_jsa_file
+        run = load_run_config(cfg)
         tags, whole = whole_array_generate(read_jsa_file(src / "jsa/jsa.jsag"),
-                                           load_run_config(cfg).acquisition)
+                                           run.acquisition, run.seed)
         assert len(whole) > 3000
         assert truth.read_bytes() == json_lines_oracle(whole)
         with open(stream, "rb") as fh:

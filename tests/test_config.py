@@ -6,7 +6,7 @@ import pytest
 
 from biphoton.config import (ConfigError, RunConfig, default_config_dict, load_run_config,
                              run_config_from_dict)
-from biphoton.simgen import AcquisitionConfig
+from biphoton.simgen import AcquisitionConfig, generate
 
 
 def leaf_paths(cls, prefix=()):
@@ -162,17 +162,18 @@ class TestStrictParsing:
     def test_seed_rule_ends(self, monkeypatch):
         monkeypatch.delenv("BIPHOTON_SEED", raising=False)
         for seed in (0, 2**64 - 1):
-            assert run_config_from_dict({"seed": seed}).acquisition.seed == seed
+            assert run_config_from_dict({"seed": seed}).seed == seed
         monkeypatch.setenv("BIPHOTON_SEED", str(2**64 - 1))
-        assert run_config_from_dict({"seed": 0}).acquisition.seed == 2**64 - 1
-        with pytest.raises(ValueError, match="seed"):
-            AcquisitionConfig(seed=2**64)
+        assert run_config_from_dict({"seed": 0}).seed == 2**64 - 1
+        assert len(generate(None, AcquisitionConfig(pair_prob_per_pulse=0.0), 2**64 - 1).truth) == 0
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                generate(None, AcquisitionConfig(), seed)
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("BIPHOTON_SEED", "777")
         cfg = run_config_from_dict({"seed": 1})
         assert cfg.seed == 777
-        assert cfg.acquisition.seed == 777
 
     def test_linearized_coeffs_list_accepted(self):
         cfg = run_config_from_dict({"crystal": {

@@ -18,6 +18,8 @@ from biphoton.config import RunConfig
 from conftest import clean_acquisition, expected_jsi_probabilities, normalized_cross_correlation
 
 CMAP = tagstream.ChannelMap()
+#: the seed of every run below that names none
+SEED = 12345
 #: the truth's stream-index fields, one per arm: MCP, X1, X2, SNSPD
 ARMS = ("mcp", "x1", "x2", "snspd")
 
@@ -49,11 +51,11 @@ def jsonl_bytes(truth):
     return sink.getvalue()
 
 
-def generated(jsa, cfg):
+def generated(jsa, cfg, seed=SEED):
     """(tags, truth) of `generate`, its chunks joined and its truth batches
     joined; the batches hold every pair row once the chunks are pulled."""
     batches = []
-    result = simgen.generate(jsa, cfg, batches.append)
+    result = simgen.generate(jsa, cfg, seed, batches.append)
     tags = tagstream.TagColumns.concatenate(result.chunks)
     truth = joined(batches)
     assert len(truth) == len(result.truth)
@@ -70,12 +72,12 @@ class TestGenerateBasics:
         assert len(tags) == expected
 
     def test_deterministic_given_seed(self, model_jsa):
-        cfg = clean_acquisition(duration_s=0.005, seed=777,
+        cfg = clean_acquisition(duration_s=0.005,
                                 mcp_jitter_fwhm_ps=263.0, dtx_jitter_fwhm_ps=263.0,
                                 snspd_mcp_conv_jitter_fwhm_ps=310.0,
                                 dld_dark_rate_hz=2000.0, snspd_dark_rate_hz=200.0)
-        a, _ = generated(model_jsa, cfg)
-        b, _ = generated(model_jsa, cfg)
+        a, _ = generated(model_jsa, cfg, 777)
+        b, _ = generated(model_jsa, cfg, 777)
         assert np.array_equal(a.channel, b.channel)
         assert np.array_equal(a.timestamp, b.timestamp)
         buf_a, buf_b = io.BytesIO(), io.BytesIO()
@@ -215,10 +217,10 @@ class TestGroundTruthAcrossBlocks:
         # three channels: the stream and truth bytes must not move
         monkeypatch.setattr(simgen, "_BLOCK_PULSES", 25_000)
         cfg = simgen.AcquisitionConfig(
-            duration_s=0.002, seed=5, pair_prob_per_pulse=0.02,
+            duration_s=0.002, pair_prob_per_pulse=0.02,
             dld_dark_rate_hz=2e5, snspd_dark_rate_hz=5e4,
             dead_time_ps={"mcp": 40000.0, "dld_x1": 10000.0, "snspd": 20000.0})
-        tags, truth = generated(model_jsa, cfg)
+        tags, truth = generated(model_jsa, cfg, 5)
         assert ((truth.records["mcp"] < 0) & truth.records["signal_detected"]).any()  # dead time
         stream = io.BytesIO()
         tagstream.write_stream(cfg.header(), tags, stream)
@@ -229,7 +231,7 @@ class TestGroundTruthAcrossBlocks:
             "15136545815a63b343c15cc60d638c288d12337ae6c206444ef9cca0958abdbd"
 
 
-def oracle_blocks(jsa, cfg):
+def oracle_blocks(jsa, cfg, seed):
     """Each pulse block's tags and pairs as the synthesizer emitted them
     when it sorted every tag: its pair and dark tags (`_emit_block`), then
     its sync markers (float64 pulse times on the sync channel, labelled
@@ -239,7 +241,7 @@ def oracle_blocks(jsa, cfg):
     parts, n_pairs = [], 0
     for block, lo in enumerate(range(0, cfg.n_pulses, simgen._BLOCK_PULSES)):
         hi = min(lo + simgen._BLOCK_PULSES, cfg.n_pulses)
-        rng = simgen._block_rng(cfg.seed, block)
+        rng = simgen._block_rng(seed, block)
         count = int(rng.poisson(cfg.pair_prob_per_pulse * (hi - lo)))
         tags, pairs = simgen._emit_block(draw_pairs, cfg, rng, count, lo, hi, n_pairs)
         sync_pulses = np.arange(-(-lo // cfg.sync_divider) * cfg.sync_divider, hi,
@@ -254,12 +256,12 @@ def oracle_blocks(jsa, cfg):
     return parts
 
 
-def whole_array_generate(jsa, cfg):
+def whole_array_generate(jsa, cfg, seed=SEED):
     """The synthesizer as one whole-array pass, the reference for its
     chunked stream: every block's tags (`oracle_blocks`) concatenated,
     ticks below 0 dropped, one stable lexsort, the greedy dead-time loop,
     then one scatter of the labels into the truth's arm index fields."""
-    tag_parts, pair_parts = zip(*oracle_blocks(jsa, cfg))
+    tag_parts, pair_parts = zip(*oracle_blocks(jsa, cfg, seed))
     n_pairs = sum(len(pairs["pulse"]) for pairs in pair_parts)
     t_ps, channel, label = (np.concatenate([part[key] for part in tag_parts])
                             for key in ("t_ps", "channel", "label"))
@@ -281,11 +283,11 @@ def whole_array_generate(jsa, cfg):
     return tagstream.TagColumns(channel, ticks), simgen.GroundTruth(records)
 
 
-def streamed(jsa, cfg):
+def streamed(jsa, cfg, seed=SEED):
     """(stream bytes, truth) of `generate`'s chunks written as `gen-tags`
     writes them, and its truth batches joined."""
     batches = []
-    result = simgen.generate(jsa, cfg, batches.append)
+    result = simgen.generate(jsa, cfg, seed, batches.append)
     sink = io.BytesIO()
     tagstream.write_stream(result.header, result.chunks, sink)
     truth = joined(batches)
@@ -293,9 +295,9 @@ def streamed(jsa, cfg):
     return sink.getvalue(), truth
 
 
-def whole_array_stream(jsa, cfg):
+def whole_array_stream(jsa, cfg, seed=SEED):
     """(stream bytes, truth) of `whole_array_generate`."""
-    tags, truth = whole_array_generate(jsa, cfg)
+    tags, truth = whole_array_generate(jsa, cfg, seed)
     sink = io.BytesIO()
     tagstream.write_stream(cfg.header(), tags, sink)
     return sink.getvalue(), truth
@@ -323,14 +325,14 @@ class TestChunkedStream:
                                                    pair_prob, eta, mcp, dtx, extra, dld_dark,
                                                    snspd_dark, dead):
         cfg = simgen.AcquisitionConfig(
-            duration_s=block * n_blocks / 76e6, seed=seed, pair_prob_per_pulse=pair_prob,
+            duration_s=block * n_blocks / 76e6, pair_prob_per_pulse=pair_prob,
             eta_signal=eta, eta_idler=eta, mcp_jitter_fwhm_ps=mcp, dtx_jitter_fwhm_ps=dtx,
             snspd_mcp_conv_jitter_fwhm_ps=mcp + extra, dld_dark_rate_hz=dld_dark,
             snspd_dark_rate_hz=snspd_dark, dead_time_ps=dead)
         with mock.patch.object(simgen, "_BLOCK_PULSES", block):
-            oracle, truth = whole_array_stream(model_jsa, cfg)
+            oracle, truth = whole_array_stream(model_jsa, cfg, seed)
             try:
-                raw, streamed_truth = streamed(model_jsa, cfg)
+                raw, streamed_truth = streamed(model_jsa, cfg, seed)
             except ValueError as exc:
                 assert "pulse block" in str(exc)
                 event("raised")
@@ -347,11 +349,11 @@ class TestChunkedStream:
                                        snspd_mcp_conv_jitter_fwhm_ps=1e6)
         with mock.patch.object(simgen, "_BLOCK_PULSES", 1):
             pulled = []
-            chunks = simgen.generate(model_jsa, cfg).chunks
+            chunks = simgen.generate(model_jsa, cfg, SEED).chunks
             with pytest.raises(ValueError, match=r"pulse block \d+ has a tag at tick"):
                 pulled.extend(chunks)
             assert pulled
-            result = simgen.generate(model_jsa, cfg)
+            result = simgen.generate(model_jsa, cfg, SEED)
             with pytest.raises(ValueError, match="pulse block"):
                 tagstream.write_stream(result.header, result.chunks, io.BytesIO())
 
@@ -380,7 +382,7 @@ class TestChunkedStream:
             with open(tmp_path / "run.ttag", "w+b") as fh:
                 tracemalloc.start()
                 try:
-                    result = simgen.generate(single_point_jsa(), cfg)
+                    result = simgen.generate(single_point_jsa(), cfg, SEED)
                     tagstream.write_stream(result.header, result.chunks, fh)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
@@ -402,7 +404,7 @@ class TestChunkedStream:
             with open(tmp_path / "run.ttag", "w+b") as fh:
                 tracemalloc.start()
                 try:
-                    result = simgen.generate(None, cfg)
+                    result = simgen.generate(None, cfg, SEED)
                     tagstream.write_stream(result.header, result.chunks, fh)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
@@ -423,7 +425,7 @@ class TestChunkedStream:
             with open(tmp_path / "run.ttag", "w+b") as fh:
                 tracemalloc.start()
                 try:
-                    result = simgen.generate(None, cfg)
+                    result = simgen.generate(None, cfg, SEED)
                     tagstream.write_stream(result.header, result.chunks, fh)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
@@ -443,7 +445,7 @@ class TestChunkedStream:
             with open(tmp_path / "run.ttag", "w+b") as fh:
                 tracemalloc.start()
                 try:
-                    result = simgen.generate(single_point_jsa(), cfg)
+                    result = simgen.generate(single_point_jsa(), cfg, SEED)
                     tagstream.write_stream(result.header, result.chunks, fh)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
@@ -466,7 +468,7 @@ def emitted_tags(part, cfg):
                    part["channel"].tolist()))
 
 
-def assert_names_its_block(exc, jsa, cfg):
+def assert_names_its_block(exc, jsa, cfg, seed=SEED):
     """A block error names a tag that block emitted, sorting before a tag
     that an earlier block emitted."""
     found = re.fullmatch(r"pulse block (\d+) has a tag at tick (\d+) on channel (\d+), which "
@@ -475,7 +477,7 @@ def assert_names_its_block(exc, jsa, cfg):
     assert found, str(exc)
     block, tick, channel, final_tick, final_channel = map(int, found.groups())
     assert (tick, channel) < (final_tick, final_channel)
-    parts = oracle_blocks(jsa, cfg)
+    parts = oracle_blocks(jsa, cfg, seed)
     assert (tick, channel) in emitted_tags(parts[block][0], cfg)
     assert any((final_tick, final_channel) in emitted_tags(tags, cfg)
                for tags, _ in parts[:block])
@@ -508,22 +510,22 @@ class TestSyncMerge:
         # tags, on one tick
         cfg = simgen.AcquisitionConfig(
             rep_rate_hz=rep_rate, sync_divider=divider, tick_ps=tick,
-            duration_s=block * n_blocks / rep_rate, seed=seed, pair_prob_per_pulse=pair_prob,
+            duration_s=block * n_blocks / rep_rate, pair_prob_per_pulse=pair_prob,
             mcp_delay_ps=mcp_delay, mcp_jitter_fwhm_ps=jitter, dtx_jitter_fwhm_ps=jitter,
             snspd_mcp_conv_jitter_fwhm_ps=jitter, dld_dark_rate_hz=dark,
             snspd_dark_rate_hz=dark, dead_time_ps=dead, channel_map=channel_map)
         with mock.patch.object(simgen, "_BLOCK_PULSES", block):
-            oracle, truth = whole_array_stream(model_jsa, cfg)
-            tags, _ = whole_array_generate(model_jsa, replace(cfg, dead_time_ps={}))
+            oracle, truth = whole_array_stream(model_jsa, cfg, seed)
+            tags, _ = whole_array_generate(model_jsa, replace(cfg, dead_time_ps={}), seed)
             marker_ticks = tags.timestamp[tags.channel == channel_map.sync]
             if np.isin(tags.timestamp[tags.channel != channel_map.sync], marker_ticks).any():
                 event("a pair or dark tag on a marker's tick")
             if len(np.unique(marker_ticks)) < len(marker_ticks):
                 event("markers sharing a tick")
             try:
-                raw, streamed_truth = streamed(model_jsa, cfg)
+                raw, streamed_truth = streamed(model_jsa, cfg, seed)
             except ValueError as exc:
-                assert_names_its_block(exc, model_jsa, cfg)
+                assert_names_its_block(exc, model_jsa, cfg, seed)
                 event("raised")
                 return
         assert raw == oracle
@@ -560,12 +562,12 @@ class TestSyncMerge:
         # predecessor's idler tag, and block 2's marker sorts before it
         cmap = tagstream.ChannelMap(0, 1, 2, 4, 5, 6, 3)
         cfg = clean_acquisition(sync_divider=2, duration_s=3e-8, pair_prob_per_pulse=1.0,
-                                eta_signal=0.0, seed=3, channel_map=cmap)
+                                eta_signal=0.0, channel_map=cmap)
         monkeypatch.setattr(simgen, "_BLOCK_PULSES", 1)
         with pytest.raises(ValueError, match="pulse block") as raised:
-            tagstream.write_stream(cfg.header(), simgen.generate(model_jsa, cfg).chunks,
+            tagstream.write_stream(cfg.header(), simgen.generate(model_jsa, cfg, 3).chunks,
                                    io.BytesIO())
-        block, channel = assert_names_its_block(raised.value, model_jsa, cfg)
+        block, channel = assert_names_its_block(raised.value, model_jsa, cfg, 3)
         assert (block, channel) == (2, cmap.sync)
 
 
@@ -581,12 +583,12 @@ class TestStreamedTruth:
            dead=st.fixed_dictionaries({"mcp": _DEAD_TIME_PS, "snspd": _DEAD_TIME_PS}))
     def test_batches_join_to_whole_array_truth(self, model_jsa, block, n_blocks, seed,
                                                pair_prob, dead):
-        cfg = simgen.AcquisitionConfig(duration_s=block * n_blocks / 76e6, seed=seed,
+        cfg = simgen.AcquisitionConfig(duration_s=block * n_blocks / 76e6,
                                        pair_prob_per_pulse=pair_prob, dead_time_ps=dead)
         arrivals, sizes = [], []  # (chunks yielded before the batch, batch)
         with mock.patch.object(simgen, "_BLOCK_PULSES", block):
-            tags, truth = whole_array_generate(model_jsa, cfg)
-            result = simgen.generate(model_jsa, cfg,
+            tags, truth = whole_array_generate(model_jsa, cfg, seed)
+            result = simgen.generate(model_jsa, cfg, seed,
                                      lambda batch: arrivals.append((len(sizes), batch)))
             chunks = []
             try:
@@ -617,7 +619,7 @@ class TestStreamedTruth:
 
     def test_no_callback_same_stream_and_pair_count(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.002)
-        result = simgen.generate(model_jsa, cfg)
+        result = simgen.generate(model_jsa, cfg, SEED)
         tags = tagstream.TagColumns.concatenate(result.chunks)
         with_truth, truth = generated(model_jsa, cfg)
         assert result.truth == range(len(truth)) and len(truth) > 0
@@ -629,7 +631,8 @@ class TestStreamedTruth:
         # pieces, they append the whole truth's JSON lines
         cfg = clean_acquisition(duration_s=0.002, eta_signal=0.5)
         spill = io.BytesIO()
-        list(simgen.generate(model_jsa, cfg, functools.partial(simgen.spill_truth, spill)).chunks)
+        on_truth = functools.partial(simgen.spill_truth, spill)
+        list(simgen.generate(model_jsa, cfg, SEED, on_truth).chunks)
         _, truth = generated(model_jsa, cfg)
         records = np.frombuffer(spill.getvalue(), simgen.TRUTH_RECORD)
         assert simgen.TRUTH_RECORD.itemsize == 58 and len(records) == len(truth) > 100

@@ -223,6 +223,17 @@ class TestJsaFileRoundtrip:
         assert np.array_equal(back.amplitude, default_jsa.amplitude)
         assert (tmp_path / "model.jsag.json").exists()
 
+    def test_bytes_after_amplitude_rejected(self, tmp_path):
+        jsa = spdc.compute_jsa(spdc.PumpSpec(), spdc.CrystalSpec(),
+                               spdc.FrequencyGrid(n_signal=64, n_idler=64))
+        path = tmp_path / "model.jsag"
+        spdc.write_jsa_file(path, jsa)
+        assert spdc.read_jsa_file(path).amplitude.shape == (64, 64)
+        with open(path, "ab") as fh:
+            fh.write(bytes(7))
+        with pytest.raises(ValueError, match="7 bytes after its amplitude"):
+            spdc.read_jsa_file(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.jsag"
         path.write_bytes(b"NOPE" + bytes(64))
