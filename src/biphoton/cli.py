@@ -182,6 +182,7 @@ def _tracking_span(blocks, span):
             span["last"] = int(block.timestamp[-1])
             span["records"] += len(block)
         yield block
+        del block   # not held while the next block is read
 
 
 def _jsi_writer(out, cfg, event_cfg):
@@ -370,7 +371,9 @@ def cmd_analyze(jsi_csv, background):
 # ---------------------------------------------------------------------------
 
 _GOLDEN_FILES = ("jsa/jsa.jsag", "tags.ttag", "built/jsi.csv", "built/irf.csv",
-                 "built/signal_spectrum.csv", "built/idler_spectrum.csv")
+                 "built/signal_spectrum.csv", "built/idler_spectrum.csv",
+                 *(f"sliced/frame_{k:02d}.csv" for k in range(5)),
+                 "sliced/out_of_window.csv", "sliced/slices.json")
 
 
 def _golden_config(tmp: Path):
@@ -395,6 +398,8 @@ def _run_golden(update=False):
                               str(tmp / "tags.ttag"), truth_path=None)
         cmd_build.callback(str(tmp / "tags.ttag"), str(cfg_path),
                            str(tmp / "built"), threads=1)
+        cmd_slice.callback(str(tmp / "tags.ttag"), str(cfg_path), str(tmp / "sliced"),
+                           window_ps=150.0, origin_ps=None, frames=5)
 
         hashes = {}
         for rel in _GOLDEN_FILES:

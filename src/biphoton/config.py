@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .engine import EventBuildConfig
 from .histograms import BinSpec
-from .simgen import SEED_LIMIT, AcquisitionConfig
+from .simgen import AcquisitionConfig, check_seed
 from .spdc import CrystalSpec, FrequencyGrid, PumpSpec
 
 SEED_ENV_VAR = "BIPHOTON_SEED"
@@ -60,7 +60,7 @@ class RunConfig:
     event_build: EventBuildOverrides = field(default_factory=EventBuildOverrides)
 
     def __post_init__(self):
-        _check_seed(self.seed, "seed")
+        check_seed(self.seed)
 
     def event_config(self):
         """The event build this instrument implies: the anode propagation
@@ -102,13 +102,6 @@ class RunConfig:
                 f"acquisition.fibre_cal.reference_delay_ps ({gate_center} ticks) and "
                 f"event_build.gate_half_width_ticks ({ov.gate_half_width_ticks}) "
                 f"give an invalid event build: {exc}") from exc
-
-
-def _check_seed(seed, source):
-    """The one seed rule, for the config's `seed` and for SEED_ENV_VAR:
-    an integer in [0, 2**64). `source` names where the seed came from."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
-        raise ConfigError(f"{source} must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _centered_spec(center, width, count):
@@ -199,7 +192,10 @@ def run_config_from_dict(doc):
             seed = int(env_seed)
         except ValueError:
             seed = env_seed     # not an integer: the rule rejects it
-        _check_seed(seed, SEED_ENV_VAR)
+        try:
+            check_seed(seed, SEED_ENV_VAR)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         cfg.seed = seed
     return cfg
 

@@ -349,16 +349,19 @@ def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns
 
 def _steps(blocks, sync_channel, lookahead):
     """Cut an iterator of TagColumns blocks into self-contained steps
-    (tags, lo, hi, sync_before): a view of every tag in (lo, hi + lookahead),
-    at most `_STEP_BUDGET` of them in (lo, hi] unless one tick holds more,
-    and the time of the last sync tag at or before `lo` (or None), taken
-    from each step's tags in (lo, hi] once the step is handed out. The tags
-    after a block's last cutoff are joined to the next block's head up to
-    their last tag plus the lookahead; only the steps cut from that copy
-    span a block boundary. The last cutoff is the last tag; an empty stream
+    (tags, lo, hi, sync_before): every tag in (lo, hi + lookahead), at most
+    `_STEP_BUDGET` of them in (lo, hi] unless one tick holds more, and the
+    time of the last sync tag at or before `lo` (or None), taken from each
+    step's tags in (lo, hi] once the step is handed out. A step is a view
+    of its block, or of the carry: a copy of the tags after a block's last
+    cutoff, joined to the next block's head up to their last tag plus the
+    lookahead. Only the steps cut from the carry span a block boundary, and
+    no block is held once its steps are handed out, so the next one is read
+    beside the carry only. The last cutoff is the last tag; an empty stream
     is one empty step."""
     lo = np.iinfo(np.int64).min
     sync_before = None
+    carry = TagColumns.empty()          # a copy of the tags after lo
 
     def cut(tags, limit):
         # steps of `tags`, which holds every tag after lo before
@@ -376,22 +379,25 @@ def _steps(blocks, sync_channel, lookahead):
                 sync_before = int(ts[stop - 1 - is_sync[::-1].argmax()])
             lo, pos = hi, stop
 
-    carry = TagColumns.empty()          # the tags after lo
-    for block in blocks:
-        if len(block) == 0:
-            continue
+    def take(block):
+        # the steps that the non-empty `block` completes; leaves the tags
+        # after the last cutoff in the carry
+        nonlocal carry
         ts = block.timestamp
         if len(carry):
             hi = int(carry.timestamp[-1])
-            if ts[-1] < hi + lookahead:
-                carry = TagColumns.concatenate([carry, block])
-                continue
-            # the join replaces the carry, which frees the previous block
-            head = block[:np.searchsorted(ts, hi + lookahead, side="left")]
-            carry = TagColumns.concatenate([carry, head])
+            end = np.searchsorted(ts, hi + lookahead, side="left")
+            carry = TagColumns.concatenate([carry, block[:end]])
+            if end == len(ts):      # the block ends inside the carry's lookahead
+                return
             yield from cut(carry, hi)
         yield from cut(block, int(ts[-1]) - lookahead)
-        carry = block[np.searchsorted(ts, lo, side="right"):]
+        carry = block[np.searchsorted(ts, lo, side="right"):].copy()
+
+    for block in blocks:
+        if len(block):
+            yield from take(block)
+        del block   # not held while the next block is read
     if len(carry):
         yield from cut(carry, int(carry.timestamp[-1]))
     else:
@@ -401,22 +407,28 @@ def _steps(blocks, sync_channel, lookahead):
 def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads):
     """The one build driver: (events, coincidences, diagnostics) of each
     step of the block stream, in stream order. Steps are taken from the
-    stream in order; with threads > 1 they run on a pool with at most
-    threads + 1 in flight, so memory grows with the thread count and the
-    step budget, not with the stream. With 1 they run on the calling
-    thread."""
+    stream in order. With 1 thread they run on the calling thread as views,
+    and a step is dropped before the next is cut. With threads > 1 they run
+    on a pool with at most threads + 1 in flight, each on its own copy of
+    its tags, so that no queued or running step holds a block: memory grows
+    with one block, the thread count and the step budget, not with the
+    stream."""
     steps = _steps(blocks, channel_map.sync, cfg.lookahead_ticks())
     run = functools.partial(_build_step, channel_map, cfg)
     if threads <= 1:
-        yield from (run(*step) for step in steps)
+        for step in steps:
+            yield run(*step)
+            del step
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         in_flight = deque()
-        for step in steps:
-            in_flight.append(pool.submit(run, *step))
+        for tags, lo, hi, sync_before in steps:
+            in_flight.append(pool.submit(run, tags.copy(), lo, hi, sync_before))
+            del tags
             if len(in_flight) > threads:
                 yield in_flight.popleft().result()
-        yield from (future.result() for future in in_flight)
+        while in_flight:
+            yield in_flight.popleft().result()
 
 
 def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=None):

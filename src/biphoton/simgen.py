@@ -39,6 +39,14 @@ _BLOCK_PULSES = 1 << 23
 SEED_LIMIT = 1 << 64
 
 
+def check_seed(seed, source="seed"):
+    """The one seed rule: an integer in [0, SEED_LIMIT), a Python or numpy
+    integer but not a bool. Raises ValueError naming `source`."""
+    integer = isinstance(seed, int | np.integer) and not isinstance(seed, bool)
+    if not (integer and 0 <= seed < SEED_LIMIT):
+        raise ValueError(f"{source} must be an integer in [0, 2**64), got {seed!r}")
+
+
 @dataclass
 class AcquisitionConfig:
     rep_rate_hz: float = 76e6
@@ -632,13 +640,12 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, on_truth):
 
 def generate(jsa: JsaGrid, cfg: AcquisitionConfig, seed, on_truth=None):
     """Synthesize the tag stream for cfg.duration_s; deterministic given
-    (jsa, cfg, seed), the seed in [0, SEED_LIMIT). Returns a SimResult at
+    (jsa, cfg, seed), the seed as `check_seed` allows. Returns a SimResult at
     once: the pulse blocks are emitted only as its `chunks` are pulled
     (`_final_chunks`). The ground truth is built only for a callback
     `on_truth`, which receives it as GroundTruth batches of consecutive pair
     rows, in row order, each once every stream record of its rows is final."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    check_seed(seed)
     if cfg.pair_prob_per_pulse > 0 and not jsa.normalized:
         raise ValueError("pair sampling requires a normalized amplitude grid")
 

@@ -114,6 +114,9 @@ class TagColumns:
         huge pages, which halves the cost of first touching the columns."""
         return cls(np.empty(n, dtype=np.uint16), np.empty(n, dtype=np.int64))
 
+    def copy(self):
+        return TagColumns(self.channel.copy(), self.timestamp.copy())
+
     @classmethod
     def concatenate(cls, parts):
         parts = list(parts)
@@ -316,6 +319,7 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
                                       HEADER_SIZE + RECORD_SIZE * seen)
                 seen += filled
                 yield block
+            del block   # not held while the next block is read
         if header.record_count and seen != header.record_count:
             raise RecordCountError(f"header declares {header.record_count} records, found {seen}",
                                    HEADER_SIZE + RECORD_SIZE * seen)

@@ -2,6 +2,7 @@ import json
 import typing
 from dataclasses import asdict, fields, is_dataclass
 
+import numpy as np
 import pytest
 
 from biphoton.config import (ConfigError, RunConfig, default_config_dict, load_run_config,
@@ -167,8 +168,29 @@ class TestStrictParsing:
         assert run_config_from_dict({"seed": 0}).seed == 2**64 - 1
         assert len(generate(None, AcquisitionConfig(pair_prob_per_pulse=0.0), 2**64 - 1).truth) == 0
         for seed in (-1, 2**64):
-            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
                 generate(None, AcquisitionConfig(), seed)
+
+    @pytest.mark.parametrize("seed", [1.5, True, False, np.True_, np.float64(1.0), "7", None,
+                                      np.int64(-1)])
+    def test_generate_keeps_the_config_seed_rule(self, monkeypatch, seed):
+        # 1.5 and True once passed generate's range check and keyed Philox with 1
+        monkeypatch.delenv("BIPHOTON_SEED", raising=False)
+        rule = r"seed must be an integer in \[0, 2\*\*64\)"
+        with pytest.raises(ValueError, match=rule):
+            generate(None, AcquisitionConfig(pair_prob_per_pulse=0.0), seed)
+        with pytest.raises(ConfigError, match=rule):
+            run_config_from_dict({"seed": seed})
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(7), np.uint8(0)])
+    def test_numpy_integer_seed_is_its_value(self, seed):
+        acq = AcquisitionConfig(pair_prob_per_pulse=0.0, duration_s=1e-3)
+
+        def stream(seed):
+            return np.concatenate([c.timestamp for c in generate(None, acq, seed).chunks])
+        assert RunConfig(seed=seed).seed == seed
+        assert np.array_equal(stream(seed), stream(int(seed)))
+        assert len(stream(seed))
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("BIPHOTON_SEED", "777")

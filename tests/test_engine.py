@@ -641,25 +641,28 @@ class TestStepCutter:
             mp.setattr(engine, "_STEP_BUDGET", budget)
             steps = record_steps(mp)
             engine.build(tags, CMAP, cfg)
-            # the whole array is one block, so every step is a view of it
-            assert all(np.shares_memory(step.timestamp, ts) for step, *_ in steps if len(step))
+            whole = list(steps)
             steps.clear()
             engine.fold_stream_blocks([tags[a:b] for a, b in blocks], CMAP, cfg, threads=1)
-        assert_steps_tile(steps, tags)
-        for step, lo, hi, sync_before in steps:
-            assert (step.timestamp > lo).all(), (lo, hi)
-            # exactly the tags in (lo, hi + lookahead)
-            i, j = np.searchsorted(ts, lo, side="right"), np.searchsorted(ts, hi + lookahead)
-            assert step.timestamp.tolist() == ts[i:j].tolist(), (lo, hi)
-            assert step.channel.tolist() == tags.channel[i:j].tolist(), (lo, hi)
-            k = np.searchsorted(syncs, lo, side="right")
-            assert sync_before == (int(syncs[k - 1]) if k else None), (lo, hi)
-            assert sync_before is None or type(sync_before) is int
-            # a step that starts in a block and whose window closes by the
-            # block's last tag needed no other block: it is a view of it
-            for a, b in blocks:
-                if a <= i and hi + lookahead <= ts[b - 1] and i < j:
-                    assert np.shares_memory(step.timestamp, tags.timestamp[a:b]), (lo, hi)
+        # the whole array is one block
+        one_block = [(0, len(tags))] if len(tags) else []
+        for got, parts in ((whole, one_block), (steps, blocks)):
+            assert_steps_tile(got, tags)
+            for step, lo, hi, sync_before in got:
+                assert (step.timestamp > lo).all(), (lo, hi)
+                # exactly the tags in (lo, hi + lookahead)
+                i, j = np.searchsorted(ts, lo, side="right"), np.searchsorted(ts, hi + lookahead)
+                assert step.timestamp.tolist() == ts[i:j].tolist(), (lo, hi)
+                assert step.channel.tolist() == tags.channel[i:j].tolist(), (lo, hi)
+                k = np.searchsorted(syncs, lo, side="right")
+                assert sync_before == (int(syncs[k - 1]) if k else None), (lo, hi)
+                assert sync_before is None or type(sync_before) is int
+                # a step that starts in a block and whose window closes by
+                # the block's last tag needed no other block: it is a view
+                # of it
+                for a, b in parts:
+                    if a <= i and hi + lookahead <= ts[b - 1] and i < j:
+                        assert np.shares_memory(step.timestamp, tags.timestamp[a:b]), (lo, hi)
 
     def test_tick_with_more_tags_than_budget(self):
         cfg = tiny_cfg(250.0)
@@ -729,13 +732,14 @@ class TestStepCutter:
 def pulse_blocks(n_blocks, groups=(1 << 20) // 5):
     """Blocks of about 1M tags: per 64-tick pulse a sync tag, an MCP
     trigger, its two wire tags and an SNSPD tag in the idler gate of
-    tiny_cfg, made one block at a time."""
+    tiny_cfg, made one block at a time. Nothing but the shared channel
+    column is held between blocks, so a fold's peak is its own."""
     roles = ("sync", "mcp", "dld_x1", "dld_x2", "snspd")
     channel = np.tile(np.array([getattr(CMAP, r) for r in roles], dtype=np.uint16), groups)
     offsets = np.array([0, 2, 4, 6, 22])
     for k in range(n_blocks):
-        start = (k * groups + np.arange(groups, dtype=np.int64)) * 64
-        yield TagColumns(channel, (start[:, None] + offsets).ravel())
+        yield TagColumns(channel, np.add.outer(
+            np.arange(k * groups, (k + 1) * groups, dtype=np.int64) * 64, offsets).ravel())
 
 
 class TestFoldMemory:
@@ -753,14 +757,39 @@ class TestFoldMemory:
                 assert result.diagnostics["coincidences"] == n_blocks * ((1 << 20) // 5)
         finally:
             tracemalloc.stop()
-        # two 1M-tag blocks (20 MB) and five steps in flight
+        # one 1M-tag block (10 MB) and five steps in flight
         assert peaks[0] < 64, peaks
         assert peaks[1] < peaks[0] * 1.1 + 1, peaks
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fold_holds_one_block(self, threads):
+        # the traced peak over 1M-tag blocks is one block and threads + 1
+        # steps in flight, a step costing what one costs built alone on its
+        # own tags; a block held while the next is read breaks the bound
+        cfg = tiny_cfg(250.0)
+        block = next(pulse_blocks(1))
+        block_mb = (block.channel.nbytes + block.timestamp.nbytes) / 2**20
+        tags, lo, hi, sync_before = next(engine._steps([block], CMAP.sync,
+                                                       cfg.lookahead_ticks()))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            engine._build_step(CMAP, cfg, tags.copy(), lo, hi, sync_before)
+            step_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+            del block, tags
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            engine.fold_stream_blocks(pulse_blocks(3), CMAP, cfg, threads=threads)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < block_mb + (threads + 1) * step_mb, (peak, block_mb, step_mb)
+
     def test_dense_steps_in_flight_are_small(self):
         # 80% non-sync tags: the budget counts every tag, so five dense
-        # steps in flight cost 10 MB beside the blocks (29.5 MB in all);
-        # 2**18-tag steps held 43-46 MB
+        # steps in flight, each on its own copy of its tags, cost about
+        # 17 MB beside the one block (26.7-27.8 MB in all); 2**18-tag
+        # steps held 43-46 MB beside two blocks
         cfg = tiny_cfg(250.0)
         tracemalloc.start()
         try:
