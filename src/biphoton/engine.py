@@ -332,11 +332,12 @@ def _join_columns(parts):
 
 def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns, lo, hi,
                 sync_before):
-    """Demux one step's tags, then match the events of the MCP triggers in
-    (lo, hi] and their coincidences. `tags` must hold every tag in
-    (lo, hi + lookahead); `sync_before`, the last sync tag at or before `lo`
-    (or None), leads the sync column once `tag_counts` counts the tags in
-    (lo, hi]. Returns (events, coincidences, diagnostics)."""
+    """Demux one step's tags, match the events of the MCP triggers in
+    (lo, hi] and their coincidences, and count them into the step's own
+    `new_histograms` set. `tags` must hold every tag in (lo, hi + lookahead);
+    `sync_before`, the last sync tag at or before `lo` (or None), leads the
+    sync column once `tag_counts` counts the tags in (lo, hi]. Returns
+    (histograms, diagnostics, coincidences); no anode event leaves the step."""
     times = split_channels(tags, channel_map)
     bounds = {role: np.searchsorted(times[role], (lo, hi), side="right") for role in _ROLES}
     diag = {"tag_counts": {role: int(b - a) for role, (a, b) in bounds.items()}}
@@ -344,7 +345,7 @@ def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns
         times["sync"] = np.insert(times["sync"], 0, sync_before)
     events = _match_events(times, cfg, *bounds["mcp"], diag)
     coinc = _match_coincidences(times, events, cfg, diag)
-    return events, coinc, diag
+    return accumulate_histograms(coinc, events, cfg, new_histograms(cfg)), diag, coinc
 
 
 def _steps(blocks, sync_channel, lookahead):
@@ -405,8 +406,8 @@ def _steps(blocks, sync_channel, lookahead):
 
 
 def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads):
-    """The one build driver: (events, coincidences, diagnostics) of each
-    step of the block stream, in stream order. Steps are taken from the
+    """The one build driver: (histograms, diagnostics, coincidences) of
+    each step of the block stream, in stream order. Steps are taken from the
     stream in order. With 1 thread they run on the calling thread as views,
     and a step is dropped before the next is cut. With threads > 1 they run
     on a pool with at most threads + 1 in flight, each on its own copy of
@@ -432,18 +433,17 @@ def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads):
 
 
 def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=None):
-    """The one consumer of the build driver: adds each step into the
-    histograms and the diagnostic counters on the calling thread and hands its
-    coincidences to `keep`, if given. Returns a BuildResult without
-    columns."""
+    """The one consumer of the build driver, which only adds: each step's
+    histograms and diagnostics into the run's, and its coincidences to
+    `keep`, if given. Returns a BuildResult without columns."""
     hists, diag, tag_counts = new_histograms(cfg), Counter(), Counter()
-    for events, coinc, step_diag in _drive(blocks, channel_map, cfg, threads):
-        accumulate_histograms(coinc, events, cfg, hists)
+    for step_hists, step_diag, coinc in _drive(blocks, channel_map, cfg, threads):
+        for name in hists:
+            hists[name] += step_hists[name]
         tag_counts.update(step_diag.pop("tag_counts"))
         diag.update(step_diag)
         if keep is not None:
             keep(coinc)
-        del events, coinc   # not alive while the next step runs, unless kept
     return BuildResult(None, hists, {**diag, "tag_counts": dict(tag_counts),
                                      "jsi_out_of_range": hists["jsi"].out_of_range})
 

@@ -57,6 +57,12 @@ class Histogram1D:
         self.overflow += int(n[-1])
         self.counts += n[1:-1]
 
+    def __iadd__(self, other):
+        self.counts += other.counts
+        self.underflow += other.underflow
+        self.overflow += other.overflow
+        return self
+
     @property
     def total_accumulated(self):
         return int(self.counts.sum()) + self.underflow + self.overflow
@@ -93,6 +99,11 @@ class Histogram2D:
     def add(self, x_values, y_values):
         self.add_cell_counts(np.bincount(self.cells(x_values, y_values),
                                          minlength=self.counts.size + 1))
+
+    def __iadd__(self, other):
+        self.counts += other.counts
+        self.out_of_range += other.out_of_range
+        return self
 
     @property
     def total_in_range(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -30,12 +31,23 @@ def tags_from(rows):
 
 
 def build_events(tags, cfg, cmap=CMAP, threads=1):
-    """The anode events of a whole-array build, joined from the steps of
-    the build driver (engine.build keeps only the coincidences), and the
-    build's diagnostics."""
-    steps = list(engine._drive([tags], cmap, cfg, threads))
-    events = engine._join_columns([events for events, _, _ in steps])
-    return events, engine.build(tags, cmap, cfg, threads=threads).diagnostics
+    """The anode events of a whole-array build and its diagnostics. No
+    event leaves a build step, so each step's events are taken from
+    engine._match_events; the non-empty parts are joined in stream order
+    (pool steps finish in any order)."""
+    parts = []
+    match_events = engine._match_events
+
+    def wrapped(*args):
+        events = match_events(*args)
+        parts.append(events)
+        return events
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_match_events", wrapped)
+        diagnostics = engine.build(tags, cmap, cfg, threads=threads).diagnostics
+    ordered = sorted((p for p in parts if len(p)), key=lambda p: p.t_mcp[0]) or parts[:1]
+    return engine._join_columns(ordered), diagnostics
 
 
 def small_cfg(**kw):
@@ -325,6 +337,29 @@ class TestChunkingAndThreads:
                 assert np.array_equal(single.histograms[name].counts,
                                       multi.histograms[name].counts)
             assert single.diagnostics == multi.diagnostics
+
+    def test_pool_steps_fill_their_histograms_on_workers(self, monkeypatch):
+        # the fold only adds: each step is counted on the worker that built
+        # it, and the driver hands out counts and coincidences, no events
+        cfg = small_cfg()
+        tags = synthetic_stream(n_triples=2000, seed=61)
+        fill_threads = []
+        accumulate = engine.accumulate_histograms
+
+        def wrapped(*args):
+            fill_threads.append(threading.current_thread())
+            return accumulate(*args)
+
+        monkeypatch.setattr(engine, "accumulate_histograms", wrapped)
+        monkeypatch.setattr(engine, "_STEP_BUDGET", 256)
+        folded = engine.fold_stream_blocks([tags], CMAP, cfg, threads=2)
+        steps = list(engine._drive([tags], CMAP, cfg, threads=2))
+        assert folded.diagnostics["coincidences"] > 0
+        # one fill per step, in the fold and in the driver
+        assert len(fill_threads) == 2 * len(steps) > 2
+        assert threading.current_thread() not in fill_threads
+        for step in steps:
+            assert [type(part) for part in step] == [dict, dict, engine.Coincidences]
 
 
 def tiny_cfg(fold_period_ps):

@@ -27,38 +27,49 @@ def oracle_bin(spec, value):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), spec=specs)
 def test_histogram1d_add_matches_per_value_oracle(data, spec):
-    hist = Histogram1D(spec)
+    # one histogram fed every batch, and the sum of one histogram per batch
+    hist, summed = Histogram1D(spec), Histogram1D(spec)
     want = [0] * (spec.count + 2)
     for _ in range(data.draw(st.integers(1, 4))):
-        values = data.draw(st.lists(values_for(spec), max_size=30))
-        hist.add(np.array(values, dtype=np.int64))
-        for value in values:
+        values = np.array(data.draw(st.lists(values_for(spec), max_size=30)), dtype=np.int64)
+        hist.add(values)
+        part = Histogram1D(spec)
+        part.add(values)
+        summed += part
+        for value in values.tolist():
             want[oracle_bin(spec, value) + 1] += 1
-    assert hist.counts.dtype == np.uint64
-    assert hist.counts.tolist() == want[1:-1]
-    assert (hist.underflow, hist.overflow) == (want[0], want[-1])
+    for got in (hist, summed):
+        assert got.counts.dtype == np.uint64
+        assert got.counts.tolist() == want[1:-1]
+        assert (got.underflow, got.overflow) == (want[0], want[-1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), x_spec=specs, y_spec=specs)
 def test_histogram2d_add_matches_per_value_oracle(data, x_spec, y_spec):
-    hist = Histogram2D(x_spec, y_spec)
+    # one histogram fed every batch, and the sum of one histogram per batch
+    hist, summed = Histogram2D(x_spec, y_spec), Histogram2D(x_spec, y_spec)
     want = np.zeros((x_spec.count, y_spec.count), dtype=np.int64)
     out_of_range = 0
     for _ in range(data.draw(st.integers(1, 4))):
         pairs = data.draw(st.lists(st.tuples(values_for(x_spec), values_for(y_spec)),
                                    max_size=30))
-        hist.add(np.array([x for x, _ in pairs], dtype=np.int64),
-                 np.array([y for _, y in pairs], dtype=np.int64))
+        xs = np.array([x for x, _ in pairs], dtype=np.int64)
+        ys = np.array([y for _, y in pairs], dtype=np.int64)
+        hist.add(xs, ys)
+        part = Histogram2D(x_spec, y_spec)
+        part.add(xs, ys)
+        summed += part
         for x, y in pairs:
             ix, iy = oracle_bin(x_spec, x), oracle_bin(y_spec, y)
             if 0 <= ix < x_spec.count and 0 <= iy < y_spec.count:
                 want[ix, iy] += 1
             else:
                 out_of_range += 1
-    assert hist.counts.dtype == np.uint64
-    assert hist.counts.tolist() == want.tolist()
-    assert hist.out_of_range == out_of_range
+    for got in (hist, summed):
+        assert got.counts.dtype == np.uint64
+        assert got.counts.tolist() == want.tolist()
+        assert got.out_of_range == out_of_range
 
 
 def test_matrix_round_trips_bitwise(tmp_path):
