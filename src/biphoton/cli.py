@@ -194,15 +194,16 @@ def _jsi_writer(out, cfg, event_cfg):
     acq = cfg.acquisition
     guard = event_cfg.dt_guard_ticks
     x_spec, y_spec = event_cfg.jsi_x_spec, event_cfg.jsi_y_spec
-    x_lam = calibration.signal_wavelength(
-        calibration.dld_position(x_spec.edges().astype(float), acq.dld_cal,
-                                 guard_ticks=guard), acq.dld_cal)
-    y_lam = calibration.idler_wavelength(y_spec.edges().astype(float), acq.fibre_cal,
-                                         acq.tick_ps)
-    x_centers = calibration.signal_wavelength(
-        calibration.dld_position(x_spec.centers(), acq.dld_cal, guard_ticks=guard),
-        acq.dld_cal)
-    y_centers = calibration.idler_wavelength(y_spec.centers(), acq.fibre_cal, acq.tick_ps)
+
+    def x_nm(ticks):    # anode delay difference -> signal wavelength
+        return calibration.signal_wavelength(calibration.dld_position(
+            ticks.astype(float), acq.dld_cal, guard_ticks=guard), acq.dld_cal)
+
+    def y_nm(ticks):    # idler delay -> idler wavelength
+        return calibration.idler_wavelength(ticks.astype(float), acq.fibre_cal, acq.tick_ps)
+
+    x_lam, x_centers = x_nm(x_spec.edges()), x_nm(x_spec.centers())
+    y_lam, y_centers = y_nm(y_spec.edges()), y_nm(y_spec.centers())
     for name, spec, centers, lam_edges in (("signal_axis.csv", x_spec, x_centers, x_lam),
                                            ("idler_axis.csv", y_spec, y_centers, y_lam)):
         histograms.write_table_csv(

@@ -3,7 +3,7 @@ signal-idler coincidences, 1-D spectra, the static joint spectrum, and
 time-resolved joint-spectrum slices.
 
 Every anode event is a pure function of the tags inside its lookahead window
-and the latest preceding sync tag. One build driver (`_drive`) runs a block
+and the latest preceding sync tag. One build loop (`_fold`) runs a block
 stream as self-contained steps in stream order, on the calling thread or a
 thread pool, with bitwise identical results for any block partition and
 thread count.
@@ -262,15 +262,16 @@ def new_histograms(cfg: EventBuildConfig):
 
 
 def accumulate_histograms(coincidences: Coincidences, events: DldEvents,
-                          cfg: EventBuildConfig, into):
-    """Add one step into `into`, a `new_histograms` set; the instrument-response
-    histogram is built from every anode event with a sync reference, the idler
-    spectrum and joint spectrum from coincidences."""
-    into["irf"].add(fold_offset_values(events.sync_offset[events.has_sync], cfg))
-    into["signal_spectrum"].add(events.dt_x)
-    into["idler_spectrum"].add(coincidences.tau)
-    into["jsi"].add(coincidences.dt_x, coincidences.tau)
-    return into
+                          cfg: EventBuildConfig):
+    """One step's `new_histograms` set: the instrument-response histogram
+    counts every anode event with a sync reference, the idler spectrum and
+    joint spectrum the coincidences."""
+    hists = new_histograms(cfg)
+    hists["irf"].add(fold_offset_values(events.sync_offset[events.has_sync], cfg))
+    hists["signal_spectrum"].add(events.dt_x)
+    hists["idler_spectrum"].add(coincidences.tau)
+    hists["jsi"].add(coincidences.dt_x, coincidences.tau)
+    return hists
 
 
 def slice_time_resolved(coincidences: Coincidences, cfg: EventBuildConfig,
@@ -345,7 +346,7 @@ def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns
         times["sync"] = np.insert(times["sync"], 0, sync_before)
     events = _match_events(times, cfg, *bounds["mcp"], diag)
     coinc = _match_coincidences(times, events, cfg, diag)
-    return accumulate_histograms(coinc, events, cfg, new_histograms(cfg)), diag, coinc
+    return accumulate_histograms(coinc, events, cfg), diag, coinc
 
 
 def _steps(blocks, sync_channel, lookahead):
@@ -405,56 +406,50 @@ def _steps(blocks, sync_channel, lookahead):
         yield carry, lo, lo, sync_before
 
 
-def _drive(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads):
-    """The one build driver: (histograms, diagnostics, coincidences) of
-    each step of the block stream, in stream order. Steps are taken from the
-    stream in order. With 1 thread they run on the calling thread as views,
-    and a step is dropped before the next is cut. With threads > 1 they run
-    on a pool with at most threads + 1 in flight, each on its own copy of
-    its tags, so that no queued or running step holds a block: memory grows
-    with one block, the thread count and the step budget, not with the
-    stream."""
-    steps = _steps(blocks, channel_map.sync, cfg.lookahead_ticks())
-    run = functools.partial(_build_step, channel_map, cfg)
-    if threads <= 1:
-        for step in steps:
-            yield run(*step)
-            del step
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        in_flight = deque()
-        for tags, lo, hi, sync_before in steps:
-            in_flight.append(pool.submit(run, tags.copy(), lo, hi, sync_before))
-            del tags
-            if len(in_flight) > threads:
-                yield in_flight.popleft().result()
-        while in_flight:
-            yield in_flight.popleft().result()
-
-
 def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=None):
-    """The one consumer of the build driver, which only adds: each step's
-    histograms and diagnostics into the run's, and its coincidences to
-    `keep`, if given. Returns a BuildResult without columns."""
+    """The one build loop: cut the block stream into steps, run each, and
+    add its histograms and diagnostics into the run's, and its coincidences
+    to `keep` (if given), as it finishes. One thread runs the steps as views
+    and drops each before the next is cut; a pool runs at most threads + 1,
+    each on its own copy of its tags, so that no step holds a block and
+    memory grows with one block, the thread count and the step budget, not
+    with the stream. Returns a BuildResult without columns."""
     hists, diag, tag_counts = new_histograms(cfg), Counter(), Counter()
-    for step_hists, step_diag, coinc in _drive(blocks, channel_map, cfg, threads):
+
+    def add(step_hists, step_diag, coinc):
         for name in hists:
             hists[name] += step_hists[name]
         tag_counts.update(step_diag.pop("tag_counts"))
         diag.update(step_diag)
         if keep is not None:
             keep(coinc)
+
+    steps = _steps(blocks, channel_map.sync, cfg.lookahead_ticks())
+    run = functools.partial(_build_step, channel_map, cfg)
+    if threads <= 1:
+        for step in steps:
+            add(*run(*step))
+            del step
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            in_flight = deque()
+            for tags, lo, hi, sync_before in steps:
+                in_flight.append(pool.submit(run, tags.copy(), lo, hi, sync_before))
+                del tags
+                if len(in_flight) > threads:
+                    add(*in_flight.popleft().result())
+            while in_flight:
+                add(*in_flight.popleft().result())
     return BuildResult(None, hists, {**diag, "tag_counts": dict(tag_counts),
                                      "jsi_out_of_range": hists["jsi"].out_of_range})
 
 
-def build(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig, threads=1):
+def build(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig):
     """One-shot build of coincidences, histograms and diagnostics: the fold
-    of `tags` as one block, keeping the coincidence columns (the anode
-    events go into the histograms only). Any thread count gives identical
-    results."""
+    of `tags` as one block on the calling thread, keeping the coincidence
+    columns (the anode events go into the histograms only)."""
     kept = []
-    result = _fold([tags], channel_map, cfg, threads, kept.append)
+    result = _fold([tags], channel_map, cfg, 1, kept.append)
     result.coincidences = _join_columns(kept)
     return result
 

@@ -378,17 +378,19 @@ def write_jsa_file(path, jsa: JsaGrid, params: dict | None = None):
 def read_jsa_file(path):
     with open(path, "rb") as fh:
         raw = fh.read(_JSA_HEADER.size)
-        if len(raw) < 4 or raw[:4] != JSA_MAGIC:
-            raise ValueError(f"not a JSA container: bad magic {raw[:4]!r}")
+        if raw[:4] != JSA_MAGIC or len(raw) < _JSA_HEADER.size:
+            raise ValueError(f"not a JSA container: magic {raw[:4]!r}, {len(raw)}-byte header")
         magic, version, n_s, n_i, flags = _JSA_HEADER.unpack(raw)
         if version != JSA_VERSION:
             raise ValueError(f"unsupported JSA container version {version}")
-        ws = np.frombuffer(fh.read(8 * n_s), dtype="<f8")
-        wi = np.frombuffer(fh.read(8 * n_i), dtype="<f8")
-        amp = np.frombuffer(fh.read(16 * n_s * n_i), dtype="<c16")
-        if len(ws) != n_s or len(wi) != n_i or len(amp) != n_s * n_i:
-            raise ValueError("JSA container truncated")
-        if extra := Path(path).stat().st_size - fh.tell():
-            raise ValueError(f"JSA container has {extra} bytes after its amplitude")
-    return JsaGrid(ws.copy(), wi.copy(), amp.reshape(n_s, n_i).copy(),
-                   normalized=bool(flags & 1))
+        # before any read: a header cannot ask for more memory than the file holds
+        if extra := Path(path).stat().st_size - (len(raw) + 8 * (n_s + n_i) + 16 * n_s * n_i):
+            raise ValueError("JSA container truncated" if extra < 0 else
+                             f"JSA container has {extra} bytes after its amplitude")
+        ws = np.frombuffer(fh.read(8 * n_s), dtype="<f8").copy()
+        wi = np.frombuffer(fh.read(8 * n_i), dtype="<f8").copy()
+        amp = np.frombuffer(fh.read(16 * n_s * n_i), dtype="<c16").reshape(n_s, n_i).copy()
+    for name, values in (("signal axis", ws), ("idler axis", wi), ("amplitude", amp)):
+        if len(bad := np.argwhere(~np.isfinite(values))):
+            raise ValueError(f"JSA container has a non-finite {name} at index {bad[0].tolist()}")
+    return JsaGrid(ws, wi, amp, normalized=bool(flags & 1))

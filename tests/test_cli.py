@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from biphoton import cli as cli_mod
-from biphoton import engine, schmidt, simgen, tagstream
+from biphoton import engine, schmidt, simgen, spdc, tagstream
 from biphoton.config import default_config_dict
 from biphoton.histograms import read_matrix_csv
 from conftest import assert_fit_matches_scipy
@@ -175,6 +175,31 @@ class TestGenTags:
         run_cli(monkeypatch, ["gen-tags", jsa, cfg, out / "run.ttag",
                               "--truth", out / "truth.jsonl"], expect=1)
         assert "7 bytes after its amplitude" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "JSA container has a non-finite amplitude at index [10, 20]"),
+        (np.inf, "JSA container has a non-finite amplitude at index [10, 20]"),
+        (None, "JSA container truncated")], ids=["nan", "inf", "oversized-header"])
+    def test_bad_jsa_exits_1_before_writing(self, monkeypatch, capsys, tmp_path, pipeline,
+                                            bad, message):
+        # a non-finite cell would draw every pair into one grid cell, and a
+        # header declaring 2**31 x 2**31 cells would ask for that much memory
+        src, _ = pipeline
+        jsa = tmp_path / "jsa.jsag"
+        if bad is None:
+            jsa.write_bytes(spdc._JSA_HEADER.pack(spdc.JSA_MAGIC, spdc.JSA_VERSION,
+                                                  2**31, 2**31, 1) + bytes(64))
+        else:
+            grid = spdc.read_jsa_file(src / "jsa/jsa.jsag")
+            grid.amplitude[10, 20] = bad
+            spdc.write_jsa_file(jsa, grid)
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        run_cli(monkeypatch, ["gen-tags", jsa, small_config(tmp_path), out / "run.ttag",
+                              "--truth", out / "truth.jsonl"], expect=1)
+        assert f"error: {message}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("env_seed, file_seed, source", [
@@ -442,10 +467,11 @@ class TestBuild:
         tmp, cfg = pipeline
         stream = tmp / "tags.ttag"
         whole = tmp_path / "whole"
+        fold = engine.fold_stream_blocks
         with monkeypatch.context() as mp:
             mp.setattr(engine, "fold_stream_blocks",
-                       lambda blocks, channel_map, event_cfg, threads: engine.build(
-                           tagstream.TagColumns.concatenate(blocks), channel_map, event_cfg,
+                       lambda blocks, channel_map, event_cfg, threads: fold(
+                           [tagstream.TagColumns.concatenate(blocks)], channel_map, event_cfg,
                            threads=threads))
             run_cli(mp, ["build", stream, cfg, whole])
         # 997-record blocks and 500-tag steps: many steps span a block boundary

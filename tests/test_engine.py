@@ -1,6 +1,7 @@
 import dataclasses
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def build_events(tags, cfg, cmap=CMAP, threads=1):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_match_events", wrapped)
-        diagnostics = engine.build(tags, cmap, cfg, threads=threads).diagnostics
+        diagnostics = engine.fold_stream_blocks([tags], cmap, cfg, threads=threads).diagnostics
     ordered = sorted((p for p in parts if len(p)), key=lambda p: p.t_mcp[0]) or parts[:1]
     return engine._join_columns(ordered), diagnostics
 
@@ -325,14 +326,13 @@ class TestChunkingAndThreads:
     def test_threads_produce_identical_results(self):
         cfg = small_cfg()
         tags = synthetic_stream(n_triples=5000, seed=53)
-        single = engine.build(tags, CMAP, cfg, threads=1)
+        single = engine.build(tags, CMAP, cfg)
         single_events, _ = build_events(tags, cfg, threads=1)
         for threads in (2, 4, 8):
-            multi = engine.build(tags, CMAP, cfg, threads=threads)
+            multi = engine.fold_stream_blocks([tags], CMAP, cfg, threads=threads)
             multi_events, _ = build_events(tags, cfg, threads=threads)
             assert np.array_equal(single_events.t_mcp, multi_events.t_mcp)
             assert np.array_equal(single_events.dt_x, multi_events.dt_x)
-            assert np.array_equal(single.coincidences.tau, multi.coincidences.tau)
             for name in single.histograms:
                 assert np.array_equal(single.histograms[name].counts,
                                       multi.histograms[name].counts)
@@ -340,26 +340,46 @@ class TestChunkingAndThreads:
 
     def test_pool_steps_fill_their_histograms_on_workers(self, monkeypatch):
         # the fold only adds: each step is counted on the worker that built
-        # it, and the driver hands out counts and coincidences, no events
+        # it and hands out counts and coincidences, no events
         cfg = small_cfg()
         tags = synthetic_stream(n_triples=2000, seed=61)
-        fill_threads = []
-        accumulate = engine.accumulate_histograms
+        steps = []
+        build_step = engine._build_step
 
         def wrapped(*args):
-            fill_threads.append(threading.current_thread())
-            return accumulate(*args)
+            result = build_step(*args)
+            steps.append((threading.current_thread(), [type(part) for part in result]))
+            return result
 
-        monkeypatch.setattr(engine, "accumulate_histograms", wrapped)
+        monkeypatch.setattr(engine, "_build_step", wrapped)
         monkeypatch.setattr(engine, "_STEP_BUDGET", 256)
         folded = engine.fold_stream_blocks([tags], CMAP, cfg, threads=2)
-        steps = list(engine._drive([tags], CMAP, cfg, threads=2))
         assert folded.diagnostics["coincidences"] > 0
-        # one fill per step, in the fold and in the driver
-        assert len(fill_threads) == 2 * len(steps) > 2
-        assert threading.current_thread() not in fill_threads
-        for step in steps:
-            assert [type(part) for part in step] == [dict, dict, engine.Coincidences]
+        assert len(steps) > 2
+        for thread, types in steps:
+            assert thread is not threading.current_thread()
+            assert types == [dict, dict, engine.Coincidences]
+
+    def test_no_step_outlives_its_addition(self, monkeypatch):
+        # each step's histograms and coincidences are added as it finishes
+        # and dropped before the next step starts
+        cfg = small_cfg()
+        tags = synthetic_stream(n_triples=2000, seed=61)
+        refs, alive = [], []
+        build_step = engine._build_step
+
+        def wrapped(*args):
+            alive.append([ref() is not None for ref in refs])
+            step_hists, diag, coinc = build_step(*args)
+            refs.extend((weakref.ref(coinc), weakref.ref(step_hists["jsi"])))
+            return step_hists, diag, coinc
+
+        monkeypatch.setattr(engine, "_build_step", wrapped)
+        monkeypatch.setattr(engine, "_STEP_BUDGET", 256)
+        folded = engine.fold_stream_blocks([tags], CMAP, cfg, threads=1)
+        assert folded.diagnostics["coincidences"] > 0
+        assert len(alive) > 2
+        assert not any(any(step) for step in alive), alive
 
 
 def tiny_cfg(fold_period_ps):
@@ -409,11 +429,11 @@ class TestDriverProperties:
     def test_build_equals_fold_equals_oracle(self, tags, cuts, threads, fold_period_ps,
                                              window):
         cfg = tiny_cfg(fold_period_ps)
-        whole = engine.build(tags, CMAP, cfg, threads=threads)
+        whole = engine.build(tags, CMAP, cfg)
 
         edges = [0, *sorted(c for c in cuts if c < len(tags)), len(tags)]
         folded = engine.fold_stream_blocks((tags[a:b] for a, b in zip(edges, edges[1:])),
-                                           CMAP, cfg)
+                                           CMAP, cfg, threads=threads)
         assert folded.diagnostics == whole.diagnostics
         for name, hist in whole.histograms.items():
             assert np.array_equal(folded.histograms[name].counts, hist.counts), name
@@ -644,7 +664,10 @@ class TestStepCutter:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_STEP_BUDGET", budget)
             steps = record_steps(mp)
-            whole = engine.build(tags, CMAP, cfg, threads=threads)
+            whole = engine.build(tags, CMAP, cfg)
+            assert_steps_tile(steps, tags)
+            steps.clear()
+            one_block = engine.fold_stream_blocks([tags], CMAP, cfg, threads=threads)
             assert_steps_tile(steps, tags)
             steps.clear()
             folded = engine.fold_stream_blocks(
@@ -652,6 +675,7 @@ class TestStepCutter:
             assert_steps_tile(steps, tags)
             events, _ = build_events(tags, cfg, threads=threads)
         assert_same_result(folded, whole)
+        assert_same_result(one_block, whole)
 
         oracle = brute_force_events(tags, cfg)
         assert events.t_mcp.tolist() == [t0 for t0, _, _ in oracle]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -238,4 +240,27 @@ class TestJsaFileRoundtrip:
         path = tmp_path / "junk.jsag"
         path.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(ValueError, match="magic"):
+            spdc.read_jsa_file(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.jsag"
+        path.write_bytes(b"JSAG\x01\x00")
+        with pytest.raises(ValueError, match="6-byte header"):
+            spdc.read_jsa_file(path)
+
+    @pytest.mark.parametrize("field, index, bad, where", [
+        ("amplitude", (3, 5), np.nan, "amplitude at index [3, 5]"),
+        ("amplitude", (0, 63), np.inf, "amplitude at index [0, 63]"),
+        ("amplitude", (9, 9), complex(1, -np.inf), "amplitude at index [9, 9]"),
+        ("signal_omega", 7, np.nan, "signal axis at index [7]"),
+        ("idler_omega", 0, -np.inf, "idler axis at index [0]")],
+        ids=["nan", "inf", "complex-inf", "signal-axis", "idler-axis"])
+    def test_non_finite_values_rejected(self, tmp_path, field, index, bad, where):
+        # a non-finite cell would draw every sampled pair into one grid cell
+        jsa = spdc.compute_jsa(spdc.PumpSpec(), spdc.CrystalSpec(),
+                               spdc.FrequencyGrid(n_signal=64, n_idler=64))
+        getattr(jsa, field)[index] = bad
+        path = tmp_path / "model.jsag"
+        spdc.write_jsa_file(path, jsa)
+        with pytest.raises(ValueError, match=f"non-finite {re.escape(where)}"):
             spdc.read_jsa_file(path)
