@@ -171,20 +171,6 @@ def _open_stream(ttag_path, cfg):
         yield fh
 
 
-def _tracking_span(blocks, span):
-    """Re-yield `blocks`, counting their records in span["records"] and
-    keeping the stream's first and last timestamp in span["first"] and
-    span["last"] (absent until a tag is seen)."""
-    span["records"] = 0
-    for block in blocks:
-        if len(block):
-            span.setdefault("first", int(block.timestamp[0]))
-            span["last"] = int(block.timestamp[-1])
-            span["records"] += len(block)
-        yield block
-        del block   # not held while the next block is read
-
-
 def _jsi_writer(out, cfg, event_cfg):
     """Write the companion axis files of the joint-spectrum binning into
     `out` (one row per bin: tick center, calibrated wavelength center) and
@@ -230,11 +216,10 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
     """Build events, coincidences, spectra and the static joint spectrum."""
     cfg = load_run_config(config_path)
     event_cfg = cfg.event_config()
-    span = {}
     with _open_stream(ttag_path, cfg) as fh:
         header, blocks = tagstream.iter_stream_blocks(fh)
-        result = engine.fold_stream_blocks(_tracking_span(blocks, span), header.channel_map,
-                                           event_cfg, threads=threads)
+        result = engine.fold_stream_blocks(blocks, header.channel_map, event_cfg,
+                                           threads=threads)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -245,14 +230,11 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
                                          value_name, cfg.acquisition.tick_ps, meta=meta)
     _jsi_writer(out, cfg, event_cfg)("jsi.csv", result.histograms["jsi"], meta)
 
-    diagnostics = {**result.diagnostics, "records": span["records"]}
-    if "first" in span:
-        duration_s = float((span["last"] - span["first"] + 1) * header.tick_ps * 1e-12)
-        diagnostics["rates"] = engine.rates_report(result.diagnostics, duration_s)
-    _write_json(out / "diagnostics.json", diagnostics)
+    _write_json(out / "diagnostics.json", result.diagnostics)
     _write_manifest(out / "manifest.json", "build", config_path, cfg.seed,
                     extra={"threads": threads})
-    click.echo(f"{diagnostics['events']} events, {diagnostics['coincidences']} coincidences, "
+    click.echo(f"{result.diagnostics['events']} events, "
+               f"{result.diagnostics['coincidences']} coincidences, "
                f"jsi total {result.histograms['jsi'].total_in_range}")
 
 
@@ -300,6 +282,10 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
     if not -2**63 <= origins[0] <= origins[1] + frames * width_ticks < 2**63:
         raise click.BadParameter(f"{frames} windows of {width_ticks} ticks put a window edge "
                                  "beyond the int64 tick range", param_hint=option)
+    if frames > (most := event_cfg.irf_spec.count // width_ticks + 1):
+        raise click.BadParameter(f"at most {most} windows of {width_ticks} ticks cover the "
+                                 f"{event_cfg.irf_spec.count}-tick response range",
+                                 param_hint="--frames")
     with _open_stream(ttag_path, cfg) as fh:
         header, tags = tagstream.read_stream_arrays(fh)
     result = engine.build(tags, header.channel_map, event_cfg)

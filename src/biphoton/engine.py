@@ -155,8 +155,9 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, diag):
 
     For each trigger, X1/X2 tags are searched in (t_mcp, t_mcp + window];
     an event is emitted iff exactly one candidate exists on each wire and
-    the decoded difference is inside the guard band. The Y wires are not
-    read: no result uses the second anode axis.
+    the decoded difference is inside the guard band; any other trigger is
+    counted once, under its first failing cause of no_x1, multi_x1, no_x2,
+    multi_x2, out_of_guard. The Y wires are not read: no result uses them.
     """
     mcp = times["mcp"][mcp_lo:mcp_hi]
     diag["mcp_triggers"] = len(mcp)
@@ -170,13 +171,14 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, diag):
 
     lo1, n1 = first_and_count("dld_x1")
     lo2, n2 = first_and_count("dld_x2")
-    good = (n1 == 1) & (n2 == 1)
-    diag["no_x1"], _, diag["multi_x1"] = np.bincount(n1, minlength=3).tolist()
-    diag["no_x2"], _, diag["multi_x2"] = np.bincount(n2, minlength=3).tolist()
+    # a wire cause 0-3 in the order of the names, or 4: one tag on each wire
+    cause = np.where(n1 != 1, n1 // 2, np.where(n2 != 1, 2 + n2 // 2, 4))
+    (diag["no_x1"], diag["multi_x1"], diag["no_x2"], diag["multi_x2"],
+     _) = np.bincount(cause, minlength=5).tolist()
 
-    keep = np.flatnonzero(good)
+    keep = np.flatnonzero(cause == 4)
     dt_x = times["dld_x1"][lo1[keep]] - times["dld_x2"][lo2[keep]]
-    del lo1, n1, lo2, n2, good, window_end  # a step's largest arrays
+    del lo1, n1, lo2, n2, cause, window_end  # a step's largest arrays
     in_guard = np.abs(dt_x) <= cfg.t_a_ticks + cfg.dt_guard_ticks
     diag["out_of_guard"] = int((~in_guard).sum())
     t_mcp = mcp[keep[in_guard]]
@@ -349,7 +351,7 @@ def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns
     return accumulate_histograms(coinc, events, cfg), diag, coinc
 
 
-def _steps(blocks, sync_channel, lookahead):
+def _steps(blocks, sync_channel, lookahead, span):
     """Cut an iterator of TagColumns blocks into self-contained steps
     (tags, lo, hi, sync_before): every tag in (lo, hi + lookahead), at most
     `_STEP_BUDGET` of them in (lo, hi] unless one tick holds more, and the
@@ -360,7 +362,8 @@ def _steps(blocks, sync_channel, lookahead):
     lookahead. Only the steps cut from the carry span a block boundary, and
     no block is held once its steps are handed out, so the next one is read
     beside the carry only. The last cutoff is the last tag; an empty stream
-    is one empty step."""
+    is one empty step. span["records"] counts the records received, and
+    span["first"] and span["last"] are the stream's first and last tick."""
     lo = np.iinfo(np.int64).min
     sync_before = None
     carry = TagColumns.empty()          # a copy of the tags after lo
@@ -398,10 +401,13 @@ def _steps(blocks, sync_channel, lookahead):
 
     for block in blocks:
         if len(block):
+            span["records"] += len(block)
+            span.setdefault("first", int(block.timestamp[0]))
             yield from take(block)
         del block   # not held while the next block is read
-    if len(carry):
-        yield from cut(carry, int(carry.timestamp[-1]))
+    if len(carry):      # it holds the last tag
+        span["last"] = int(carry.timestamp[-1])
+        yield from cut(carry, span["last"])
     else:
         yield carry, lo, lo, sync_before
 
@@ -413,8 +419,9 @@ def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=
     and drops each before the next is cut; a pool runs at most threads + 1,
     each on its own copy of its tags, so that no step holds a block and
     memory grows with one block, the thread count and the step budget, not
-    with the stream. Returns a BuildResult without columns."""
-    hists, diag, tag_counts = new_histograms(cfg), Counter(), Counter()
+    with the stream. Returns a BuildResult without columns whose diagnostics
+    hold the `records` received and, unless there are none, their `rates`."""
+    hists, diag, tag_counts, span = new_histograms(cfg), Counter(), Counter(), {"records": 0}
 
     def add(step_hists, step_diag, coinc):
         for name in hists:
@@ -424,7 +431,7 @@ def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=
         if keep is not None:
             keep(coinc)
 
-    steps = _steps(blocks, channel_map.sync, cfg.lookahead_ticks())
+    steps = _steps(blocks, channel_map.sync, cfg.lookahead_ticks(), span)
     run = functools.partial(_build_step, channel_map, cfg)
     if threads <= 1:
         for step in steps:
@@ -440,8 +447,12 @@ def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=
                     add(*in_flight.popleft().result())
             while in_flight:
                 add(*in_flight.popleft().result())
-    return BuildResult(None, hists, {**diag, "tag_counts": dict(tag_counts),
-                                     "jsi_out_of_range": hists["jsi"].out_of_range})
+    diag = {**diag, "tag_counts": dict(tag_counts), "records": span["records"],
+            "jsi_out_of_range": hists["jsi"].out_of_range}
+    if span["records"]:
+        duration_s = (span["last"] - span["first"] + 1) * cfg.tick_ps * 1e-12
+        diag["rates"] = rates_report(diag, duration_s)
+    return BuildResult(None, hists, diag)
 
 
 def build(tags: TagColumns, channel_map: ChannelMap, cfg: EventBuildConfig):

@@ -12,7 +12,7 @@ around the nominal 515 / 1550 nm operating point (``pm_model="linearized"``).
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +259,7 @@ def pump_envelope(omega_s, omega_i, pump: PumpSpec):
     return np.exp(-2.0 * np.log(2.0) * detune**2 / pump.fwhm_omega**2)
 
 
-def solve_phase_matching_angle(signal_nm=515.0, idler_nm=1550.0):
+def solve_phase_matching_angle(signal_nm, idler_nm):
     """XY-plane angle (degrees) at which the collinear process
     pump(in-plane) -> signal(z) + idler(z) is exactly phase matched,
     found by bisection on [5, 85] degrees down to the float resolution."""
@@ -295,11 +295,10 @@ def phase_mismatch(omega_s, omega_i, crystal: CrystalSpec):
     omega_s = np.asarray(omega_s, dtype=float)
     omega_i = np.asarray(omega_i, dtype=float)
     if crystal.pm_model == "sellmeier":
-        phi = crystal.phase_matching_angle_deg
-        if phi is None:
-            phi = solve_phase_matching_angle(*crystal.linearized_center_nm)
-        return _sellmeier_delta_k(wavelength_from_omega(omega_s),
-                                  wavelength_from_omega(omega_i), phi)
+        if crystal.phase_matching_angle_deg is None:
+            raise ValueError("no phase-matching angle: compute_jsa solves it on a grid")
+        return _sellmeier_delta_k(wavelength_from_omega(omega_s), wavelength_from_omega(omega_i),
+                                  crystal.phase_matching_angle_deg)
     tau_s, tau_i = crystal.linearized_coeffs
     w_s0 = omega_from_wavelength(crystal.linearized_center_nm[0])
     w_i0 = omega_from_wavelength(crystal.linearized_center_nm[1])
@@ -307,7 +306,10 @@ def phase_mismatch(omega_s, omega_i, crystal: CrystalSpec):
 
 
 def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, grid: FrequencyGrid):
-    """Normalized joint spectral amplitude on the grid."""
+    """Normalized joint spectral amplitude; a null angle is solved at the grid centres."""
+    if crystal.pm_model == "sellmeier" and crystal.phase_matching_angle_deg is None:
+        crystal = replace(crystal, phase_matching_angle_deg=solve_phase_matching_angle(
+            grid.signal_center_nm, grid.idler_center_nm))
     ws = grid.signal_omega
     wi = grid.idler_omega
     WS, WI = np.meshgrid(ws, wi, indexing="ij")

@@ -12,7 +12,7 @@ import pytest
 
 from biphoton import cli as cli_mod
 from biphoton import engine, schmidt, simgen, spdc, tagstream
-from biphoton.config import default_config_dict
+from biphoton.config import default_config_dict, load_run_config
 from biphoton.histograms import read_matrix_csv
 from conftest import assert_fit_matches_scipy
 from test_engine import ZERO_DIAGNOSTICS
@@ -676,7 +676,9 @@ class TestProvenance:
 class TestCountOptions:
     @pytest.mark.parametrize("command,option,value", [("build", "--threads", 0),
                                                       ("build", "--threads", -3),
-                                                      ("slice", "--frames", 0)])
+                                                      ("slice", "--frames", 0),
+                                                      # 89 windows of 150 ps
+                                                      ("slice", "--frames", 89)])
     def test_bad_count_exits_2_before_reading(self, monkeypatch, capsys, tmp_path, pipeline,
                                               command, option, value):
         _, cfg = pipeline
@@ -722,6 +724,16 @@ class TestCountOptions:
         assert option in err and ("finite" if value.lstrip("-") in ("inf", "nan")
                                   else "int64") in err
         assert not (tmp_path / "out").exists()
+
+    def test_most_frames_accepted(self, monkeypatch, tmp_path, pipeline):
+        # offsets fold into the 527 ticks of the response function, which
+        # 88 windows of 150 ps (6 ticks) cover and 89 overrun by more than one
+        tmp, cfg = pipeline
+        ecfg = load_run_config(cfg).event_config()
+        assert ecfg.tick_ps == 25 and ecfg.irf_spec.count == 527
+        run_cli(monkeypatch, ["slice", tmp / "tags.ttag", cfg, tmp_path / "most",
+                              "--window", 150, "--frames", 88])
+        assert (tmp_path / "most/frame_87.csv").exists()
 
     def test_least_counts_accepted(self, monkeypatch, tmp_path, pipeline):
         tmp, cfg = pipeline

@@ -98,6 +98,12 @@ class TestBuildDldEvents:
         assert len(events) == 0
         assert diag["multi_x1"] == 1
 
+    def test_trigger_counted_under_its_first_cause(self):
+        # no wire tag: no_x1 only; two X1 tags and no X2 tag: multi_x1 only
+        tags = tags_from([("mcp", 1000), ("mcp", 2000), ("dld_x1", 2010), ("dld_x1", 2020)])
+        _, diag = build_events(tags, small_cfg())
+        assert [diag[c] for c in ("no_x1", "multi_x1", "no_x2", "multi_x2")] == [1, 1, 0, 0]
+
     def test_out_of_guard_dropped(self):
         cfg = small_cfg()
         # dt = +46 > t_a + guard = 44
@@ -457,6 +463,34 @@ class TestDriverProperties:
             total += frame.counts
         assert np.array_equal(total, whole.histograms["jsi"].counts)
 
+    @settings(max_examples=100, deadline=None)
+    @given(tags=random_streams(), cuts=st.lists(st.integers(0, 300), max_size=12),
+           threads=st.sampled_from([1, 2, 4]))
+    def test_fold_accounts_for_every_record(self, tags, cuts, threads):
+        cfg = tiny_cfg(250.0)
+        whole = engine.build(tags, CMAP, cfg).diagnostics
+        edges = [0, *sorted(c for c in cuts if c < len(tags)), len(tags)]
+        folded = engine.fold_stream_blocks((tags[a:b] for a, b in zip(edges, edges[1:])),
+                                           CMAP, cfg, threads=threads).diagnostics
+        assert whole["records"] == folded["records"] == len(tags)
+        assert sum(folded["tag_counts"].values()) == len(tags)
+        if len(tags):
+            ts = tags.timestamp
+            duration_s = (int(ts[-1]) - int(ts[0]) + 1) * cfg.tick_ps * 1e-12
+            assert whole["rates"] == folded["rates"] == engine.rates_report(folded, duration_s)
+        else:
+            assert "rates" not in whole and "rates" not in folded
+
+    @settings(max_examples=100, deadline=None)
+    @given(tags=random_streams(), cuts=st.lists(st.integers(0, 300), max_size=12),
+           threads=st.sampled_from([1, 2, 4]))
+    def test_each_rejected_trigger_counted_once(self, tags, cuts, threads):
+        edges = [0, *sorted(c for c in cuts if c < len(tags)), len(tags)]
+        diag = engine.fold_stream_blocks((tags[a:b] for a, b in zip(edges, edges[1:])),
+                                         CMAP, tiny_cfg(None), threads=threads).diagnostics
+        causes = ("no_x1", "multi_x1", "no_x2", "multi_x2", "out_of_guard")
+        assert diag["mcp_triggers"] == diag["events"] + sum(diag[c] for c in causes)
+
 
 class TestRatesReport:
     def test_singles_arithmetic(self):
@@ -785,7 +819,7 @@ class TestStepCutter:
             assert [(len(t), lo, hi, sync) for t, lo, hi, sync in steps] == [
                 (0, np.iinfo(np.int64).min, np.iinfo(np.int64).min, None)]
         assert_same_result(got, want)
-        assert none.diagnostics == {**ZERO_DIAGNOSTICS, "jsi_out_of_range": 0}
+        assert none.diagnostics == {**ZERO_DIAGNOSTICS, "jsi_out_of_range": 0, "records": 0}
 
 
 def pulse_blocks(n_blocks, groups=(1 << 20) // 5):
@@ -829,7 +863,8 @@ class TestFoldMemory:
         block = next(pulse_blocks(1))
         block_mb = (block.channel.nbytes + block.timestamp.nbytes) / 2**20
         tags, lo, hi, sync_before = next(engine._steps([block], CMAP.sync,
-                                                       cfg.lookahead_ticks()))
+                                                       cfg.lookahead_ticks(),
+                                                       {"records": 0}))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

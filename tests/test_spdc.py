@@ -66,10 +66,24 @@ class TestPhaseMismatch:
     def test_solved_angle_consistent_with_quoted_value(self):
         phi = spdc.solve_phase_matching_angle(515.0, 1550.0)
         assert phi == pytest.approx(25.0, abs=0.1)
-        crystal = spdc.CrystalSpec(phase_matching_angle_deg=None)
+        crystal = spdc.CrystalSpec(phase_matching_angle_deg=phi)
         dk = spdc.phase_mismatch(omega_from_wavelength(515.0),
                                  omega_from_wavelength(1550.0), crystal)
         assert abs(dk) < 1e-8
+
+    def test_null_angle_solved_at_grid_centres(self):
+        # not at linearized_center_nm (515/1550 nm), where it is 24.986 degrees
+        grid = spdc.FrequencyGrid(520.0, 1510.0, n_signal=33, n_idler=33)
+        pump = spdc.PumpSpec(center_wavelength_nm=1.0 / (1.0 / 520.0 + 1.0 / 1510.0))
+        phi = spdc.solve_phase_matching_angle(520.0, 1510.0)
+        assert phi == pytest.approx(25.452, abs=1e-3)
+        solved = spdc.compute_jsa(pump, spdc.CrystalSpec(phase_matching_angle_deg=None), grid)
+        crystal = spdc.CrystalSpec(phase_matching_angle_deg=phi)
+        assert np.array_equal(solved.amplitude, spdc.compute_jsa(pump, crystal, grid).amplitude)
+        center = omega_from_wavelength(520.0), omega_from_wavelength(1510.0)
+        assert abs(spdc.phase_mismatch(*center, crystal)) < 1e-8
+        with pytest.raises(ValueError, match="no phase-matching angle"):
+            spdc.phase_mismatch(*center, spdc.CrystalSpec(phase_matching_angle_deg=None))
 
     def test_solved_angle_matches_brentq(self):
         optimize = pytest.importorskip("scipy.optimize")
