@@ -148,10 +148,12 @@ def _count_hits(arr, lo, end, exact):
     return n
 
 
-def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, diag):
+def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before, diag):
     """Assemble events for the MCP triggers in [mcp_lo, mcp_hi), writing
     their counts into the step's diagnostics `diag`. An event's sync tag is
-    the last in `times["sync"]` at or before its trigger.
+    the last in `times["sync"]` at or before its trigger, or `sync_before`
+    (a tick before the column's first, or None) for the triggers before the
+    column's first sync tag.
 
     For each trigger, X1/X2 tags are searched in (t_mcp, t_mcp + window];
     an event is emitted iff exactly one candidate exists on each wire and
@@ -190,6 +192,11 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, diag):
     has_sync = si >= 0
     sync_offset = np.zeros(len(t_mcp), dtype=np.int64)
     sync_offset[has_sync] = t_mcp[has_sync] - sync[si[has_sync]]
+    if sync_before is not None:
+        # the triggers before the column's first sync tag lead t_mcp
+        n = len(t_mcp) - np.count_nonzero(has_sync)
+        sync_offset[:n] = t_mcp[:n] - sync_before
+        has_sync[:n] = True
     diag["syncless_events"] = int((~has_sync).sum())
     diag["events"] = len(t_mcp)
     return DldEvents(t_mcp, dt_x, sync_offset, has_sync)
@@ -333,21 +340,20 @@ def _join_columns(parts):
                   for f in fields(cls)})
 
 
-def _build_step(channel_map: ChannelMap, cfg: EventBuildConfig, tags: TagColumns, lo, hi,
-                sync_before):
-    """Demux one step's tags, match the events of the MCP triggers in
-    (lo, hi] and their coincidences, and count them into the step's own
-    `new_histograms` set. `tags` must hold every tag in (lo, hi + lookahead);
-    `sync_before`, the last sync tag at or before `lo` (or None), leads the
-    sync column once `tag_counts` counts the tags in (lo, hi]. Returns
-    (histograms, diagnostics, coincidences); no anode event leaves the step."""
-    times = split_channels(tags, channel_map)
+def _build_step(cfg: EventBuildConfig, times, lo, hi, sync_before):
+    """Match the events of the MCP triggers in (lo, hi] and their
+    coincidences in one step's role columns `times` (`split_channels` of
+    every tag in (lo, hi + lookahead)), and count them into the step's own
+    `new_histograms` set. `sync_before`, the last sync tag at or before `lo`
+    (or None), is the sync tag of the triggers before the step's first sync
+    tag. The step empties `times` before the histogram fill, so no role
+    column is held beside the histograms. Returns (histograms, diagnostics,
+    coincidences); no anode event leaves the step."""
     bounds = {role: np.searchsorted(times[role], (lo, hi), side="right") for role in _ROLES}
     diag = {"tag_counts": {role: int(b - a) for role, (a, b) in bounds.items()}}
-    if sync_before is not None:
-        times["sync"] = np.insert(times["sync"], 0, sync_before)
-    events = _match_events(times, cfg, *bounds["mcp"], diag)
+    events = _match_events(times, cfg, *bounds["mcp"], sync_before, diag)
     coinc = _match_coincidences(times, events, cfg, diag)
+    times.clear()
     return accumulate_histograms(coinc, events, cfg), diag, coinc
 
 
@@ -413,14 +419,16 @@ def _steps(blocks, sync_channel, lookahead, span):
 
 
 def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=None):
-    """The one build loop: cut the block stream into steps, run each, and
-    add its histograms and diagnostics into the run's, and its coincidences
-    to `keep` (if given), as it finishes. One thread runs the steps as views
-    and drops each before the next is cut; a pool runs at most threads + 1,
-    each on its own copy of its tags, so that no step holds a block and
-    memory grows with one block, the thread count and the step budget, not
-    with the stream. Returns a BuildResult without columns whose diagnostics
-    hold the `records` received and, unless there are none, their `rates`."""
+    """The one build loop: cut the block stream into steps, demux each on
+    the calling thread, run it, and add its histograms and diagnostics into
+    the run's, and its coincidences to `keep` (if given), as it finishes.
+    A step's tags are a view of its block, dropped once its role columns
+    (fresh arrays) are made, so no step holds a block. One thread runs
+    each step before the next is cut; a pool runs at most threads + 1 on
+    their role columns, so that memory grows with one block, the thread
+    count and the step budget, not with the stream. Returns a BuildResult
+    without columns whose diagnostics hold the `records` received and,
+    unless there are none, their `rates`."""
     hists, diag, tag_counts, span = new_histograms(cfg), Counter(), Counter(), {"records": 0}
 
     def add(step_hists, step_diag, coinc):
@@ -432,16 +440,17 @@ def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=
             keep(coinc)
 
     steps = _steps(blocks, channel_map.sync, cfg.lookahead_ticks(), span)
-    run = functools.partial(_build_step, channel_map, cfg)
+    run = functools.partial(_build_step, cfg)
     if threads <= 1:
-        for step in steps:
-            add(*run(*step))
-            del step
+        for tags, lo, hi, sync_before in steps:
+            add(*run(split_channels(tags, channel_map), lo, hi, sync_before))
+            del tags
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             in_flight = deque()
             for tags, lo, hi, sync_before in steps:
-                in_flight.append(pool.submit(run, tags.copy(), lo, hi, sync_before))
+                in_flight.append(pool.submit(run, split_channels(tags, channel_map),
+                                             lo, hi, sync_before))
                 del tags
                 if len(in_flight) > threads:
                     add(*in_flight.popleft().result())

@@ -231,6 +231,8 @@ def test_c09_determinism_and_thread_independence(big_stream_cli):
         assert n_tags >= 10_000_000
         reference = sorted((tmp / "built_t1").glob("*.csv"))
         assert reference
+        # the diagnostics are documented as thread-independent too
+        reference.append(tmp / "built_t1" / "diagnostics.json")
         for threads in (4, 8):
             for ref in reference:
                 other = tmp / f"built_t{threads}" / ref.name

@@ -658,16 +658,17 @@ class TestWindowEdges:
 
 
 def record_steps(mp):
-    """Wrap engine._build_step so that each step's (tags, lo, hi,
-    sync_before) is kept."""
+    """Wrap engine._steps so that each step's (tags, lo, hi, sync_before)
+    is kept as it is cut."""
     steps = []
-    build_step = engine._build_step
+    cut = engine._steps
 
-    def wrapped(channel_map, cfg, tags, lo, hi, sync_before):
-        steps.append((tags, lo, hi, sync_before))
-        return build_step(channel_map, cfg, tags, lo, hi, sync_before)
+    def wrapped(*args):
+        for step in cut(*args):
+            steps.append(step)
+            yield step
 
-    mp.setattr(engine, "_build_step", wrapped)
+    mp.setattr(engine, "_steps", wrapped)
     return steps
 
 
@@ -822,14 +823,15 @@ class TestStepCutter:
         assert none.diagnostics == {**ZERO_DIAGNOSTICS, "jsi_out_of_range": 0, "records": 0}
 
 
-def pulse_blocks(n_blocks, groups=(1 << 20) // 5):
+def pulse_blocks(n_blocks, groups=(1 << 20) // 5, syncs=1):
     """Blocks of about 1M tags: per 64-tick pulse a sync tag, an MCP
     trigger, its two wire tags and an SNSPD tag in the idler gate of
-    tiny_cfg, made one block at a time. Nothing but the shared channel
-    column is held between blocks, so a fold's peak is its own."""
-    roles = ("sync", "mcp", "dld_x1", "dld_x2", "snspd")
+    tiny_cfg, then syncs - 1 more sync tags, made one block at a time.
+    Nothing but the shared channel column is held between blocks, so a
+    fold's peak is its own."""
+    roles = ("sync", "mcp", "dld_x1", "dld_x2", "snspd") + ("sync",) * (syncs - 1)
     channel = np.tile(np.array([getattr(CMAP, r) for r in roles], dtype=np.uint16), groups)
-    offsets = np.array([0, 2, 4, 6, 22])
+    offsets = np.array([0, 2, 4, 6, 22] + [24 + 2 * k for k in range(syncs - 1)])
     for k in range(n_blocks):
         yield TagColumns(channel, np.add.outer(
             np.arange(k * groups, (k + 1) * groups, dtype=np.int64) * 64, offsets).ravel())
@@ -857,8 +859,8 @@ class TestFoldMemory:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_fold_holds_one_block(self, threads):
         # the traced peak over 1M-tag blocks is one block and threads + 1
-        # steps in flight, a step costing what one costs built alone on its
-        # own tags; a block held while the next is read breaks the bound
+        # steps in flight, a step costing what one costs demuxed and built
+        # alone; a block held while the next is read breaks the bound
         cfg = tiny_cfg(250.0)
         block = next(pulse_blocks(1))
         block_mb = (block.channel.nbytes + block.timestamp.nbytes) / 2**20
@@ -868,7 +870,7 @@ class TestFoldMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            engine._build_step(CMAP, cfg, tags.copy(), lo, hi, sync_before)
+            engine._build_step(cfg, engine.split_channels(tags, CMAP), lo, hi, sync_before)
             step_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
             del block, tags
             tracemalloc.reset_peak()
@@ -879,11 +881,45 @@ class TestFoldMemory:
             tracemalloc.stop()
         assert peak < block_mb + (threads + 1) * step_mb, (peak, block_mb, step_mb)
 
+    def test_pool_steps_hold_role_columns_only(self):
+        # 84% sync tags, as in the template stream: at 4 threads the traced
+        # peak is one block, threads + 1 steps demuxed on the calling
+        # thread and one step's build temporaries; a pool step that also
+        # held a copy of its tags read 22.5-23.2 MB against 19.4 MB
+        cfg, threads = tiny_cfg(250.0), 4
+        sync_heavy = dict(groups=(1 << 20) // 25, syncs=21)
+        block = next(pulse_blocks(1, **sync_heavy))
+        block_mb = (block.channel.nbytes + block.timestamp.nbytes) / 2**20
+        tags, lo, hi, sync_before = next(engine._steps([block], CMAP.sync,
+                                                       cfg.lookahead_ticks(),
+                                                       {"records": 0}))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            times = engine.split_channels(tags, CMAP)
+            demux_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            engine._build_step(cfg, times, lo, hi, sync_before)
+            build_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+            del block, tags, times
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = engine.fold_stream_blocks(pulse_blocks(3, **sync_heavy), CMAP, cfg,
+                                               threads=threads)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics["coincidences"] == 3 * ((1 << 20) // 25)
+        assert peak < block_mb + (threads + 1) * demux_mb + build_mb, (
+            peak, block_mb, demux_mb, build_mb)
+
     def test_dense_steps_in_flight_are_small(self):
         # 80% non-sync tags: the budget counts every tag, so five dense
-        # steps in flight, each on its own copy of its tags, cost about
-        # 17 MB beside the one block (26.7-27.8 MB in all); 2**18-tag
-        # steps held 43-46 MB beside two blocks
+        # steps in flight on their role columns cost about 13 MB beside
+        # the one block (22.2-23.9 MB in all; 26.7-28.4 MB when each pool
+        # step held a copy of its tags); 2**18-tag steps held 43-46 MB
+        # beside two blocks
         cfg = tiny_cfg(250.0)
         tracemalloc.start()
         try:
@@ -892,7 +928,7 @@ class TestFoldMemory:
             peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
         finally:
             tracemalloc.stop()
-        assert peak < 36, peak
+        assert peak < 31, peak
 
 
 class TestBuildMemory:
