@@ -334,7 +334,10 @@ def cmd_analyze(jsi_csv, background):
     except KeyError as exc:
         raise ValueError(f"{jsi_csv} lacks wavelength axis metadata ({exc})") from exc
 
-    jsa = schmidt.jsa_from_jsi(counts, lam_s, lam_i, background=background)
+    try:
+        jsa = schmidt.jsa_from_jsi(counts, lam_s, lam_i, background=background)
+    except ValueError as exc:
+        raise ValueError(f"{jsi_csv}: {exc}") from exc
     report = schmidt.schmidt_decompose(jsa)
     out = {
         "schmidt_number": report.schmidt_number,

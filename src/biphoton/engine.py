@@ -133,15 +133,17 @@ def _count_hits(arr, lo, end, exact):
     With exact=False the count stops at 2, which tells the wire windows
     apart: no tag, one tag, more than one. With exact=True the windows that
     hold both are closed by one binary search over those windows only."""
+    dtype = np.int64 if exact else np.int8
     if not len(arr):
-        return np.zeros(len(lo), dtype=np.int64)
+        return np.zeros(len(lo), dtype=dtype)
     last = len(arr) - 1
 
     def hit(at, end):
         return (at <= last) & (arr.take(at, mode="clip") <= end)
 
     second = hit(lo + 1, end)
-    n = hit(lo, end) + second.astype(np.int64)
+    n = hit(lo, end).astype(dtype)
+    n += second
     if exact:
         open_ = np.flatnonzero(second)
         n[open_] = np.searchsorted(arr, end[open_], side="right") - lo[open_]
@@ -171,16 +173,21 @@ def _match_events(times, cfg: EventBuildConfig, mcp_lo, mcp_hi, sync_before, dia
         lo = np.searchsorted(arr, mcp, side="right")
         return lo, _count_hits(arr, lo, window_end, exact=False)
 
+    # the per-trigger arrays are a step's largest: each is dropped at its
+    # last use
     lo1, n1 = first_and_count("dld_x1")
     lo2, n2 = first_and_count("dld_x2")
+    del window_end
     # a wire cause 0-3 in the order of the names, or 4: one tag on each wire
     cause = np.where(n1 != 1, n1 // 2, np.where(n2 != 1, 2 + n2 // 2, 4))
+    del n1, n2
     (diag["no_x1"], diag["multi_x1"], diag["no_x2"], diag["multi_x2"],
      _) = np.bincount(cause, minlength=5).tolist()
 
     keep = np.flatnonzero(cause == 4)
+    del cause
     dt_x = times["dld_x1"][lo1[keep]] - times["dld_x2"][lo2[keep]]
-    del lo1, n1, lo2, n2, cause, window_end  # a step's largest arrays
+    del lo1, lo2
     in_guard = np.abs(dt_x) <= cfg.t_a_ticks + cfg.dt_guard_ticks
     diag["out_of_guard"] = int((~in_guard).sum())
     t_mcp = mcp[keep[in_guard]]
@@ -207,9 +214,10 @@ def _expand_gate(snspd, starts, counts):
     if total == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     owner = np.repeat(np.arange(len(counts)), counts)
-    prefix = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    within = np.arange(total) - np.repeat(prefix, counts)
-    return owner, snspd[np.repeat(starts, counts) + within]
+    # hit k of the whole list is tag k + (start - hits before) of its gate
+    index = np.arange(total)
+    index += np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return owner, snspd[index]
 
 
 def _match_coincidences(times, events: DldEvents, cfg: EventBuildConfig, diag):
@@ -217,23 +225,26 @@ def _match_coincidences(times, events: DldEvents, cfg: EventBuildConfig, diag):
     the counts into `diag`. Multi-hit gates yield one coincidence per hit
     (accidentals, tallied separately)."""
     snspd = times["snspd"]
-    gate_lo = events.t_mcp + cfg.gate_center_ticks - cfg.gate_half_width_ticks
-    gate_hi = events.t_mcp + cfg.gate_center_ticks + cfg.gate_half_width_ticks
+    # one pair of gate arrays: the displaced gate first, then shifted back
     disp = cfg.sync_period_ticks
-    dlo = np.searchsorted(snspd, gate_lo + disp, side="left")
-    diag["displaced_gate_hits"] = int(_count_hits(snspd, dlo, gate_hi + disp, exact=True).sum())
-    del dlo
+    gate_lo = events.t_mcp + (cfg.gate_center_ticks - cfg.gate_half_width_ticks + disp)
+    gate_hi = events.t_mcp + (cfg.gate_center_ticks + cfg.gate_half_width_ticks + disp)
+    lo = np.searchsorted(snspd, gate_lo, side="left")
+    diag["displaced_gate_hits"] = int(_count_hits(snspd, lo, gate_hi, exact=True).sum())
+    del lo
+    gate_lo -= disp
+    gate_hi -= disp
 
     lo = np.searchsorted(snspd, gate_lo, side="left")
     counts = _count_hits(snspd, lo, gate_hi, exact=True)
     del gate_lo, gate_hi    # not held beside the coincidence columns
-    owner, sn_t = _expand_gate(snspd, lo, counts)
-    diag["multi_hit_gates"] = int((counts > 1).sum())
-    diag["extra_gate_hits"] = int(np.clip(counts - 1, 0, None).sum())
+    owner, tau = _expand_gate(snspd, lo, counts)
+    diag["multi_hit_gates"] = int(np.count_nonzero(counts > 1))
+    diag["extra_gate_hits"] = int(counts.sum()) - int(np.count_nonzero(counts))
     del lo, counts
-    tau = sn_t - events.t_mcp[owner]
-    del sn_t
-    coinc = Coincidences(events.t_mcp[owner], events.dt_x[owner],
+    t_mcp = events.t_mcp[owner]
+    tau -= t_mcp
+    coinc = Coincidences(t_mcp, events.dt_x[owner],
                          events.sync_offset[owner], events.has_sync[owner], tau)
     diag["coincidences"] = len(coinc)
     return coinc
@@ -357,38 +368,32 @@ def _build_step(cfg: EventBuildConfig, times, lo, hi, sync_before):
     return accumulate_histograms(coinc, events, cfg), diag, coinc
 
 
-def _steps(blocks, sync_channel, lookahead, span):
+def _steps(blocks, lookahead, span):
     """Cut an iterator of TagColumns blocks into self-contained steps
-    (tags, lo, hi, sync_before): every tag in (lo, hi + lookahead), at most
-    `_STEP_BUDGET` of them in (lo, hi] unless one tick holds more, and the
-    time of the last sync tag at or before `lo` (or None), taken from each
-    step's tags in (lo, hi] once the step is handed out. A step is a view
-    of its block, or of the carry: a copy of the tags after a block's last
-    cutoff, joined to the next block's head up to their last tag plus the
-    lookahead. Only the steps cut from the carry span a block boundary, and
-    no block is held once its steps are handed out, so the next one is read
-    beside the carry only. The last cutoff is the last tag; an empty stream
-    is one empty step. span["records"] counts the records received, and
+    (tags, lo, hi): every tag in (lo, hi + lookahead), at most
+    `_STEP_BUDGET` of them in (lo, hi] unless one tick holds more. The
+    cutter reads timestamps only. A step is a view of its block, or of the
+    carry: a copy of the tags after a block's last cutoff, joined to the
+    next block's head up to their last tag plus the lookahead. Only the
+    steps cut from the carry span a block boundary, and no block is held
+    once its steps are handed out, so the next one is read beside the
+    carry only. The last cutoff is the last tag; an empty stream is one
+    empty step. span["records"] counts the records received, and
     span["first"] and span["last"] are the stream's first and last tick."""
     lo = np.iinfo(np.int64).min
-    sync_before = None
     carry = TagColumns.empty()          # a copy of the tags after lo
 
     def cut(tags, limit):
         # steps of `tags`, which holds every tag after lo before
         # limit + lookahead, with cutoffs up to `limit`
-        nonlocal lo, sync_before
+        nonlocal lo
         ts = tags.timestamp
         pos = int(np.searchsorted(ts, lo, side="right"))
         while lo < limit:
             hi = min(int(ts[min(pos + _STEP_BUDGET, len(ts)) - 1]), limit)
             end = int(np.searchsorted(ts, hi + lookahead, side="left"))
-            yield tags[pos:end], lo, hi, sync_before
-            stop = int(np.searchsorted(ts, hi, side="right"))
-            is_sync = tags.channel[pos:stop] == sync_channel
-            if is_sync.any():
-                sync_before = int(ts[stop - 1 - is_sync[::-1].argmax()])
-            lo, pos = hi, stop
+            yield tags[pos:end], lo, hi
+            lo, pos = hi, int(np.searchsorted(ts, hi, side="right"))
 
     def take(block):
         # the steps that the non-empty `block` completes; leaves the tags
@@ -415,7 +420,7 @@ def _steps(blocks, sync_channel, lookahead, span):
         span["last"] = int(carry.timestamp[-1])
         yield from cut(carry, span["last"])
     else:
-        yield carry, lo, lo, sync_before
+        yield carry, lo, lo
 
 
 def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=None):
@@ -423,12 +428,14 @@ def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=
     the calling thread, run it, and add its histograms and diagnostics into
     the run's, and its coincidences to `keep` (if given), as it finishes.
     A step's tags are a view of its block, dropped once its role columns
-    (fresh arrays) are made, so no step holds a block. One thread runs
-    each step before the next is cut; a pool runs at most threads + 1 on
-    their role columns, so that memory grows with one block, the thread
-    count and the step budget, not with the stream. Returns a BuildResult
-    without columns whose diagnostics hold the `records` received and,
-    unless there are none, their `rates`."""
+    (fresh arrays) are made, so no step holds a block. Each step is passed
+    the last sync tag at or before its `lo` (or None), taken from the sync
+    columns of the steps before it. One thread runs each step before the
+    next is cut; a pool runs at most threads + 1 on their role columns, so
+    that memory grows with one block, the thread count and the step
+    budget, not with the stream. Returns a BuildResult without columns
+    whose diagnostics hold the `records` received and, unless there are
+    none, their `rates`."""
     hists, diag, tag_counts, span = new_histograms(cfg), Counter(), Counter(), {"records": 0}
 
     def add(step_hists, step_diag, coinc):
@@ -439,19 +446,27 @@ def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=
         if keep is not None:
             keep(coinc)
 
-    steps = _steps(blocks, channel_map.sync, cfg.lookahead_ticks(), span)
+    def demuxed():
+        # (role columns, lo, hi, sync_before) per step; the next step's
+        # sync_before is read before this one runs, which empties its columns
+        sync_before = None
+        for tags, lo, hi in _steps(blocks, cfg.lookahead_ticks(), span):
+            times = split_channels(tags, channel_map)
+            del tags
+            before = sync_before
+            if k := int(np.searchsorted(times["sync"], hi, side="right")):
+                sync_before = int(times["sync"][k - 1])
+            yield times, lo, hi, before
+
     run = functools.partial(_build_step, cfg)
     if threads <= 1:
-        for tags, lo, hi, sync_before in steps:
-            add(*run(split_channels(tags, channel_map), lo, hi, sync_before))
-            del tags
+        for step in demuxed():
+            add(*run(*step))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             in_flight = deque()
-            for tags, lo, hi, sync_before in steps:
-                in_flight.append(pool.submit(run, split_channels(tags, channel_map),
-                                             lo, hi, sync_before))
-                del tags
+            for step in demuxed():
+                in_flight.append(pool.submit(run, *step))
                 if len(in_flight) > threads:
                     add(*in_flight.popleft().result())
             while in_flight:

@@ -34,8 +34,12 @@ class BinSpec:
         return self.start + self.width * (np.arange(self.count, dtype=np.float64) + 0.5)
 
     def index(self, values):
-        """Bin index per value; may be out of [0, count) for out-of-range."""
-        return np.floor_divide(np.asarray(values, dtype=np.int64) - self.start, self.width)
+        """Bin index per value, a fresh array; may be out of [0, count) for
+        out-of-range."""
+        index = np.array(values, dtype=np.int64)
+        index -= self.start
+        index //= self.width
+        return index
 
 
 @dataclass
@@ -51,7 +55,9 @@ class Histogram1D:
 
     def add(self, values):
         # slot 0 is the underflow, 1 .. count the bins, count + 1 the overflow
-        slots = np.clip(self.spec.index(values), -1, self.spec.count) + 1
+        slots = self.spec.index(values)
+        np.clip(slots, -1, self.spec.count, out=slots)
+        slots += 1
         n = np.bincount(slots, minlength=self.spec.count + 2).view(np.uint64)
         self.underflow += int(n[0])
         self.overflow += int(n[-1])
@@ -88,8 +94,12 @@ class Histogram2D:
         ix = self.x_spec.index(x_values)
         iy = self.y_spec.index(y_values)
         # a negative index is a huge unsigned one, so one test finds both ends
-        inside = (ix.view(np.uint64) < nx) & (iy.view(np.uint64) < ny)
-        return np.where(inside, ix * ny + iy, nx * ny)
+        outside = ix.view(np.uint64) >= nx
+        outside |= iy.view(np.uint64) >= ny
+        ix *= ny
+        ix += iy
+        ix[outside] = nx * ny
+        return ix
 
     def add_cell_counts(self, n):
         """Add `n`, a `bincount` of `cells` over all `counts.size + 1` slots."""

@@ -48,8 +48,9 @@ def jsa_from_jsi(counts, signal_wavelength_nm, idler_wavelength_nm,
                  background=0.0):
     """Effective joint amplitude from a measured intensity map.
 
-    Takes the positive square root of the counts less a flat `background`
-    level (finite and >= 0; counts below it become 0); the phase is
+    Takes the positive square root of the counts (finite, >= 0) less a
+    flat `background` level (finite and >= 0; counts below it become 0),
+    numbering a non-finite count's row and column from 0; the phase is
     unrecoverable from intensities and set to zero. Wavelength axes are bin
     centers; either orientation is accepted and the result is returned on
     ascending angular-frequency axes.
@@ -57,6 +58,10 @@ def jsa_from_jsi(counts, signal_wavelength_nm, idler_wavelength_nm,
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2:
         raise ValueError("counts must be a 2-D array")
+    if len(bad := np.argwhere(~np.isfinite(counts))):
+        row, col = bad[0].tolist()
+        raise ValueError(f"counts hold a non-finite value ({counts[row, col]}) "
+                         f"at row {row}, column {col} (counted from 0)")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
     lam_s = np.asarray(signal_wavelength_nm, dtype=float)

@@ -41,7 +41,7 @@ _BLOCK_RECORDS = 1 << 20
 
 #: records decoded at a time: a block's columns are filled through one
 #: window of this many records, so the reader holds no block-sized buffer
-_WINDOW_RECORDS = 1 << 16
+_WINDOW_RECORDS = 1 << 14
 
 
 class StreamFormatError(ValueError):

@@ -842,6 +842,23 @@ class TestAnalyze:
         path.write_text("1,2\n3,4\n")
         run_cli(monkeypatch, ["analyze", path], expect=1)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_1_naming_it(self, tmp_path, value):
+        # a child process with default warning filters: no numpy warning
+        # comes before the error line
+        path = tmp_path / "bad.csv"
+        path.write_text("# x_wavelength_centers_nm: [514.0, 515.0, 516.0]\n"
+                        "# y_wavelength_centers_nm: [1540.0, 1550.0, 1560.0]\n"
+                        f"1,2,1\n2,4,{value}\n1,2,1\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-W", "default", "-c",
+                              "from biphoton.cli import main; main()", "analyze", path],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == [
+            f"error: {path}: counts hold a non-finite value ({value}) at row 1, column 2 "
+            "(counted from 0)"]
+
 
 class TestImport:
     def test_cli_import_does_not_load_scipy(self):

@@ -658,8 +658,8 @@ class TestWindowEdges:
 
 
 def record_steps(mp):
-    """Wrap engine._steps so that each step's (tags, lo, hi, sync_before)
-    is kept as it is cut."""
+    """Wrap engine._steps so that each step's (tags, lo, hi) is kept as it
+    is cut."""
     steps = []
     cut = engine._steps
 
@@ -672,6 +672,20 @@ def record_steps(mp):
     return steps
 
 
+def record_sync_before(mp):
+    """Wrap engine._build_step so that the (lo, hi, sync_before) the fold
+    passes each step is kept."""
+    passed = []
+    build_step = engine._build_step
+
+    def wrapped(cfg, times, lo, hi, sync_before):
+        passed.append((lo, hi, sync_before))
+        return build_step(cfg, times, lo, hi, sync_before)
+
+    mp.setattr(engine, "_build_step", wrapped)
+    return passed
+
+
 def assert_same_result(got, want):
     assert got.diagnostics == want.diagnostics
     for name, hist in want.histograms.items():
@@ -681,7 +695,7 @@ def assert_same_result(got, want):
 def assert_steps_tile(steps, tags):
     """The steps' (lo, hi] intervals follow each other from the start of
     the stream, and the last one ends at the last tag."""
-    cuts = sorted((lo, hi) for _, lo, hi, _ in steps)
+    cuts = sorted((lo, hi) for _, lo, hi in steps)
     assert cuts[0][0] == np.iinfo(np.int64).min
     assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
     assert cuts[-1][1] == (tags.timestamp[-1] if len(tags) else cuts[0][0])
@@ -733,24 +747,30 @@ class TestStepCutter:
         blocks = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_STEP_BUDGET", budget)
-            steps = record_steps(mp)
+            steps, passed = record_steps(mp), record_sync_before(mp)
             engine.build(tags, CMAP, cfg)
-            whole = list(steps)
+            whole, whole_passed = list(steps), list(passed)
             steps.clear()
+            passed.clear()
             engine.fold_stream_blocks([tags[a:b] for a, b in blocks], CMAP, cfg, threads=1)
         # the whole array is one block
         one_block = [(0, len(tags))] if len(tags) else []
-        for got, parts in ((whole, one_block), (steps, blocks)):
+        for got, got_passed, parts in ((whole, whole_passed, one_block),
+                                       (steps, passed, blocks)):
             assert_steps_tile(got, tags)
-            for step, lo, hi, sync_before in got:
+            # each step is run once, in stream order, with the last sync
+            # tag at or before its lo
+            assert [(lo, hi) for _, lo, hi in got] == [(lo, hi) for lo, hi, _ in got_passed]
+            for lo, hi, sync_before in got_passed:
+                k = np.searchsorted(syncs, lo, side="right")
+                assert sync_before == (int(syncs[k - 1]) if k else None), (lo, hi)
+                assert sync_before is None or type(sync_before) is int
+            for step, lo, hi in got:
                 assert (step.timestamp > lo).all(), (lo, hi)
                 # exactly the tags in (lo, hi + lookahead)
                 i, j = np.searchsorted(ts, lo, side="right"), np.searchsorted(ts, hi + lookahead)
                 assert step.timestamp.tolist() == ts[i:j].tolist(), (lo, hi)
                 assert step.channel.tolist() == tags.channel[i:j].tolist(), (lo, hi)
-                k = np.searchsorted(syncs, lo, side="right")
-                assert sync_before == (int(syncs[k - 1]) if k else None), (lo, hi)
-                assert sync_before is None or type(sync_before) is int
                 # a step that starts in a block and whose window closes by
                 # the block's last tag needed no other block: it is a view
                 # of it
@@ -772,7 +792,7 @@ class TestStepCutter:
             mp.setattr(engine, "_STEP_BUDGET", 3)
             steps = record_steps(mp)
             got = engine.build(tags, CMAP, cfg)
-            assert (95, 100) in [(lo, hi) for _, lo, hi, _ in steps]
+            assert (95, 100) in [(lo, hi) for _, lo, hi in steps]
             assert_steps_tile(steps, tags)
             folded = engine.fold_stream_blocks([tags[:20], tags[20:]], CMAP, cfg, threads=2)
         assert_same_result(got, want)
@@ -793,16 +813,18 @@ class TestStepCutter:
         budget = 16
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_STEP_BUDGET", budget)
-            steps = record_steps(mp)
+            steps, passed = record_steps(mp), record_sync_before(mp)
             got = engine.fold_stream_blocks(
                 (tags[i:i + block] for i in range(0, len(tags), block)), CMAP, cfg,
                 threads=1)
         assert_same_result(got, want)
         assert want.diagnostics["events"] == 400
         assert len(steps) >= 1600 // budget
-        for step, lo, hi, _ in steps:
+        for step, lo, hi in steps:
             tail = int((step.timestamp > hi).sum())
             assert len(step) <= budget + tail, (lo, hi)
+        # every step after the first is passed the one sync tag
+        assert [sync_before for _, _, sync_before in passed] == [None] + [0] * (len(steps) - 1)
 
     def test_empty_blocks_and_last_step(self):
         cfg = small_cfg()
@@ -816,9 +838,11 @@ class TestStepCutter:
             got = engine.fold_stream_blocks(iter(blocks), CMAP, cfg, threads=2)
             assert_steps_tile(steps, tags)
             steps.clear()
+            passed = record_sync_before(mp)
             none = engine.fold_stream_blocks([empty, empty], CMAP, cfg)
-            assert [(len(t), lo, hi, sync) for t, lo, hi, sync in steps] == [
-                (0, np.iinfo(np.int64).min, np.iinfo(np.int64).min, None)]
+            start = np.iinfo(np.int64).min
+            assert [(len(t), lo, hi) for t, lo, hi in steps] == [(0, start, start)]
+            assert passed == [(start, start, None)]
         assert_same_result(got, want)
         assert none.diagnostics == {**ZERO_DIAGNOSTICS, "jsi_out_of_range": 0, "records": 0}
 
@@ -864,13 +888,11 @@ class TestFoldMemory:
         cfg = tiny_cfg(250.0)
         block = next(pulse_blocks(1))
         block_mb = (block.channel.nbytes + block.timestamp.nbytes) / 2**20
-        tags, lo, hi, sync_before = next(engine._steps([block], CMAP.sync,
-                                                       cfg.lookahead_ticks(),
-                                                       {"records": 0}))
+        tags, lo, hi = next(engine._steps([block], cfg.lookahead_ticks(), {"records": 0}))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            engine._build_step(cfg, engine.split_channels(tags, CMAP), lo, hi, sync_before)
+            engine._build_step(cfg, engine.split_channels(tags, CMAP), lo, hi, None)
             step_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
             del block, tags
             tracemalloc.reset_peak()
@@ -890,9 +912,7 @@ class TestFoldMemory:
         sync_heavy = dict(groups=(1 << 20) // 25, syncs=21)
         block = next(pulse_blocks(1, **sync_heavy))
         block_mb = (block.channel.nbytes + block.timestamp.nbytes) / 2**20
-        tags, lo, hi, sync_before = next(engine._steps([block], CMAP.sync,
-                                                       cfg.lookahead_ticks(),
-                                                       {"records": 0}))
+        tags, lo, hi = next(engine._steps([block], cfg.lookahead_ticks(), {"records": 0}))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -900,7 +920,7 @@ class TestFoldMemory:
             demux_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            engine._build_step(cfg, times, lo, hi, sync_before)
+            engine._build_step(cfg, times, lo, hi, None)
             build_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
             del block, tags, times
             tracemalloc.reset_peak()
@@ -914,10 +934,31 @@ class TestFoldMemory:
         assert peak < block_mb + (threads + 1) * demux_mb + build_mb, (
             peak, block_mb, demux_mb, build_mb)
 
+    def test_dense_step_temporaries_per_trigger(self):
+        # the first budget step of a dense block (26,215 MCP triggers, each
+        # an event with one coincidence): the traced peak of running it on
+        # its role columns read 91.5 B per trigger with int64 wire counts
+        # and a second pair of displaced-gate arrays, 76.5 B without them
+        cfg = tiny_cfg(250.0)
+        tags, lo, hi = next(engine._steps(pulse_blocks(1), cfg.lookahead_ticks(),
+                                          {"records": 0}))
+        times = engine.split_channels(tags, CMAP)
+        del tags
+        triggers = int(np.diff(np.searchsorted(times["mcp"], (lo, hi), side="right"))[0])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, diag, _ = engine._build_step(cfg, times, lo, hi, None)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert diag["mcp_triggers"] == diag["coincidences"] == triggers > 20000
+        assert peak / triggers < 84, peak / triggers
+
     def test_dense_steps_in_flight_are_small(self):
         # 80% non-sync tags: the budget counts every tag, so five dense
-        # steps in flight on their role columns cost about 13 MB beside
-        # the one block (22.2-23.9 MB in all; 26.7-28.4 MB when each pool
+        # steps in flight on their role columns cost about 12 MB beside
+        # the one block (21.0-22.1 MB in all; 26.7-28.4 MB when each pool
         # step held a copy of its tags); 2**18-tag steps held 43-46 MB
         # beside two blocks
         cfg = tiny_cfg(250.0)

@@ -147,3 +147,11 @@ class TestJsaFromJsi:
             schmidt.jsa_from_jsi(np.array([[-1.0, 2.0], [0.0, 1.0]]),
                                  np.array([514.0, 515.0]),
                                  np.array([1540.0, 1541.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_name_their_cell(self, value):
+        counts = np.ones((3, 4))
+        counts[2, 1] = counts[2, 3] = value
+        with pytest.raises(ValueError, match=r"non-finite value \((nan|inf|-inf)\) at row 2, "
+                                             r"column 1 \(counted from 0\)"):
+            schmidt.jsa_from_jsi(counts, np.arange(3.0) + 514, np.arange(4.0) + 1540)
