@@ -34,6 +34,9 @@ from .tagstream import ChannelMap, StreamHeader, TagColumns
 from .units import sigma_from_fwhm
 
 _ANODE_BASE_DELAY_PS = 100.0   # keeps wire-end pulses strictly after the MCP
+#: a pulse block carries about this many expected tags (`_pulse_blocks`),
+#: so generation memory follows the block, not the pair rate
+_BLOCK_TAGS = 1 << 16
 _BLOCK_PULSES = 1 << 23
 #: seeds are below this: a seed is one uint64 word of each block's Philox key
 SEED_LIMIT = 1 << 64
@@ -379,6 +382,29 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
+def _pulse_blocks(cfg: AcquisitionConfig):
+    """The pulse blocks [lo, hi) that partition cfg.n_pulses, each
+    `_BLOCK_TAGS` expected tags long (the sync markers, four tags a pair
+    at most, three a DLD dark and one an SNSPD dark) and at most
+    `_BLOCK_PULSES` pulses."""
+    dark_hz = 3 * cfg.dld_dark_rate_hz + cfg.snspd_dark_rate_hz
+    tags_per_pulse = (1 / cfg.sync_divider + 4 * cfg.pair_prob_per_pulse
+                      + dark_hz / cfg.rep_rate_hz)
+    size = max(1, min(_BLOCK_PULSES, int(_BLOCK_TAGS / tags_per_pulse)))
+    n_pulses = cfg.n_pulses
+    for lo in range(0, n_pulses, size):
+        yield lo, min(lo + size, n_pulses)
+
+
+def _block_draws(cfg: AcquisitionConfig, seed):
+    """Per pulse block: its generator, its pair count (the generator's
+    first draw), and its pulses [lo, hi). The generators are made as the
+    blocks are reached, so nothing is held per block."""
+    for block, (lo, hi) in enumerate(_pulse_blocks(cfg)):
+        rng = _block_rng(seed, block)
+        yield rng, int(rng.poisson(cfg.pair_prob_per_pulse * (hi - lo))), lo, hi
+
+
 def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, pulse_hi,
                 first_row):
     """The pair and dark tags of one pulse block of `n_pairs` pairs,
@@ -574,11 +600,12 @@ def _merge_sync(sync, sync_id, tags):
     return merged
 
 
-def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, on_truth):
-    """Yield the sorted, dead-time-masked stream as TagColumns chunks, each
-    final when yielded. With `on_truth`, each chunk's tag indices are
-    placed into the pending truth, and each block's pair rows go to
-    `on_truth`, in row order, once none of their tags is left in the carry.
+def _final_chunks(draw_pairs, cfg: AcquisitionConfig, seed, on_truth):
+    """Yield the sorted, dead-time-masked stream of the pulse blocks of
+    `_block_draws` as TagColumns chunks, each final when yielded. With
+    `on_truth`, each chunk's tag indices are placed into the pending truth,
+    and each block's pair rows go to `on_truth`, in row order, once none of
+    their tags is left in the carry.
 
     The carry holds the sorted tags not yet final, all from earlier blocks.
     Once a block is emitted, the carry below its first tick (its first pair
@@ -594,7 +621,7 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, on_truth):
     carry = {"ticks": np.zeros(0, np.int64), "channel": np.zeros(0, np.uint16)}
     if pending is not None:
         carry["label"] = np.zeros(0, np.int64)
-    last_kept, last = {}, None
+    last_kept, last, first_row = {}, None, 0
 
     def final(cut):
         """Yield the carry's first `cut` tags, masked, once their labels are
@@ -613,8 +640,9 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, blocks, on_truth):
         if len(tags["ticks"]):
             yield TagColumns(tags["channel"], tags["ticks"])
 
-    for block, (rng, n_pairs, lo, hi, first_row) in enumerate(blocks):
+    for block, (rng, n_pairs, lo, hi) in enumerate(_block_draws(cfg, seed)):
         tags, pairs = _emit_block(draw_pairs, cfg, rng, n_pairs, lo, hi, first_row)
+        first_row += n_pairs
         tags["ticks"] = _ticks(tags.pop("t_ps"), cfg.tick_ps)
         if pending is None:
             del tags["label"]
@@ -650,15 +678,8 @@ def generate(jsa: JsaGrid, cfg: AcquisitionConfig, seed, on_truth=None):
         raise ValueError("pair sampling requires a normalized amplitude grid")
 
     draw_pairs = pair_sampler(jsa) if cfg.pair_prob_per_pulse > 0 else None
-    n_pulses = cfg.n_pulses
-    blocks, n_pairs = [], 0
-    for block, lo in enumerate(range(0, n_pulses, _BLOCK_PULSES)):
-        hi = min(lo + _BLOCK_PULSES, n_pulses)
-        # the pair count is the block generator's first draw, so the pairs
-        # are counted before any block is emitted
-        rng = _block_rng(seed, block)
-        count = int(rng.poisson(cfg.pair_prob_per_pulse * (hi - lo)))
-        blocks.append((rng, count, lo, hi, n_pairs))
-        n_pairs += count
-    return SimResult(cfg.header(), _final_chunks(draw_pairs, cfg, blocks, on_truth),
+    # each block's pair count is its generator's first draw, so the pairs
+    # are counted before any block is emitted, and drawn again when it is
+    n_pairs = sum(count for _, count, _, _ in _block_draws(cfg, seed))
+    return SimResult(cfg.header(), _final_chunks(draw_pairs, cfg, seed, on_truth),
                      range(n_pairs))

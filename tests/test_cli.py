@@ -392,8 +392,9 @@ class TestGenTags:
             [str(out / "run.ttag.partial")]
 
     def test_truth_peak_is_flat_in_stream_length(self, monkeypatch, tmp_path, pipeline):
-        # traced peak of `gen-tags --truth` at d and 4d, 20k pairs per
-        # 200k-pulse block: the truth (58 bytes a pair) must not be held
+        # traced peak of `gen-tags --truth` at d and 4d, 16k pairs per
+        # 158k-pulse block (2**16 expected tags): the truth (58 bytes a
+        # pair) must not be held
         src, _ = pipeline
         monkeypatch.setattr(simgen, "_BLOCK_PULSES", 200_000)
         peaks = []

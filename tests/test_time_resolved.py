@@ -55,10 +55,14 @@ def two_sources(model_jsa):
 def pair_response(build):
     """The folded sync offsets of a build's pair triggers, one bin a tick:
     its `irf` histogram less the flat floor of dark-count triggers, taken
-    as the histogram's mean more than 2 ns from its peak."""
+    as the histogram's mean more than 2 ns from its peak. Also returns the
+    raw counts and the variance of the floor estimate: a window's sum of
+    the response has the variance of its raw counts plus, once per bin,
+    that of the floor it subtracts."""
     counts = build.histograms["irf"].counts.astype(float)
     far = np.abs(np.arange(len(counts)) - np.argmax(counts)) * TICK_PS > 2000
-    return np.clip(counts - counts[far].mean(), 0, None)
+    floor = counts[far].mean()
+    return np.clip(counts - floor, 0, None), counts, floor / far.sum()
 
 
 def fit_share(counts, a, b):
@@ -89,17 +93,23 @@ def frame_shares(ecfg, pure_a, pure_b, coincidences, width_ps, assumed_shift_ps=
     (fitted - predicted) / σ. The prediction weighs each source's
     coincidence count by the share of its pair response in the frame's
     window; B's response is moved by `assumed_shift_ps`, to test a wrong Δ.
-    σ adds the fit's error and the Poisson error of the two response sums
-    in quadrature."""
+    σ adds the fit's error and the error the two response sums give the
+    prediction in quadrature. That error is propagated from each sum's
+    variance (`pair_response`), so it holds where a sum is near 0 and the
+    predicted share near 0 or 1."""
     width = width_ps // TICK_PS
-    resp_a = pair_response(pure_a)
-    resp_b = np.roll(pair_response(pure_b), assumed_shift_ps // TICK_PS)
+    resp_a, raw_a, floor_var_a = pair_response(pure_a)
+    resp_b, raw_b, floor_var_b = pair_response(pure_b)
+    shift = assumed_shift_ps // TICK_PS
+    resp_b, raw_b = np.roll(resp_b, shift), np.roll(raw_b, shift)
     origin = int(np.argmax(resp_a)) - 400 // TICK_PS
     span = int(np.argmax(resp_b)) + 400 // TICK_PS - origin
     frames, _ = engine.slice_time_resolved(coincidences, ecfg, width, origin,
                                            span // width + 1)
     spectra = [build.histograms["jsi"].counts.ravel() / build.histograms["jsi"].counts.sum()
                for build in (pure_a, pure_b)]
+    scale_a = len(pure_a.coincidences) / resp_a.sum()
+    scale_b = len(pure_b.coincidences) / resp_b.sum()
     shares, pulls = [], []
     for k, frame in enumerate(frames):
         counts = frame.counts.ravel().astype(float)
@@ -107,12 +117,14 @@ def frame_shares(ecfg, pure_a, pure_b, coincidences, width_ps, assumed_shift_ps=
             continue
         share, error = fit_share(counts, *spectra)
         window = slice(origin + k * width, origin + (k + 1) * width)
-        in_a, in_b = resp_a[window].sum(), resp_b[window].sum()
-        rate_a = len(pure_a.coincidences) * in_a / resp_a.sum()
-        rate_b = len(pure_b.coincidences) * in_b / resp_b.sum()
+        rate_a, rate_b = scale_a * resp_a[window].sum(), scale_b * resp_b[window].sum()
+        sd_a = np.sqrt(raw_a[window].sum() + width**2 * floor_var_a)
+        sd_b = np.sqrt(raw_b[window].sum() + width**2 * floor_var_b)
         predicted = rate_b / (rate_a + rate_b)
-        predicted_error = predicted * (1 - predicted) * np.sqrt(1 / max(in_a, 1)
-                                                                + 1 / max(in_b, 1))
+        # d predicted / d sum_a = -scale_a rate_b / (rate_a + rate_b)^2, and
+        # for B the same with a and b swapped
+        predicted_error = np.hypot(scale_a * rate_b * sd_a,
+                                   scale_b * rate_a * sd_b) / (rate_a + rate_b)**2
         shares.append(share)
         pulls.append((share - predicted) / np.hypot(error, predicted_error))
     return np.array(shares), np.array(pulls)
