@@ -155,8 +155,8 @@ def write_histogram1d_csv(path, hist: Histogram1D, axis_name, tick_ps, meta=None
                     columns=f"{axis_name}_ticks,count")
 
 
-def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, meta=None,
-                          x_wavelength_edges=None, y_wavelength_edges=None):
+def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, x_wavelength_edges,
+                          y_wavelength_edges, meta=None):
     header = {
         "format": "biphoton jsi v1",
         "tick_ps": tick_ps,
@@ -169,12 +169,10 @@ def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, meta=None,
         "y_width_ticks": hist.y_spec.width,
         "y_count": hist.y_spec.count,
         "out_of_range": hist.out_of_range,
+        "x_wavelength_edges_nm": [float(v) for v in x_wavelength_edges],
+        "y_wavelength_edges_nm": [float(v) for v in y_wavelength_edges],
+        **(meta or {}),
     }
-    if x_wavelength_edges is not None:
-        header["x_wavelength_edges_nm"] = [float(v) for v in x_wavelength_edges]
-    if y_wavelength_edges is not None:
-        header["y_wavelength_edges_nm"] = [float(v) for v in y_wavelength_edges]
-    header.update(meta or {})
     write_table_csv(path, header, hist.counts.tolist())
 
 

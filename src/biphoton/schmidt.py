@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .spdc import JsaGrid
-from .units import omega_from_wavelength
+from .units import check_positive, omega_from_wavelength
 
 
 @dataclass
@@ -52,8 +52,8 @@ def jsa_from_jsi(counts, signal_wavelength_nm, idler_wavelength_nm,
     flat `background` level (finite and >= 0; counts below it become 0),
     numbering a non-finite count's row and column from 0; the phase is
     unrecoverable from intensities and set to zero. Wavelength axes are bin
-    centers; either orientation is accepted and the result is returned on
-    ascending angular-frequency axes.
+    centers, finite and positive; either orientation is accepted and the
+    result is returned on ascending angular-frequency axes.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2:
@@ -68,6 +68,8 @@ def jsa_from_jsi(counts, signal_wavelength_nm, idler_wavelength_nm,
     lam_i = np.asarray(idler_wavelength_nm, dtype=float)
     if counts.shape != (len(lam_s), len(lam_i)):
         raise ValueError("counts shape does not match wavelength axes")
+    check_positive(lam_s, "the intensity map", "signal wavelength centre")
+    check_positive(lam_i, "the intensity map", "idler wavelength centre")
 
     level = float(background)
     if not 0.0 <= level < np.inf:

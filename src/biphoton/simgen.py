@@ -412,8 +412,8 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, puls
     `spdc.pair_sampler`), with every other draw from the block's generator
     `rng`. Returns the tag columns `t_ps`, `channel` and `label` (4 * pair
     row + arm, the arm 0 MCP, 1 X1, 2 X2, 3 SNSPD; -1 for dark tags) and the
-    pair columns, keyed by their `TRUTH_RECORD` names. The block's sync markers draw nothing and are not emitted
-    here: `_sync_ticks` computes them."""
+    pair columns, keyed by their `TRUTH_RECORD` names. Sync markers draw
+    nothing and are left to `_sync_ticks`."""
     slots = pulse_hi - pulse_lo
     period = cfg.pulse_period_ps
 
@@ -435,33 +435,25 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, puls
         cols_ch.append(np.full(len(times), channel, dtype=np.uint16))
         cols_label.append(np.full(len(times), -1, dtype=np.int64) if label is None else label)
 
+    def wire(t_mcp, dt_ps, end):
+        """Anode wire end X1 (`end` 1) or X2 (-1) times of MCP electrons at
+        `t_mcp` with wire-time differences `dt_ps`, each end its own jitter."""
+        return (t_mcp + _ANODE_BASE_DELAY_PS + (ta_ps + end * dt_ps) / 2.0
+                + rng.normal(0.0, sig_anode, len(t_mcp)))
+
     def emit_arm(arm, times, channel, detected):
         emit(times[detected], channel, row_label[detected] + arm)
 
-    # each arm is emitted as soon as its times are known, and each per-pair
-    # column deleted once used, so at high pair rates few are live at once
-    j_mcp = rng.normal(0.0, sig_mcp, n_pairs)
-    j_x1 = rng.normal(0.0, sig_anode, n_pairs)
-    j_x2 = rng.normal(0.0, sig_anode, n_pairs)
-    j_sn = rng.normal(0.0, sig_resid, n_pairs)
+    # each arm's jitter is drawn as the arm is emitted
     row_label = 4 * (first_row + np.arange(n_pairs, dtype=np.int64))
     t_pulse = pulse.astype(np.float64) * period
-    t_electron = t_pulse + cfg.mcp_delay_ps + j_mcp
-    del j_mcp
+    t_electron = t_pulse + cfg.mcp_delay_ps + rng.normal(0.0, sig_mcp, n_pairs)
     emit_arm(0, t_electron, cmap.mcp, det_s)
     dt_ps = dld_dt(signal_position(lam_s, cfg.dld_cal), cfg.dld_cal) * cfg.tick_ps
-    t_x1 = t_electron + _ANODE_BASE_DELAY_PS + (ta_ps + dt_ps) / 2.0 + j_x1
-    del j_x1
-    emit_arm(1, t_x1, cmap.dld_x1, det_s)
-    del t_x1
-    t_x2 = t_electron + _ANODE_BASE_DELAY_PS + (ta_ps - dt_ps) / 2.0 + j_x2
-    del j_x2, t_electron, dt_ps
-    emit_arm(2, t_x2, cmap.dld_x2, det_s)
-    del t_x2
-    t_sn = t_pulse + cfg.mcp_delay_ps + idler_delay_ps(lam_i, cfg.fibre_cal) + j_sn
-    del j_sn, t_pulse
-    emit_arm(3, t_sn, cmap.snspd, det_i)
-    del t_sn, row_label
+    emit_arm(1, wire(t_electron, dt_ps, 1), cmap.dld_x1, det_s)
+    emit_arm(2, wire(t_electron, dt_ps, -1), cmap.dld_x2, det_s)
+    emit_arm(3, t_pulse + cfg.mcp_delay_ps + idler_delay_ps(lam_i, cfg.fibre_cal)
+             + rng.normal(0.0, sig_resid, n_pairs), cmap.snspd, det_i)
 
     # dark counts: anode darks are full uncorrelated triples at uniform
     # positions, SNSPD darks are lone tags
@@ -469,13 +461,10 @@ def _emit_block(draw_pairs, cfg: AcquisitionConfig, rng, n_pairs, pulse_lo, puls
     block_t0_ps = pulse_lo * period
     n_dark = int(rng.poisson(cfg.dld_dark_rate_hz * block_span_ps * 1e-12))
     t_dark = block_t0_ps + rng.random(n_dark) * block_span_ps
-    x_dark = rng.random(n_dark) * cfg.dld_cal.active_length_mm
-    jd1 = rng.normal(0.0, sig_anode, n_dark)
-    jd2 = rng.normal(0.0, sig_anode, n_dark)
-    dtd_ps = dld_dt(x_dark, cfg.dld_cal) * cfg.tick_ps
+    dtd_ps = dld_dt(rng.random(n_dark) * cfg.dld_cal.active_length_mm, cfg.dld_cal) * cfg.tick_ps
     emit(t_dark, cmap.mcp)
-    emit(t_dark + _ANODE_BASE_DELAY_PS + (ta_ps + dtd_ps) / 2.0 + jd1, cmap.dld_x1)
-    emit(t_dark + _ANODE_BASE_DELAY_PS + (ta_ps - dtd_ps) / 2.0 + jd2, cmap.dld_x2)
+    emit(wire(t_dark, dtd_ps, 1), cmap.dld_x1)
+    emit(wire(t_dark, dtd_ps, -1), cmap.dld_x2)
 
     n_sn_dark = int(rng.poisson(cfg.snspd_dark_rate_hz * block_span_ps * 1e-12))
     emit(block_t0_ps + rng.random(n_sn_dark) * block_span_ps, cmap.snspd)
@@ -655,6 +644,7 @@ def _final_chunks(draw_pairs, cfg: AcquisitionConfig, seed, on_truth):
             tags = {key: np.concatenate([carry[key], column]) for key, column in tags.items()}
             order = np.lexsort((tags["channel"], tags["ticks"]))
             carry = _merge_sync(_sync_ticks(cfg, lo, hi), cfg.channel_map.sync, _take(tags, order))
+            del tags, order  # sorted into the carry: free them before the next block
             first = (int(carry["ticks"][0]), int(carry["channel"][0]))
             if last is not None and first < last:
                 raise ValueError(

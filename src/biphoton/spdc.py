@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .units import (omega_from_wavelength, omega_width_from_wavelength_width,
-                    sinc, wavelength_from_omega)
+from .units import (check_positive, omega_from_wavelength,
+                    omega_width_from_wavelength_width, sinc, wavelength_from_omega)
 
 # ---------------------------------------------------------------------------
 # LBO refractive indices
@@ -165,8 +165,9 @@ class FrequencyGrid:
 class JsaGrid:
     """Complex joint amplitude on a frequency grid.
 
-    amplitude[j, k] is the value at (signal_omega[j], idler_omega[k]).
-    When normalized, sum(|f|^2) * d_omega_s * d_omega_i == 1.
+    amplitude[j, k] is the value at (signal_omega[j], idler_omega[k]), on
+    finite, positive, strictly increasing axes. When normalized,
+    sum(|f|^2) * d_omega_s * d_omega_i == 1.
     """
 
     signal_omega: np.ndarray
@@ -180,6 +181,8 @@ class JsaGrid:
         self.amplitude = np.asarray(self.amplitude, dtype=complex)
         if self.amplitude.shape != (len(self.signal_omega), len(self.idler_omega)):
             raise ValueError("amplitude shape does not match axes")
+        check_positive(self.signal_omega, "JSA grid", "signal axis")
+        check_positive(self.idler_omega, "JSA grid", "idler axis")
         if np.any(np.diff(self.signal_omega) <= 0) or np.any(np.diff(self.idler_omega) <= 0):
             raise ValueError("grid axes must be strictly increasing")
 
@@ -392,7 +395,6 @@ def read_jsa_file(path):
         ws = np.frombuffer(fh.read(8 * n_s), dtype="<f8").copy()
         wi = np.frombuffer(fh.read(8 * n_i), dtype="<f8").copy()
         amp = np.frombuffer(fh.read(16 * n_s * n_i), dtype="<c16").reshape(n_s, n_i).copy()
-    for name, values in (("signal axis", ws), ("idler axis", wi), ("amplitude", amp)):
-        if len(bad := np.argwhere(~np.isfinite(values))):
-            raise ValueError(f"JSA container has a non-finite {name} at index {bad[0].tolist()}")
+    if len(bad := np.argwhere(~np.isfinite(amp))):
+        raise ValueError(f"JSA container has a non-finite amplitude at index {bad[0].tolist()}")
     return JsaGrid(ws, wi, amp, normalized=bool(flags & 1))

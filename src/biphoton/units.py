@@ -33,6 +33,16 @@ def wavelength_from_omega(omega_rad_ps):
     return TWO_PI_C / np.asarray(omega_rad_ps, dtype=float)
 
 
+def check_positive(values, owner, name):
+    """Raise ValueError unless every value is finite and positive, as a
+    wavelength or an angular frequency is, naming the first that is not:
+    "`owner` has a non-finite (or non-positive) `name` at index [i] (v)"."""
+    if len(bad := np.flatnonzero(~(values > 0) | np.isinf(values))):
+        v = float(values[bad[0]])
+        flaw = "non-positive" if np.isfinite(v) else "non-finite"
+        raise ValueError(f"{owner} has a {flaw} {name} at index [{bad[0]}] ({v})")
+
+
 def omega_width_from_wavelength_width(dlambda_nm, lambda_nm):
     """First-order |d(omega)| for a wavelength interval at lambda."""
     return TWO_PI_C * dlambda_nm / lambda_nm**2

@@ -177,22 +177,29 @@ class TestGenTags:
         assert "7 bytes after its amplitude" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("bad, message", [
-        (np.nan, "JSA container has a non-finite amplitude at index [10, 20]"),
-        (np.inf, "JSA container has a non-finite amplitude at index [10, 20]"),
-        (None, "JSA container truncated")], ids=["nan", "inf", "oversized-header"])
+    @pytest.mark.parametrize("field, index, bad, message", [
+        ("amplitude", (10, 20), np.nan,
+         "JSA container has a non-finite amplitude at index [10, 20]"),
+        ("amplitude", (10, 20), np.inf,
+         "JSA container has a non-finite amplitude at index [10, 20]"),
+        (None, None, None, "JSA container truncated"),
+        ("signal_omega", 0, 0.0, "JSA grid has a non-positive signal axis at index [0] (0.0)"),
+        ("idler_omega", 0, -2.0, "JSA grid has a non-positive idler axis at index [0] (-2.0)")],
+        ids=["nan", "inf", "oversized-header", "zero-axis", "negative-axis"])
     def test_bad_jsa_exits_1_before_writing(self, monkeypatch, capsys, tmp_path, pipeline,
-                                            bad, message):
-        # a non-finite cell would draw every pair into one grid cell, and a
-        # header declaring 2**31 x 2**31 cells would ask for that much memory
+                                            field, index, bad, message):
+        # a non-finite cell would draw every pair into one grid cell, a
+        # header declaring 2**31 x 2**31 cells would ask for that much
+        # memory, and an axis reaching zero or below would give pairs
+        # infinite or negative wavelengths
         src, _ = pipeline
         jsa = tmp_path / "jsa.jsag"
-        if bad is None:
+        if field is None:
             jsa.write_bytes(spdc._JSA_HEADER.pack(spdc.JSA_MAGIC, spdc.JSA_VERSION,
                                                   2**31, 2**31, 1) + bytes(64))
         else:
             grid = spdc.read_jsa_file(src / "jsa/jsa.jsag")
-            grid.amplitude[10, 20] = bad
+            getattr(grid, field)[index] = bad
             spdc.write_jsa_file(jsa, grid)
         out = tmp_path / "out"
         out.mkdir()
@@ -859,6 +866,30 @@ class TestAnalyze:
         assert out.stderr.splitlines() == [
             f"error: {path}: counts hold a non-finite value ({value}) at row 1, column 2 "
             "(counted from 0)"]
+
+    @pytest.mark.parametrize("axis, centres, index, flaw", [
+        ("x", "-516.0, -515.0, -514.0", 0, "non-positive"),
+        ("x", "0.0, 515.0, 516.0", 0, "non-positive"),
+        ("y", "1540.0, NaN, 1560.0", 1, "non-finite")], ids=["negative", "zero", "nan"])
+    def test_bad_wavelength_centre_exits_1_naming_it(self, tmp_path, axis, centres, index,
+                                                     flaw):
+        # a child process with default warning filters: the centres are
+        # checked before they are converted, so no numpy warning comes first
+        axes = {"x": "514.0, 515.0, 516.0", "y": "1540.0, 1550.0, 1560.0", axis: centres}
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# x_wavelength_centers_nm: [{axes['x']}]\n"
+                        f"# y_wavelength_centers_nm: [{axes['y']}]\n"
+                        "1,2,1\n2,4,2\n1,2,1\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-W", "default", "-c",
+                              "from biphoton.cli import main; main()", "analyze", path],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 1
+        name = {"x": "signal", "y": "idler"}[axis]
+        value = float(centres.split(", ")[index])
+        assert out.stderr.splitlines() == [
+            f"error: {path}: the intensity map has a {flaw} {name} wavelength centre "
+            f"at index [{index}] ({value})"]
 
 
 class TestImport:

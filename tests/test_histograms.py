@@ -92,11 +92,14 @@ def test_histogram2d_counts_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     hist = Histogram2D(BinSpec(-10, 3, 17), BinSpec(100, 6, 9))
     hist.add(rng.integers(-20, 50, 5000), rng.integers(90, 170, 5000))
-    write_histogram2d_csv(tmp_path / "h.csv", hist, 25, meta={"frame": 2})
+    x_edges, y_edges = np.linspace(500.0, 530.0, 18), np.linspace(1500.0, 1600.0, 10)
+    write_histogram2d_csv(tmp_path / "h.csv", hist, 25, x_edges, y_edges, meta={"frame": 2})
     counts, meta = read_matrix_csv(tmp_path / "h.csv")
     assert np.array_equal(counts.astype(np.uint64), hist.counts)
     assert counts.shape == hist.counts.shape
     assert (meta["out_of_range"], meta["frame"]) == (hist.out_of_range, 2)
+    assert meta["x_wavelength_edges_nm"] == x_edges.tolist()
+    assert meta["y_wavelength_edges_nm"] == y_edges.tolist()
 
 
 @pytest.mark.parametrize("body, message", [

@@ -411,9 +411,11 @@ class TestChunkedStream:
     def test_pull_peak_flat_in_pair_rate(self, model_jsa):
         # tracemalloc peak of pulling the chunks with a truth callback over
         # three blocks of the template at its pair probability and at 10x:
-        # measured 2.9 and 4.4 MB with blocks of 2**16 expected tags, 6.1
-        # and 35.9 MB with blocks of 2**23 pulses. A pair costs
-        # more than the four tags it counts as (its per-pair columns), so
+        # measured 2.9 and 4.0 MB with blocks of 2**16 expected tags (3.0
+        # and 4.6 MB while each block's sorted tags outlived their merge
+        # into the carry), 6.1 and 35.9 MB with blocks of 2**23 pulses. A
+        # pair costs more than the four tags it counts as (the pair
+        # sampler's temporaries and two blocks of pending truth rows), so
         # the dense peak stays above the template's but is bounded by the
         # block, not the rate. A first run keeps out numpy's first-use
         # allocations.
@@ -475,9 +477,11 @@ class TestChunkedStream:
     def test_dense_write_peak_per_pair(self, monkeypatch, tmp_path):
         # the tracemalloc peak of generating and writing four blocks at 2%
         # pairs per pulse (5287 pairs a block), per pair of one block:
-        # measured 230 B with each arm emitted and each per-pair column
-        # deleted once used, 285 B with every arm's jitter and times held
-        # until all four arms were emitted
+        # measured 202 B with each arm's jitter drawn as the arm is emitted
+        # and each block's sorted tags freed once merged into the carry,
+        # 230 B while those sorted tags were held through the next block,
+        # 285 B with every arm's jitter and times held until all four arms
+        # were emitted
         monkeypatch.setattr(simgen, "_BLOCK_PULSES", 1 << 18)
         cfg = simgen.AcquisitionConfig(duration_s=4 * (1 << 18) / 76e6,
                                        pair_prob_per_pulse=0.02)

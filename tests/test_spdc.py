@@ -263,18 +263,23 @@ class TestJsaFileRoundtrip:
             spdc.read_jsa_file(path)
 
     @pytest.mark.parametrize("field, index, bad, where", [
-        ("amplitude", (3, 5), np.nan, "amplitude at index [3, 5]"),
-        ("amplitude", (0, 63), np.inf, "amplitude at index [0, 63]"),
-        ("amplitude", (9, 9), complex(1, -np.inf), "amplitude at index [9, 9]"),
-        ("signal_omega", 7, np.nan, "signal axis at index [7]"),
-        ("idler_omega", 0, -np.inf, "idler axis at index [0]")],
-        ids=["nan", "inf", "complex-inf", "signal-axis", "idler-axis"])
+        ("amplitude", (3, 5), np.nan, "non-finite amplitude at index [3, 5]"),
+        ("amplitude", (0, 63), np.inf, "non-finite amplitude at index [0, 63]"),
+        ("amplitude", (9, 9), complex(1, -np.inf), "non-finite amplitude at index [9, 9]"),
+        ("signal_omega", 7, np.nan, "non-finite signal axis at index [7]"),
+        ("idler_omega", 0, -np.inf, "non-finite idler axis at index [0]"),
+        ("signal_omega", 0, 0.0, "non-positive signal axis at index [0] (0.0)"),
+        ("idler_omega", 0, -1.0, "non-positive idler axis at index [0] (-1.0)")],
+        ids=["nan", "inf", "complex-inf", "signal-axis", "idler-axis", "zero-signal-axis",
+             "negative-idler-axis"])
     def test_non_finite_values_rejected(self, tmp_path, field, index, bad, where):
-        # a non-finite cell would draw every sampled pair into one grid cell
+        # a non-finite cell would draw every sampled pair into one grid cell;
+        # an axis reaching zero or below (it still increases) converts to
+        # infinite or negative wavelengths
         jsa = spdc.compute_jsa(spdc.PumpSpec(), spdc.CrystalSpec(),
                                spdc.FrequencyGrid(n_signal=64, n_idler=64))
         getattr(jsa, field)[index] = bad
         path = tmp_path / "model.jsag"
         spdc.write_jsa_file(path, jsa)
-        with pytest.raises(ValueError, match=f"non-finite {re.escape(where)}"):
+        with pytest.raises(ValueError, match=re.escape(where)):
             spdc.read_jsa_file(path)
