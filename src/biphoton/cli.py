@@ -230,7 +230,13 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
                                          value_name, cfg.acquisition.tick_ps, meta=meta)
     _jsi_writer(out, cfg, event_cfg)("jsi.csv", result.histograms["jsi"], meta)
 
-    _write_json(out / "diagnostics.json", result.diagnostics)
+    # the time resolution reached: a gaussian fit of the response, in ps
+    irf = result.histograms["irf"]
+    fit = calibration.fit_peak((irf.spec.centers() * cfg.acquisition.tick_ps,
+                                irf.counts.astype(float)))
+    irf_fit = {"center_ps": fit.center, "fwhm_ps": fit.fwhm} if fit.converged else {}
+    _write_json(out / "diagnostics.json",
+                {**result.diagnostics, "irf_fit": {"converged": fit.converged, **irf_fit}})
     _write_manifest(out / "manifest.json", "build", config_path, cfg.seed,
                     extra={"threads": threads})
     click.echo(f"{result.diagnostics['events']} events, "

@@ -8,6 +8,7 @@ dataclasses themselves; validation problems surface as ConfigError.
 import hashlib
 import json
 import os
+import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
@@ -115,9 +116,9 @@ _JSON_FORMS = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 
 def _fits(value, hint):
     """Whether a config value has a non-dataclass field's annotated type: a
-    boolean is neither an int nor a float, an int is also a float, `X | None`
-    also takes None, a tuple takes a list (or tuple) of its length, and a
-    dict an object whose values fit."""
+    boolean is neither an int nor a float, an int is also a float, a number
+    must be finite as a float, `X | None` also takes None, a tuple takes a
+    list (or tuple) of its length, and a dict an object whose values fit."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         return (isinstance(value, (list, tuple)) and len(value) == len(args)
@@ -128,7 +129,9 @@ def _fits(value, hint):
         return any(_fits(value, arg) for arg in args)
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:  # false for NaN, infinities and ints beyond a float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
 def _form(hint):

@@ -69,10 +69,6 @@ class Histogram1D:
         self.overflow += other.overflow
         return self
 
-    @property
-    def total_accumulated(self):
-        return int(self.counts.sum()) + self.underflow + self.overflow
-
 
 @dataclass
 class Histogram2D:

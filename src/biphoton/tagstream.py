@@ -39,8 +39,9 @@ RECORD_DTYPE = np.dtype([("channel", "<u2"), ("reserved", "<u2"), ("timestamp", 
 
 _BLOCK_RECORDS = 1 << 20
 
-#: records decoded at a time: a block's columns are filled through one
-#: window of this many records, so the reader holds no block-sized buffer
+#: records decoded or encoded at a time: a block's columns are filled, and
+#: a written chunk's records made, through one window of this many records,
+#: so neither the reader nor the writer holds a block-sized buffer
 _WINDOW_RECORDS = 1 << 14
 
 
@@ -253,23 +254,20 @@ def write_stream(header, tags, sink: BinaryIO):
     start = sink.tell()
     sink.seek(start + HEADER_SIZE)
     first_unmapped = _unmapped_finder(header.channel_map)
-    records = np.zeros(0, dtype=RECORD_DTYPE)
+    window = np.zeros(_WINDOW_RECORDS, dtype=RECORD_DTYPE)
     written, last = 0, None
     for chunk in tags:
         if not len(chunk):
             continue
         last = _check_records(chunk, last, first_unmapped,
                               HEADER_SIZE + RECORD_SIZE * written)
-        for lo in range(0, len(chunk), _BLOCK_RECORDS):
-            block = chunk[lo:lo + _BLOCK_RECORDS]
-            if len(records) < len(block):
-                records = np.zeros(len(block), dtype=RECORD_DTYPE)
-            out = records[:len(block)]
-            out["channel"] = block.channel
-            out["timestamp"] = block.timestamp
+        for lo in range(0, len(chunk), _WINDOW_RECORDS):
+            part = chunk[lo:lo + _WINDOW_RECORDS]
+            out = window[:len(part)]
+            out["channel"], out["timestamp"] = part.channel, part.timestamp
             sink.write(out)
         written += len(chunk)
-        del chunk, block  # a generated chunk is freed before the next is made
+        del chunk, part  # a generated chunk is freed before the next is made
     end = sink.tell()
     sink.seek(start)
     sink.write(replace(header, record_count=written).to_bytes())

@@ -150,7 +150,7 @@ def test_c06_irf_recovery_and_contrast_pattern(irf_run):
                       "monotonically"):
         acq, ecfg, built = irf_run
         irf = built.histograms["irf"]
-        assert irf.total_accumulated >= 1_000_000
+        assert int(irf.counts.sum()) + irf.underflow + irf.overflow >= 1_000_000
         fit = calibration.fit_peak((irf.spec.centers() * acq.tick_ps,
                                     irf.counts.astype(float)), model="gaussian")
         assert fit.converged

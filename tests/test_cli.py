@@ -248,6 +248,33 @@ class TestGenTags:
             assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("acquisition.mcp_jitter_fwhm_ps", float("nan")),
+        ("acquisition.dld_cal.grating_dispersion_nm_per_mm", float("nan")),
+        ("acquisition.dead_time_ps.mcp", float("nan")),
+        ("acquisition.duration_s", float("inf")),
+        ("acquisition.duration_s", 10**400),
+        ("crystal.linearized_coeffs", [1.0, float("-inf")])])
+    def test_non_finite_number_exits_2_before_work(self, monkeypatch, capsys, tmp_path,
+                                                   pipeline, key, value):
+        # JSON as Python reads it takes NaN, Infinity and integers beyond a
+        # float: they had dropped every pair tag, applied no dead time or
+        # overflowed the pulse count
+        src, _ = pipeline
+        cfg = small_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        out.mkdir()
+        for args in (["simulate-jsa", cfg, out / "jsa"],
+                     ["gen-tags", src / "jsa/jsa.jsag", cfg, out / "run.ttag"],
+                     ["build", src / "tags.ttag", cfg, out / "built"]):
+            capsys.readouterr()
+            run_cli(monkeypatch, args, expect=2)
+            err = capsys.readouterr().err
+            assert f"error: {key} must be a number" in err or \
+                f"error: {key} must be a list of 2 (a number, a number)" in err
+            assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_tick_beyond_u32_exits_2_before_work(self, monkeypatch, capsys, tmp_path, pipeline):
         # the stream header holds the tick as a u32: a larger tick must fail
         # at the config, not once the whole stream is generated
@@ -467,7 +494,24 @@ class TestBuild:
         run_cli(monkeypatch, ["build", stream, small_config(tmp_path), tmp_path / "out"])
         diag = json.loads((tmp_path / "out/diagnostics.json").read_text())
         assert "rates" not in diag
-        assert diag == {**ZERO_DIAGNOSTICS, "jsi_out_of_range": 0, "records": 0}
+        assert diag == {**ZERO_DIAGNOSTICS, "jsi_out_of_range": 0, "records": 0,
+                        "irf_fit": {"converged": False}}
+
+    @pytest.mark.parametrize("jitter_ps", [150.0, 263.0])
+    def test_irf_fit_states_the_configured_jitter(self, monkeypatch, tmp_path, pipeline,
+                                                  jitter_ps):
+        # 0.3 s streams of two seeds: the response's gaussian FWHM is the
+        # MCP jitter, since sync markers are exact
+        src, _ = pipeline
+        for seed in (1, 2):
+            cfg = small_config(tmp_path, seed=seed,
+                               **{"acquisition.duration_s": 0.3,
+                                  "acquisition.mcp_jitter_fwhm_ps": jitter_ps})
+            run_cli(monkeypatch, ["gen-tags", src / "jsa/jsa.jsag", cfg, tmp_path / "run.ttag"])
+            run_cli(monkeypatch, ["build", tmp_path / "run.ttag", cfg, tmp_path / "out"])
+            fit = json.loads((tmp_path / "out/diagnostics.json").read_text())["irf_fit"]
+            assert fit["converged"] is True
+            assert fit["fwhm_ps"] == pytest.approx(jitter_ps, rel=0.05), (seed, fit)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_block_fold_equals_whole_array_build(self, monkeypatch, tmp_path, pipeline,

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ class TestWriteStream:
         size = ts.write_stream(make_header(), iter([tags[:1], tags[1:]]), buf)
         assert buf.getvalue() == b"prefix" + stream_bytes(tags)
         assert buf.tell() == len(b"prefix") + size
+
+    def test_write_peak_below_chunk_records(self, tmp_path):
+        # the tracemalloc peak of writing one 2**18-tag TagColumns (3 MB of
+        # records) to a file: measured 0.53 MB with the chunk encoded
+        # through one record window, 3.2 MB with a buffer the size of the
+        # chunk; the rest is the record check's temporaries
+        rng = np.random.Generator(np.random.Philox(key=19))
+        tags = random_sorted_tags(rng, 1 << 18, 10**12)
+        with open(tmp_path / "run.ttag", "wb") as fh:
+            tracemalloc.start()
+            try:
+                ts.write_stream(make_header(), tags, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestReadStream:
