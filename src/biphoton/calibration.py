@@ -211,15 +211,15 @@ def fit_peak(data, model="gaussian"):
                          converged=converged, n_points=len(xf))
 
 
-def _levenberg_marquardt(model, x, y, p, xtol=1e-8, ftol=1e-12, max_iter=200):
+def _levenberg_marquardt(model, x, y, p):
     """Minimize |model(x, *p)[0] - y|^2 from p by Marquardt's damped
     Gauss-Newton iteration, damping with diag(J^T J) (More, LNM 630, 1978).
 
     Converged when an accepted step lowers the sum of squares by at most
-    ftol relative, or a rejected step moves the diag(J^T J)-scaled
-    parameters by at most xtol relative; not converged after max_iter
-    steps. As in MINPACK, a small step that still lowers the sum does not
-    stop the fit: along a shallow valley it can leave the width 1e-6 off.
+    1e-12 relative, or a rejected step moves the diag(J^T J)-scaled
+    parameters by at most 1e-8 relative; not converged after 200 steps.
+    As in MINPACK, a small step that still lowers the sum does not stop
+    the fit: along a shallow valley it can leave the width 1e-6 off.
     Returns (p, residuals, converged). Raises LinAlgError on a singular
     normal matrix.
     """
@@ -227,7 +227,7 @@ def _levenberg_marquardt(model, x, y, p, xtol=1e-8, ftol=1e-12, max_iter=200):
     r = values - y
     cost = r @ r
     damping = 1e-3
-    for _ in range(max_iter):
+    for _ in range(200):
         jtj = jac.T @ jac
         scale = np.sqrt(np.diag(jtj))
         step = np.linalg.solve(jtj + damping * np.diag(scale**2), -(jac.T @ r))
@@ -236,13 +236,13 @@ def _levenberg_marquardt(model, x, y, p, xtol=1e-8, ftol=1e-12, max_iter=200):
         trial_r = values - y
         trial_cost = trial_r @ trial_r
         if trial_cost < cost:
-            small_drop = cost - trial_cost <= ftol * cost
+            small_drop = cost - trial_cost <= 1e-12 * cost
             p, r, jac, cost = trial, trial_r, trial_jac, trial_cost
             damping *= 0.1
             if small_drop:
                 return p, r, True
         else:
             damping *= 10.0
-            if np.linalg.norm(scale * step) <= xtol * np.linalg.norm(scale * p):
+            if np.linalg.norm(scale * step) <= 1e-8 * np.linalg.norm(scale * p):
                 return p, r, True
     return p, r, False

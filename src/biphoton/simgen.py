@@ -527,6 +527,12 @@ def _dead_time_mask(ticks, channels, cfg: AcquisitionConfig, last_kept):
     return mask
 
 
+#: `TRUTH_RECORD` rows as one (row, arm) i8 field over the four consecutive arm fields
+_ARMS = np.dtype({"names": ["arms"], "formats": [("<i8", 4)],
+                  "offsets": [TRUTH_RECORD.fields["mcp"][1]],
+                  "itemsize": TRUTH_RECORD.itemsize})
+
+
 class _PendingTruth:
     """The pair rows emitted but not yet final, for `_final_chunks`, as one
     `TRUTH_RECORD` table whose arm fields hold stream indices, -1 until
@@ -549,8 +555,7 @@ class _PendingTruth:
         """Place the labels of the stream's next final tags (-1: no pair)."""
         labelled = np.flatnonzero(labels >= 0)
         row, arm = np.divmod(labels[labelled] - 4 * self.first_row, 4)
-        for k, name in enumerate(TRUTH_RECORD.names[-4:]):  # arms 0-3
-            self.rows[name][row[arm == k]] = self.written + labelled[arm == k]
+        self.rows.view(_ARMS)["arms"][row, arm] = self.written + labelled
         self.written += len(labels)
 
     def release(self, held):

@@ -46,42 +46,14 @@ _WINDOW_RECORDS = 1 << 14
 
 
 class StreamFormatError(ValueError):
-    """Base class for malformed `.ttag` data; `byte_offset` locates the
-    fault in the file when it is known."""
+    """Malformed `.ttag` data; the message names the fault and
+    `byte_offset` locates it in the file when it is known."""
 
     def __init__(self, message, byte_offset=None):
         if byte_offset is not None:
             message = f"{message} (at byte offset {byte_offset})"
         super().__init__(message)
         self.byte_offset = byte_offset
-
-
-class BadMagicError(StreamFormatError):
-    pass
-
-
-class UnsupportedVersionError(StreamFormatError):
-    pass
-
-
-class TruncatedStreamError(StreamFormatError):
-    pass
-
-
-class RecordCountError(StreamFormatError):
-    """The header's non-zero record_count differs from the records present."""
-
-
-class RecordOrderError(StreamFormatError):
-    """A record breaks the (timestamp, channel) order of the stream."""
-
-
-class UnmappedChannelError(StreamFormatError):
-    """A record's channel is not in the header's channel map."""
-
-
-class TimestampRangeError(StreamFormatError):
-    """A record's u64 timestamp does not fit in the i64 timestamp column."""
 
 
 @dataclass(eq=False)
@@ -172,12 +144,12 @@ class StreamHeader:
     @classmethod
     def from_bytes(cls, raw):
         if len(raw) < 4 or raw[:4] != MAGIC:
-            raise BadMagicError(f"expected magic {MAGIC!r}, got {raw[:4]!r}")
+            raise StreamFormatError(f"expected magic {MAGIC!r}, got {raw[:4]!r}")
         if len(raw) < HEADER_SIZE:
-            raise TruncatedStreamError("incomplete header", len(raw))
+            raise StreamFormatError("incomplete header", len(raw))
         magic, version, tick_ps, channel_count, *ids, record_count = _HEADER_STRUCT.unpack(raw[:HEADER_SIZE])
         if version != VERSION:
-            raise UnsupportedVersionError(f"unsupported stream version {version}")
+            raise StreamFormatError(f"unsupported stream version {version}")
         return cls(tick_ps=tick_ps, channel_count=channel_count,
                    channel_map=ChannelMap(*ids), record_count=record_count)
 
@@ -215,25 +187,24 @@ def _check_records(block: TagColumns, last, first_unmapped, offset):
     """The record check of the reader and the writer: `last` is the
     (timestamp, channel) before the non-empty `block`, or None, and `offset`
     the byte offset of its first record. Raises for the first faulty record,
-    whatever the partition into blocks: UnmappedChannelError for a channel
-    outside the map, else TimestampRangeError for a u64 timestamp beyond
-    int64, else RecordOrderError for a record out of order. Returns the
+    whatever the partition into blocks: a channel outside the map, else a
+    u64 timestamp beyond int64, else a record out of order. Returns the
     block's last (timestamp, channel)."""
     # a u64 timestamp of 2**63 or more is negative in the i64 column, so
     # after a valid record the first one is also the first out of order
     bad = 0 if block.timestamp[0] < 0 else first_order_violation(block, after=last)
     unmapped = first_unmapped(block.channel)
     if unmapped is not None and (bad is None or unmapped <= bad):
-        raise UnmappedChannelError(
+        raise StreamFormatError(
             f"record on channel {block.channel[unmapped]}, which is not in the "
             "header's channel map", offset + unmapped * RECORD_SIZE)
     if bad is not None:
         if block.timestamp[bad] < 0:
-            raise TimestampRangeError(
+            raise StreamFormatError(
                 f"record timestamp {int(block.timestamp[bad]) % 2**64} does not fit in int64",
                 offset + bad * RECORD_SIZE)
-        raise RecordOrderError("record out of (timestamp, channel) order",
-                               offset + bad * RECORD_SIZE)
+        raise StreamFormatError("record out of (timestamp, channel) order",
+                                offset + bad * RECORD_SIZE)
     return int(block.timestamp[-1]), int(block.channel[-1])
 
 
@@ -305,8 +276,8 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
                 want = min(len(window), block_records - filled)
                 whole, leftover = divmod(source.readinto(window[:want]), RECORD_SIZE)
                 if leftover:
-                    raise TruncatedStreamError("stream truncated mid-record",
-                                               HEADER_SIZE + RECORD_SIZE * (seen + filled + whole))
+                    raise StreamFormatError("stream truncated mid-record",
+                                            HEADER_SIZE + RECORD_SIZE * (seen + filled + whole))
                 block.channel[filled:filled + whole] = window["channel"][:whole]
                 block.timestamp[filled:filled + whole] = window["timestamp"][:whole]
                 filled += whole
@@ -319,8 +290,8 @@ def iter_stream_blocks(source: BinaryIO, block_records=_BLOCK_RECORDS):
                 yield block
             del block   # not held while the next block is read
         if header.record_count and seen != header.record_count:
-            raise RecordCountError(f"header declares {header.record_count} records, found {seen}",
-                                   HEADER_SIZE + RECORD_SIZE * seen)
+            raise StreamFormatError(f"header declares {header.record_count} records, found {seen}",
+                                    HEADER_SIZE + RECORD_SIZE * seen)
 
     return header, blocks()
 

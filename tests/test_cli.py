@@ -880,6 +880,21 @@ class TestAnalyze:
         for axis, model in (("signal", "gaussian"), ("idler", "sinc_squared")):
             assert_fit_matches_scipy(*jsa.marginal(axis), model)
 
+    def test_background_reports_the_unsubtracted_mode_count(self, monkeypatch, capsys,
+                                                            pipeline):
+        tmp, _ = pipeline
+        capsys.readouterr()
+        reports = []
+        for extra in ([], ["--background", 2]):
+            run_cli(monkeypatch, ["analyze", tmp / "built/jsi.csv", *extra])
+            reports.append(json.loads(capsys.readouterr().out))
+        plain, subtracted = reports
+        assert plain["background_subtracted"] == 0.0 and "no_subtraction" not in plain
+        assert subtracted["background_subtracted"] == 2.0
+        assert subtracted["no_subtraction"]["schmidt_number"] == plain["schmidt_number"]
+        assert subtracted["no_subtraction"]["purity"] == plain["purity"]
+        assert subtracted["schmidt_number"] != plain["schmidt_number"]
+
     @pytest.mark.parametrize("value", ["-5", "nan", "inf", "-inf"])
     def test_bad_background_exits_2_before_reading(self, monkeypatch, capsys, tmp_path, value):
         # reading this file would fail with exit 1

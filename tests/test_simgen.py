@@ -684,6 +684,15 @@ class TestStreamedTruth:
         assert len(batches) == 2 and batches[1].records["pulse"].tolist() == [50]
         assert [batches[1].records[arm].tolist() for arm in ARMS] == [[-1], [-1], [6], [-1]]
 
+    def test_arms_view_is_the_arm_fields_in_order(self):
+        records = np.zeros(3, simgen.TRUTH_RECORD)
+        records["pulse"] = [7, 8, 9]
+        for k, arm in enumerate(ARMS):
+            records[arm] = 10 * np.arange(3) + k
+        view = records.view(simgen._ARMS)["arms"]
+        assert view.shape == (3, 4)
+        assert np.array_equal(view, np.stack([records[arm] for arm in ARMS], axis=1))
+
     def test_no_callback_same_stream_and_pair_count(self, model_jsa):
         cfg = clean_acquisition(duration_s=0.002)
         result = simgen.generate(model_jsa, cfg, SEED)

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import tagstream as ts
+
+# each fault's StreamFormatError is told apart by its message
+MAGIC = "expected magic"
+INCOMPLETE = "incomplete header"
+VERSION = "unsupported stream version"
+TRUNCATED = "stream truncated mid-record"
+COUNT = "header declares"
+UNMAPPED = "not in the header's channel map"
+RANGE = "does not fit in int64"
+ORDER = "out of (timestamp, channel) order"
+
+
+def fault(fragment):
+    return pytest.raises(ts.StreamFormatError, match=re.escape(fragment))
 
 
 def make_header(**kw):
@@ -72,17 +87,17 @@ class TestWriteStream:
     def test_unsorted_rejected_with_index(self):
         # equal timestamps, channels 3 then 1: tie-break violated at index 1
         tags = tags_of([(3, 100), (1, 100)])
-        with pytest.raises(ts.RecordOrderError) as err:
+        with fault(ORDER) as err:
             ts.write_stream(make_header(), tags, io.BytesIO())
         assert err.value.byte_offset == ts.HEADER_SIZE + 1 * ts.RECORD_SIZE
 
     def test_unsorted_timestamp_rejected(self):
         tags = tags_of([(0, 5), (0, 4)])
-        with pytest.raises(ts.RecordOrderError):
+        with fault(ORDER):
             ts.write_stream(make_header(), tags, io.BytesIO())
 
     def test_channel_outside_map_rejected(self):
-        with pytest.raises(ts.UnmappedChannelError):
+        with fault(UNMAPPED):
             ts.write_stream(make_header(), tags_of([(9, 0)]), io.BytesIO())
 
     def test_unmapped_channel_index(self):
@@ -90,13 +105,13 @@ class TestWriteStream:
         cmap = ts.ChannelMap(mcp=10, dld_x1=11, dld_x2=12, dld_y1=13, dld_y2=14,
                              snspd=15, sync=20)
         tags = tags_of([(10, 1), (20, 1), (11, 2), (17, 2), (0, 3)])
-        with pytest.raises(ts.UnmappedChannelError) as err:
+        with fault(UNMAPPED) as err:
             ts.write_stream(make_header(channel_map=cmap), tags, io.BytesIO())
         assert err.value.byte_offset == ts.HEADER_SIZE + 3 * ts.RECORD_SIZE
         assert "channel 17" in str(err.value)
 
     def test_negative_timestamp_rejected(self):
-        with pytest.raises(ts.TimestampRangeError):
+        with fault(RANGE):
             ts.write_stream(make_header(), tags_of([(0, -1), (0, 3)]), io.BytesIO())
 
     def test_sort_violation_scan_matches_pairwise_oracle(self):
@@ -141,21 +156,21 @@ class TestWriteStream:
         tags = tags_of([(0, 1), (1, 1), (0, 2), (6, 2), (0, 5), (2, 5)])
         # across a chunk boundary: (0, 5) after (6, 2) is fine, (0, 2) after (0, 5) is not
         chunks = [tags[:2], tags[2:2], tags[4:5], tags[2:4]]
-        with pytest.raises(ts.RecordOrderError) as err:
+        with fault(ORDER) as err:
             ts.write_stream(make_header(), iter(chunks), io.BytesIO())
         assert err.value.byte_offset == ts.HEADER_SIZE + 3 * ts.RECORD_SIZE
         # within a later chunk: an equal timestamp on a lower channel
         bad = tags_of([(0, 1), (6, 1), (0, 2), (3, 5), (2, 5)])
-        with pytest.raises(ts.RecordOrderError) as err:
+        with fault(ORDER) as err:
             ts.write_stream(make_header(), iter([bad[:2], bad[2:]]), io.BytesIO())
         assert err.value.byte_offset == ts.HEADER_SIZE + 4 * ts.RECORD_SIZE
         unmapped = tags_of([(0, 1), (6, 1), (0, 2), (9, 3)])
-        with pytest.raises(ts.UnmappedChannelError) as err:
+        with fault(UNMAPPED) as err:
             ts.write_stream(make_header(), iter([unmapped[:1], unmapped[1:3], unmapped[3:]]),
                             io.BytesIO())
         assert err.value.byte_offset == ts.HEADER_SIZE + 3 * ts.RECORD_SIZE
         assert "channel 9" in str(err.value)
-        with pytest.raises(ts.TimestampRangeError, match="does not fit in int64") as err:
+        with fault(RANGE) as err:
             ts.write_stream(make_header(), iter([ts.TagColumns.empty(), tags_of([(0, -1)])]),
                             io.BytesIO())
         assert err.value.byte_offset == ts.HEADER_SIZE
@@ -173,11 +188,11 @@ class TestWriteStream:
         # a fault in a later chunk leaves the earlier records behind a
         # zeroed header, which readers reject
         buf = io.BytesIO()
-        with pytest.raises(ts.RecordOrderError):
+        with fault(ORDER):
             ts.write_stream(make_header(), iter([good, tags_of([(0, 0)])]), buf)
         raw = buf.getvalue()
         assert raw == bytes(ts.HEADER_SIZE) + stream_bytes(good)[ts.HEADER_SIZE:]
-        with pytest.raises(ts.BadMagicError):
+        with fault(MAGIC):
             ts.read_stream_arrays(io.BytesIO(raw))
 
     def test_header_patched_at_sink_position(self):
@@ -229,19 +244,18 @@ class TestReadStream:
 
     def test_unsorted_records_within_block_name_offset(self):
         raw = unchecked_stream([(0, 1), (0, 3), (0, 2), (0, 4)])
-        with pytest.raises(ts.RecordOrderError) as err:
+        with fault(ORDER) as err:
             ts.read_stream_arrays(io.BytesIO(raw))
         assert err.value.byte_offset == ts.HEADER_SIZE + 2 * ts.RECORD_SIZE
-        assert isinstance(err.value, ts.StreamFormatError)
         # an equal timestamp with a lower channel also breaks the order
-        with pytest.raises(ts.RecordOrderError):
+        with fault(ORDER):
             ts.read_stream_arrays(io.BytesIO(unchecked_stream([(3, 5), (1, 5)])))
 
     def test_unsorted_across_block_boundary_names_offset(self):
         raw = unchecked_stream([(0, 10), (0, 11), (0, 5), (0, 6)])
         for block_records in (1, 2):
             _, blocks = ts.iter_stream_blocks(io.BytesIO(raw), block_records=block_records)
-            with pytest.raises(ts.RecordOrderError) as err:
+            with fault(ORDER) as err:
                 list(blocks)
             assert err.value.byte_offset == ts.HEADER_SIZE + 2 * ts.RECORD_SIZE
             assert str(err.value.byte_offset) in str(err.value)
@@ -252,11 +266,11 @@ class TestReadStream:
         for declared in (2, 4):
             header = ts.StreamHeader(record_count=declared).to_bytes()
             bad = header + raw[ts.HEADER_SIZE:]
-            with pytest.raises(ts.RecordCountError) as err:
+            with fault(COUNT) as err:
                 ts.read_stream_arrays(io.BytesIO(bad))
             assert err.value.byte_offset == end
             _, blocks = ts.iter_stream_blocks(io.BytesIO(bad), block_records=2)
-            with pytest.raises(ts.RecordCountError):
+            with fault(COUNT):
                 list(blocks)
         # record_count 0 means unknown: any number of records is accepted
         unknown = ts.StreamHeader(record_count=0).to_bytes() + raw[ts.HEADER_SIZE:]
@@ -268,13 +282,12 @@ class TestReadStream:
         pairs = [(0, 1), (6, 1), (1, 2), (2, 3), (6, 4), (9, 5), (0, 6), (6, 7)]
         raw = unchecked_stream(pairs)
         offset = ts.HEADER_SIZE + 5 * ts.RECORD_SIZE
-        with pytest.raises(ts.UnmappedChannelError) as err:
+        with fault(UNMAPPED) as err:
             ts.read_stream_arrays(io.BytesIO(raw))
         assert err.value.byte_offset == offset
-        assert isinstance(err.value, ts.StreamFormatError)
         for block_records in (1, 2, 3, 5, 6, 100):
             _, blocks = ts.iter_stream_blocks(io.BytesIO(raw), block_records=block_records)
-            with pytest.raises(ts.UnmappedChannelError) as err:
+            with fault(UNMAPPED) as err:
                 list(blocks)
             assert err.value.byte_offset == offset, block_records
             assert "channel 9" in str(err.value)
@@ -289,7 +302,7 @@ class TestReadStream:
         for channel in (0, 17):
             bad = (ts.StreamHeader(channel_map=cmap).to_bytes()
                    + unchecked_stream([(channel, 1)])[ts.HEADER_SIZE:])
-            with pytest.raises(ts.UnmappedChannelError):
+            with fault(UNMAPPED):
                 ts.read_stream_arrays(io.BytesIO(bad))
 
     def test_timestamp_beyond_int64_names_offset(self):
@@ -301,10 +314,9 @@ class TestReadStream:
             raw = unchecked_stream(pairs)
             for block_records in (1, 2, 100):
                 _, blocks = ts.iter_stream_blocks(io.BytesIO(raw), block_records=block_records)
-                with pytest.raises(ts.TimestampRangeError) as err:
+                with fault(RANGE) as err:
                     list(blocks)
                 assert err.value.byte_offset == ts.HEADER_SIZE + record * ts.RECORD_SIZE
-                assert isinstance(err.value, ts.StreamFormatError)
                 assert str(2**63 + 5) in str(err.value)
         # the largest i64 tick is still a valid timestamp
         header, tags = ts.read_stream_arrays(io.BytesIO(unchecked_stream([(0, 2**63 - 1)])))
@@ -315,22 +327,29 @@ class TestReadStream:
         ts.write_stream(make_header(), ts.TagColumns.empty(), buf)
         raw = bytearray(buf.getvalue())
         raw[:4] = b"XTAG"
-        with pytest.raises(ts.BadMagicError):
+        with fault(MAGIC):
             ts.read_stream_arrays(io.BytesIO(bytes(raw)))
+
+    def test_incomplete_header_names_its_length(self):
+        raw = stream_bytes(ts.TagColumns.empty())
+        for cut in (4, ts.HEADER_SIZE - 1):
+            with fault(INCOMPLETE) as err:
+                ts.read_stream_arrays(io.BytesIO(raw[:cut]))
+            assert err.value.byte_offset == cut
 
     def test_unknown_version(self):
         buf = io.BytesIO()
         ts.write_stream(make_header(), ts.TagColumns.empty(), buf)
         raw = bytearray(buf.getvalue())
         raw[4:6] = (99).to_bytes(2, "little")
-        with pytest.raises(ts.UnsupportedVersionError):
+        with fault(VERSION):
             ts.read_stream_arrays(io.BytesIO(bytes(raw)))
 
     def test_truncated_mid_record_names_offset(self):
         buf = io.BytesIO()
         ts.write_stream(make_header(), tags_of([(0, 1)]), buf)
         cut = ts.HEADER_SIZE + 6
-        with pytest.raises(ts.TruncatedStreamError) as err:
+        with fault(TRUNCATED) as err:
             ts.read_stream_arrays(io.BytesIO(buf.getvalue()[:cut]))
         assert err.value.byte_offset == ts.HEADER_SIZE
         assert str(ts.HEADER_SIZE) in str(err.value)
@@ -345,10 +364,10 @@ class TestReadStream:
         cut = raw[:ts.HEADER_SIZE + n_whole * ts.RECORD_SIZE + 5]
         offset = ts.HEADER_SIZE + n_whole * ts.RECORD_SIZE
         _, blocks = ts.iter_stream_blocks(io.BytesIO(cut), block_records=block_records)
-        with pytest.raises(ts.TruncatedStreamError) as err:
+        with fault(TRUNCATED) as err:
             list(blocks)
         assert err.value.byte_offset == offset
-        with pytest.raises(ts.TruncatedStreamError) as err:
+        with fault(TRUNCATED) as err:
             ts.read_stream_arrays(io.BytesIO(cut))
         assert err.value.byte_offset == offset
 
@@ -363,7 +382,7 @@ class TestReadStream:
         pairs = [(0, t) for t in (1, 2, 3, 9, 4, 10, 11)]
         raw = unchecked_stream(pairs)
         _, blocks = ts.iter_stream_blocks(io.BytesIO(raw), block_records=100)
-        with pytest.raises(ts.RecordOrderError) as err:
+        with fault(ORDER) as err:
             list(blocks)
         assert err.value.byte_offset == ts.HEADER_SIZE + 4 * ts.RECORD_SIZE
         # the window does not change the blocks
@@ -380,6 +399,12 @@ class TestReadStream:
             make_header(channel_count=5)
         with pytest.raises(ValueError):
             ts.ChannelMap(mcp=1, dld_x1=1)
+        with pytest.raises(ValueError, match="fit in u16"):
+            ts.ChannelMap(sync=0x10000)
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            ts.TagColumns([0, 1], [5])
 
 
 class TestWholeStreamReader:
@@ -405,11 +430,11 @@ class TestWholeStreamReader:
         records = np.frombuffer(bytearray(raw[ts.HEADER_SIZE:]), dtype=ts.RECORD_DTYPE).copy()
         records["timestamp"][k] = 0
         bad = raw[:ts.HEADER_SIZE] + records.tobytes()
-        with pytest.raises(ts.RecordOrderError) as err:
+        with fault(ORDER) as err:
             ts.read_stream_arrays(io.BytesIO(bad))
         assert err.value.byte_offset == ts.HEADER_SIZE + k * ts.RECORD_SIZE
         records["timestamp"][k] = 2**63
-        with pytest.raises(ts.TimestampRangeError) as err:
+        with fault(RANGE) as err:
             ts.read_stream_arrays(io.BytesIO(raw[:ts.HEADER_SIZE] + records.tobytes()))
         assert err.value.byte_offset == ts.HEADER_SIZE + k * ts.RECORD_SIZE
 
@@ -441,24 +466,24 @@ def faulty_records(draw):
 
 
 def first_fault(pairs):
-    """(error class, byte offset) of the first faulty record, or None: a
+    """(message fragment, byte offset) of the first faulty record, or None: a
     record's channel is checked first, then its u64 timestamp, then its
     (timestamp, channel) order in i64 against the record before it."""
     prev = None
     for i, (channel, timestamp) in enumerate(pairs):
         at = ts.HEADER_SIZE + i * ts.RECORD_SIZE
         if channel > 6:
-            return ts.UnmappedChannelError, at
+            return UNMAPPED, at
         if timestamp >= 2**63:
-            return ts.TimestampRangeError, at
+            return RANGE, at
         if prev is not None and (timestamp, channel) < prev:
-            return ts.RecordOrderError, at
+            return ORDER, at
         prev = (timestamp, channel)
     return None
 
 
 class TestReaderWriterAgree:
-    """The writer rejects what the reader rejects, with the same error at
+    """The writer rejects what the reader rejects, with the same message at
     the same byte offset, however the records are cut into chunks and
     blocks: the first faulty record's."""
 
@@ -482,21 +507,27 @@ class TestReaderWriterAgree:
             except ValueError as exc:
                 outcomes.append((type(exc), exc.byte_offset, str(exc)))
         assert outcomes[0] == outcomes[1]
-        assert (outcomes[0] and outcomes[0][:2]) == first_fault(pairs)
-        if outcomes[0] is None:
+        expected = first_fault(pairs)
+        if expected is None:
+            assert outcomes[0] is None
             assert sink.getvalue() == raw
+        else:
+            fragment, byte_offset = expected
+            assert outcomes[0][:2] == (ts.StreamFormatError, byte_offset)
+            assert fragment in outcomes[0][2]
 
-    @pytest.mark.parametrize("pairs, error, byte_offset", [
-        ([(0, 5), (0, 3), (9, 7)], ts.RecordOrderError, 46),
-        ([(0, 2**63 + 5), (0, 3), (0, 2)], ts.TimestampRangeError, 34)])
+    @pytest.mark.parametrize("pairs, fragment, byte_offset", [
+        pytest.param([(0, 5), (0, 3), (9, 7)], ORDER, 46, id="pairs0-RecordOrder-46"),
+        pytest.param([(0, 2**63 + 5), (0, 3), (0, 2)], RANGE, 34,
+                     id="pairs1-TimestampRange-34")])
     @pytest.mark.parametrize("block_records", [1, 2, 100])
-    def test_first_fault_for_any_block_size(self, pairs, error, byte_offset, block_records):
+    def test_first_fault_for_any_block_size(self, pairs, fragment, byte_offset, block_records):
         raw = unchecked_stream(pairs)
-        with pytest.raises(error) as err:
+        with fault(fragment) as err:
             list(ts.iter_stream_blocks(io.BytesIO(raw), block_records)[1])
         assert err.value.byte_offset == byte_offset
         tags = tags_of((c, t - 2**64 if t >= 2**63 else t) for c, t in pairs)
         chunks = [tags[lo:lo + block_records] for lo in range(0, len(tags), block_records)]
-        with pytest.raises(error) as err:
+        with fault(fragment) as err:
             ts.write_stream(make_header(), chunks, io.BytesIO())
         assert err.value.byte_offset == byte_offset
