@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 runtime or data error, 2 configuration error.
 
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import os
@@ -16,6 +15,9 @@ from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
+# before numpy loads (a caller's own value wins): OpenBLAS's second thread
+# stalls the small SVDs of simulate-jsa and analyze on a busy core
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import click
 import numpy as np
 
@@ -139,6 +141,7 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
                 result = simgen.generate(jsa, cfg.acquisition, cfg.seed, on_truth)
                 n_bytes = tagstream.write_stream(result.header, result.chunks, fh)
                 fh.seek(0)
+                import hashlib
                 sha256 = hashlib.sha256()
                 while chunk := fh.read(1 << 20):
                     sha256.update(chunk)
@@ -385,6 +388,7 @@ def _golden_config(tmp: Path):
 
 
 def _run_golden(update=False):
+    import hashlib
     golden_path = resources.files("biphoton").joinpath("data/golden_hashes.json")
     with tempfile.TemporaryDirectory() as tmp_str:
         tmp = Path(tmp_str)

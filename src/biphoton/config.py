@@ -5,7 +5,6 @@ silently fall back to a default. Values are validated by the component
 dataclasses themselves; validation problems surface as ConfigError.
 """
 
-import hashlib
 import json
 import os
 import sys
@@ -215,6 +214,7 @@ def load_run_config(path):
 
 
 def config_sha256(path):
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         digest.update(fh.read())

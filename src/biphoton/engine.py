@@ -12,7 +12,6 @@ thread count.
 import functools
 import os
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -463,6 +462,7 @@ def _fold(blocks, channel_map: ChannelMap, cfg: EventBuildConfig, threads, keep=
         for step in demuxed():
             add(*run(*step))
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             in_flight = deque()
             for step in demuxed():

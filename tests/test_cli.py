@@ -711,6 +711,7 @@ class TestProvenance:
                     "numpy_version"} <= manifest.keys()
             assert manifest["numpy_version"] == np.__version__
             assert manifest["config_sha256"] == manifests[0]["config_sha256"]
+        assert manifests[0]["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
     def test_every_csv_header_value_is_json(self, monkeypatch, tmp_path, pipeline):
         tmp, cfg = pipeline
@@ -951,14 +952,49 @@ class TestAnalyze:
             f"at index [{index}] ({value})"]
 
 
+def run_child(code, **env):
+    """stdout lines of `code` run in a fresh interpreter on this test's path,
+    with `env` set over the test's environment (a None value unsets it)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={k: v for k, v in env.items() if v is not None})
+    return out.stdout.strip().splitlines()
+
+
 class TestImport:
-    def test_cli_import_does_not_load_scipy(self):
-        code = ("import sys, biphoton.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert out.stdout.strip() == "[]"
+    # what a process loads is part of every child's start-up: scipy never,
+    # OpenSSL only where a digest is taken, the thread pool only at threads > 1
+    LOADED = ("\nimport sys\n"
+              "print([m for m in ('scipy', '_hashlib', 'concurrent.futures') "
+              "if m in sys.modules])")
+
+    def test_cli_import_loads_no_scipy_openssl_or_pool(self):
+        assert run_child("import biphoton.cli" + self.LOADED) == ["[]"]
+
+    @pytest.mark.parametrize("threads, loaded", [(1, "[]"), (2, "['concurrent.futures']")],
+                             ids=["1-thread", "2-threads"])
+    def test_fold_loads_the_pool_only_on_more_threads(self, pipeline, threads, loaded):
+        tmp, cfg = pipeline
+        code = ("from biphoton import config, engine, tagstream\n"
+                f"event_cfg = config.load_run_config({str(cfg)!r}).event_config()\n"
+                f"with open({str(tmp / 'tags.ttag')!r}, 'rb') as fh:\n"
+                "    header, blocks = tagstream.iter_stream_blocks(fh, block_records=4096)\n"
+                "    result = engine.fold_stream_blocks(blocks, header.channel_map, event_cfg,\n"
+                f"                                       threads={threads})\n"
+                "print(result.diagnostics['records'])" + self.LOADED)
+        records, modules = run_child(code)
+        stream_bytes = (tmp / "tags.ttag").stat().st_size
+        assert int(records) == (stream_bytes - tagstream.HEADER_SIZE) // tagstream.RECORD_SIZE > 0
+        assert modules == loaded
+
+    def test_analyze_takes_no_digest(self, pipeline):
+        tmp, _ = pipeline
+        code = ("from biphoton import cli\n"
+                f"cli.cli(['analyze', {str(tmp / 'built/jsi.csv')!r}], standalone_mode=False)"
+                + self.LOADED)
+        lines = run_child(code)
+        assert '"schmidt_number"' in "".join(lines)
+        assert lines[-1] == "[]"
 
     def test_commands_do_not_load_scipy(self, tmp_path):
         # the solved phase-matching angle and the peak fits of analyze run
@@ -967,15 +1003,17 @@ class TestImport:
         steps = [["simulate-jsa", cfg, tmp_path / "jsa"],
                  ["gen-tags", tmp_path / "jsa/jsa.jsag", cfg, tmp_path / "tags.ttag"],
                  ["analyze", tmp_path / "jsa/jsi_model.csv"]]
-        code = ("import sys; from biphoton import cli\n"
+        code = ("from biphoton import cli\n"
                 f"for args in {[[str(a) for a in step] for step in steps]!r}:\n"
-                "    cli.cli(args, standalone_mode=False)\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert '"signal_fit"' in out.stdout
-        assert out.stdout.strip().splitlines()[-1] == "[]"
+                "    cli.cli(args, standalone_mode=False)" + self.LOADED)
+        lines = run_child(code)
+        assert '"signal_fit"' in "".join(lines)
+        assert lines[-1] == "['_hashlib']"     # gen-tags hashes its stream
+
+    @pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3")])
+    def test_cli_runs_one_blas_thread_unless_told(self, given, seen):
+        code = "import os, biphoton.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_child(code, OPENBLAS_NUM_THREADS=given) == [seen]
 
 
 class TestTracedNames:
