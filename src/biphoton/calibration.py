@@ -133,13 +133,12 @@ def _sinc_squared(x, center, width, amplitude, baseline):
                                                          np.ones_like(x)))
 
 
-_MODELS = {"gaussian": _gaussian, "sinc_squared": _sinc_squared}
-
-
-def _fwhm_factor(model):
-    if model == "gaussian":
-        return GAUSSIAN_FWHM_OVER_SIGMA
-    return 2.0 * SINC_SQ_HALF_POWER_ARG
+#: each model's values-and-Jacobian function, its FWHM per fitted width, and
+#: its fit window in widths either side of the initial centre (None: every
+#: point; the sinc-squared fit keeps its central lobe, since side lobes
+#: otherwise dominate the loss when the model is imperfect)
+_MODELS = {"gaussian": (_gaussian, GAUSSIAN_FWHM_OVER_SIGMA, None),
+           "sinc_squared": (_sinc_squared, 2.0 * SINC_SQ_HALF_POWER_ARG, 1.5 * np.pi)}
 
 
 def _initial_guess(x, y, model):
@@ -157,58 +156,44 @@ def _initial_guess(x, y, model):
     while right < len(y) - 1 and y[right] > half:
         right += 1
     half_width = max((x[right] - x[left]) / 2.0, (x[1] - x[0]) if len(x) > 1 else 1.0)
-    width = 2.0 * half_width / _fwhm_factor(model)
+    width = 2.0 * half_width / _MODELS[model][1]
     return float(x[peak]), float(width), amplitude, baseline
 
 
 def fit_peak(data, model="gaussian"):
     """Least-squares peak fit against bin centers and counts.
 
-    data is (bin_centers, counts). The gaussian model fits every point; the
-    sinc_squared model fits the points within 1.5 central-lobe half-widths
-    of the initial peak estimate (side lobes otherwise dominate the loss
-    when the model is imperfect).
+    data is (bin_centers, counts). The fit keeps the points within the
+    model's window (`_MODELS`) of the initial peak estimate and reports
+    how many it kept in n_points.
 
     The fit is Levenberg-Marquardt with analytic Jacobians. Degenerate data
-    never raises: the result comes back converged=False.
+    never raises: the result comes back converged=False, with NaN
+    parameters when there is too little to fit and the initial guess when
+    the normal matrix is singular.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
-    x, y = data
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    func = _MODELS[model]
+    func, fwhm_per_width, window = _MODELS[model]
+    x, y = (np.asarray(v, dtype=float) for v in data)
+    p, residual_norm, converged = np.full(4, np.nan), np.nan, False
+    if np.count_nonzero(y) >= 5 and np.ptp(y) != 0:
+        p0 = np.array(_initial_guess(x, y, model))
+        if window is not None:
+            keep = np.abs(x - p0[0]) <= window * p0[1]
+            x, y = x[keep], y[keep]
+        if np.count_nonzero(y) >= 5:
+            try:
+                p, residuals, converged = _levenberg_marquardt(func, x, y, p0)
+                residual_norm = float(np.linalg.norm(residuals))
+            except np.linalg.LinAlgError:
+                p = p0
 
-    if np.count_nonzero(y) < 5 or np.ptp(y) == 0:
-        return PeakFitResult(model, np.nan, np.nan, np.nan, np.nan, np.nan,
-                             np.nan, converged=False, n_points=len(x))
-
-    center0, width0, amp0, base0 = _initial_guess(x, y, model)
-
-    xf, yf = x, y
-    if model == "sinc_squared":
-        keep = np.abs(x - center0) <= 1.5 * np.pi * width0
-        xf, yf = x[keep], y[keep]
-    if np.count_nonzero(yf) < 5:
-        return PeakFitResult(model, np.nan, np.nan, np.nan, np.nan, np.nan,
-                             np.nan, converged=False, n_points=len(xf))
-
-    try:
-        p, residuals, converged = _levenberg_marquardt(
-            func, xf, yf, np.array([center0, width0, amp0, base0]))
-    except np.linalg.LinAlgError:
-        return PeakFitResult(model, center0, abs(width0), amp0, base0,
-                             abs(width0) * _fwhm_factor(model),
-                             np.nan, converged=False, n_points=len(xf))
-
-    center, width, amplitude, baseline = p
-    width = abs(float(width))
-    converged = bool(converged and width > 0 and np.isfinite(p).all())
-    return PeakFitResult(model=model, center=float(center), width=width,
-                         amplitude=float(amplitude), baseline=float(baseline),
-                         fwhm=width * _fwhm_factor(model),
-                         residual_norm=float(np.linalg.norm(residuals)),
-                         converged=converged, n_points=len(xf))
+    center, width, amplitude, baseline = map(float, p)
+    width = abs(width)
+    return PeakFitResult(model, center, width, amplitude, baseline, width * fwhm_per_width,
+                         residual_norm, bool(converged and width > 0 and np.isfinite(p).all()),
+                         n_points=len(x))
 
 
 def _levenberg_marquardt(model, x, y, p):

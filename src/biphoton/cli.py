@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__, calibration, engine, histograms, schmidt, simgen, spdc, tagstream
-from .config import ConfigError, config_sha256, default_config_dict, load_run_config
+from .config import ConfigError, default_config_dict, file_sha256, load_run_config
 
 
 def _fail(message, code):
@@ -40,7 +40,7 @@ def _write_json(path, doc):
 def _write_manifest(path, command, cfg_path, seed, extra=None):
     _write_json(path, {
         "command": command,
-        "config_sha256": config_sha256(cfg_path),
+        "config_sha256": file_sha256(cfg_path),
         "seed": seed,
         "biphoton_version": __version__,
         "numpy_version": np.__version__,
@@ -84,16 +84,16 @@ def cmd_simulate_jsa(config_path, out_dir):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spdc.write_jsa_file(out / "jsa.jsag", jsa, params={
-        "pump": asdict(cfg.pump), "crystal": asdict(cfg.crystal), "grid": asdict(cfg.grid),
-        "seed": cfg.seed})
+    spdc.write_jsa_file(out / "jsa.jsag", jsa)
+    _write_json(out / "jsa.jsag.json", {"pump": asdict(cfg.pump), "crystal": asdict(cfg.crystal),
+                                        "grid": asdict(cfg.grid), "seed": cfg.seed})
     histograms.write_matrix_csv(out / "jsi_model.csv", jsa.jsi(), meta={
         "format": "biphoton jsi v1",
         "x_axis": "signal (rows)",
         "y_axis": "idler (columns)",
         "x_wavelength_centers_nm": [float(v) for v in jsa.signal_wavelength_nm],
         "y_wavelength_centers_nm": [float(v) for v in jsa.idler_wavelength_nm],
-        "config_sha256": config_sha256(config_path),
+        "config_sha256": file_sha256(config_path),
     })
     summary = report.to_dict()
     summary["signal_marginal_fwhm_nm"] = jsa.marginal_fwhm_nm("signal")
@@ -137,14 +137,10 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
                 spill = stack.enter_context(
                     tempfile.TemporaryFile(dir=Path(truth_path).resolve().parent))
                 on_truth = functools.partial(simgen.spill_truth, spill)
-            with open(partials[out_path], "w+b") as fh:
+            with open(partials[out_path], "wb") as fh:
                 result = simgen.generate(jsa, cfg.acquisition, cfg.seed, on_truth)
                 n_bytes = tagstream.write_stream(result.header, result.chunks, fh)
-                fh.seek(0)
-                import hashlib
-                sha256 = hashlib.sha256()
-                while chunk := fh.read(1 << 20):
-                    sha256.update(chunk)
+            digest = file_sha256(partials[out_path])
             if truth_path:
                 simgen.write_spilled_jsonl(spill, partials[truth_path])
         for final, partial in partials.items():
@@ -153,7 +149,6 @@ def cmd_gen_tags(jsa_path, config_path, out_path, truth_path):
         for partial in partials.values():
             Path(partial).unlink(missing_ok=True)
         raise
-    digest = sha256.hexdigest()
     n_tags = (n_bytes - tagstream.HEADER_SIZE) // tagstream.RECORD_SIZE
     _write_manifest(manifest_path, "gen-tags", config_path, cfg.seed, extra={
         "sha256": digest, "bytes": n_bytes, "tags": n_tags, "pairs": len(result.truth)})
@@ -226,7 +221,7 @@ def cmd_build(ttag_path, config_path, out_dir, threads):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"config_sha256": config_sha256(config_path)}
+    meta = {"config_sha256": file_sha256(config_path)}
     for name, value_name in (("irf", "sync_offset"), ("signal_spectrum", "dt_x"),
                              ("idler_spectrum", "tau")):
         histograms.write_histogram1d_csv(out / f"{name}.csv", result.histograms[name],
@@ -308,7 +303,7 @@ def cmd_slice(ttag_path, config_path, out_dir, window_ps, origin_ps, frames):
         result.coincidences, event_cfg, width_ticks, origin_ticks, frames)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"config_sha256": config_sha256(config_path),
+    meta = {"config_sha256": file_sha256(config_path),
             "window_width_ticks": width_ticks,
             "window_origin_ticks": origin_ticks,
             "folded": event_cfg.fold_period_ps is not None}
@@ -388,23 +383,18 @@ def _golden_config(tmp: Path):
 
 
 def _run_golden(update=False):
-    import hashlib
+    """Run the four commands on their own defaults, as a command line
+    would, then hash their outputs."""
     golden_path = resources.files("biphoton").joinpath("data/golden_hashes.json")
     with tempfile.TemporaryDirectory() as tmp_str:
         tmp = Path(tmp_str)
-        cfg_path = _golden_config(tmp)
-        cmd_simulate_jsa.callback(str(cfg_path), str(tmp / "jsa"))
-        cmd_gen_tags.callback(str(tmp / "jsa/jsa.jsag"), str(cfg_path),
-                              str(tmp / "tags.ttag"), truth_path=None)
-        cmd_build.callback(str(tmp / "tags.ttag"), str(cfg_path),
-                           str(tmp / "built"), threads=1)
-        cmd_slice.callback(str(tmp / "tags.ttag"), str(cfg_path), str(tmp / "sliced"),
-                           window_ps=150.0, origin_ps=None, frames=5)
-
-        hashes = {}
-        for rel in _GOLDEN_FILES:
-            digest = hashlib.sha256((tmp / rel).read_bytes()).hexdigest()
-            hashes[rel] = digest
+        cfg = str(_golden_config(tmp))
+        for args in (["simulate-jsa", cfg, f"{tmp}/jsa"],
+                     ["gen-tags", f"{tmp}/jsa/jsa.jsag", cfg, f"{tmp}/tags.ttag"],
+                     ["build", f"{tmp}/tags.ttag", cfg, f"{tmp}/built"],
+                     ["slice", f"{tmp}/tags.ttag", cfg, f"{tmp}/sliced"]):
+            cli.main(args, standalone_mode=False)
+        hashes = {rel: file_sha256(tmp / rel) for rel in _GOLDEN_FILES}
 
         if update:
             _write_json(str(golden_path), hashes)

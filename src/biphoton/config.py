@@ -213,11 +213,13 @@ def load_run_config(path):
     return run_config_from_dict(doc)
 
 
-def config_sha256(path):
+def file_sha256(path):
+    """SHA-256 hex digest of a file's bytes, read 1 MiB at a time."""
     import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        digest.update(fh.read())
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
     return digest.hexdigest()
 
 

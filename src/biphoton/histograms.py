@@ -174,11 +174,12 @@ def write_histogram2d_csv(path, hist: Histogram2D, tick_ps, x_wavelength_edges,
 
 def read_matrix_csv(path):
     """Read a 2-D CSV written by write_histogram2d_csv (or any float matrix
-    with the same '#' header convention). Returns (matrix, meta dict)."""
+    with the same '#' header convention, every header value JSON). Returns
+    (matrix, meta dict)."""
     meta = {}
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line.startswith("#"):
                 key, colon, value = line[1:].partition(":")
@@ -186,7 +187,8 @@ def read_matrix_csv(path):
                     try:
                         meta[key.strip()] = json.loads(value)
                     except json.JSONDecodeError:
-                        meta[key.strip()] = value.strip()
+                        raise ValueError(f"{path} line {number}: the value of header key "
+                                         f"{key.strip()!r} is not JSON") from None
             elif line:
                 rows.append(line)
     if not rows:

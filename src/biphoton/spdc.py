@@ -10,7 +10,6 @@ with the phase mismatch either evaluated from published Sellmeier data
 around the nominal 515 / 1550 nm operating point (``pm_model="linearized"``).
 """
 
-import json
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -357,7 +356,6 @@ def pair_sampler(jsa: JsaGrid):
 #   magic "JSAG" | version u16 | n_s u32 | n_i u32 | flags u8 (bit0 =
 #   normalized) | 3 reserved bytes | f64 signal omega axis [n_s] | f64 idler
 #   omega axis [n_i] | complex128 row-major amplitude [n_s * n_i].
-# A JSON sidecar at <path>.json records generation parameters.
 # ---------------------------------------------------------------------------
 
 JSA_MAGIC = b"JSAG"
@@ -365,8 +363,7 @@ JSA_VERSION = 1
 _JSA_HEADER = struct.Struct("<4sHIIB3x")
 
 
-def write_jsa_file(path, jsa: JsaGrid, params: dict | None = None):
-    path = Path(path)
+def write_jsa_file(path, jsa: JsaGrid):
     with open(path, "wb") as fh:
         fh.write(_JSA_HEADER.pack(JSA_MAGIC, JSA_VERSION,
                                   len(jsa.signal_omega), len(jsa.idler_omega),
@@ -374,10 +371,6 @@ def write_jsa_file(path, jsa: JsaGrid, params: dict | None = None):
         fh.write(jsa.signal_omega.astype("<f8").tobytes())
         fh.write(jsa.idler_omega.astype("<f8").tobytes())
         fh.write(np.ascontiguousarray(jsa.amplitude, dtype="<c16").tobytes())
-    if params is not None:
-        with open(path.with_name(path.name + ".json"), "w") as fh:
-            json.dump(params, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def read_jsa_file(path):

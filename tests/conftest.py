@@ -95,12 +95,12 @@ def assert_fit_matches_scipy(x, y, model):
     width agree to 1e-6 relative."""
     from scipy.optimize import least_squares
 
+    func, _, window = calibration._MODELS[model]
     center0, width0, amp0, base0 = calibration._initial_guess(x, y, model)
     xf, yf = x, y
-    if model == "sinc_squared":
-        keep = np.abs(x - center0) <= 1.5 * np.pi * width0
+    if window is not None:
+        keep = np.abs(x - center0) <= window * width0
         xf, yf = x[keep], y[keep]
-    func = calibration._MODELS[model]
     ref = least_squares(lambda p: func(xf, *p)[0] - yf, [center0, width0, amp0, base0],
                         method="lm", xtol=1e-8, ftol=1e-12, gtol=1e-12, max_nfev=1000)
     assert ref.success

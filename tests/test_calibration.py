@@ -19,6 +19,17 @@ class TestDldPosition:
             cal.dld_position(c.t_a_ticks + 1, c)
         cal.dld_position(c.t_a_ticks + 1, c, guard_ticks=2)  # inside guard: fine
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: cal.DldCalibration(v_mm_per_tick=0.0), "t_a and v must be positive"),
+        (lambda: cal.DldCalibration(grating_dispersion_nm_per_mm=0.0),
+         "grating dispersion must be nonzero"),
+        (lambda: cal.FibreCalibration(dispersion_ps_per_nm=0.0),
+         "fibre dispersion must be nonzero")],
+        ids=["anode", "grating", "fibre"])
+    def test_invalid_calibration_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_roundtrip_identity(self):
         c = cal.DldCalibration()
         dts = np.arange(-c.t_a_ticks, c.t_a_ticks + 1, 37)
@@ -145,18 +156,43 @@ class TestFitPeak:
         assert cal.fit_peak((x, y), model="sinc_squared").n_points == lobe
         assert cal.fit_peak((x, y), model="gaussian").n_points == len(x)
 
+    def test_sparse_sinc_squared_window_flagged_not_raised(self):
+        # eight non-zero points, but only the one-bin peak inside the fit
+        # window: its half-max crossings are 2 bins apart, so the window is
+        # +-1.5 * pi * 2 / (2 * 1.3916) = +-3.39 bins, 7 points
+        x = np.arange(20.0)
+        y = np.zeros(20)
+        y[[0, 1, 2, 3, 17, 18, 19]] = 1.0
+        y[10] = 100.0
+        fit = cal.fit_peak((x, y), model="sinc_squared")
+        assert not fit.converged
+        assert fit.n_points == 7
+        assert np.isnan([fit.center, fit.width, fit.amplitude, fit.baseline, fit.fwhm,
+                         fit.residual_norm]).all()
+        assert cal.fit_peak((x, y), model="gaussian").n_points == len(x)
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="unknown model 'lorentzian'"):
+            cal.fit_peak((np.arange(20.0), np.arange(20.0)), model="lorentzian")
+
     def test_singular_start_flagged_not_raised(self):
         # a step edge: the median is the maximum, so the initial amplitude is
         # 0, the centre and width columns of the Jacobian vanish and the
         # damped normal matrix is singular
         x = np.arange(20.0)
-        fit = cal.fit_peak((x, np.where(x >= 5, 5.0, 0.0)), model="gaussian")
+        y = np.where(x >= 5, 5.0, 0.0)
+        fit = cal.fit_peak((x, y), model="gaussian")
         assert not fit.converged
         assert np.isnan(fit.residual_norm)
+        # the result is the initial guess
+        center0, width0, amp0, base0 = cal._initial_guess(x, y, "gaussian")
+        assert (fit.center, fit.width, fit.amplitude, fit.baseline) == (center0, width0, amp0,
+                                                                        base0)
+        assert fit.fwhm == width0 * GAUSSIAN_FWHM_OVER_SIGMA
 
     @pytest.mark.parametrize("model", ["gaussian", "sinc_squared"])
     def test_jacobian_matches_central_differences(self, model):
-        func = cal._MODELS[model]
+        func, _, _ = cal._MODELS[model]
         p = np.array([0.6, 2.4, 120.0, 1.0])
         x = np.concatenate([np.linspace(-12, 12, 97), [0.6]])  # 0.6: u = 0 exactly
         _, jac = func(x, *p)

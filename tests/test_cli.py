@@ -910,6 +910,28 @@ class TestAnalyze:
         path.write_text("1,2\n3,4\n")
         run_cli(monkeypatch, ["analyze", path], expect=1)
 
+    def test_header_value_not_json_exits_1_naming_the_line(self, monkeypatch, capsys,
+                                                             tmp_path):
+        path = tmp_path / "bad_header.csv"
+        path.write_text("# x_wavelength_centers_nm: [514.0, 515.0, 516.0]\n"
+                        "# y_wavelength_centers_nm: 1540.0; 1550.0; 1560.0\n"
+                        "1,2,1\n2,4,2\n1,2,1\n")
+        capsys.readouterr()
+        run_cli(monkeypatch, ["analyze", path], expect=1)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path} line 2: the value of header key 'y_wavelength_centers_nm' "
+            "is not JSON"]
+
+    def test_mismatched_axes_exit_1_naming_the_file(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "short_axis.csv"
+        path.write_text("# x_wavelength_centers_nm: [514.0, 515.0]\n"
+                        "# y_wavelength_centers_nm: [1540.0, 1550.0, 1560.0]\n"
+                        "1,2,1\n2,4,2\n1,2,1\n")
+        capsys.readouterr()
+        run_cli(monkeypatch, ["analyze", path], expect=1)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: counts shape does not match wavelength axes"]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_cell_exits_1_naming_it(self, tmp_path, value):
         # a child process with default warning filters: no numpy warning
@@ -1044,6 +1066,18 @@ class TestGolden:
         run_cli(monkeypatch, ["--update-golden"])
         assert json.loads(target.read_text())
         run_cli(monkeypatch, ["--golden"], expect=0)
+
+    def test_one_differing_hash_fails(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(cli_mod, "_GOLDEN_FILES", ("tags.ttag", "built/jsi.csv"))
+        real = cli_mod.resources.files("biphoton").joinpath("data/golden_hashes.json")
+        hashes = json.loads(real.read_text())
+        hashes["built/jsi.csv"] = "0" * 64
+        (tmp_path / "golden_hashes.json").write_text(json.dumps(hashes))
+        monkeypatch.setattr(cli_mod.resources, "files", lambda pkg: _FakeResources(tmp_path))
+        capsys.readouterr()
+        run_cli(monkeypatch, ["--golden"], expect=1)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["golden PASS: tags.ttag", "golden FAIL: built/jsi.csv"]
 
 
 class _FakeResources:

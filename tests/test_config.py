@@ -1,3 +1,4 @@
+import hashlib
 import json
 import typing
 from dataclasses import asdict, fields, is_dataclass
@@ -5,8 +6,8 @@ from dataclasses import asdict, fields, is_dataclass
 import numpy as np
 import pytest
 
-from biphoton.config import (ConfigError, RunConfig, default_config_dict, load_run_config,
-                             run_config_from_dict)
+from biphoton.config import (ConfigError, RunConfig, default_config_dict, file_sha256,
+                             load_run_config, run_config_from_dict)
 from biphoton.simgen import AcquisitionConfig, generate
 
 
@@ -137,6 +138,17 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="acquisition"):
             run_config_from_dict({"acquisition": {"eta_signal": 2.0}})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"pump": 3}, "section 'pump' must be an object"),
+        ([1], "top-level config must be a JSON object")], ids=["section", "top-level"])
+    def test_non_object_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            run_config_from_dict(doc)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config .*missing.json"):
+            load_run_config(tmp_path / "missing.json")
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -248,3 +260,12 @@ class TestDerivedEventConfig:
         assert ecfg.fold_period_ps == pytest.approx(12500.0)
         cfg2 = run_config_from_dict({"event_build": {"fold_sync": False}})
         assert cfg2.event_config().fold_period_ps is None
+
+
+@pytest.mark.parametrize("size", [0, 1 << 20, (5 << 19) + 3])
+def test_file_sha256_is_the_digest_of_every_byte(tmp_path, size):
+    # the file is read in 1 MiB pieces: none, exactly one, and a part piece
+    data = np.random.Generator(np.random.Philox(key=5)).bytes(size)
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert file_sha256(path) == hashlib.sha256(data).hexdigest()

@@ -280,6 +280,12 @@ class TestSliceTimeResolved:
         with pytest.raises(ValueError):
             engine.slice_time_resolved(result.coincidences, cfg, 0, 0, 5)
 
+    def test_no_window_rejected(self):
+        cfg = small_cfg()
+        result = engine.build(synthetic_stream(n_triples=50), CMAP, cfg)
+        with pytest.raises(ValueError, match="need at least one window"):
+            engine.slice_time_resolved(result.coincidences, cfg, 10, 0, 0)
+
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(-12, 12), st.integers(8, 34),

@@ -12,6 +12,14 @@ specs = st.builds(BinSpec, start=st.integers(-50, 50), width=st.integers(1, 7),
                   count=st.integers(1, 9))
 
 
+@pytest.mark.parametrize("width, count, message", [
+    (0, 1, "bin width must be at least 1 tick"),
+    (1, 0, "bin count must be at least 1")], ids=["width", "count"])
+def test_invalid_bin_spec_rejected(width, count, message):
+    with pytest.raises(ValueError, match=message):
+        BinSpec(0, width, count)
+
+
 def values_for(spec):
     """Values at and beside every bin edge, plus any within +-2**62."""
     edges = spec.edges().tolist()

@@ -142,6 +142,14 @@ class TestJsaFromJsi:
             schmidt.jsa_from_jsi(np.ones((4, 4)), np.arange(4.0) + 514,
                                  np.arange(4.0) + 1540, background=background)
 
+    @pytest.mark.parametrize("counts, message", [
+        (np.ones(4), "counts must be a 2-D array"),
+        (np.ones((4, 3)), "counts shape does not match wavelength axes")],
+        ids=["1-d", "shape"])
+    def test_bad_count_array_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            schmidt.jsa_from_jsi(counts, np.arange(4.0) + 514, np.arange(4.0) + 1540)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             schmidt.jsa_from_jsi(np.array([[-1.0, 2.0], [0.0, 1.0]]),

@@ -117,6 +117,22 @@ class TestGenerateBasics:
             clean_acquisition(mcp_jitter_fwhm_ps=300.0,
                               snspd_mcp_conv_jitter_fwhm_ps=200.0)
 
+    @pytest.mark.parametrize("kw, error, message", [
+        ({"dld_dark_rate_hz": -1.0}, ValueError, "dld_dark_rate_hz must be >= 0"),
+        ({"rep_rate_hz": 0.0}, ValueError, "rep_rate must be positive"),
+        ({"dead_time_ps": [("mcp", 1.0)]}, TypeError,
+         "dead_time_ps must map channel roles to dead times"),
+        ({"dead_time_ps": {"mcp": -1.0}}, ValueError, "dead times must be >= 0")],
+        ids=["negative-rate", "rep-rate", "dead-time-type", "negative-dead-time"])
+    def test_invalid_config_names_its_rule(self, kw, error, message):
+        with pytest.raises(error, match=message):
+            clean_acquisition(**kw)
+
+    def test_unnormalized_grid_rejected(self):
+        jsa = spdc.JsaGrid([1.0, 2.0], [1.0, 2.0], np.ones((2, 2)))
+        with pytest.raises(ValueError, match="requires a normalized amplitude grid"):
+            simgen.generate(jsa, clean_acquisition(), 1)
+
 
 class TestGroundTruth:
     def test_every_detection_tag_referenced_exactly_once(self, model_jsa):

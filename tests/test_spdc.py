@@ -40,6 +40,14 @@ class TestPumpEnvelope:
             assert a == pytest.approx(1.0)
             assert a == b
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"center_wavelength_nm": 0.0}, "pump center wavelength must be positive"),
+        ({"fwhm_bandwidth_nm": 40.0}, "pump bandwidth must be positive and small")],
+        ids=["center", "bandwidth"])
+    def test_invalid_pump_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            spdc.PumpSpec(**kw)
+
 
 class TestPhaseMismatch:
     def test_linearized_zero_at_expansion_point(self):
@@ -109,6 +117,16 @@ class TestPhaseMismatch:
         with pytest.raises(ValueError):
             spdc.CrystalSpec(pm_model="linearized", linearized_coeffs=None)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"length_mm": 0.0}, "crystal length must be positive"),
+        ({"phase_matching_angle_deg": 90.5}, r"phase matching angle must be in \[0, 90\]"),
+        ({"material": "BBO"}, "unsupported crystal material 'BBO'"),
+        ({"pm_model": "taylor"}, "unknown pm_model 'taylor'")],
+        ids=["length", "angle", "material", "pm-model"])
+    def test_invalid_crystal_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            spdc.CrystalSpec(**kw)
+
 
 class TestComputeJsa:
     def test_short_crystal_limit_is_pump_stripe(self):
@@ -162,6 +180,30 @@ class TestComputeJsa:
         # compare unnormalized shapes: rescale by the peak
         ratio = np.abs(a.amplitude).max() / np.abs(sub).max()
         assert np.allclose(np.abs(a.amplitude), np.abs(sub) * ratio, atol=1e-9)
+
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: spdc.FrequencyGrid(n_idler=1), "at least 2 points per axis"),
+        (lambda: spdc.FrequencyGrid(signal_span_nm=0.0), "grid spans must be positive"),
+        (lambda: spdc.JsaGrid([1.0, 2.0], [1.0, 2.0], np.ones((2, 3))),
+         "amplitude shape does not match axes"),
+        (lambda: spdc.JsaGrid([2.0, 1.0], [1.0, 2.0], np.ones((2, 2))),
+         "grid axes must be strictly increasing")],
+        ids=["points", "span", "shape", "order"])
+    def test_invalid_grid_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda jsa: jsa.normalize(), "cannot normalize an all-zero amplitude"),
+        (lambda jsa: jsa.marginal("pump"), "axis must be 'signal' or 'idler'"),
+        (lambda jsa: spdc.fwhm_from_profile(*jsa.marginal("signal")),
+         "profile has no positive values")],
+        ids=["normalize", "marginal", "fwhm"])
+    def test_all_zero_amplitude_operations_rejected(self, call, message):
+        zeros = spdc.JsaGrid([1.0, 2.0, 3.0], [1.0, 2.0], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=message):
+            call(zeros)
 
 
 def draw_pairs(jsa, n, seed):
@@ -232,12 +274,11 @@ class TestSamplePairs:
 class TestJsaFileRoundtrip:
     def test_roundtrip(self, tmp_path, default_jsa):
         path = tmp_path / "model.jsag"
-        spdc.write_jsa_file(path, default_jsa, params={"note": "test"})
+        spdc.write_jsa_file(path, default_jsa)
         back = spdc.read_jsa_file(path)
         assert back.normalized
         assert np.array_equal(back.signal_omega, default_jsa.signal_omega)
         assert np.array_equal(back.amplitude, default_jsa.amplitude)
-        assert (tmp_path / "model.jsag.json").exists()
 
     def test_bytes_after_amplitude_rejected(self, tmp_path):
         jsa = spdc.compute_jsa(spdc.PumpSpec(), spdc.CrystalSpec(),
@@ -254,6 +295,15 @@ class TestJsaFileRoundtrip:
         path = tmp_path / "junk.jsag"
         path.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(ValueError, match="magic"):
+            spdc.read_jsa_file(path)
+
+    def test_other_version_rejected(self, tmp_path):
+        path = tmp_path / "model.jsag"
+        spdc.write_jsa_file(path, spdc.JsaGrid([1.0, 2.0], [1.0, 2.0], np.ones((2, 2))))
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = (2).to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unsupported JSA container version 2"):
             spdc.read_jsa_file(path)
 
     def test_short_header_rejected(self, tmp_path):
